@@ -19,7 +19,7 @@ except AttributeError:  # numpy < 2
     _trapz = np.trapz
 import scipy.linalg
 
-from .discrete_engine import RiccatiLadder, SweepCoefficients
+from .discrete_engine import RiccatiLadder, SweepCoefficients, _rcond
 from .model import Grid
 from .reports import ResidualComponent, ResidualReport
 
@@ -108,8 +108,7 @@ def invertibility_rcond(fields: RiccatiFields, coeffs: SweepCoefficients):
         joint = eye - r.Bbar21 @ fields.P[0, k] - r.Bbar22 @ fields.P[1, k]
         second = eye - r.Bbar22 @ fields.P[1, k]
         for name, M in (("joint", joint), ("second", second)):
-            c = np.linalg.cond(M, 1)
-            out[name][k] = 0.0 if not np.isfinite(c) else 1.0 / c
+            out[name][k] = _rcond(M)
     return out
 
 

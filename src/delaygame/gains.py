@@ -13,17 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-try:
-    _trapz = np.trapezoid
-except AttributeError:  # numpy < 2
-    _trapz = np.trapz
-
-from .continuous_limit import RiccatiFields
+from .continuous_limit import RiccatiFields, _trapz
+from .discrete_engine import RCOND_MIN, _rcond
 from .errors import SingularGain
 from .model import GameSpec
 from .reports import ResidualComponent, ResidualReport
-
-RCOND_MIN = 1e-12
 
 
 @dataclass
@@ -74,11 +68,6 @@ class FeedbackLaw:
         w[0] *= 0.5
         w[-1] *= 0.5
         return w
-
-
-def _rcond(M: np.ndarray) -> float:
-    c = np.linalg.cond(M, 1)
-    return 0.0 if not np.isfinite(c) else 1.0 / c
 
 
 def assemble_gains(fields: RiccatiFields, spec: GameSpec) -> FeedbackLaw:

@@ -200,6 +200,13 @@ def validate(spec: GameSpec) -> ValidationReport:
     if not shape_ok:
         return ValidationReport(tuple(checks))
 
+    nonfinite = [k for k in (*expected, "x0", "h1", "h2", "T")
+                 if not np.all(np.isfinite(getattr(spec, k)))]
+    add("finite entries", not nonfinite,
+        f"non-finite entries in {', '.join(nonfinite)}")
+    if nonfinite:
+        return ValidationReport(tuple(checks))
+
     add("delay ordering", 0.0 < spec.h2 < spec.h1 < spec.T,
         f"need 0 < h2 < h1 < T; delays must satisfy h2 < h1 "
         f"(h1={spec.h1:.6g}, h2={spec.h2:.6g}, T={spec.T:.6g})")

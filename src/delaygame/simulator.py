@@ -13,7 +13,9 @@ entry starts at x0.
 Both closed-loop representations share this machinery: the ladder form
 advances the state by the solved recursion coefficients, the gain form by
 an Euler step of the controlled equation with the law's gains applied to
-the window (kernel integrated by trapezoid on its lattice).
+the window (kernel integrated by trapezoid on its lattice). ``rollout``
+is the one time-stepping loop over a single stepper; only the paired
+deviation pass, which overrides the opponent's control, steps its own.
 """
 
 from __future__ import annotations
@@ -86,14 +88,15 @@ class LadderStepper:
             u2 = u2 + win[l] @ step.u2_gain[l].T
         return u1, u2
 
-    def advance(self, k: int, win: np.ndarray, dw_k: np.ndarray):
-        """Returns (new window, diffusion coefficient of the update).
+    def step(self, k: int, win: np.ndarray, dw_k: np.ndarray):
+        """Returns (u1, u2, new window, diffusion coefficient of the update).
 
         Entry at level j advances with increment-free coefficients; inner
         estimates at levels above j coarsen to j, which folds their
         coefficient tail into one matrix per entry (suffix sums), while
         already-passed levels accumulate into a running prefix.
         """
+        u1, u2 = self.controls(k, win)
         step = self.ladder.step(k)
         d1, gap = self.grid.d1, self.gap
         mats = [(step.m_mat, 0)] + [(step.mm[m - 1], m) for m in range(1, gap)] \
@@ -124,7 +127,7 @@ class LadderStepper:
         for mat, idx in mats:
             diff = diff + win[idx] @ mat.noise_part.T
         new[d1] = x_next + dw_k[:, None] * diff
-        return new, diff
+        return u1, u2, new, diff
 
 
 class GainStepper:
@@ -201,37 +204,45 @@ class GainStepper:
         new[d1] = x + grid.delta * drift + dw_k[:, None] * diff
         return new, diff
 
-    def advance(self, k: int, win: np.ndarray, dw_k: np.ndarray):
+    def step(self, k: int, win: np.ndarray, dw_k: np.ndarray):
         u1, u2_lv = self.u_levels(k, win)
-        return self.advance_with(win, dw_k, u1, u2_lv)
+        return (u1, u2_lv[self.gap], *self.advance_with(win, dw_k, u1, u2_lv))
 
 
-def _run(stepper, grid: Grid, x0: np.ndarray, seed: int, n_paths: int,
+def rollout(stepper, x0: np.ndarray, dw: np.ndarray):
+    """Step a path batch through the grid on the given increments.
+
+    Yields ``(k, win, u1, u2, win_next, diff)`` for k = 0..N: the window
+    at step k, the realized controls, the window at step k+1 and the
+    increment coefficient of the state update. Every Monte Carlo consumer
+    of a single stepper reads its paths from this one loop.
+    """
+    win = initial_window(x0, dw.shape[1], stepper.grid.d1)
+    for k in range(stepper.grid.N + 1):
+        u1, u2, win_next, diff = stepper.step(k, win, dw[k])
+        yield k, win, u1, u2, win_next, diff
+        win = win_next
+
+
+def _run(stepper, x0: np.ndarray, seed: int, n_paths: int,
          record_windows: bool) -> Trajectory:
-    n = len(x0)
+    grid = stepper.grid
     dw = draw_increments(grid, n_paths, seed)
-    win = initial_window(x0, n_paths, grid.d1)
     n_steps = grid.N + 1
-    d1c = None
-    x = np.empty((n_steps + 1, n_paths, n))
-    diff = np.empty((n_steps, n_paths, n))
-    u1s = None
-    u2s = None
-    windows = (np.empty((n_steps + 1, grid.d1 + 1, n_paths, n))
+    x = np.empty((n_steps + 1, n_paths, len(x0)))
+    diff = np.empty((n_steps, n_paths, len(x0)))
+    windows = (np.empty((n_steps + 1, grid.d1 + 1, n_paths, len(x0)))
                if record_windows else None)
-    for k in range(n_steps):
-        x[k] = win[grid.d1]
+    for k, win, u1, u2, win_next, diff_k in rollout(stepper, x0, dw):
+        if k == 0:
+            u1s = np.empty((n_steps,) + u1.shape)
+            u2s = np.empty((n_steps,) + u2.shape)
+        x[k], u1s[k], u2s[k], diff[k] = win[grid.d1], u1, u2, diff_k
         if windows is not None:
             windows[k] = win
-        u1, u2 = stepper.controls(k, win)
-        if u1s is None:
-            u1s = np.empty((n_steps, n_paths, u1.shape[1]))
-            u2s = np.empty((n_steps, n_paths, u2.shape[1]))
-        u1s[k], u2s[k] = u1, u2
-        win, diff[k] = stepper.advance(k, win, dw[k])
-    x[n_steps] = win[grid.d1]
+    x[n_steps] = win_next[grid.d1]
     if windows is not None:
-        windows[n_steps] = win
+        windows[n_steps] = win_next
     return Trajectory(grid=grid, seed=seed, x=x, u1=u1s, u2=u2s, dw=dw,
                       diff=diff, windows=windows)
 
@@ -241,7 +252,7 @@ def simulate_path_ladder(ladder: RiccatiLadder, grid: Grid, x0, seed: int,
                          record_windows: bool = False) -> Trajectory:
     """Simulate the explicit closed-loop recursion; controls are the ones
     the recursion implies, read back through the window gains."""
-    return _run(LadderStepper(ladder), grid, np.asarray(x0, dtype=float),
+    return _run(LadderStepper(ladder), np.asarray(x0, dtype=float),
                 seed, n_paths, record_windows)
 
 
@@ -250,7 +261,7 @@ def simulate_path_gains(law: FeedbackLaw, spec: GameSpec, grid: Grid,
                         record_windows: bool = False) -> Trajectory:
     """Euler simulation of the controlled equation under the feedback law."""
     x0 = spec.x0 if x0 is None else np.asarray(x0, dtype=float)
-    return _run(GainStepper(law, spec, grid), grid, x0, seed, n_paths,
+    return _run(GainStepper(law, spec, grid), x0, seed, n_paths,
                 record_windows)
 
 
@@ -272,77 +283,74 @@ def mean_recursion(ladder: RiccatiLadder, x0) -> np.ndarray:
 
 
 def _quad(v: np.ndarray, M: np.ndarray) -> np.ndarray:
-    return np.einsum("pi,ij,pj->p", v, M, v)
+    return np.einsum("...i,ij,...j->...", v, M, v)
 
 
-def path_costs(target, spec: GameSpec, grid: Grid, n_paths: int,
-               seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path quadratic costs of both players under either representation.
+def path_costs(traj: Trajectory,
+               spec: GameSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path quadratic costs of both players along a simulated batch.
 
-    Rectangle rule in time (left endpoints), matching the Euler order.
+    Rectangle rule in time (left endpoints), matching the Euler order;
+    the running cost is summed over the steps in time order.
     """
-    if isinstance(target, RiccatiLadder):
-        stepper = LadderStepper(target)
-    else:
-        stepper = GainStepper(target, spec, grid)
-    dw = draw_increments(grid, n_paths, seed)
-    win = initial_window(spec.x0, n_paths, grid.d1)
-    c1 = np.zeros(n_paths)
-    c2 = np.zeros(n_paths)
-    for k in range(grid.N + 1):
-        x = win[grid.d1]
-        u1, u2 = stepper.controls(k, win)
-        c1 += grid.delta * (_quad(x, spec.Q1) + _quad(u1, spec.R1))
-        c2 += grid.delta * (_quad(x, spec.Q2) + _quad(u2, spec.R2))
-        win, _ = stepper.advance(k, win, dw[k])
-    xT = win[grid.d1]
-    c1 += _quad(xT, spec.H1)
-    c2 += _quad(xT, spec.H2)
-    return 0.5 * c1, 0.5 * c2
+    def cost(Q, u, R, H):
+        run = _quad(traj.x[:-1], Q)
+        run += _quad(u, R)
+        run *= traj.grid.delta
+        return 0.5 * (run.sum(axis=0) + _quad(traj.terminal, H))
+
+    return (cost(spec.Q1, traj.u1, spec.R1, spec.H1),
+            cost(spec.Q2, traj.u2, spec.R2, spec.H2))
 
 
-def paired_deviation_costs(base_law: FeedbackLaw, dev_law: FeedbackLaw,
-                           player: int, spec: GameSpec, grid: Grid,
-                           n_paths: int, seed: int):
-    """Deviating player's per-path costs under the base pair and under a
-    unilateral deviation, on common noise.
+def paired_deviation_costs(base_law: FeedbackLaw, deviations,
+                           spec: GameSpec, grid: Grid, n_paths: int,
+                           seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each deviating player's per-path costs under the base pair and
+    under its unilateral deviation, on common noise.
 
-    A unilateral deviation holds the opponent to its equilibrium CONTROL
-    process, not its feedback rule: the opponent's path (and the
-    estimates of it entering the window propagation) stay driven by the
-    undeviated state. Both processes are stepped together on one noise
-    draw, so the margin's standard error comes from paired differences.
+    ``deviations`` lists ``(player, dev_law)`` pairs; both returned arrays
+    are shaped (D, P). A unilateral deviation holds the opponent to its
+    equilibrium CONTROL process, not its feedback rule: the opponent's
+    path (and the estimates of it entering the window propagation) stay
+    driven by the undeviated state. The base law is stepped once per step
+    on one noise draw, and every deviation window advances beside it, so
+    each margin's standard error comes from paired differences.
     """
-    if player not in (1, 2):
+    if any(player not in (1, 2) for player, _ in deviations):
         raise ValueError("player must be 1 or 2")
     sb = GainStepper(base_law, spec, grid)
-    sd = GainStepper(dev_law, spec, grid)
+    devs = [(player, GainStepper(law, spec, grid))
+            for player, law in deviations]
+    weights = {1: (spec.Q1, spec.R1, spec.H1), 2: (spec.Q2, spec.R2, spec.H2)}
+    gap, d1 = sb.gap, grid.d1
     dw = draw_increments(grid, n_paths, seed)
-    win_b = initial_window(spec.x0, n_paths, grid.d1)
-    win_d = win_b.copy()
-    own_q = spec.Q1 if player == 1 else spec.Q2
-    own_r = spec.R1 if player == 1 else spec.R2
-    own_h = spec.H1 if player == 1 else spec.H2
-    c_base = np.zeros(n_paths)
-    c_dev = np.zeros(n_paths)
+    win_b = initial_window(spec.x0, n_paths, d1)
+    wins = [win_b] * len(devs)     # advance_with never writes in place
+    c_base = {1: np.zeros(n_paths), 2: np.zeros(n_paths)}
+    c_dev = np.zeros((len(devs), n_paths))
     for k in range(grid.N + 1):
         u1_b, u2_b = sb.u_levels(k, win_b)
-        if player == 1:
-            u1_d, _ = sd.u_levels(k, win_d)
-            u2_d = u2_b
-            own_b, own_d = u1_b, u1_d
-        else:
-            _, u2_d = sd.u_levels(k, win_d)
-            u1_d = u1_b
-            own_b, own_d = u2_b[sb.gap], u2_d[sd.gap]
-        x_b, x_d = win_b[grid.d1], win_d[grid.d1]
-        c_base += grid.delta * (_quad(x_b, own_q) + _quad(own_b, own_r))
-        c_dev += grid.delta * (_quad(x_d, own_q) + _quad(own_d, own_r))
+        for player, own_b in ((1, u1_b), (2, u2_b[gap])):
+            q, r, _ = weights[player]
+            c_base[player] += grid.delta * (_quad(win_b[d1], q)
+                                            + _quad(own_b, r))
+        for i, (player, sd) in enumerate(devs):
+            u1_d, u2_d = sd.u_levels(k, wins[i])
+            if player == 1:
+                u2_d, own_d = u2_b, u1_d
+            else:
+                u1_d, own_d = u1_b, u2_d[gap]
+            q, r, _ = weights[player]
+            c_dev[i] += grid.delta * (_quad(wins[i][d1], q) + _quad(own_d, r))
+            wins[i], _ = sd.advance_with(wins[i], dw[k], u1_d, u2_d)
         win_b, _ = sb.advance_with(win_b, dw[k], u1_b, u2_b)
-        win_d, _ = sd.advance_with(win_d, dw[k], u1_d, u2_d)
-    c_base += _quad(win_b[grid.d1], own_h)
-    c_dev += _quad(win_d[grid.d1], own_h)
-    return 0.5 * c_base, 0.5 * c_dev
+    for player in (1, 2):
+        c_base[player] += _quad(win_b[d1], weights[player][2])
+    for i, (player, _) in enumerate(devs):
+        c_dev[i] += _quad(wins[i][d1], weights[player][2])
+    own_base = np.array([c_base[player] for player, _ in devs])
+    return 0.5 * own_base, 0.5 * c_dev
 
 
 @dataclass(frozen=True)
@@ -355,10 +363,10 @@ class CostEstimate:
     seed: int
 
 
-def estimate_costs(target, spec: GameSpec, grid: Grid, n_paths: int,
-                   seed: int) -> CostEstimate:
+def estimate_costs(traj: Trajectory, spec: GameSpec) -> CostEstimate:
     """Monte Carlo mean and standard error of both players' costs."""
-    c1, c2 = path_costs(target, spec, grid, n_paths, seed)
+    c1, c2 = path_costs(traj, spec)
+    n_paths = traj.n_paths
     if n_paths >= 2:
         se1 = float(np.std(c1, ddof=1) / np.sqrt(n_paths))
         se2 = float(np.std(c2, ddof=1) / np.sqrt(n_paths))
@@ -366,7 +374,7 @@ def estimate_costs(target, spec: GameSpec, grid: Grid, n_paths: int,
         se1 = se2 = None
     return CostEstimate(j1=float(np.mean(c1)), j1_se=se1,
                         j2=float(np.mean(c2)), j2_se=se2,
-                        n_paths=n_paths, seed=seed)
+                        n_paths=n_paths, seed=traj.seed)
 
 
 PERTURBATION_KINDS = ("constant_shift", "gain_scale", "time_bump")

@@ -23,9 +23,9 @@ from .continuous_limit import extract_fields
 from .model import GameSpec, Grid, build_grid
 from .reports import DeviationVerdict, ResidualComponent, ResidualReport
 from .simulator import (GainStepper, LadderStepper, Trajectory,
-                        draw_increments, initial_window,
-                        paired_deviation_costs, perturb_control,
-                        simulate_path_gains, simulate_path_ladder)
+                        draw_increments, paired_deviation_costs,
+                        perturb_control, rollout, simulate_path_gains,
+                        simulate_path_ladder)
 
 # Projection bands are C*delta + 3*se; C calibrated once on the golden
 # scalar instance by a step-halving pair (see tests/test_acceptance.py):
@@ -97,6 +97,29 @@ def _projection_stats(res: np.ndarray, Z: np.ndarray):
         float(np.max(np.abs(mean) - 3.0 * se))
 
 
+def _projection_report(name: str, rows, grid: Grid,
+                       band_c: float) -> ResidualReport:
+    """Per-step ``(k, raw, se, net)`` projection rows as a report; steps
+    below d1 are provisional and do not gate."""
+    ks, raws, ses, nets = np.asarray(rows).T
+    provisional = ks < grid.d1
+    band = np.full(nets[~provisional].shape, band_c * grid.delta)
+    return ResidualReport(
+        name=name,
+        components=[
+            ResidualComponent("projection_net", ks[~provisional],
+                              np.maximum(nets[~provisional], 0.0), band=band),
+            ResidualComponent("projection_raw", ks[~provisional],
+                              raws[~provisional], gating=False),
+            ResidualComponent("projection_se", ks[~provisional],
+                              ses[~provisional], gating=False),
+            ResidualComponent("projection_provisional", ks[provisional],
+                              raws[provisional], gating=False),
+        ],
+        tolerance=0.0,
+    )
+
+
 def fbsde_residual_test(ladder: RiccatiLadder, spec: GameSpec, grid: Grid,
                         n_paths: int, seed: int,
                         band_c: float = FBSDE_BAND_C) -> ResidualReport:
@@ -111,16 +134,14 @@ def fbsde_residual_test(ladder: RiccatiLadder, spec: GameSpec, grid: Grid,
     """
     stepper = LadderStepper(ladder)
     dw = draw_increments(grid, n_paths, seed)
-    win = initial_window(spec.x0, n_paths, grid.d1)
     q_mats = (np.asarray(spec.Q1, dtype=float), np.asarray(spec.Q2, dtype=float))
     a_bar = spec.Abar
 
     rows = []    # (k, raw, se, net)
     p_prev = None
-    for k in range(grid.N + 1):
+    for k, win, _, _, win_next, _ in rollout(stepper, spec.x0, dw):
         x_k = win[grid.d1]
         Z = _test_variables(win, grid.d1)
-        win_next, _ = stepper.advance(k, win, dw[k])
         p_k = _pathwise_costate(ladder, k, win_next)
         if p_prev is not None:
             a_hat = ladder.step(k).a_mat.const_part
@@ -134,26 +155,7 @@ def fbsde_residual_test(ladder: RiccatiLadder, spec: GameSpec, grid: Grid,
                 raw, se, net = max(raw, r), max(se, s), max(net, nt)
             rows.append((k, raw, se, net))
         p_prev = p_k
-        win = win_next
-
-    rows = np.asarray(rows)
-    ks, raws, ses, nets = rows.T
-    provisional = ks < grid.d1
-    band = np.full(nets[~provisional].shape, band_c * grid.delta)
-    return ResidualReport(
-        name="fbsde-martingale",
-        components=[
-            ResidualComponent("projection_net", ks[~provisional],
-                              np.maximum(nets[~provisional], 0.0), band=band),
-            ResidualComponent("projection_raw", ks[~provisional],
-                              raws[~provisional], gating=False),
-            ResidualComponent("projection_se", ks[~provisional],
-                              ses[~provisional], gating=False),
-            ResidualComponent("projection_provisional", ks[provisional],
-                              raws[provisional], gating=False),
-        ],
-        tolerance=0.0,
-    )
+    return _projection_report("fbsde-martingale", rows, grid, band_c)
 
 
 def stationarity_residual_test(ladder: RiccatiLadder, law: FeedbackLaw | None,
@@ -171,7 +173,6 @@ def stationarity_residual_test(ladder: RiccatiLadder, law: FeedbackLaw | None,
     stepper = (GainStepper(law, spec, grid) if law is not None
                else LadderStepper(ladder))
     dw = draw_increments(grid, n_paths, seed)
-    win = initial_window(spec.x0, n_paths, grid.d1)
     gap = grid.d1 - grid.d2
     r_mats = (spec.R1, spec.R2)
     b_mats = (spec.B1, spec.B2)
@@ -179,38 +180,16 @@ def stationarity_residual_test(ladder: RiccatiLadder, law: FeedbackLaw | None,
     z_upto = (1, gap + 1)
 
     rows = []
-    for k in range(grid.N + 1):
-        u = stepper.controls(k, win)
-        Z = [_test_variables(win, z_upto[0]), _test_variables(win, z_upto[1])]
-        win_next, diff_k = stepper.advance(k, win, dw[k])
+    for k, win, *u, win_next, diff_k in rollout(stepper, spec.x0, dw):
         p_k = _pathwise_costate(ladder, k, win_next)
         raw = se = net = 0.0
         for i in range(2):
             q_ik = diff_k @ ladder.layer(k + 1).phat[i].T
             res = u[i] @ r_mats[i] + p_k[i] @ b_mats[i] + q_ik @ bbar_mats[i]
-            r, s, nt = _projection_stats(res, Z[i])
+            r, s, nt = _projection_stats(res, _test_variables(win, z_upto[i]))
             raw, se, net = max(raw, r), max(se, s), max(net, nt)
         rows.append((k, raw, se, net))
-        win = win_next
-
-    rows = np.asarray(rows)
-    ks, raws, ses, nets = rows.T
-    provisional = ks < grid.d1
-    band = np.full(nets[~provisional].shape, band_c * grid.delta)
-    return ResidualReport(
-        name="stationarity-projection",
-        components=[
-            ResidualComponent("projection_net", ks[~provisional],
-                              np.maximum(nets[~provisional], 0.0), band=band),
-            ResidualComponent("projection_raw", ks[~provisional],
-                              raws[~provisional], gating=False),
-            ResidualComponent("projection_se", ks[~provisional],
-                              ses[~provisional], gating=False),
-            ResidualComponent("projection_provisional", ks[provisional],
-                              raws[provisional], gating=False),
-        ],
-        tolerance=0.0,
-    )
+    return _projection_report("stationarity-projection", rows, grid, band_c)
 
 
 DEFAULT_DEVIATIONS = (
@@ -272,23 +251,22 @@ def nash_deviation_test(law: FeedbackLaw, spec: GameSpec, grid: Grid,
     if deviations is None:
         deviations = [(player, kind, mag) for player in (1, 2)
                       for kind, mag in DEFAULT_DEVIATIONS]
+    dev_laws = [(player, perturb_control(law, player, kind, mag))
+                for player, kind, mag in deviations]
+    own_base, own_dev = paired_deviation_costs(law, dev_laws, spec, grid,
+                                               n_paths, seed)
     verdicts = []
-    for player, kind, mag in deviations:
-        dev_law = perturb_control(law, player, kind, mag)
-        own_base, own_dev = paired_deviation_costs(
-            law, dev_law, player, spec, grid, n_paths, seed)
-        paired = own_dev - own_base
-        margin = float(np.mean(paired))
-        combined = float(np.std(paired, ddof=1) / np.sqrt(n_paths))
+    for (player, kind, mag), base, dev in zip(deviations, own_base, own_dev):
+        paired = dev - base
         verdicts.append(DeviationVerdict(
             player=player,
             description=f"{kind} {mag:+g}",
-            j_base=float(np.mean(own_base)),
-            se_base=float(np.std(own_base, ddof=1) / np.sqrt(n_paths)),
-            j_dev=float(np.mean(own_dev)),
-            se_dev=float(np.std(own_dev, ddof=1) / np.sqrt(n_paths)),
-            margin=margin,
-            combined_se=combined,
+            j_base=float(np.mean(base)),
+            se_base=float(np.std(base, ddof=1) / np.sqrt(n_paths)),
+            j_dev=float(np.mean(dev)),
+            se_dev=float(np.std(dev, ddof=1) / np.sqrt(n_paths)),
+            margin=float(np.mean(paired)),
+            combined_se=float(np.std(paired, ddof=1) / np.sqrt(n_paths)),
         ))
     return verdicts
 

@@ -52,7 +52,7 @@ def test_criterion_01_zero_cost_annihilation():
     fields = extract_fields(ladder)
     law = assemble_gains(fields, spec)
     traj = simulate_path_gains(law, spec, grid, seed=SEED, n_paths=64)
-    est = estimate_costs(law, spec, grid, 64, SEED)
+    est = estimate_costs(traj, spec)
     elapsed = time.perf_counter() - start
 
     ladder_zero = all(

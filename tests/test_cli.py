@@ -54,6 +54,23 @@ class TestSolve:
                      "--out", str(tmp_path / "o")])
         assert code == 1
 
+    @pytest.mark.parametrize("case", ["missing-key", "invalid-json",
+                                      "nan-entry"])
+    def test_bad_problem_file_exit_2(self, wide_problem, tmp_path, capsys,
+                                     case):
+        data = json.loads(wide_problem.read_text())
+        missing = {k: v for k, v in data.items() if k != "Q1"}
+        text = {"missing-key": json.dumps(missing),
+                "invalid-json": "{not json",
+                "nan-entry": json.dumps(dict(data, A=[[float("nan")]]))}[case]
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code = main(["solve", "--problem", str(path),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
     def test_bad_flag_values_exit_1(self, wide_problem, tmp_path):
         assert main(["solve", "--problem", str(wide_problem),
                      "--delta", "-1", "--out", str(tmp_path / "o")]) == 1
@@ -132,6 +149,30 @@ class TestVerify:
         names = {r["name"] for r in report["tests"]}
         assert "fbsde_martingale_projection" in names
         assert any(n.startswith("nash_deviation") for n in names)
+
+    def test_single_path_exit_1(self, wide_problem, tmp_path, capsys):
+        code = main(["verify", "--problem", str(wide_problem),
+                     "--delta", "0.05", "--paths", "1",
+                     "--out", str(tmp_path / "v")])
+        assert code == 1
+        assert "--paths >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,halvings", [("verify", 1),
+                                                  ("convergence", 2)])
+    def test_halvings_reuse_base_sweep(self, zero_problem, tmp_path,
+                                       monkeypatch, command, halvings):
+        # the base grid is solved once; each halving adds one sweep
+        from delaygame import cli
+        calls = []
+        original = cli.backward_sweep
+        monkeypatch.setattr(cli, "backward_sweep",
+                            lambda *a: calls.append(a) or original(*a))
+        code = main([command, "--problem", str(zero_problem),
+                     "--delta", "0.05", "--paths", "200",
+                     "--halvings", str(halvings),
+                     "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert len(calls) == halvings + 1
 
     def test_mutated_ladder_exit_4(self, tmp_path):
         path = tmp_path / "golden.json"

@@ -142,7 +142,8 @@ class TestWindow:
 class TestCosts:
     def test_zero_cost_is_zero(self, zero_cost):
         spec, grid, ladder = zero_cost
-        est = estimate_costs(ladder, spec, grid, 50, 7)
+        est = estimate_costs(simulate_path_ladder(
+            ladder, grid, spec.x0, seed=7, n_paths=50), spec)
         assert est.j1 == 0.0 and est.j2 == 0.0
 
     def test_deterministic_terminal_cost(self):
@@ -154,27 +155,53 @@ class TestCosts:
         grid = build_grid(spec, 0.05)
         ladder = solve_ladder(spec, grid)
         law = assemble_gains(extract_fields(ladder), spec)
-        est = estimate_costs(law, spec, grid, 64, 3)
+        est = estimate_costs(simulate_path_gains(
+            law, spec, grid, seed=3, n_paths=64), spec)
         # the controlled equilibrium can only reduce the terminal cost
         assert est.j1 <= 0.5 * 0.25 + 1e-9
 
     def test_single_path_has_no_se(self, wide_case):
         spec, grid, ladder, law = wide_case
-        est = estimate_costs(law, spec, grid, 1, 3)
+        est = estimate_costs(simulate_path_gains(
+            law, spec, grid, seed=3, n_paths=1), spec)
         assert est.j1_se is None and est.j2_se is None
 
     def test_common_seed_costs_repeatable(self, wide_case):
         spec, grid, ladder, law = wide_case
-        a = estimate_costs(law, spec, grid, 500, 11)
-        b = estimate_costs(law, spec, grid, 500, 11)
+        a = estimate_costs(simulate_path_gains(
+            law, spec, grid, seed=11, n_paths=500), spec)
+        b = estimate_costs(simulate_path_gains(
+            law, spec, grid, seed=11, n_paths=500), spec)
         assert (a.j1, a.j2) == (b.j1, b.j2)
 
     def test_controls_enter_cost(self, wide_case):
         spec, grid, ladder, law = wide_case
-        c1, c2 = path_costs(law, spec, grid, 400, 5)
+        c1, c2 = path_costs(simulate_path_gains(
+            law, spec, grid, seed=5, n_paths=400), spec)
         shifted = perturb_control(law, 1, "constant_shift", 0.5)
-        d1, d2 = path_costs(shifted, spec, grid, 400, 5)
+        d1, d2 = path_costs(simulate_path_gains(
+            shifted, spec, grid, seed=5, n_paths=400), spec)
         assert np.mean(d1) > np.mean(c1)
+
+    def test_costs_match_stepwise_sum(self, matrix_case):
+        # reference: left-endpoint rectangle rule accumulated step by step
+        spec, grid, ladder = matrix_case
+        traj = simulate_path_ladder(ladder, grid, spec.x0, seed=6, n_paths=40)
+
+        def quad(v, M):
+            return np.einsum("pi,ij,pj->p", v, M, v)
+
+        ref = []
+        for Q, u, R, H in ((spec.Q1, traj.u1, spec.R1, spec.H1),
+                           (spec.Q2, traj.u2, spec.R2, spec.H2)):
+            c = np.zeros(traj.n_paths)
+            for k in range(grid.N + 1):
+                c += grid.delta * (quad(traj.x[k], Q) + quad(u[k], R))
+            c += quad(traj.terminal, H)
+            ref.append(0.5 * c)
+        c1, c2 = path_costs(traj, spec)
+        np.testing.assert_array_equal(c1, ref[0])
+        np.testing.assert_array_equal(c2, ref[1])
 
     def test_golden_cost_band(self):
         # measured once at 1e4 paths (se ~0.04% of mean << the required
@@ -184,7 +211,8 @@ class TestCosts:
         grid = build_grid(spec, 0.005)
         ladder = solve_ladder(spec, grid)
         law = assemble_gains(extract_fields(ladder), spec)
-        est = estimate_costs(law, spec, grid, 10000, 2026)
+        est = estimate_costs(simulate_path_gains(
+            law, spec, grid, seed=2026, n_paths=10000), spec)
         assert est.j1_se < 0.02 * est.j1
         assert est.j2_se < 0.02 * est.j2
         assert est.j1 == pytest.approx(0.3758, abs=0.003)
@@ -197,8 +225,10 @@ class TestPerturbations:
         for kind in ("constant_shift", "gain_scale", "time_bump"):
             mag = 1.0 if kind == "gain_scale" else 0.0
             dev = perturb_control(law, 2, kind, mag)
-            a = path_costs(law, spec, grid, 100, 3)
-            b = path_costs(dev, spec, grid, 100, 3)
+            a = path_costs(simulate_path_gains(
+                law, spec, grid, seed=3, n_paths=100), spec)
+            b = path_costs(simulate_path_gains(
+                dev, spec, grid, seed=3, n_paths=100), spec)
             np.testing.assert_array_equal(a[0], b[0])
             np.testing.assert_array_equal(a[1], b[1])
 
@@ -243,7 +273,8 @@ class TestPerturbations:
 class TestPairedDeviation:
     def test_zero_deviation_margin_is_zero(self, wide_case):
         spec, grid, ladder, law = wide_case
-        base, dev = paired_deviation_costs(law, law, 1, spec, grid, 200, 9)
+        (base,), (dev,) = paired_deviation_costs(law, [(1, law)], spec,
+                                                 grid, 200, 9)
         np.testing.assert_array_equal(base, dev)
 
     def test_opponent_path_frozen(self, wide_case):
@@ -267,8 +298,8 @@ class TestPairedDeviation:
     def test_deviated_state_differs(self, wide_case):
         spec, grid, ladder, law = wide_case
         dev_law = perturb_control(law, 2, "constant_shift", 0.4)
-        base, dev = paired_deviation_costs(law, dev_law, 2, spec, grid,
-                                           200, 9)
+        (base,), (dev,) = paired_deviation_costs(law, [(2, dev_law)], spec,
+                                                 grid, 200, 9)
         assert float(np.mean(dev - base)) > 0.0
 
 
@@ -289,7 +320,9 @@ class TestCrossRepresentation:
 
     def test_ladder_and_gain_costs_close(self, wide_case):
         spec, grid, ladder, law = wide_case
-        a = estimate_costs(ladder, spec, grid, 2000, 3)
-        b = estimate_costs(law, spec, grid, 2000, 3)
+        a = estimate_costs(simulate_path_ladder(
+            ladder, grid, spec.x0, seed=3, n_paths=2000), spec)
+        b = estimate_costs(simulate_path_gains(
+            law, spec, grid, seed=3, n_paths=2000), spec)
         assert abs(a.j1 - b.j1) < 0.05
         assert abs(a.j2 - b.j2) < 0.05

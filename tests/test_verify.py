@@ -158,11 +158,31 @@ class TestNashDeviation:
         wrong_law = assemble_gains(
             extract_fields(solve_ladder(wrong_spec, grid)), wrong_spec)
         hybrid = replace(law, k1=wrong_law.k1.copy())
-        base, dev = vfy.paired_deviation_costs(law, hybrid, 1, spec, grid,
-                                               3000, 5)
+        (base,), (dev,) = vfy.paired_deviation_costs(law, [(1, hybrid)], spec,
+                                                     grid, 3000, 5)
         margin = float(np.mean(dev - base))
         se = float(np.std(dev - base, ddof=1) / np.sqrt(3000))
         assert margin > 5.0 * se
+
+    def test_batched_deviations_match_single_runs(self, wide_case,
+                                                  monkeypatch):
+        # the deviation windows advance side by side on one noise draw;
+        # any coupling between them would move a batched verdict away
+        # from its stand-alone run
+        spec, grid, ladder, law = wide_case
+        from delaygame import simulator
+        draws = []
+        original = simulator.draw_increments
+        monkeypatch.setattr(simulator, "draw_increments",
+                            lambda *a: draws.append(a) or original(*a))
+        batched = vfy.nash_deviation_test(law, spec, grid, 400, seed=8)
+        assert len(batched) == 10 and len(draws) == 1
+        devs = [(player, kind, mag) for player in (1, 2)
+                for kind, mag in vfy.DEFAULT_DEVIATIONS]
+        for dev, v in zip(devs, batched):
+            (alone,) = vfy.nash_deviation_test(law, spec, grid, 400, [dev],
+                                               seed=8)
+            assert alone == v
 
     def test_magnitude_zero_margin_zero(self, golden):
         spec, grid, ladder = golden
