@@ -20,7 +20,7 @@ from . import exports
 from .continuous_limit import (continuous_residuals, extract_fields,
                                invertibility_rcond)
 from .discrete_engine import SweepCoefficients, backward_sweep
-from .errors import DelayGameError, SingularGamma
+from .errors import DelayGameError, IncommensurateDelays, SingularGamma
 from .gains import assemble_gains, stationarity_identity_check
 from .model import build_grid, load_problem, validate
 from .simulator import estimate_costs, simulate_path_gains
@@ -345,7 +345,9 @@ def main(argv=None) -> int:
         return int(exc.code)
     except DelayGameError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        # delays that share no step are a fault of the problem file
+        return (EXIT_VALIDATION if isinstance(exc, IncommensurateDelays)
+                else EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SingularGamma
 from .model import GameSpec, Grid, ReducedCoefficients, reduce_coefficients
@@ -197,9 +196,12 @@ def terminal_layer(H1: np.ndarray, H2: np.ndarray, grid: Grid) -> RiccatiLayer:
     )
 
 
-def _rcond(M: np.ndarray) -> float:
+def _rcond(M: np.ndarray):
+    """Reciprocal 1-norm condition number of M (a scalar), or of each
+    matrix in a stack of them (an array); 0 where singular."""
     c = np.linalg.cond(M, 1)
-    return 0.0 if not np.isfinite(c) or c == 0.0 else 1.0 / c
+    with np.errstate(divide="ignore"):
+        return np.where(np.isfinite(c) & (c != 0.0), 1.0 / c, 0.0)[()]
 
 
 def assemble_blocks(layer_next: RiccatiLayer, coeffs: SweepCoefficients,
@@ -214,42 +216,46 @@ def assemble_blocks(layer_next: RiccatiLayer, coeffs: SweepCoefficients,
     eye = np.eye(n)
     S1h, S2h = layer_next.shat
     P1, P2 = layer_next.phat
-    S2c = layer_next.scheck[1]
+    # player 2's aggregates of levels m = 1..gap-1, then of the last level
+    S2 = np.concatenate([layer_next.sm[1], layer_next.scheck[1][None]])
+    gap = len(S2)
 
-    gamma_hat = np.block([
-        [eye - delta * (r.B11 @ S1h + r.B12 @ S2h), -(r.B21 @ P1 + r.B22 @ P2)],
-        [-delta * (r.Bbar11 @ S1h + r.Bbar12 @ S2h),
-         eye - r.Bbar21 @ P1 - r.Bbar22 @ P2],
-    ])
-    gamma_m = []
-    for m in range(1, layer_next.sm.shape[1] + 1):
-        S2m = layer_next.sm[1, m - 1]
-        gamma_m.append(np.block([
-            [eye - delta * (r.B12 @ S2m), -(r.B22 @ P2)],
-            [-delta * (r.Bbar12 @ S2m), eye - r.Bbar22 @ P2],
-        ]))
-    gamma_check = np.block([
-        [eye - delta * (r.B12 @ S2c), -(r.B22 @ P2)],
-        [-delta * (r.Bbar12 @ S2c), eye - r.Bbar22 @ P2],
-    ])
+    # level 0 holds gamma_hat, level m the block gamma_m{m}, level gap
+    # gamma_check; the finer levels differ only in their S^2 aggregate
+    levels = np.empty((gap + 1, 2 * n, 2 * n))
+    levels[0, :n, :n] = eye - delta * (r.B11 @ S1h + r.B12 @ S2h)
+    levels[0, :n, n:] = -(r.B21 @ P1 + r.B22 @ P2)
+    levels[0, n:, :n] = -delta * (r.Bbar11 @ S1h + r.Bbar12 @ S2h)
+    levels[0, n:, n:] = eye - r.Bbar21 @ P1 - r.Bbar22 @ P2
+    levels[1:, :n, :n] = eye - delta * (r.B12 @ S2)
+    levels[1:, :n, n:] = -(r.B22 @ P2)
+    levels[1:, n:, :n] = -delta * (r.Bbar12 @ S2)
+    levels[1:, n:, n:] = eye - r.Bbar22 @ P2
     g_block = np.block([
         [delta * (r.B11 @ S1h), r.B21 @ P1],
         [delta * (r.Bbar11 @ S1h), r.Bbar21 @ P1],
     ])
 
-    rcond = {"gamma_hat": _rcond(gamma_hat), "gamma_check": _rcond(gamma_check)}
-    for m, gm in enumerate(gamma_m, start=1):
-        rcond[f"gamma_m{m}"] = _rcond(gm)
+    rc = _rcond(levels)
+    rcond = {"gamma_hat": rc[0], "gamma_check": rc[gap]}
+    for m in range(1, gap):
+        rcond[f"gamma_m{m}"] = rc[m]
     where = k if k is not None else layer_next.k
-    for which, rc in rcond.items():
-        if rc < RCOND_MIN:
-            raise SingularGamma(where, which, rc)
-    return GammaBlocks(gamma_hat, gamma_m, gamma_check, g_block, rcond)
+    for which, value in rcond.items():
+        if value < RCOND_MIN:
+            raise SingularGamma(where, which, value)
+    return GammaBlocks(levels[0], list(levels[1:gap]), levels[gap], g_block,
+                       rcond)
 
 
 def _row_apply(top: np.ndarray, bot: np.ndarray, W: np.ndarray, n: int) -> np.ndarray:
-    """Apply the 1x2 block row [top, bot] to a stacked (2n, n) column."""
+    """Apply the 1x2 block row [top, bot] to a stacked (2n, c) column."""
     return top @ W[:n] + bot @ W[n:]
+
+
+def _column_blocks(X: np.ndarray, n: int) -> np.ndarray:
+    """View of the (r, c*n) array X as its c column blocks, shape (c, r, n)."""
+    return X.reshape(len(X), -1, n).swapaxes(0, 1)
 
 
 def solve_estimate_chain(layer_next: RiccatiLayer, coeffs: SweepCoefficients,
@@ -261,14 +267,15 @@ def solve_estimate_chain(layer_next: RiccatiLayer, coeffs: SweepCoefficients,
     right-hand side gaining the coarse-level coupling plus the kernel
     coupling of already-solved levels), the last level through
     ``gamma_check``; substitutes everything back into the state update.
+    Each level is factored once and solved once, for all its right-hand
+    sides together.
     """
     r = coeffs.reduced
     n = layer_next.n
-    d1 = layer_next.phat_lag.shape[1] - 1
-    d2 = layer_next.ccheck_lag.shape[1] - 1
-    gap = d1 - d2
+    gap = layer_next.phat_lag.shape[1] - layer_next.ccheck_lag.shape[1]
 
     blocks = assemble_blocks(layer_next, coeffs, delta, k)
+    levels = [blocks.gamma_hat, *blocks.gamma_m, blocks.gamma_check]
     S1h = layer_next.shat[0]
     P1, P2 = layer_next.phat
     S2c = layer_next.scheck[1]
@@ -278,75 +285,58 @@ def solve_estimate_chain(layer_next: RiccatiLayer, coeffs: SweepCoefficients,
 
     a_hat = np.eye(n) + delta * coeffs.A
     rhs_base = np.vstack([a_hat, delta * coeffs.Abar])
+    # kernel coupling [delta B12; delta Bbar12] of an already-solved level
+    kcol = np.vstack([delta * r.B12, delta * r.Bbar12])
 
-    lu_hat = scipy.linalg.lu_factor(blocks.gamma_hat)
-    lu_mid = [scipy.linalg.lu_factor(gm) for gm in blocks.gamma_m]
-    lu_check = scipy.linalg.lu_factor(blocks.gamma_check)
+    # W[m][:, l*n:(l+1)*n]: (2n, n) dependence of the level-m estimate pair
+    # on the level-l estimate of the previous state; zero for l > m.
+    # R = sum_{0 < j < m} lag2[j-1] @ W[j][:n]: the kernel coupling that
+    # the levels solved so far feed into level m.
+    W = np.zeros((gap + 1, 2 * n, (gap + 1) * n))
+    R = np.zeros((n, (gap + 1) * n))
+    zfactors = []
+    for m in range(gap + 1):
+        # right-hand sides: the couplings to levels l < m, the state
+        # column and, on levels 2..gap-1, the zfactor coupling columns
+        acc = kcol @ R[:, :m * n]
+        if m > 0:
+            acc[:, :n] += blocks.g_block @ W[0][:, :n]
+        with_z = 2 <= m < gap
+        rhs = np.hstack([acc, rhs_base, kcol] if with_z else [acc, rhs_base])
+        # one factorization and one multi-column solve (LAPACK gesv); not
+        # scipy's lu_solve, whose multi-column getrs hands these tiny
+        # solves to the OpenBLAS thread pool and can stall for milliseconds
+        sol = np.linalg.solve(levels[m], rhs)
+        W[m][:, :(m + 1) * n] = sol[:, :(m + 1) * n]
+        if with_z:
+            inner = sol[:, (m + 1) * n:]
+            z = np.eye(2 * n)
+            z[:n, :n] += lag2[m - 1] @ inner[:n]
+            z[n:, :n] += lag2[m - 1] @ inner[n:]
+            zfactors.append(z)
+        if 0 < m < gap:
+            R += lag2[m - 1] @ W[m][:n]
 
-    def lu_for(m: int):
-        return lu_check if m == gap else lu_mid[m - 1]
-
-    # W[m][l]: (2n, n) dependence of the level-m estimate pair on the
-    # level-l estimate of the previous state; lower triangular in (m, l).
-    W: list[list[np.ndarray | None]] = [[None] * (gap + 1) for _ in range(gap + 1)]
-    W[0][0] = scipy.linalg.lu_solve(lu_hat, rhs_base)
-    for m in range(1, gap + 1):
-        lu = lu_for(m)
-        W[m][m] = scipy.linalg.lu_solve(lu, rhs_base)
-        for l in range(m):
-            acc = np.zeros((2 * n, n))
-            if l == 0:
-                acc += blocks.g_block @ W[0][0]
-            for j in range(max(1, l), m):
-                top = lag2[j - 1] @ W[j][l][:n]
-                acc[:n] += delta * (r.B12 @ top)
-                acc[n:] += delta * (r.Bbar12 @ top)
-            W[m][l] = scipy.linalg.lu_solve(lu, acc)
-
-    # state-update coefficients, affine in the increment
-    rhat_c = (delta * (r.B11 @ S1h), r.B21 @ P1)
-    rhat_n = (r.Bbar11 @ S1h, r.Bbar21 @ P1 / delta)
-    rcheck_c = (delta * (r.B12 @ S2c), r.B22 @ P2)
-    rcheck_n = (r.Bbar12 @ S2c, r.Bbar22 @ P2 / delta)
-
-    coeff: list[AffineMatrix] = []
-    for l in range(gap + 1):
-        const = np.zeros((n, n))
-        noise = np.zeros((n, n))
-        if l == 0:
-            const += _row_apply(*rhat_c, W[0][0], n)
-            noise += _row_apply(*rhat_n, W[0][0], n)
-        for j in range(gap - 1):
-            if W[j + 1][l] is None:
-                continue
-            top = lag2[j] @ W[j + 1][l][:n]
-            const += delta * (r.B12 @ top)
-            noise += r.Bbar12 @ top
-        const += _row_apply(*rcheck_c, W[gap][l], n)
-        noise += _row_apply(*rcheck_n, W[gap][l], n)
-        coeff.append(AffineMatrix(const, noise))
+    # state-update coefficients, affine in the increment, for every
+    # source level l at once (column block l)
+    Wc = W[gap]
+    const = (delta * (r.B12 @ R)
+             + _row_apply(delta * (r.B12 @ S2c), r.B22 @ P2, Wc, n))
+    noise = (r.Bbar12 @ R
+             + _row_apply(r.Bbar12 @ S2c, r.Bbar22 @ P2 / delta, Wc, n))
+    W00 = W[0][:, :n]
+    const[:, :n] += _row_apply(delta * (r.B11 @ S1h), r.B21 @ P1, W00, n)
+    noise[:, :n] += _row_apply(r.Bbar11 @ S1h, r.Bbar21 @ P1 / delta, W00, n)
+    coeff = [AffineMatrix(c, e) for c, e in
+             zip(_column_blocks(const, n), _column_blocks(noise, n))]
 
     # controls implied by the solved estimate pairs, as window gains
     u1_gain = -coeffs.R1inv @ (
-        coeffs.B1.T @ (S1h @ W[0][0][:n])
-        + coeffs.B1bar.T @ (P1 @ W[0][0][n:]) / delta)
-    u2_gain = np.zeros((gap + 1, coeffs.B2.shape[1], n))
-    for l in range(gap + 1):
-        est_p = S2c @ W[gap][l][:n]
-        for j in range(gap - 1):
-            if W[j + 1][l] is not None:
-                est_p += lag2[j] @ W[j + 1][l][:n]
-        est_q = P2 @ W[gap][l][n:] / delta
-        u2_gain[l] = -coeffs.R2inv @ (coeffs.B2.T @ est_p + coeffs.B2bar.T @ est_q)
-
-    zfactors = []
-    kc = np.zeros((2 * n, 2 * n))
-    kc[:n, :n] = delta * r.B12
-    kc[n:, :n] = delta * r.Bbar12
-    for j in range(1, gap - 1):
-        inner = scipy.linalg.lu_solve(lu_mid[j], kc)
-        lift = np.kron(np.eye(2), lag2[j])
-        zfactors.append(np.eye(2 * n) + lift @ inner)
+        coeffs.B1.T @ (S1h @ W00[:n])
+        + coeffs.B1bar.T @ (P1 @ W00[n:]) / delta)
+    u2 = -coeffs.R2inv @ (coeffs.B2.T @ (S2c @ Wc[:n] + R)
+                          + coeffs.B2bar.T @ (P2 @ Wc[n:] / delta))
+    u2_gain = np.ascontiguousarray(_column_blocks(u2, n))
 
     return ClosedLoopStep(
         k=k,
@@ -380,16 +370,17 @@ def riccati_step(layer_next: RiccatiLayer, closed_loop: ClosedLoopStep,
     a_bar = coeffs.Abar
     q_mats = (np.asarray(Q1, dtype=float), np.asarray(Q2, dtype=float))
     M, H = closed_loop.m_mat, closed_loop.h_mat
-    mm = closed_loop.mm
+    mm = AffineMatrix(
+        np.array([x.const_part for x in closed_loop.mm]).reshape(-1, n, n),
+        np.array([x.noise_part for x in closed_loop.mm]).reshape(-1, n, n))
 
     phat = np.empty((2, n, n))
     phat_lag = np.zeros((2, d1 + 1, n, n))
     ccheck_lag = np.zeros((2, d2 + 1, n, n))
 
-    # const-part tail sum(Mm[j], j >= m) + H + A_hat used by the coupled branch
-    tail = a_hat + H.const_part
-    tails = [tail + sum((mmj.const_part for mmj in mm[m - 1:]), np.zeros((n, n)))
-             for m in range(1, gap)]
+    # const-part tails sum(Mm[j], j >= m) + H + A_hat, m = 1..gap-1, used
+    # by the coupled branch
+    tails = a_hat + H.const_part + np.cumsum(mm.const_part[::-1], axis=0)[::-1]
 
     for i in range(2):
         P_next = layer_next.phat[i]
@@ -400,12 +391,11 @@ def riccati_step(layer_next: RiccatiLayer, closed_loop: ClosedLoopStep,
                    + delta * q_mats[i])
         left = AffineMatrix(a_hat.T @ layer_next.shat[i], a_bar.T @ P_next)
         phat_lag[i][0] = expectation_of_product(left, M, delta)
-        for m in range(1, gap):
-            left_m = AffineMatrix(a_hat.T @ layer_next.sm[i][m - 1],
-                                  a_bar.T @ P_next)
-            phat_lag[i][m] = (expectation_of_product(left_m, mm[m - 1], delta)
-                              + a_hat.T @ layer_next.phat_lag[i][m - 1]
-                              @ tails[m - 1])
+        # coupled branch, batched over offsets m = 1..gap-1
+        left_m = AffineMatrix(a_hat.T @ layer_next.sm[i], a_bar.T @ P_next)
+        phat_lag[i][1:gap] = (expectation_of_product(left_m, mm, delta)
+                              + a_hat.T @ layer_next.phat_lag[i][:gap - 1]
+                              @ tails)
         # free-branch transport of both lag families, batched over offsets
         phat_lag[i][gap:] = a_hat.T @ layer_next.phat_lag[i][gap - 1:d1] @ a_hat
         left_h = AffineMatrix(a_hat.T @ layer_next.scheck[i], a_bar.T @ P_next)
@@ -413,16 +403,16 @@ def riccati_step(layer_next: RiccatiLayer, closed_loop: ClosedLoopStep,
         if d2 >= 1:
             ccheck_lag[i][1:] = a_hat.T @ layer_next.ccheck_lag[i][:d2] @ a_hat
 
-    lag_sum = phat_lag.sum(axis=1) + ccheck_lag.sum(axis=1)
-    shat = phat + lag_sum
-    scheck = phat + phat_lag[:, gap - 1:].sum(axis=1) + ccheck_lag.sum(axis=1)
-    sm = np.zeros((2, max(gap - 1, 0), n, n))
-    for m in range(1, gap):
-        sm[:, m - 1] = phat + phat_lag[:, m - 1:].sum(axis=1) + ccheck_lag.sum(axis=1)
+    # aggregates from suffix sums of the first lag family: index j holds
+    # phat + sum(phat_lag[j:]) + sum(ccheck_lag), so j = 0 is shat (and
+    # S^1), j = m-1 is S^m and j = gap-1 is scheck
+    suffix = np.cumsum(phat_lag[:, ::-1], axis=1)[:, ::-1]
+    agg = phat[:, None] + suffix[:, :gap] + ccheck_lag.sum(axis=1)[:, None]
 
     return RiccatiLayer(k=k, phat=phat, phat_lag=phat_lag,
-                        ccheck_lag=ccheck_lag, shat=shat, scheck=scheck,
-                        sm=sm, provisional=k < d1)
+                        ccheck_lag=ccheck_lag, shat=agg[:, 0].copy(),
+                        scheck=agg[:, gap - 1].copy(), sm=agg[:, :gap - 1],
+                        provisional=k < d1)
 
 
 def backward_sweep(coeffs: SweepCoefficients, grid: Grid,

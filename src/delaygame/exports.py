@@ -70,9 +70,16 @@ def export_ladder_csv(ladder: RiccatiLadder, path) -> None:
 def export_ladder_metadata(ladder: RiccatiLadder, path, problem_path=None,
                            extra=None) -> None:
     grid = ladder.grid
+    # where along the grid solvability is weakest: each step's worst block
+    profile = []
+    for step in ladder.closed_loop:
+        worst = min(step.rcond, key=step.rcond.get)
+        profile.append({"k": step.k, "block": worst,
+                        "rcond": step.rcond[worst]})
     meta = {
         "grid": {"N": grid.N, "delta": grid.delta, "d1": grid.d1, "d2": grid.d2},
         "rcond_min": ladder.rcond_min,
+        "rcond_profile": profile,
         "provisional_below": grid.d1,
     }
     if problem_path is not None:

@@ -4,7 +4,9 @@ Everything here is written directly from the displayed formulas, in a
 deliberately different style from the package code: plain matrix inverses
 instead of factorizations, explicit python sums, and the closed-form
 coefficient displays (available for lag gaps 1 and 3) instead of the
-back-substitution chain. Tests compare the two implementations.
+back-substitution chain. For other gaps, ``chain_step`` solves the chain
+one (level, source level) pair at a time through explicit inverses. Tests
+compare the two implementations.
 """
 
 import numpy as np
@@ -189,5 +191,100 @@ def oracle_sweep(A, Abar, B1, B1bar, B2, B2bar, Q1, Q2, R1, R2, H1, H2,
         step = closed_form_step(layer, red, A, Abar, delta)
         step_by_k[k] = step
         layer = oracle_layer_update(layer, step, red, A, Abar, Q1, Q2, delta)
+        layer_by_k[k] = layer
+    return layer_by_k, step_by_k
+
+
+def chain_step(layer, red, A, Abar, B1, B1bar, B2, B2bar, R1, R2, delta):
+    """Any gap: the estimate chain one (level m, source level l) pair at a
+    time, each through the explicit inverse of its level's block.
+
+    Returns (coefficients in the shape of ``closed_form_step``, u1 gain,
+    u2 gains by source level, zfactors).
+    """
+    n = layer.n
+    gap = layer.d1 - layer.d2
+    Ghat, Gm, Gcheck, G = oracle_blocks(layer, red, delta)
+    Ginv = [np.linalg.inv(Ghat)]
+    for m in range(1, gap):
+        Ginv.append(np.linalg.inv(Gm[m]))
+    Ginv.append(np.linalg.inv(Gcheck))
+    Ah = np.eye(n) + delta * np.asarray(A, float).reshape(n, n)
+    Ab = np.asarray(Abar, float).reshape(n, n)
+    col = np.vstack([Ah, delta * Ab])
+    S1 = layer.Shat(0)
+    S2c = layer.Scheck(1)
+    P1, P2 = layer.P
+    lag2 = layer.lagP[1]
+    Kc = np.zeros((2 * n, 2 * n))
+    Kc[:n, :n] = delta * red["B12"]
+    Kc[n:, :n] = delta * red["Bb12"]
+
+    # W[m, l]: level-m estimate pair in terms of the level-l estimate
+    W = {(0, 0): Ginv[0] @ col}
+    for m in range(1, gap + 1):
+        W[m, m] = Ginv[m] @ col
+        for l in range(m):
+            rhs = np.zeros((2 * n, n))
+            if l == 0:
+                rhs = rhs + G @ W[0, 0]
+            for j in range(max(1, l), m):
+                rhs = rhs + Kc @ lift(lag2[j - 1]) @ W[j, l]
+            W[m, l] = Ginv[m] @ rhs
+
+    row_hat_c = np.hstack([delta * red["B11"] @ S1, red["B21"] @ P1])
+    row_hat_n = np.hstack([red["Bb11"] @ S1, red["Bb21"] @ P1 / delta])
+    row_chk_c = np.hstack([delta * red["B12"] @ S2c, red["B22"] @ P2])
+    row_chk_n = np.hstack([red["Bb12"] @ S2c, red["Bb22"] @ P2 / delta])
+    row_b12_c = np.hstack([delta * red["B12"], np.zeros((n, n))])
+    row_b12_n = np.hstack([red["Bb12"], np.zeros((n, n))])
+    coeff = []
+    for l in range(gap + 1):
+        c = row_chk_c @ W[gap, l]
+        e = row_chk_n @ W[gap, l]
+        if l == 0:
+            c = c + row_hat_c @ W[0, 0]
+            e = e + row_hat_n @ W[0, 0]
+        for j in range(gap - 1):
+            if l <= j + 1:
+                c = c + row_b12_c @ lift(lag2[j]) @ W[j + 1, l]
+                e = e + row_b12_n @ lift(lag2[j]) @ W[j + 1, l]
+        coeff.append((c, e))
+
+    B1 = np.atleast_2d(np.asarray(B1, float)).reshape(n, -1)
+    B1bar = np.atleast_2d(np.asarray(B1bar, float)).reshape(n, -1)
+    B2 = np.atleast_2d(np.asarray(B2, float)).reshape(n, -1)
+    B2bar = np.atleast_2d(np.asarray(B2bar, float)).reshape(n, -1)
+    R1i = np.linalg.inv(np.atleast_2d(np.asarray(R1, float)))
+    R2i = np.linalg.inv(np.atleast_2d(np.asarray(R2, float)))
+    u1 = -R1i @ (B1.T @ S1 @ W[0, 0][:n] + B1bar.T @ P1 @ W[0, 0][n:] / delta)
+    u2 = []
+    for l in range(gap + 1):
+        est_p = S2c @ W[gap, l][:n]
+        for j in range(gap - 1):
+            if l <= j + 1:
+                est_p = est_p + lag2[j] @ W[j + 1, l][:n]
+        est_q = P2 @ W[gap, l][n:] / delta
+        u2.append(-R2i @ (B2.T @ est_p + B2bar.T @ est_q))
+
+    zfactors = [np.eye(2 * n) + lift(lag2[j]) @ Ginv[j + 1] @ Kc
+                for j in range(1, gap - 1)]
+    return (coeff[0], coeff[1:gap], coeff[gap]), u1, u2, zfactors
+
+
+def oracle_chain_sweep(A, Abar, B1, B1bar, B2, B2bar, Q1, Q2, R1, R2, H1, H2,
+                       delta, d1, d2, N):
+    """Full backward pass via the per-pair chain; any gap."""
+    red = oracle_reduced(B1, B1bar, B2, B2bar, R1, R2)
+    n = np.atleast_2d(np.asarray(A, float)).shape[0]
+    layer = OracleLayer(n, d1, d2, H1, H2)
+    layer_by_k = {N + 1: layer}
+    step_by_k = {}
+    for k in range(N, -1, -1):
+        step = chain_step(layer, red, A, Abar, B1, B1bar, B2, B2bar, R1, R2,
+                          delta)
+        step_by_k[k] = step
+        layer = oracle_layer_update(layer, step[0], red, A, Abar, Q1, Q2,
+                                    delta)
         layer_by_k[k] = layer
     return layer_by_k, step_by_k

@@ -34,6 +34,11 @@ class TestSolve:
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["grid"] == {"N": 19, "delta": 0.05, "d1": 4, "d2": 2}
         assert meta["problem"]["hash"].startswith("sha256:")
+        profile = meta["rcond_profile"]
+        assert [p["k"] for p in profile] == list(range(20))
+        assert all(p["block"] in meta["rcond_min"] for p in profile)
+        assert min(p["rcond"] for p in profile) == \
+            min(meta["rcond_min"].values())
         captured = capsys.readouterr()
         assert "rcond" in captured.out
 
@@ -69,6 +74,18 @@ class TestSolve:
                      "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 2
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    def test_incommensurate_delays_exit_2(self, wide_problem, tmp_path,
+                                          capsys):
+        data = json.loads(wide_problem.read_text())
+        path = tmp_path / "incommensurate.json"
+        path.write_text(json.dumps(dict(data, h1=np.pi / 10)))
+        code = main(["solve", "--problem", str(path),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "no common step" in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
     def test_bad_flag_values_exit_1(self, wide_problem, tmp_path):

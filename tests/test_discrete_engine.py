@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaygame import (AffineMatrix, GameSpec, Grid, SingularGamma,
                        SweepCoefficients, assemble_blocks,
                        expectation_of_product, solve_ladder)
-from delaygame.discrete_engine import terminal_layer
+from delaygame.discrete_engine import solve_estimate_chain, terminal_layer
 from conftest import matrix_spec, wide_delay_spec
-from oracles import oracle_sweep
+from oracles import oracle_chain_sweep, oracle_sweep
 
 
 class TestExpectationOfProduct:
@@ -253,6 +254,84 @@ class TestChainAgainstClosedForms:
             assert np.all(step.h_mat.const_part == 0.0)
             for mm in step.mm:
                 assert np.all(mm.const_part == 0.0)
+
+
+# short horizons (two lag windows and a step) at lag gaps 2, 5 and 8
+CHAIN_GRIDS = {2: Grid(N=9, delta=0.05, d1=4, d2=2),
+               5: Grid(N=21, delta=0.02, d1=10, d2=5),
+               8: Grid(N=33, delta=0.0125, d1=16, d2=8)}
+
+
+class TestChainAgainstReference:
+    """The stacked chain must reproduce the per-(level, source level)
+    reference chain of tests/oracles.py in every step field and layer."""
+
+    @staticmethod
+    def _close(got, ref, tol=1e-10):
+        ref = np.asarray(ref)
+        np.testing.assert_allclose(
+            got, ref, rtol=0, atol=tol * max(1.0, float(np.max(np.abs(ref)))))
+
+    @pytest.mark.parametrize("gap", sorted(CHAIN_GRIDS))
+    @pytest.mark.parametrize("make_spec", [wide_delay_spec, matrix_spec],
+                             ids=["scalar", "matrix"])
+    def test_full_sweep(self, make_spec, gap):
+        spec, grid = make_spec(), CHAIN_GRIDS[gap]
+        ladder = solve_ladder(spec, grid)
+        layer_by_k, step_by_k = oracle_chain_sweep(
+            spec.A, spec.Abar, spec.B1, spec.B1bar, spec.B2, spec.B2bar,
+            spec.Q1, spec.Q2, spec.R1, spec.R2, spec.H1, spec.H2,
+            grid.delta, grid.d1, grid.d2, grid.N)
+        for k in range(grid.N + 1):
+            step = ladder.step(k)
+            ((mc, mn), mm, (hc, hn)), u1, u2, zf = step_by_k[k]
+            self._close(step.m_mat.const_part, mc)
+            self._close(step.m_mat.noise_part, mn)
+            self._close(step.h_mat.const_part, hc)
+            self._close(step.h_mat.noise_part, hn)
+            assert len(step.mm) == len(mm) == gap - 1
+            for got, (mmc, mmn) in zip(step.mm, mm):
+                self._close(got.const_part, mmc)
+                self._close(got.noise_part, mmn)
+            self._close(step.u1_gain, u1)
+            self._close(step.u2_gain, np.stack(u2))
+            assert len(step.zfactors) == len(zf) == max(gap - 2, 0)
+            for got, ref in zip(step.zfactors, zf):
+                self._close(got, ref)
+        for k in range(grid.N + 2):
+            layer, ref = ladder.layer(k), layer_by_k[k]
+            for i in range(2):
+                self._close(layer.phat[i], ref.P[i])
+                self._close(layer.phat_lag[i], np.stack(ref.lagP[i]))
+                self._close(layer.ccheck_lag[i], np.stack(ref.lagC[i]))
+                self._close(layer.shat[i], ref.Shat(i))
+                self._close(layer.scheck[i], ref.Scheck(i))
+                for m in range(1, gap):
+                    self._close(layer.sm[i][m - 1], ref.Sm(i, m))
+
+    def test_one_solve_per_level(self, monkeypatch):
+        # one factor-and-solve call per information level, for all its
+        # right-hand sides, and one conditioning call for all blocks
+        spec, grid = matrix_spec(), CHAIN_GRIDS[8]
+        ladder = solve_ladder(spec, grid)
+        calls = {"solve": 0, "lu_factor": 0, "lu_solve": 0, "cond": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(np.linalg, "solve")
+        counted(scipy.linalg, "lu_factor")
+        counted(scipy.linalg, "lu_solve")
+        counted(np.linalg, "cond")
+        k = grid.N - grid.d1
+        solve_estimate_chain(ladder.layer(k + 1),
+                             SweepCoefficients.from_spec(spec), grid.delta, k)
+        assert calls == {"solve": 9, "lu_factor": 0, "lu_solve": 0, "cond": 1}
 
 
 class TestSweepInvariants:
