@@ -8,8 +8,8 @@ from .errors import (DelayGameError, IncommensurateDelays, MissingWindow,
 from .model import (GameSpec, Grid, ReducedCoefficients, ValidationReport,
                     build_grid, load_problem, reduce_coefficients,
                     save_problem, validate)
-from .discrete_engine import (AffineMatrix, ClosedLoopStep, RiccatiLadder,
-                              RiccatiLayer, SweepCoefficients,
+from .discrete_engine import (ClosedLoopStep, RiccatiLadder, RiccatiLayer,
+                              SweepCoefficients,
                               assemble_blocks, backward_sweep,
                               expectation_of_product, riccati_step,
                               solve_estimate_chain, solve_ladder)
@@ -22,7 +22,7 @@ from .simulator import (CostEstimate, Trajectory, estimate_costs,
                         simulate_path_gains, simulate_path_ladder)
 
 __all__ = [
-    "AffineMatrix", "ClosedLoopStep", "CostEstimate", "DelayGameError",
+    "ClosedLoopStep", "CostEstimate", "DelayGameError",
     "DeviationVerdict", "FeedbackLaw", "GameSpec", "Grid",
     "IncommensurateDelays", "MissingWindow", "ReducedCoefficients",
     "ResidualComponent", "ResidualReport", "RiccatiFields", "RiccatiLadder",

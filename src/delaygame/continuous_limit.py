@@ -76,24 +76,17 @@ class RiccatiFields:
 def extract_fields(ladder: RiccatiLadder) -> RiccatiFields:
     """Sample the fields from a finished ladder (1/delta kernel rescale)."""
     grid = ladder.grid
-    n = ladder.n
-    n_t = grid.N + 2
-    P = np.zeros((2, n_t, n, n))
-    phat = np.zeros((2, n_t, grid.d1 + 1, n, n))
-    ccheck = np.zeros((2, n_t, grid.d2 + 1, n, n))
-    for k in range(n_t):
-        layer = ladder.layer(k)
-        P[:, k] = layer.phat
-        phat[:, k] = layer.phat_lag / grid.delta
-        ccheck[:, k] = layer.ccheck_lag / grid.delta
-    shat = np.zeros((2, n_t, n, n))
-    scheck = np.zeros((2, n_t, n, n))
-    for i in range(2):
-        shat[i] = (P[i] + _trapz(phat[i], dx=grid.delta, axis=1)
-                   + _trapz(ccheck[i], dx=grid.delta, axis=1))
-        gap = grid.d1 - grid.d2
-        scheck[i] = (P[i] + _trapz(phat[i, :, gap:], dx=grid.delta, axis=1)
-                     + _trapz(ccheck[i], dx=grid.delta, axis=1))
+    gap = grid.d1 - grid.d2
+
+    def by_player(stack):
+        return np.ascontiguousarray(stack.swapaxes(0, 1))
+
+    P = by_player(ladder.phat)
+    phat = by_player(ladder.phat_lag) / grid.delta
+    ccheck = by_player(ladder.ccheck_lag) / grid.delta
+    ker2 = _trapz(ccheck, dx=grid.delta, axis=2)
+    shat = P + _trapz(phat, dx=grid.delta, axis=2) + ker2
+    scheck = P + _trapz(phat[:, :, gap:], dx=grid.delta, axis=2) + ker2
     return RiccatiFields(grid=grid, t=grid.times(), P=P, phat=phat,
                          ccheck=ccheck, shat=shat, scheck=scheck)
 

@@ -20,7 +20,7 @@ All expectations over the increment use exactly the first two moments
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,34 +32,18 @@ from .model import GameSpec, Grid, ReducedCoefficients, reduce_coefficients
 RCOND_MIN = 1e-12
 
 
-@dataclass(frozen=True)
-class AffineMatrix:
-    """Matrix-valued affine function of the increment: X(dw) = const + dw*noise."""
-
-    const_part: np.ndarray
-    noise_part: np.ndarray
-
-    @property
-    def shape(self):
-        return self.const_part.shape
-
-    def __call__(self, dw: float) -> np.ndarray:
-        return self.const_part + dw * self.noise_part
-
-    @staticmethod
-    def zeros(shape) -> "AffineMatrix":
-        return AffineMatrix(np.zeros(shape), np.zeros(shape))
-
-
-def expectation_of_product(X: AffineMatrix, Y: AffineMatrix, delta: float) -> np.ndarray:
+def expectation_of_product(X: np.ndarray, Y: np.ndarray,
+                           delta: float) -> np.ndarray:
     """E[X(dw) Y(dw)] for an increment with mean 0 and variance delta.
 
-    Cross terms carry E[dw] = 0 and vanish; the quadratic term carries
-    E[dw^2] = delta. Moments beyond the second are dropped, matching the
-    truncation used throughout the sweep.
+    ``X`` and ``Y`` are noise-affine matrices stored as (const, noise)
+    pairs on axis -3: X(dw) = X[..., 0, :, :] + dw * X[..., 1, :, :];
+    leading axes broadcast. Cross terms carry E[dw] = 0 and vanish; the
+    quadratic term carries E[dw^2] = delta. Moments beyond the second are
+    dropped, matching the truncation used throughout the sweep.
     """
-    return (X.const_part @ Y.const_part
-            + delta * (X.noise_part @ Y.noise_part))
+    return (X[..., 0, :, :] @ Y[..., 0, :, :]
+            + delta * (X[..., 1, :, :] @ Y[..., 1, :, :]))
 
 
 @dataclass
@@ -88,69 +72,133 @@ class RiccatiLayer:
         return self.phat.shape[-1]
 
 
+LAYER_FIELDS = ("phat", "phat_lag", "ccheck_lag", "shat", "scheck", "sm")
+
+
+def block_order(gap: int) -> list[tuple[int, str]]:
+    """(information level, block name) in reporting order: gamma_hat,
+    gamma_check, then gamma_m1..gamma_m{gap-1}. Singularity checks and
+    ties between equally conditioned blocks follow this order."""
+    return ([(0, "gamma_hat"), (gap, "gamma_check")]
+            + [(m, f"gamma_m{m}") for m in range(1, gap)])
+
+
 @dataclass
 class GammaBlocks:
-    """The 2n-by-2n block families of one chain step, with conditioning info."""
+    """The 2n-by-2n block families of one chain step, with conditioning info.
 
-    gamma_hat: np.ndarray
-    gamma_m: list[np.ndarray]     # index m-1 holds the level-m block, m = 1..gap-1
-    gamma_check: np.ndarray
+    ``levels[m]`` is the block of information level m: gamma_hat at 0,
+    gamma_m{m} at 0 < m < gap, gamma_check at gap; ``rcond`` is indexed
+    the same way.
+    """
+
+    levels: np.ndarray        # (gap+1, 2n, 2n)
     g_block: np.ndarray
-    rcond: dict[str, float]
+    rcond: np.ndarray         # (gap+1,)
 
     @property
-    def rcond_min(self) -> float:
-        return min(self.rcond.values())
+    def gamma_hat(self) -> np.ndarray:
+        return self.levels[0]
+
+    @property
+    def gamma_m(self) -> np.ndarray:
+        return self.levels[1:-1]
+
+    @property
+    def gamma_check(self) -> np.ndarray:
+        return self.levels[-1]
 
 
 @dataclass
 class ClosedLoopStep:
-    """Noise-affine coefficients advancing x_k to x_{k+1}.
+    """Noise-affine coefficients advancing x_k to x_{k+1}, one step's slice
+    of the ladder's closed-loop stacks (see :class:`RiccatiLadder`)."""
 
-    ``mm[m-1]`` multiplies the estimate at information level k-d1-1+m and
-    is zero once m >= d1-d2 or k+m > N. ``u1_gain`` / ``u2_gain`` recover
-    the controls implied by the closed loop as gains on the estimate
-    window (u2_gain[l] acts on level k-d1-1+l). ``zfactors`` are the
-    level-coupling operators that tend to the identity as delta -> 0.
-    """
-
-    k: int
-    a_mat: AffineMatrix
-    m_mat: AffineMatrix
-    mm: tuple[AffineMatrix, ...]
-    h_mat: AffineMatrix
-    u1_gain: np.ndarray             # (d1c, n)
-    u2_gain: np.ndarray             # (gap+1, d2c, n)
-    zfactors: tuple[np.ndarray, ...] = ()
-    rcond: dict[str, float] = field(default_factory=dict)
+    coef: np.ndarray          # (gap+1, 2, n, n)
+    u1_gain: np.ndarray       # (d1c, n)
+    u2_gain: np.ndarray       # (gap+1, d2c, n)
+    zfactors: np.ndarray      # (max(gap-2, 0), 2n, 2n)
+    rcond: np.ndarray         # (gap+1,)
 
 
 @dataclass
 class RiccatiLadder:
-    """Every layer (k = 0..N+1) and closed-loop step (k = 0..N) of a sweep.
+    """Every layer (k = 0..N+1) and closed-loop step (k = 0..N) of a sweep,
+    stacked on a leading k axis.
 
-    Layers below k = d1 are computed (the simulation warm-up needs them)
-    but flagged provisional; verification treats them separately.
+    Layer stacks: ``phat`` (N+2, 2, n, n), ``phat_lag`` (N+2, 2, d1+1, n,
+    n), ``ccheck_lag`` (N+2, 2, d2+1, n, n), ``shat``/``scheck`` (N+2, 2,
+    n, n) and ``sm`` (N+2, 2, gap-1, n, n), as described by
+    :class:`RiccatiLayer`. Closed loop:
+
+        x_{k+1} = a(dw) x_k + sum_l coef[k, l](dw) E_{k-d1-1+l}[x_k],
+
+    with every coefficient affine in the increment, stored as (const,
+    noise) pairs: ``a_mat`` (2, n, n) is I + delta*A, Abar at every k, and
+    ``coef`` (N+1, gap+1, 2, n, n) holds M at source level l = 0, Mm at
+    0 < l < gap (zero once k + l > N) and H at l = gap. ``u1_gain`` (N+1,
+    d1c, n) and ``u2_gain`` (N+1, gap+1, d2c, n) recover the implied
+    controls as gains on the estimate window (``u2_gain[k, l]`` acts on
+    level k-d1-1+l). ``zfactors`` (N+1, max(gap-2, 0), 2n, 2n) are the
+    level-coupling operators that tend to the identity as delta -> 0, and
+    ``rcond`` (N+1, gap+1) the reciprocal condition number of each level's
+    block. Layers below k = d1 are computed (the simulation warm-up needs
+    them) but flagged provisional; verification treats them separately.
     """
 
     grid: Grid
-    layers: list[RiccatiLayer]
-    closed_loop: list[ClosedLoopStep]
-    rcond_min: dict[str, float] = field(default_factory=dict)
+    a_mat: np.ndarray
+    phat: np.ndarray
+    phat_lag: np.ndarray
+    ccheck_lag: np.ndarray
+    shat: np.ndarray
+    scheck: np.ndarray
+    sm: np.ndarray
+    coef: np.ndarray
+    u1_gain: np.ndarray
+    u2_gain: np.ndarray
+    zfactors: np.ndarray
+    rcond: np.ndarray
+
+    @staticmethod
+    def empty(grid: Grid, a_mat: np.ndarray, layer: RiccatiLayer,
+              step: ClosedLoopStep) -> "RiccatiLadder":
+        """Uninitialized stacks for the layers and steps of ``grid``,
+        shaped like the given layer and step."""
+        def stack(x, count):
+            return np.empty((count,) + x.shape)
+        return RiccatiLadder(
+            grid, a_mat,
+            **{f: stack(getattr(layer, f), grid.N + 2) for f in LAYER_FIELDS},
+            **{f.name: stack(getattr(step, f.name), grid.N + 1)
+               for f in fields(step)})
 
     @property
     def n(self) -> int:
-        return self.layers[-1].n
+        return self.a_mat.shape[-1]
 
     @property
     def gap(self) -> int:
         return self.grid.d1 - self.grid.d2
 
     def layer(self, k: int) -> RiccatiLayer:
-        return self.layers[k]
+        """Layer k as views into the stacks (writes go through)."""
+        return RiccatiLayer(k, *(getattr(self, f)[k] for f in LAYER_FIELDS),
+                            provisional=k < self.grid.d1)
 
-    def step(self, k: int) -> ClosedLoopStep:
-        return self.closed_loop[k]
+    def set_layer(self, k: int, layer: RiccatiLayer) -> None:
+        for f in LAYER_FIELDS:
+            getattr(self, f)[k] = getattr(layer, f)
+
+    def set_step(self, k: int, step: ClosedLoopStep) -> None:
+        for f in fields(step):
+            getattr(self, f.name)[k] = getattr(step, f.name)
+
+    @property
+    def rcond_min(self) -> dict[str, float]:
+        """Worst reciprocal condition number of each block over all steps."""
+        worst = self.rcond.min(axis=0)
+        return {name: float(worst[m]) for m, name in block_order(self.gap)}
 
 
 @dataclass(frozen=True)
@@ -191,8 +239,7 @@ def terminal_layer(H1: np.ndarray, H2: np.ndarray, grid: Grid) -> RiccatiLayer:
         ccheck_lag=np.zeros((2, grid.d2 + 1, n, n)),
         shat=phat.copy(),
         scheck=phat.copy(),
-        sm=np.repeat(phat[:, None], gap - 1, axis=1) if gap > 1
-        else np.zeros((2, 0, n, n)),
+        sm=np.repeat(phat[:, None], gap - 1, axis=1),
     )
 
 
@@ -237,15 +284,11 @@ def assemble_blocks(layer_next: RiccatiLayer, coeffs: SweepCoefficients,
     ])
 
     rc = _rcond(levels)
-    rcond = {"gamma_hat": rc[0], "gamma_check": rc[gap]}
-    for m in range(1, gap):
-        rcond[f"gamma_m{m}"] = rc[m]
     where = k if k is not None else layer_next.k
-    for which, value in rcond.items():
-        if value < RCOND_MIN:
-            raise SingularGamma(where, which, value)
-    return GammaBlocks(levels[0], list(levels[1:gap]), levels[gap], g_block,
-                       rcond)
+    for m, which in block_order(gap):
+        if rc[m] < RCOND_MIN:
+            raise SingularGamma(where, which, rc[m])
+    return GammaBlocks(levels, g_block, rc)
 
 
 def _row_apply(top: np.ndarray, bot: np.ndarray, W: np.ndarray, n: int) -> np.ndarray:
@@ -275,7 +318,7 @@ def solve_estimate_chain(layer_next: RiccatiLayer, coeffs: SweepCoefficients,
     gap = layer_next.phat_lag.shape[1] - layer_next.ccheck_lag.shape[1]
 
     blocks = assemble_blocks(layer_next, coeffs, delta, k)
-    levels = [blocks.gamma_hat, *blocks.gamma_m, blocks.gamma_check]
+    levels = blocks.levels
     S1h = layer_next.shat[0]
     P1, P2 = layer_next.phat
     S2c = layer_next.scheck[1]
@@ -327,8 +370,6 @@ def solve_estimate_chain(layer_next: RiccatiLayer, coeffs: SweepCoefficients,
     W00 = W[0][:, :n]
     const[:, :n] += _row_apply(delta * (r.B11 @ S1h), r.B21 @ P1, W00, n)
     noise[:, :n] += _row_apply(r.Bbar11 @ S1h, r.Bbar21 @ P1 / delta, W00, n)
-    coeff = [AffineMatrix(c, e) for c, e in
-             zip(_column_blocks(const, n), _column_blocks(noise, n))]
 
     # controls implied by the solved estimate pairs, as window gains
     u1_gain = -coeffs.R1inv @ (
@@ -336,17 +377,13 @@ def solve_estimate_chain(layer_next: RiccatiLayer, coeffs: SweepCoefficients,
         + coeffs.B1bar.T @ (P1 @ W00[n:]) / delta)
     u2 = -coeffs.R2inv @ (coeffs.B2.T @ (S2c @ Wc[:n] + R)
                           + coeffs.B2bar.T @ (P2 @ Wc[n:] / delta))
-    u2_gain = np.ascontiguousarray(_column_blocks(u2, n))
 
     return ClosedLoopStep(
-        k=k,
-        a_mat=AffineMatrix(a_hat, coeffs.Abar.copy()),
-        m_mat=coeff[0],
-        mm=tuple(coeff[1:gap]),
-        h_mat=coeff[gap],
+        coef=np.stack([_column_blocks(const, n), _column_blocks(noise, n)],
+                      axis=1),
         u1_gain=u1_gain,
-        u2_gain=u2_gain,
-        zfactors=tuple(zfactors),
+        u2_gain=_column_blocks(u2, n),
+        zfactors=np.reshape(zfactors, (-1, 2 * n, 2 * n)),
         rcond=blocks.rcond,
     )
 
@@ -369,10 +406,7 @@ def riccati_step(layer_next: RiccatiLayer, closed_loop: ClosedLoopStep,
     a_hat = np.eye(n) + delta * coeffs.A
     a_bar = coeffs.Abar
     q_mats = (np.asarray(Q1, dtype=float), np.asarray(Q2, dtype=float))
-    M, H = closed_loop.m_mat, closed_loop.h_mat
-    mm = AffineMatrix(
-        np.array([x.const_part for x in closed_loop.mm]).reshape(-1, n, n),
-        np.array([x.noise_part for x in closed_loop.mm]).reshape(-1, n, n))
+    coef = closed_loop.coef
 
     phat = np.empty((2, n, n))
     phat_lag = np.zeros((2, d1 + 1, n, n))
@@ -380,8 +414,12 @@ def riccati_step(layer_next: RiccatiLayer, closed_loop: ClosedLoopStep,
 
     # const-part tails sum(Mm[j], j >= m) + H + A_hat, m = 1..gap-1, used
     # by the coupled branch
-    tails = a_hat + H.const_part + np.cumsum(mm.const_part[::-1], axis=0)[::-1]
+    tails = (a_hat + coef[gap, 0]
+             + np.cumsum(coef[gap - 1:0:-1, 0], axis=0)[::-1])
 
+    # the left factors a_hat' S + dw a_bar' P_next of the three lag-entry
+    # products, one (const, noise) pair per aggregate S
+    left = np.empty((gap + 1, 2, n, n))
     for i in range(2):
         P_next = layer_next.phat[i]
         phat[i] = (a_hat.T @ P_next @ a_hat
@@ -389,17 +427,19 @@ def riccati_step(layer_next: RiccatiLayer, closed_loop: ClosedLoopStep,
                    + a_hat.T @ (layer_next.phat_lag[i][d1]
                                 + layer_next.ccheck_lag[i][d2]) @ a_hat
                    + delta * q_mats[i])
-        left = AffineMatrix(a_hat.T @ layer_next.shat[i], a_bar.T @ P_next)
-        phat_lag[i][0] = expectation_of_product(left, M, delta)
+        left[0, 0] = a_hat.T @ layer_next.shat[i]
+        left[1:gap, 0] = a_hat.T @ layer_next.sm[i]
+        left[gap, 0] = a_hat.T @ layer_next.scheck[i]
+        left[:, 1] = a_bar.T @ P_next
+        products = expectation_of_product(left, coef, delta)
+        phat_lag[i][0] = products[0]
         # coupled branch, batched over offsets m = 1..gap-1
-        left_m = AffineMatrix(a_hat.T @ layer_next.sm[i], a_bar.T @ P_next)
-        phat_lag[i][1:gap] = (expectation_of_product(left_m, mm, delta)
+        phat_lag[i][1:gap] = (products[1:gap]
                               + a_hat.T @ layer_next.phat_lag[i][:gap - 1]
                               @ tails)
         # free-branch transport of both lag families, batched over offsets
         phat_lag[i][gap:] = a_hat.T @ layer_next.phat_lag[i][gap - 1:d1] @ a_hat
-        left_h = AffineMatrix(a_hat.T @ layer_next.scheck[i], a_bar.T @ P_next)
-        ccheck_lag[i][0] = expectation_of_product(left_h, H, delta)
+        ccheck_lag[i][0] = products[gap]
         if d2 >= 1:
             ccheck_lag[i][1:] = a_hat.T @ layer_next.ccheck_lag[i][:d2] @ a_hat
 
@@ -424,19 +464,19 @@ def backward_sweep(coeffs: SweepCoefficients, grid: Grid,
     they are still produced (the forward simulation needs its warm-up
     window) but marked provisional.
     """
-    layers: list[RiccatiLayer | None] = [None] * (grid.N + 2)
-    steps: list[ClosedLoopStep | None] = [None] * (grid.N + 1)
-    layers[grid.N + 1] = terminal_layer(np.asarray(H1, dtype=float),
-                                        np.asarray(H2, dtype=float), grid)
-    rcond_min: dict[str, float] = {}
+    n = coeffs.A.shape[0]
+    a_mat = np.stack([np.eye(n) + grid.delta * coeffs.A, coeffs.Abar])
+    layer = terminal_layer(np.asarray(H1, dtype=float),
+                           np.asarray(H2, dtype=float), grid)
     for k in range(grid.N, -1, -1):
-        step = solve_estimate_chain(layers[k + 1], coeffs, grid.delta, k)
-        for which, rc in step.rcond.items():
-            rcond_min[which] = min(rcond_min.get(which, np.inf), rc)
-        layers[k] = riccati_step(layers[k + 1], step, coeffs, Q1, Q2, grid.delta)
-        steps[k] = step
-    return RiccatiLadder(grid=grid, layers=layers, closed_loop=steps,
-                         rcond_min=rcond_min)
+        step = solve_estimate_chain(layer, coeffs, grid.delta, k)
+        if k == grid.N:
+            ladder = RiccatiLadder.empty(grid, a_mat, layer, step)
+            ladder.set_layer(k + 1, layer)
+        ladder.set_step(k, step)
+        layer = riccati_step(layer, step, coeffs, Q1, Q2, grid.delta)
+        ladder.set_layer(k, layer)
+    return ladder
 
 
 def solve_ladder(spec: GameSpec, grid: Grid) -> RiccatiLadder:

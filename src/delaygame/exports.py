@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from pathlib import Path
@@ -10,10 +9,14 @@ from pathlib import Path
 import numpy as np
 
 from .continuous_limit import RiccatiFields
-from .discrete_engine import RiccatiLadder
+from .discrete_engine import RiccatiLadder, block_order
 from .gains import FeedbackLaw
 from .model import Grid
 from .simulator import CostEstimate, Trajectory
+
+
+# paths whose trajectory rows are formatted together
+PATHS_PER_BLOCK = 1000
 
 
 def problem_hash(path) -> str:
@@ -21,18 +24,39 @@ def problem_hash(path) -> str:
     return f"sha256:{digest}"
 
 
-def _write_rows(path, header, rows):
+def _text(values) -> list[str]:
+    """Shortest round-trip text of every value, in C order."""
+    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+
+
+def _write_table(path, header, tables) -> None:
+    """One CSV file (csv-module dialect) from a header and a sequence of
+    tables, each a list of equally long columns of field text; the rows of
+    every table are written in order."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        for columns in tables:
+            fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
 
 
-def _matrix_rows(prefix, M):
-    M = np.atleast_2d(M)
-    for r in range(M.shape[0]):
-        for c in range(M.shape[1]):
-            yield (*prefix, r, c, repr(float(M[r, c])))
+def _entry_table(lead, parts) -> list[list[str]]:
+    """Columns of a table with one row per matrix entry, outer index first.
+
+    ``lead`` holds the text of the leading column, one per outer index a;
+    ``parts`` lists ``(labels, stack)`` with ``stack`` of shape (len(lead),
+    r, c). For every a, each part contributes its rows (a, *labels, row,
+    col, value) in row-major entry order.
+    """
+    template, blocks = [], []
+    for labels, stack in parts:
+        r, c = stack.shape[1:]
+        template += [(*map(str, labels), str(i), str(j))
+                     for i in range(r) for j in range(c)]
+        blocks.append(stack.reshape(len(lead), -1))
+    m = len(template)
+    return ([[a for a in lead for _ in range(m)]]
+            + [list(col) * len(lead) for col in zip(*template)]
+            + [_text(np.concatenate(blocks, axis=1))])
 
 
 def export_ladder_csv(ladder: RiccatiLadder, path) -> None:
@@ -41,41 +65,38 @@ def export_ladder_csv(ladder: RiccatiLadder, path) -> None:
     Closed-loop coefficients appear with players blank and their
     increment-free/increment parts as separate kinds.
     """
-    rows = []
-    for k in range(ladder.grid.N + 2):
-        layer = ladder.layer(k)
-        for i in range(2):
-            rows.extend(_matrix_rows((k, i + 1, "Phat", ""), layer.phat[i]))
-            for j in range(ladder.grid.d1 + 1):
-                rows.extend(_matrix_rows((k, i + 1, "Phat_lag", j),
-                                         layer.phat_lag[i][j]))
-            for j in range(ladder.grid.d2 + 1):
-                rows.extend(_matrix_rows((k, i + 1, "Ccheck_lag", j),
-                                         layer.ccheck_lag[i][j]))
-            rows.extend(_matrix_rows((k, i + 1, "Shat", ""), layer.shat[i]))
-            rows.extend(_matrix_rows((k, i + 1, "Scheck", ""), layer.scheck[i]))
-    for k in range(ladder.grid.N + 1):
-        step = ladder.step(k)
-        rows.extend(_matrix_rows((k, "", "M_const", ""), step.m_mat.const_part))
-        rows.extend(_matrix_rows((k, "", "M_noise", ""), step.m_mat.noise_part))
-        for m, mm in enumerate(step.mm, start=1):
-            rows.extend(_matrix_rows((k, "", "Mm_const", m), mm.const_part))
-            rows.extend(_matrix_rows((k, "", "Mm_noise", m), mm.noise_part))
-        rows.extend(_matrix_rows((k, "", "H_const", ""), step.h_mat.const_part))
-        rows.extend(_matrix_rows((k, "", "H_noise", ""), step.h_mat.noise_part))
-    _write_rows(path, ("k", "player", "kind", "lag_index", "row", "col", "value"),
-                rows)
+    grid, gap = ladder.grid, ladder.gap
+    layer_parts = []
+    for i in range(2):
+        layer_parts.append(((i + 1, "Phat", ""), ladder.phat[:, i]))
+        layer_parts += [((i + 1, "Phat_lag", j), ladder.phat_lag[:, i, j])
+                        for j in range(grid.d1 + 1)]
+        layer_parts += [((i + 1, "Ccheck_lag", j), ladder.ccheck_lag[:, i, j])
+                        for j in range(grid.d2 + 1)]
+        layer_parts.append(((i + 1, "Shat", ""), ladder.shat[:, i]))
+        layer_parts.append(((i + 1, "Scheck", ""), ladder.scheck[:, i]))
+    kinds = ([("M", "")] + [("Mm", m) for m in range(1, gap)]
+             + [("H", "")])
+    step_parts = [(("", f"{kind}_{part}", lag), ladder.coef[:, l, p])
+                  for l, (kind, lag) in enumerate(kinds)
+                  for p, part in enumerate(("const", "noise"))]
+    _write_table(path, ("k", "player", "kind", "lag_index", "row", "col",
+                        "value"),
+                 [_entry_table([str(k) for k in range(grid.N + 2)],
+                               layer_parts),
+                  _entry_table([str(k) for k in range(grid.N + 1)],
+                               step_parts)])
 
 
 def export_ladder_metadata(ladder: RiccatiLadder, path, problem_path=None,
                            extra=None) -> None:
     grid = ladder.grid
     # where along the grid solvability is weakest: each step's worst block
-    profile = []
-    for step in ladder.closed_loop:
-        worst = min(step.rcond, key=step.rcond.get)
-        profile.append({"k": step.k, "block": worst,
-                        "rcond": step.rcond[worst]})
+    levels, names = zip(*block_order(ladder.gap))
+    rcond = ladder.rcond[:, list(levels)]
+    worst = rcond.argmin(axis=1)
+    profile = [{"k": k, "block": names[w], "rcond": float(rcond[k, w])}
+               for k, w in enumerate(worst.tolist())]
     meta = {
         "grid": {"N": grid.N, "delta": grid.delta, "d1": grid.d1, "d2": grid.d2},
         "rcond_min": ladder.rcond_min,
@@ -93,65 +114,62 @@ def export_ladder_metadata(ladder: RiccatiLadder, path, problem_path=None,
 
 
 def export_fields_csv(fields: RiccatiFields, path) -> None:
-    rows = []
-    for k, t in enumerate(fields.t):
-        for i in range(2):
-            rows.extend(_matrix_rows((repr(float(t)), "", i + 1, "P"),
-                                     fields.P[i, k]))
-            for j, theta in enumerate(fields.theta1):
-                rows.extend(_matrix_rows((repr(float(t)), repr(float(theta)),
-                                          i + 1, "Phat"), fields.phat[i, k, j]))
-            for j, theta in enumerate(fields.theta2):
-                rows.extend(_matrix_rows((repr(float(t)), repr(float(theta)),
-                                          i + 1, "Ccheck"), fields.ccheck[i, k, j]))
-            rows.extend(_matrix_rows((repr(float(t)), "", i + 1, "Shat"),
-                                     fields.shat[i, k]))
-            rows.extend(_matrix_rows((repr(float(t)), "", i + 1, "Scheck"),
-                                     fields.scheck[i, k]))
-    _write_rows(path, ("t", "theta", "player", "kind", "row", "col", "value"),
-                rows)
+    parts = []
+    for i in range(2):
+        parts.append((("", i + 1, "P"), fields.P[i]))
+        parts += [((repr(float(theta)), i + 1, "Phat"), fields.phat[i, :, j])
+                  for j, theta in enumerate(fields.theta1)]
+        parts += [((repr(float(theta)), i + 1, "Ccheck"),
+                   fields.ccheck[i, :, j])
+                  for j, theta in enumerate(fields.theta2)]
+        parts.append((("", i + 1, "Shat"), fields.shat[i]))
+        parts.append((("", i + 1, "Scheck"), fields.scheck[i]))
+    _write_table(path, ("t", "theta", "player", "kind", "row", "col", "value"),
+                 [_entry_table(_text(fields.t), parts)])
 
 
 def export_gains_csv(law: FeedbackLaw, path) -> None:
-    rows = []
-    for k, t in enumerate(law.t_samples):
-        ts = repr(float(t))
-        rows.extend(_matrix_rows((ts, "", "K1"), law.k1[k]))
-        rows.extend(_matrix_rows((ts, "", "K2_h1"), law.k2_h1[k]))
-        for j, theta in enumerate(law.theta_kernel):
-            rows.extend(_matrix_rows((ts, repr(float(theta)), "K2_kernel"),
-                                     law.k2_kernel[k, j]))
-        rows.extend(_matrix_rows((ts, "", "K2_h2"), law.k2_h2[k]))
-        rows.extend(_matrix_rows((ts, "", "Rt1"), law.rt1[k]))
-        rows.extend(_matrix_rows((ts, "", "Rt2"), law.rt2[k]))
-        rows.extend(_matrix_rows((ts, "", "O1"), law.o1[k]))
-    _write_rows(path, ("t", "theta", "component", "row", "col", "value"), rows)
+    parts = [(("", "K1"), law.k1), (("", "K2_h1"), law.k2_h1)]
+    parts += [((repr(float(theta)), "K2_kernel"), law.k2_kernel[:, j])
+              for j, theta in enumerate(law.theta_kernel)]
+    parts += [(("", "K2_h2"), law.k2_h2), (("", "Rt1"), law.rt1),
+              (("", "Rt2"), law.rt2), (("", "O1"), law.o1)]
+    _write_table(path, ("t", "theta", "component", "row", "col", "value"),
+                 [_entry_table(_text(law.t_samples), parts)])
 
 
 def export_trajectories_csv(traj: Trajectory, grid: Grid, path) -> None:
-    n = traj.x.shape[2]
-    d1c = traj.u1.shape[2]
-    d2c = traj.u2.shape[2]
+    """One row per path and step k = 0..N+1; the controls and the
+    increment are blank at k = N+1. Written in blocks of paths, so the
+    text of only one block is held at a time."""
+    n_k = grid.N + 2
     header = (["path_id", "k", "t"]
-              + [f"x{i}" for i in range(n)]
-              + [f"u1_{i}" for i in range(d1c)]
-              + [f"u2_{i}" for i in range(d2c)]
+              + [f"x{i}" for i in range(traj.x.shape[2])]
+              + [f"u1_{i}" for i in range(traj.u1.shape[2])]
+              + [f"u2_{i}" for i in range(traj.u2.shape[2])]
               + ["dW"])
-    times = grid.times()
-    rows = []
-    for p in range(traj.n_paths):
-        for k in range(grid.N + 2):
-            xs = [repr(float(v)) for v in traj.x[k, p]]
-            if k <= grid.N:
-                u1s = [repr(float(v)) for v in traj.u1[k, p]]
-                u2s = [repr(float(v)) for v in traj.u2[k, p]]
-                dw = repr(float(traj.dw[k, p]))
-            else:
-                u1s = [""] * d1c
-                u2s = [""] * d2c
-                dw = ""
-            rows.append([p, k, repr(float(times[k])), *xs, *u1s, *u2s, dw])
-    _write_rows(path, header, rows)
+    ks = [str(k) for k in range(n_k)]
+    times = _text(grid.times())
+
+    def per_path(values, paths):
+        """Text of a (steps, paths) array, path-major, blank past N."""
+        block = values[:, paths].T
+        text = np.full((len(block), n_k), "", dtype=object)
+        text[:, :block.shape[1]] = np.reshape(
+            np.array(_text(block), dtype=object), block.shape)
+        return text.ravel().tolist()
+
+    def tables():
+        for lo in range(0, traj.n_paths, PATHS_PER_BLOCK):
+            paths = slice(lo, lo + PATHS_PER_BLOCK)
+            ids = range(traj.n_paths)[paths]
+            yield ([[str(p) for p in ids for _ in ks],
+                    ks * len(ids), times * len(ids)]
+                   + [per_path(a[..., i], paths)
+                      for a in (traj.x, traj.u1, traj.u2)
+                      for i in range(a.shape[2])]
+                   + [per_path(traj.dw, paths)])
+    _write_table(path, header, tables())
 
 
 def export_cost_report(est: CostEstimate, path) -> None:
@@ -166,9 +184,13 @@ def export_cost_report(est: CostEstimate, path) -> None:
 
 
 def export_verification_report(records: list[dict], path) -> None:
-    """One record per test: name, statistic, bound, pass."""
+    """One record per test: name, statistic, bound, pass, evaluated; the
+    names of the checks that compared nothing are listed again under
+    ``not_evaluated``."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"tests": records,
-                   "passed": all(r["pass"] for r in records)},
+                   "passed": all(r["pass"] for r in records),
+                   "not_evaluated": [r["name"] for r in records
+                                     if not r["evaluated"]]},
                   fh, indent=2, sort_keys=True)
         fh.write("\n")

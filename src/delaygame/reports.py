@@ -21,10 +21,6 @@ class ResidualComponent:
     def max(self) -> float:
         return float(np.max(self.value)) if self.value.size else 0.0
 
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.value)) if self.value.size else 0.0
-
 
 @dataclass
 class ResidualReport:
@@ -66,12 +62,6 @@ class ResidualReport:
             return True
         return self.excess <= self.tolerance
 
-    def summary_lines(self) -> list[str]:
-        lines = []
-        for c in self.components:
-            lines.append(f"{self.name}/{c.name}: max={c.max:.3e} mean={c.mean:.3e}")
-        return lines
-
 
 @dataclass
 class DeviationVerdict:
@@ -85,12 +75,6 @@ class DeviationVerdict:
     se_dev: float
     margin: float
     combined_se: float
-
-    @property
-    def z_score(self) -> float:
-        if self.combined_se == 0.0:
-            return 0.0 if self.margin == 0.0 else np.inf * np.sign(self.margin)
-        return self.margin / self.combined_se
 
     @property
     def passed(self) -> bool:

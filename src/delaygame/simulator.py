@@ -72,6 +72,28 @@ def initial_window(x0: np.ndarray, n_paths: int, d1: int) -> np.ndarray:
     return win
 
 
+def level_sums(win: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """E[sum_l win[l] @ gains[l].T | level j] for every level j = 0..L.
+
+    ``gains[l]`` (l = 0..L) acts on window level l. Given level j, the
+    entries of levels l <= j are known and every finer entry coarsens to
+    ``win[j]`` (tower property), so level j sums its prefix of terms and
+    applies the tail of the gains to its own entry. Returns (L+1, P, c);
+    entry L is the realized sum.
+    """
+    L = len(gains) - 1
+    sums = np.cumsum(win[:L + 1] @ gains.swapaxes(1, 2), axis=0)
+    tails = np.cumsum(gains[:0:-1], axis=0)[::-1]     # sum of gains[l > j]
+    sums[:L] += win[:L] @ tails.swapaxes(1, 2)
+    return sums
+
+
+def _entry_levels(grid: Grid) -> np.ndarray:
+    """For the window entries at levels 1..d1, the level their conditional
+    expectation of a window sum saturates at (the lag gap)."""
+    return np.minimum(np.arange(1, grid.d1 + 1), grid.d1 - grid.d2)
+
+
 class LadderStepper:
     """Advances a window batch by the solved closed-loop recursion."""
 
@@ -79,54 +101,31 @@ class LadderStepper:
         self.ladder = ladder
         self.grid = ladder.grid
         self.gap = ladder.gap
+        self.levels = _entry_levels(self.grid)
 
     def controls(self, k: int, win: np.ndarray):
-        step = self.ladder.step(k)
-        u1 = win[0] @ step.u1_gain.T
-        u2 = win[0] @ step.u2_gain[0].T
-        for l in range(1, self.gap + 1):
-            u2 = u2 + win[l] @ step.u2_gain[l].T
+        lad = self.ladder
+        u1 = win[0] @ lad.u1_gain[k].T
+        u2 = (win[:self.gap + 1] @ lad.u2_gain[k].swapaxes(1, 2)).sum(axis=0)
         return u1, u2
 
     def step(self, k: int, win: np.ndarray, dw_k: np.ndarray):
         """Returns (u1, u2, new window, diffusion coefficient of the update).
 
-        Entry at level j advances with increment-free coefficients; inner
-        estimates at levels above j coarsen to j, which folds their
-        coefficient tail into one matrix per entry (suffix sums), while
-        already-passed levels accumulate into a running prefix.
+        Entry at level j advances with increment-free coefficients and the
+        window sum's expectation at level j; the top entry adds the
+        realized increment times the increment parts.
         """
         u1, u2 = self.controls(k, win)
-        step = self.ladder.step(k)
-        d1, gap = self.grid.d1, self.gap
-        mats = [(step.m_mat, 0)] + [(step.mm[m - 1], m) for m in range(1, gap)] \
-            + [(step.h_mat, gap)]
-        a_c, a_n = step.a_mat.const_part, step.a_mat.noise_part
-        n = a_c.shape[0]
-
-        # suffix[lvl] = sum of const parts with window index > lvl
-        suffix = np.zeros((gap + 1, n, n))
-        for mat, idx in mats:
-            if idx >= 1:
-                suffix[:idx] += mat.const_part
+        d1 = self.grid.d1
+        a_c, a_n = self.ladder.a_mat
+        coef = self.ladder.coef[k]
+        sums = level_sums(win, coef[:, 0])
         new = np.empty_like(win)
-        prefix = np.zeros_like(win[0])
-        ptr = 0
-        for i in range(d1):
-            lvl = i + 1
-            while ptr < len(mats) and mats[ptr][1] <= lvl:
-                mat, idx = mats[ptr]
-                prefix = prefix + win[idx] @ mat.const_part.T
-                ptr += 1
-            tail = suffix[lvl] if lvl <= gap else None
-            acc = win[lvl] @ (a_c + tail).T if tail is not None \
-                else win[lvl] @ a_c.T
-            new[i] = acc + prefix
-        diff = win[d1] @ a_n.T
-        x_next = win[d1] @ a_c.T + prefix
-        for mat, idx in mats:
-            diff = diff + win[idx] @ mat.noise_part.T
-        new[d1] = x_next + dw_k[:, None] * diff
+        new[:d1] = win[1:] @ a_c.T + sums[self.levels]
+        diff = (win[d1] @ a_n.T
+                + (win[:self.gap + 1] @ coef[:, 1].swapaxes(1, 2)).sum(axis=0))
+        new[d1] = new[d1 - 1] + dw_k[:, None] * diff
         return u1, u2, new, diff
 
 
@@ -139,16 +138,7 @@ class GainStepper:
         self.grid = grid
         self.gap = grid.d1 - grid.d2
         self.weights = law.kernel_weights(grid.delta)
-
-    def _gain_terms(self, k: int):
-        """Player-2 gain terms as (window index, effective matrix) pairs."""
-        law = self.law
-        terms = [(0, law.k2_h1[k])]
-        terms += [(j, w * law.k2_kernel[k, j])
-                  for j, w in enumerate(self.weights)]
-        terms.append((self.gap, law.k2_h2[k]))
-        terms.sort(key=lambda item: item[0])
-        return terms
+        self.levels = _entry_levels(grid)
 
     def u_levels(self, k: int, win: np.ndarray):
         """Controls and their conditional expectations per window level.
@@ -158,27 +148,13 @@ class GainStepper:
         levels) and ``u2_lv[l]`` is E[u2 | level l] for the saturating
         level index l = 0..gap; ``u2_lv[gap]`` is the realized control.
         """
-        law, gap = self.law, self.gap
-        terms = self._gain_terms(k)
-        d2c = terms[0][1].shape[0]
-        n = win.shape[2]
+        law = self.law
         u1 = win[0] @ law.k1[k].T + law.offset1[k]
-        suffix = np.zeros((gap + 1, d2c, n))
-        for idx, mat in terms:
-            if idx >= 1:
-                suffix[:idx] += mat
-        u2_lv = np.empty((gap + 1, win.shape[1], d2c))
-        prefix = np.zeros((win.shape[1], d2c))
-        ptr = 0
-        for l in range(gap + 1):
-            while ptr < len(terms) and terms[ptr][0] <= l:
-                idx, mat = terms[ptr]
-                prefix = prefix + win[idx] @ mat.T
-                ptr += 1
-            u2_lv[l] = prefix + law.offset2[k]
-            if l < gap:
-                u2_lv[l] += win[l] @ suffix[l].T
-        return u1, u2_lv
+        # player 2's gain per window level: coarse lag, kernel, fine lag
+        gains = self.weights[:, None, None] * law.k2_kernel[k]
+        gains[0] += law.k2_h1[k]
+        gains[-1] += law.k2_h2[k]
+        return u1, level_sums(win, gains) + law.offset2[k]
 
     def controls(self, k: int, win: np.ndarray):
         u1, u2_lv = self.u_levels(k, win)
@@ -193,10 +169,8 @@ class GainStepper:
         u1_drift = u1 @ spec.B1.T
         u2_drift = u2_lv @ spec.B2.T           # (gap+1, P, n)
         base = win[1:] @ spec.A.T              # (d1, P, n)
-        for i in range(d1):
-            lvl = i + 1
-            new[i] = win[lvl] + grid.delta * (base[i] + u1_drift
-                                              + u2_drift[min(lvl, gap)])
+        new[:d1] = win[1:] + grid.delta * (base + u1_drift
+                                           + u2_drift[self.levels])
         x = win[d1]
         u2 = u2_lv[gap]
         drift = base[d1 - 1] + u1_drift + u2_drift[gap]
@@ -268,17 +242,12 @@ def simulate_path_gains(law: FeedbackLaw, spec: GameSpec, grid: Grid,
 def mean_recursion(ladder: RiccatiLadder, x0) -> np.ndarray:
     """Deterministic mean propagation: the increment-free parts of the
     closed-loop coefficients applied to the running mean."""
-    grid = ladder.grid
-    m = np.asarray(x0, dtype=float).copy()
-    out = np.empty((grid.N + 2, len(m)))
-    out[0] = m
-    for k in range(grid.N + 1):
-        step = ladder.step(k)
-        total = step.a_mat.const_part + step.m_mat.const_part \
-            + sum((mm.const_part for mm in step.mm),
-                  np.zeros_like(step.h_mat.const_part)) + step.h_mat.const_part
-        m = total @ m
-        out[k + 1] = m
+    x0 = np.asarray(x0, dtype=float)
+    totals = ladder.a_mat[0] + ladder.coef[:, :, 0].sum(axis=1)
+    out = np.empty((len(totals) + 1, len(x0)))
+    out[0] = x0
+    for k, total in enumerate(totals):
+        out[k + 1] = total @ out[k]
     return out
 
 

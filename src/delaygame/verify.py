@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .discrete_engine import RiccatiLadder, solve_ladder
+from .discrete_engine import LAYER_FIELDS, RiccatiLadder, solve_ladder
 from .errors import MissingWindow
 from .gains import FeedbackLaw, assemble_gains
 from .continuous_limit import extract_fields
@@ -40,21 +40,20 @@ STATIONARITY_BAND_C = 3.0
 CROSS_REP_C = 4.0
 
 
-def _pathwise_costate(ladder: RiccatiLadder, k: int, win_next: np.ndarray):
-    """p at step k from the layer-(k+1) formula and the step-(k+1) window."""
-    grid = ladder.grid
-    gap = ladder.gap
-    layer = ladder.layer(k + 1)
-    x_next = win_next[grid.d1]
-    p = np.empty((2,) + x_next.shape)
-    for i in range(2):
-        acc = x_next @ layer.phat[i].T
-        for j in range(grid.d1 + 1):
-            acc = acc + win_next[j] @ layer.phat_lag[i][j].T
-        for j in range(grid.d2 + 1):
-            acc = acc + win_next[gap + j] @ layer.ccheck_lag[i][j].T
-        p[i] = acc
-    return p
+def _costate_coef(ladder: RiccatiLadder) -> np.ndarray:
+    """(N+2, 2, d1+1, n, n): each layer's coefficient on every window level
+    in the costate formula (first lag family on all levels, second on the
+    finest d2+1, state coefficient on the state itself)."""
+    coef = ladder.phat_lag.copy()
+    coef[:, :, ladder.gap:] += ladder.ccheck_lag
+    coef[:, :, -1] += ladder.phat
+    return coef
+
+
+def _pathwise_costate(coef_next: np.ndarray, win_next: np.ndarray):
+    """p at step k from the layer-(k+1) coefficients (a slice of
+    :func:`_costate_coef`) and the step-(k+1) window: (2, P, n)."""
+    return np.einsum("jpa,ijba->ipb", win_next, coef_next, optimize=True)
 
 
 def costate_reconstruct(ladder: RiccatiLadder, trajectory: Trajectory,
@@ -67,14 +66,10 @@ def costate_reconstruct(ladder: RiccatiLadder, trajectory: Trajectory,
     """
     if trajectory.windows is None:
         raise MissingWindow("trajectory was simulated without window recording")
-    n_paths, n = trajectory.x.shape[1:]
-    p = np.empty((2, grid.N + 1, n_paths, n))
-    q = np.empty((2, grid.N + 1, n_paths, n))
-    for k in range(grid.N + 1):
-        p[:, k] = _pathwise_costate(ladder, k, trajectory.windows[k + 1])
-        nxt = ladder.layer(k + 1)
-        for i in range(2):
-            q[i, k] = trajectory.diff[k] @ nxt.phat[i].T
+    p = np.einsum("kjpa,kijba->ikpb", trajectory.windows[1:],
+                  _costate_coef(ladder)[1:], optimize=True)
+    q = np.einsum("kpa,kiba->ikpb", trajectory.diff, ladder.phat[1:],
+                  optimize=True)
     return p, q
 
 
@@ -135,16 +130,17 @@ def fbsde_residual_test(ladder: RiccatiLadder, spec: GameSpec, grid: Grid,
     stepper = LadderStepper(ladder)
     dw = draw_increments(grid, n_paths, seed)
     q_mats = (np.asarray(spec.Q1, dtype=float), np.asarray(spec.Q2, dtype=float))
+    a_hat = ladder.a_mat[0]
     a_bar = spec.Abar
+    coef = _costate_coef(ladder)
 
     rows = []    # (k, raw, se, net)
     p_prev = None
     for k, win, _, _, win_next, _ in rollout(stepper, spec.x0, dw):
         x_k = win[grid.d1]
         Z = _test_variables(win, grid.d1)
-        p_k = _pathwise_costate(ladder, k, win_next)
+        p_k = _pathwise_costate(coef[k + 1], win_next)
         if p_prev is not None:
-            a_hat = ladder.step(k).a_mat.const_part
             raw = se = net = 0.0
             for i in range(2):
                 transported = (p_k[i] @ a_hat
@@ -178,13 +174,14 @@ def stationarity_residual_test(ladder: RiccatiLadder, law: FeedbackLaw | None,
     b_mats = (spec.B1, spec.B2)
     bbar_mats = (spec.B1bar, spec.B2bar)
     z_upto = (1, gap + 1)
+    coef = _costate_coef(ladder)
 
     rows = []
     for k, win, *u, win_next, diff_k in rollout(stepper, spec.x0, dw):
-        p_k = _pathwise_costate(ladder, k, win_next)
+        p_k = _pathwise_costate(coef[k + 1], win_next)
         raw = se = net = 0.0
         for i in range(2):
-            q_ik = diff_k @ ladder.layer(k + 1).phat[i].T
+            q_ik = diff_k @ ladder.phat[k + 1, i].T
             res = u[i] @ r_mats[i] + p_k[i] @ b_mats[i] + q_ik @ bbar_mats[i]
             r, s, nt = _projection_stats(res, _test_variables(win, z_upto[i]))
             raw, se, net = max(raw, r), max(se, s), max(net, nt)
@@ -224,18 +221,15 @@ def implied_law(ladder: RiccatiLadder, spec: GameSpec) -> FeedbackLaw:
         provisional=np.arange(n_t) < grid.d1,
     )
     weights = law.kernel_weights(grid.delta)
-    for k in range(grid.N + 1):
-        step = ladder.step(k)
-        law.k1[k] = step.u1_gain
-        law.o1[k] = -spec.R1 @ step.u1_gain
-        law.k2_h1[k] = step.u2_gain[0]
-        law.k2_h2[k] = step.u2_gain[gap]
-        for j in range(1, gap):
-            law.k2_kernel[k, j] = step.u2_gain[j] / weights[j]
-    law.k1[grid.N + 1] = law.k1[grid.N]
-    law.k2_h1[grid.N + 1] = law.k2_h1[grid.N]
-    law.k2_h2[grid.N + 1] = law.k2_h2[grid.N]
-    law.k2_kernel[grid.N + 1] = law.k2_kernel[grid.N]
+    law.k1[:-1] = ladder.u1_gain
+    law.o1[:-1] = -spec.R1 @ ladder.u1_gain
+    law.k2_h1[:-1] = ladder.u2_gain[:, 0]
+    law.k2_h2[:-1] = ladder.u2_gain[:, gap]
+    law.k2_kernel[:-1, 1:gap] = (ladder.u2_gain[:, 1:gap]
+                                 / weights[1:gap, None, None])
+    # the sample past the last step repeats the last step's gains
+    for gain in (law.k1, law.k2_h1, law.k2_h2, law.k2_kernel):
+        gain[-1] = gain[-2]
     return law
 
 
@@ -332,15 +326,11 @@ def single_player_reduction_gap(ladder: RiccatiLadder, spec: GameSpec) -> float:
     oracle = one_delay_sweep(spec.A, spec.Abar, spec.B1, spec.B1bar,
                              spec.Q1, spec.R1, spec.H1,
                              grid.delta, grid.d1, grid.N)
-    worst = 0.0
-    for k in range(grid.N + 2):
-        layer = ladder.layer(k)
-        worst = max(worst, float(np.max(np.abs(layer.phat[0] - oracle.P[k]))))
-        worst = max(worst, float(np.max(np.abs(layer.phat_lag[0]
-                                               - oracle.lag[k]))))
-        worst = max(worst, float(np.max(np.abs(layer.phat[1]))))
-        worst = max(worst, float(np.max(np.abs(layer.ccheck_lag))))
-    return worst
+    return max(float(np.max(np.abs(ladder.phat[:, 0] - np.array(oracle.P)))),
+               float(np.max(np.abs(ladder.phat_lag[:, 0]
+                                   - np.array(oracle.lag)))),
+               float(np.max(np.abs(ladder.phat[:, 1]))),
+               float(np.max(np.abs(ladder.ccheck_lag))))
 
 
 def classical_game_gains(spec: GameSpec, n_steps: int):
@@ -413,12 +403,8 @@ def no_delay_oracle(spec: GameSpec, deltas) -> ResidualReport:
 def z_factor_distances(ladder: RiccatiLadder,
                        include_provisional: bool = False) -> float:
     """Worst distance from identity of the chain's level-coupling factors."""
-    worst = 0.0
-    lo = 0 if include_provisional else ladder.grid.d1
-    for k in range(lo, ladder.grid.N + 1):
-        for z in ladder.step(k).zfactors:
-            worst = max(worst, float(np.max(np.abs(z - np.eye(z.shape[0])))))
-    return worst
+    z = ladder.zfactors[0 if include_provisional else ladder.grid.d1:]
+    return float(np.max(np.abs(z - np.eye(z.shape[-1])), initial=0.0))
 
 
 def z_factor_convergence(ladders) -> ResidualReport:
@@ -435,13 +421,8 @@ def z_factor_convergence(ladders) -> ResidualReport:
 def zero_layer(ladder: RiccatiLadder, k: int) -> None:
     """Corrupt one layer in place: the mutation the residual tests must
     catch (bounds that a corrupted sweep still satisfies would be vacuous)."""
-    layer = ladder.layer(k)
-    layer.phat[:] = 0.0
-    layer.phat_lag[:] = 0.0
-    layer.ccheck_lag[:] = 0.0
-    layer.shat[:] = 0.0
-    layer.scheck[:] = 0.0
-    layer.sm[:] = 0.0
+    for name in LAYER_FIELDS:
+        getattr(ladder, name)[k] = 0.0
 
 
 def cross_representation_gap(ladder: RiccatiLadder, law: FeedbackLaw,

@@ -6,8 +6,12 @@ instead of factorizations, explicit python sums, and the closed-form
 coefficient displays (available for lag gaps 1 and 3) instead of the
 back-substitution chain. For other gaps, ``chain_step`` solves the chain
 one (level, source level) pair at a time through explicit inverses. Tests
-compare the two implementations.
+compare the two implementations. The reference CSV writers at the end
+format one row at a time through the csv module, as a byte-level check on
+the vectorized exporters.
 """
+
+import csv
 
 import numpy as np
 
@@ -288,3 +292,119 @@ def oracle_chain_sweep(A, Abar, B1, B1bar, B2, B2bar, Q1, Q2, R1, R2, H1, H2,
                                     delta)
         layer_by_k[k] = layer
     return layer_by_k, step_by_k
+
+
+# ---------------------------------------------------------------------------
+# reference CSV writers: one csv-module row per matrix entry or path step,
+# in nested loops over k, player, kind and lag
+# ---------------------------------------------------------------------------
+
+def _reference_write(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _reference_entries(prefix, M):
+    M = np.atleast_2d(M)
+    for r in range(M.shape[0]):
+        for c in range(M.shape[1]):
+            yield (*prefix, r, c, repr(float(M[r, c])))
+
+
+def reference_ladder_csv(ladder, path):
+    grid = ladder.grid
+    gap = grid.d1 - grid.d2
+    rows = []
+    for k in range(grid.N + 2):
+        layer = ladder.layer(k)
+        for i in range(2):
+            rows.extend(_reference_entries((k, i + 1, "Phat", ""),
+                                           layer.phat[i]))
+            for j in range(grid.d1 + 1):
+                rows.extend(_reference_entries((k, i + 1, "Phat_lag", j),
+                                               layer.phat_lag[i][j]))
+            for j in range(grid.d2 + 1):
+                rows.extend(_reference_entries((k, i + 1, "Ccheck_lag", j),
+                                               layer.ccheck_lag[i][j]))
+            rows.extend(_reference_entries((k, i + 1, "Shat", ""),
+                                           layer.shat[i]))
+            rows.extend(_reference_entries((k, i + 1, "Scheck", ""),
+                                           layer.scheck[i]))
+    for k in range(grid.N + 1):
+        coef = ladder.coef[k]
+        rows.extend(_reference_entries((k, "", "M_const", ""), coef[0][0]))
+        rows.extend(_reference_entries((k, "", "M_noise", ""), coef[0][1]))
+        for m in range(1, gap):
+            rows.extend(_reference_entries((k, "", "Mm_const", m), coef[m][0]))
+            rows.extend(_reference_entries((k, "", "Mm_noise", m), coef[m][1]))
+        rows.extend(_reference_entries((k, "", "H_const", ""), coef[gap][0]))
+        rows.extend(_reference_entries((k, "", "H_noise", ""), coef[gap][1]))
+    _reference_write(path, ("k", "player", "kind", "lag_index", "row", "col",
+                            "value"), rows)
+
+
+def reference_fields_csv(fields, path):
+    rows = []
+    for k, t in enumerate(fields.t):
+        for i in range(2):
+            rows.extend(_reference_entries((repr(float(t)), "", i + 1, "P"),
+                                           fields.P[i, k]))
+            for j, theta in enumerate(fields.theta1):
+                rows.extend(_reference_entries(
+                    (repr(float(t)), repr(float(theta)), i + 1, "Phat"),
+                    fields.phat[i, k, j]))
+            for j, theta in enumerate(fields.theta2):
+                rows.extend(_reference_entries(
+                    (repr(float(t)), repr(float(theta)), i + 1, "Ccheck"),
+                    fields.ccheck[i, k, j]))
+            rows.extend(_reference_entries((repr(float(t)), "", i + 1, "Shat"),
+                                           fields.shat[i, k]))
+            rows.extend(_reference_entries(
+                (repr(float(t)), "", i + 1, "Scheck"), fields.scheck[i, k]))
+    _reference_write(path, ("t", "theta", "player", "kind", "row", "col",
+                            "value"), rows)
+
+
+def reference_gains_csv(law, path):
+    rows = []
+    for k, t in enumerate(law.t_samples):
+        ts = repr(float(t))
+        rows.extend(_reference_entries((ts, "", "K1"), law.k1[k]))
+        rows.extend(_reference_entries((ts, "", "K2_h1"), law.k2_h1[k]))
+        for j, theta in enumerate(law.theta_kernel):
+            rows.extend(_reference_entries((ts, repr(float(theta)),
+                                            "K2_kernel"), law.k2_kernel[k, j]))
+        rows.extend(_reference_entries((ts, "", "K2_h2"), law.k2_h2[k]))
+        rows.extend(_reference_entries((ts, "", "Rt1"), law.rt1[k]))
+        rows.extend(_reference_entries((ts, "", "Rt2"), law.rt2[k]))
+        rows.extend(_reference_entries((ts, "", "O1"), law.o1[k]))
+    _reference_write(path, ("t", "theta", "component", "row", "col", "value"),
+                     rows)
+
+
+def reference_trajectories_csv(traj, grid, path):
+    n = traj.x.shape[2]
+    d1c = traj.u1.shape[2]
+    d2c = traj.u2.shape[2]
+    header = (["path_id", "k", "t"]
+              + [f"x{i}" for i in range(n)]
+              + [f"u1_{i}" for i in range(d1c)]
+              + [f"u2_{i}" for i in range(d2c)]
+              + ["dW"])
+    times = grid.times()
+    rows = []
+    for p in range(traj.n_paths):
+        for k in range(grid.N + 2):
+            xs = [repr(float(v)) for v in traj.x[k, p]]
+            if k <= grid.N:
+                u1s = [repr(float(v)) for v in traj.u1[k, p]]
+                u2s = [repr(float(v)) for v in traj.u2[k, p]]
+                dw = repr(float(traj.dw[k, p]))
+            else:
+                u1s = [""] * d1c
+                u2s = [""] * d2c
+                dw = ""
+            rows.append([p, k, repr(float(times[k])), *xs, *u1s, *u2s, dw])
+    _reference_write(path, header, rows)

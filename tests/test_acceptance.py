@@ -119,18 +119,18 @@ def test_criterion_03_chain_matches_closed_forms():
             spec.Q1, spec.Q2, spec.R1, spec.R2, spec.H1, spec.H2,
             delta, d1, d2, N)
         for k in range(N + 1):
-            step = ladder.step(k)
+            coef = ladder.coef[k]
             (mc, mn), mm, (hc, hn) = step_by_k[k]
             scale = max(1.0, float(np.max(np.abs(mn))))
             worst = max(worst,
-                        float(np.max(np.abs(step.m_mat.const_part - mc))) / scale,
-                        float(np.max(np.abs(step.m_mat.noise_part - mn))) / scale,
-                        float(np.max(np.abs(step.h_mat.const_part - hc))) / scale,
-                        float(np.max(np.abs(step.h_mat.noise_part - hn))) / scale)
+                        float(np.max(np.abs(coef[0, 0] - mc))) / scale,
+                        float(np.max(np.abs(coef[0, 1] - mn))) / scale,
+                        float(np.max(np.abs(coef[-1, 0] - hc))) / scale,
+                        float(np.max(np.abs(coef[-1, 1] - hn))) / scale)
             for m, (mmc, mmn) in enumerate(mm):
                 worst = max(worst,
-                            float(np.max(np.abs(step.mm[m].const_part - mmc))) / scale,
-                            float(np.max(np.abs(step.mm[m].noise_part - mmn))) / scale)
+                            float(np.max(np.abs(coef[m + 1, 0] - mmc))) / scale,
+                            float(np.max(np.abs(coef[m + 1, 1] - mmn))) / scale)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 1.0
     _report(3, ok, f"lag gaps 1 and 3: chain vs closed forms, "

@@ -191,6 +191,32 @@ class TestVerify:
         assert code == 0
         assert len(calls) == halvings + 1
 
+    @pytest.mark.parametrize("halvings,skipped", [
+        (0, ["riccati_ode_trend", "semigroup_trend", "z_factor_convergence"]),
+        (1, ["z_factor_convergence"]),
+        (2, []),
+    ])
+    def test_trend_checks_without_comparison_not_evaluated(
+            self, tmp_path, capsys, halvings, skipped):
+        # at delta 0.005 the golden lag gap is 2 (no coupling factors);
+        # each halving doubles it
+        path = tmp_path / "golden.json"
+        save_problem(golden_scalar_spec(), path)
+        out = tmp_path / "v"
+        main(["verify", "--problem", str(path), "--delta", "0.005",
+              "--paths", "50", "--halvings", str(halvings),
+              "--out", str(out)])
+        report = json.loads((out / "verify_report.json").read_text())
+        assert report["not_evaluated"] == skipped
+        assert [r["name"] for r in report["tests"]
+                if not r["evaluated"]] == skipped
+        for r in report["tests"]:
+            if not r["evaluated"]:
+                assert r["statistic"] == 0.0 and r["pass"]
+        lines = capsys.readouterr().out.splitlines()
+        assert sorted(line.split(":")[0] for line in lines
+                      if "not evaluated (" in line) == skipped
+
     def test_mutated_ladder_exit_4(self, tmp_path):
         path = tmp_path / "golden.json"
         save_problem(golden_scalar_spec(), path)

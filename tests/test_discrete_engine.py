@@ -4,9 +4,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaygame import (AffineMatrix, GameSpec, Grid, SingularGamma,
-                       SweepCoefficients, assemble_blocks,
-                       expectation_of_product, solve_ladder)
+from delaygame import (GameSpec, Grid, SingularGamma, SweepCoefficients,
+                       assemble_blocks, expectation_of_product, solve_ladder)
 from delaygame.discrete_engine import solve_estimate_chain, terminal_layer
 from conftest import matrix_spec, wide_delay_spec
 from oracles import oracle_chain_sweep, oracle_sweep
@@ -15,19 +14,19 @@ from oracles import oracle_chain_sweep, oracle_sweep
 class TestExpectationOfProduct:
     def test_deterministic_factors(self):
         C = np.array([[2.0, 1.0], [0.0, 3.0]])
-        X = AffineMatrix(np.eye(2), np.zeros((2, 2)))
-        Y = AffineMatrix(C, np.zeros((2, 2)))
+        X = np.stack([np.eye(2), np.zeros((2, 2))])
+        Y = np.stack([C, np.zeros((2, 2))])
         np.testing.assert_array_equal(expectation_of_product(X, Y, 0.3), C)
 
     def test_pure_noise_factors(self):
-        X = AffineMatrix(np.zeros((2, 2)), np.eye(2))
+        X = np.stack([np.zeros((2, 2)), np.eye(2)])
         out = expectation_of_product(X, X, 0.1)
         np.testing.assert_allclose(out, 0.1 * np.eye(2))
 
     def test_cross_terms_vanish(self):
         rng = np.random.default_rng(1)
         A0, A1, B0, B1 = rng.normal(size=(4, 3, 3))
-        X, Y = AffineMatrix(A0, A1), AffineMatrix(B0, B1)
+        X, Y = np.stack([A0, A1]), np.stack([B0, B1])
         out = expectation_of_product(X, Y, 0.25)
         np.testing.assert_allclose(out, A0 @ B0 + 0.25 * A1 @ B1)
 
@@ -36,8 +35,8 @@ class TestExpectationOfProduct:
     def test_bilinear(self, delta, s):
         rng = np.random.default_rng(3)
         A0, A1, B0, B1 = rng.normal(size=(4, 2, 2))
-        X, Y = AffineMatrix(A0, A1), AffineMatrix(B0, B1)
-        Xs = AffineMatrix(s * A0, s * A1)
+        X, Y = np.stack([A0, A1]), np.stack([B0, B1])
+        Xs = np.stack([s * A0, s * A1])
         np.testing.assert_allclose(
             expectation_of_product(Xs, Y, delta),
             s * expectation_of_product(X, Y, delta), atol=1e-12)
@@ -147,14 +146,15 @@ class TestRiccatiStepGolden:
                 self.LAYER_N["clag0"], rel=1e-12)
             assert np.all(layer.phat_lag[i][1:] == 0.0)
             assert np.all(layer.ccheck_lag[i][1:] == 0.0)
-        step = ladder.step(GOLDEN_GRID.N)
-        assert step.m_mat.const_part[0, 0] == pytest.approx(
+        (m_const, m_noise), (h_const, h_noise) = \
+            ladder.coef[GOLDEN_GRID.N, [0, -1]]
+        assert m_const[0, 0] == pytest.approx(
             self.STEP_N["m_const"], rel=1e-12)
-        assert step.m_mat.noise_part[0, 0] == pytest.approx(
+        assert m_noise[0, 0] == pytest.approx(
             self.STEP_N["m_noise"], rel=1e-12)
-        assert step.h_mat.const_part[0, 0] == pytest.approx(
+        assert h_const[0, 0] == pytest.approx(
             self.STEP_N["h_const"], rel=1e-12)
-        assert step.h_mat.noise_part[0, 0] == pytest.approx(
+        assert h_noise[0, 0] == pytest.approx(
             self.STEP_N["h_noise"], rel=1e-12)
 
     def test_full_sweep_reaches_golden_base_layer(self):
@@ -208,20 +208,19 @@ class TestChainAgainstClosedForms:
             spec.A, spec.Abar, spec.B1, spec.B1bar, spec.B2, spec.B2bar,
             spec.Q1, spec.Q2, spec.R1, spec.R2, spec.H1, spec.H2,
             grid.delta, grid.d1, grid.d2, grid.N)
-        scale = max(1.0, max(np.max(np.abs(s.m_mat.noise_part))
-                             for s in ladder.closed_loop))
+        scale = max(1.0, np.max(np.abs(ladder.coef[:, 0, 1])))
         for k in range(grid.N + 1):
-            step = ladder.step(k)
+            coef = ladder.coef[k]
             (mc, mn), mm, (hc, hn) = step_by_k[k]
-            for got, ref in ((step.m_mat.const_part, mc),
-                             (step.m_mat.noise_part, mn),
-                             (step.h_mat.const_part, hc),
-                             (step.h_mat.noise_part, hn)):
+            for got, ref in ((coef[0, 0], mc),
+                             (coef[0, 1], mn),
+                             (coef[-1, 0], hc),
+                             (coef[-1, 1], hn)):
                 np.testing.assert_allclose(got, ref, atol=rtol * scale)
             for m, (mmc, mmn) in enumerate(mm):
-                np.testing.assert_allclose(step.mm[m].const_part, mmc,
+                np.testing.assert_allclose(coef[m + 1, 0], mmc,
                                            atol=rtol * scale)
-                np.testing.assert_allclose(step.mm[m].noise_part, mmn,
+                np.testing.assert_allclose(coef[m + 1, 1], mmn,
                                            atol=rtol * scale)
         for k in range(grid.N + 2):
             layer, ref = ladder.layer(k), layer_by_k[k]
@@ -248,12 +247,12 @@ class TestChainAgainstClosedForms:
     def test_zero_cost_chain_vanishes(self, zero_cost):
         spec, grid, ladder = zero_cost
         for k in range(grid.N + 1):
-            step = ladder.step(k)
-            assert np.all(step.m_mat.const_part == 0.0)
-            assert np.all(step.m_mat.noise_part == 0.0)
-            assert np.all(step.h_mat.const_part == 0.0)
-            for mm in step.mm:
-                assert np.all(mm.const_part == 0.0)
+            coef = ladder.coef[k]
+            assert np.all(coef[0, 0] == 0.0)
+            assert np.all(coef[0, 1] == 0.0)
+            assert np.all(coef[-1, 0] == 0.0)
+            for mm in coef[1:-1]:
+                assert np.all(mm[0] == 0.0)
 
 
 # short horizons (two lag windows and a step) at lag gaps 2, 5 and 8
@@ -283,20 +282,20 @@ class TestChainAgainstReference:
             spec.Q1, spec.Q2, spec.R1, spec.R2, spec.H1, spec.H2,
             grid.delta, grid.d1, grid.d2, grid.N)
         for k in range(grid.N + 1):
-            step = ladder.step(k)
+            coef = ladder.coef[k]
             ((mc, mn), mm, (hc, hn)), u1, u2, zf = step_by_k[k]
-            self._close(step.m_mat.const_part, mc)
-            self._close(step.m_mat.noise_part, mn)
-            self._close(step.h_mat.const_part, hc)
-            self._close(step.h_mat.noise_part, hn)
-            assert len(step.mm) == len(mm) == gap - 1
-            for got, (mmc, mmn) in zip(step.mm, mm):
-                self._close(got.const_part, mmc)
-                self._close(got.noise_part, mmn)
-            self._close(step.u1_gain, u1)
-            self._close(step.u2_gain, np.stack(u2))
-            assert len(step.zfactors) == len(zf) == max(gap - 2, 0)
-            for got, ref in zip(step.zfactors, zf):
+            self._close(coef[0, 0], mc)
+            self._close(coef[0, 1], mn)
+            self._close(coef[-1, 0], hc)
+            self._close(coef[-1, 1], hn)
+            assert len(coef[1:-1]) == len(mm) == gap - 1
+            for got, (mmc, mmn) in zip(coef[1:-1], mm):
+                self._close(got[0], mmc)
+                self._close(got[1], mmn)
+            self._close(ladder.u1_gain[k], u1)
+            self._close(ladder.u2_gain[k], np.stack(u2))
+            assert len(ladder.zfactors[k]) == len(zf) == max(gap - 2, 0)
+            for got, ref in zip(ladder.zfactors[k], zf):
                 self._close(got, ref)
         for k in range(grid.N + 2):
             layer, ref = ladder.layer(k), layer_by_k[k]
@@ -356,10 +355,10 @@ class TestSweepInvariants:
     def test_closed_loop_mm_truncation(self, matrix_case):
         spec, grid, ladder = matrix_case
         for k in range(grid.N + 1):
-            for m, mm in enumerate(ladder.step(k).mm, start=1):
+            for m, mm in enumerate(ladder.coef[k, 1:-1], start=1):
                 if k + m > grid.N:
-                    assert np.all(mm.const_part == 0.0)
-                    assert np.all(mm.noise_part == 0.0)
+                    assert np.all(mm[0] == 0.0)
+                    assert np.all(mm[1] == 0.0)
 
     def test_aggregate_identity(self, matrix_case):
         spec, grid, ladder = matrix_case
@@ -416,6 +415,6 @@ class TestSweepInvariants:
             assert np.all(layer.phat[1] == 0.0)
             assert np.all(layer.ccheck_lag == 0.0)
         for k in range(grid.N + 1):
-            assert np.all(ladder.step(k).h_mat.const_part == 0.0)
-            for mm in ladder.step(k).mm:
-                assert np.all(mm.const_part == 0.0)
+            assert np.all(ladder.coef[k, -1, 0] == 0.0)
+            for mm in ladder.coef[k, 1:-1]:
+                assert np.all(mm[0] == 0.0)

@@ -7,7 +7,8 @@ from delaygame import (GameSpec, assemble_gains, build_grid,
                        path_costs, perturb_control, simulate_path_gains,
                        simulate_path_ladder, solve_ladder)
 from delaygame.simulator import (GainStepper, draw_increments,
-                                 initial_window, paired_deviation_costs)
+                                 initial_window, level_sums,
+                                 paired_deviation_costs)
 from conftest import wide_delay_spec, zero_cost_spec
 
 
@@ -84,6 +85,21 @@ class TestWindow:
         for k in (0, 3, grid.N + 1):
             np.testing.assert_array_equal(traj.windows[k][grid.d1],
                                           traj.x[k])
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 9])
+    def test_level_sums_match_termwise_expectation(self, levels):
+        # level j: terms at levels l <= j read their own entry, finer
+        # terms read the level-j entry; summed term by term in level order
+        rng = np.random.default_rng(levels)
+        win = rng.normal(size=(levels + 2, 5, 2))
+        gains = rng.normal(size=(levels, 3, 2))
+        got = level_sums(win, gains)
+        assert got.shape == (levels, 5, 3)
+        for j in range(levels):
+            ref = np.zeros((5, 3))
+            for l in range(levels):
+                ref = ref + win[min(l, j)] @ gains[l].T
+            np.testing.assert_allclose(got[j], ref, rtol=0, atol=1e-13)
 
     def test_warmup_window_holds_initial_state(self, wide_case):
         spec, grid, ladder, law = wide_case

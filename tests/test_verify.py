@@ -275,7 +275,7 @@ class TestZFactors:
     def test_gap_one_vacuous(self, wide_case):
         spec, grid, ladder, law = wide_case
         # lag gap two: no interior coupling factors exist
-        assert all(len(ladder.step(k).zfactors) == 0
+        assert all(len(ladder.zfactors[k]) == 0
                    for k in range(grid.N + 1))
 
     def test_gap_three_distance_shrinks(self):
