@@ -96,18 +96,6 @@ class GammaBlocks:
     g_block: np.ndarray
     rcond: np.ndarray         # (gap+1,)
 
-    @property
-    def gamma_hat(self) -> np.ndarray:
-        return self.levels[0]
-
-    @property
-    def gamma_m(self) -> np.ndarray:
-        return self.levels[1:-1]
-
-    @property
-    def gamma_check(self) -> np.ndarray:
-        return self.levels[-1]
-
 
 @dataclass
 class ClosedLoopStep:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -15,10 +16,6 @@ from .model import Grid
 from .simulator import CostEstimate, Trajectory
 
 
-# paths whose trajectory rows are formatted together
-PATHS_PER_BLOCK = 1000
-
-
 def problem_hash(path) -> str:
     digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
     return f"sha256:{digest}"
@@ -29,14 +26,14 @@ def _text(values) -> list[str]:
     return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
 
 
-def _write_table(path, header, tables) -> None:
-    """One CSV file (csv-module dialect) from a header and a sequence of
-    tables, each a list of equally long columns of field text; the rows of
-    every table are written in order."""
+def _write_table(path, header, *tables) -> None:
+    """One CSV file from a header and tables, each a list of equally long
+    columns of field text; the rows of every table are written in order."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
         for columns in tables:
-            fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
+            writer.writerows(zip(*columns))
 
 
 def _entry_table(lead, parts) -> list[list[str]]:
@@ -82,10 +79,10 @@ def export_ladder_csv(ladder: RiccatiLadder, path) -> None:
                   for p, part in enumerate(("const", "noise"))]
     _write_table(path, ("k", "player", "kind", "lag_index", "row", "col",
                         "value"),
-                 [_entry_table([str(k) for k in range(grid.N + 2)],
-                               layer_parts),
-                  _entry_table([str(k) for k in range(grid.N + 1)],
-                               step_parts)])
+                 _entry_table([str(k) for k in range(grid.N + 2)],
+                              layer_parts),
+                 _entry_table([str(k) for k in range(grid.N + 1)],
+                              step_parts))
 
 
 def export_ladder_metadata(ladder: RiccatiLadder, path, problem_path=None,
@@ -125,7 +122,7 @@ def export_fields_csv(fields: RiccatiFields, path) -> None:
         parts.append((("", i + 1, "Shat"), fields.shat[i]))
         parts.append((("", i + 1, "Scheck"), fields.scheck[i]))
     _write_table(path, ("t", "theta", "player", "kind", "row", "col", "value"),
-                 [_entry_table(_text(fields.t), parts)])
+                 _entry_table(_text(fields.t), parts))
 
 
 def export_gains_csv(law: FeedbackLaw, path) -> None:
@@ -135,41 +132,33 @@ def export_gains_csv(law: FeedbackLaw, path) -> None:
     parts += [(("", "K2_h2"), law.k2_h2), (("", "Rt1"), law.rt1),
               (("", "Rt2"), law.rt2), (("", "O1"), law.o1)]
     _write_table(path, ("t", "theta", "component", "row", "col", "value"),
-                 [_entry_table(_text(law.t_samples), parts)])
+                 _entry_table(_text(law.t_samples), parts))
 
 
 def export_trajectories_csv(traj: Trajectory, grid: Grid, path) -> None:
     """One row per path and step k = 0..N+1; the controls and the
-    increment are blank at k = N+1. Written in blocks of paths, so the
-    text of only one block is held at a time."""
-    n_k = grid.N + 2
+    increment are blank at k = N+1."""
+    n_k, n_paths = grid.N + 2, traj.n_paths
     header = (["path_id", "k", "t"]
               + [f"x{i}" for i in range(traj.x.shape[2])]
               + [f"u1_{i}" for i in range(traj.u1.shape[2])]
               + [f"u2_{i}" for i in range(traj.u2.shape[2])]
               + ["dW"])
     ks = [str(k) for k in range(n_k)]
-    times = _text(grid.times())
 
-    def per_path(values, paths):
+    def per_path(values):
         """Text of a (steps, paths) array, path-major, blank past N."""
-        block = values[:, paths].T
-        text = np.full((len(block), n_k), "", dtype=object)
-        text[:, :block.shape[1]] = np.reshape(
-            np.array(_text(block), dtype=object), block.shape)
+        text = np.full((n_paths, n_k), "", dtype=object)
+        text[:, :len(values)] = np.reshape(
+            np.array(_text(values.T), dtype=object), (n_paths, len(values)))
         return text.ravel().tolist()
 
-    def tables():
-        for lo in range(0, traj.n_paths, PATHS_PER_BLOCK):
-            paths = slice(lo, lo + PATHS_PER_BLOCK)
-            ids = range(traj.n_paths)[paths]
-            yield ([[str(p) for p in ids for _ in ks],
-                    ks * len(ids), times * len(ids)]
-                   + [per_path(a[..., i], paths)
-                      for a in (traj.x, traj.u1, traj.u2)
-                      for i in range(a.shape[2])]
-                   + [per_path(traj.dw, paths)])
-    _write_table(path, header, tables())
+    _write_table(path, header,
+                 [[str(p) for p in range(n_paths) for _ in ks],
+                  ks * n_paths, _text(grid.times()) * n_paths]
+                 + [per_path(a[..., i]) for a in (traj.x, traj.u1, traj.u2)
+                    for i in range(a.shape[2])]
+                 + [per_path(traj.dw)])
 
 
 def export_cost_report(est: CostEstimate, path) -> None:

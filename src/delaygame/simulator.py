@@ -72,20 +72,27 @@ def initial_window(x0: np.ndarray, n_paths: int, d1: int) -> np.ndarray:
     return win
 
 
-def level_sums(win: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """E[sum_l win[l] @ gains[l].T | level j] for every level j = 0..L.
+def level_sums(win: np.ndarray, levels: np.ndarray, gains: np.ndarray):
+    """Known part and finer-gain tail of a window sum, for every level.
 
-    ``gains[l]`` (l = 0..L) acts on window level l. Given level j, the
-    entries of levels l <= j are known and every finer entry coarsens to
-    ``win[j]`` (tower property), so level j sums its prefix of terms and
-    applies the tail of the gains to its own entry. Returns (L+1, P, c);
-    entry L is the realized sum.
+    Term t applies ``gains[t]`` to window level ``levels[t]`` (ascending,
+    starting at 0). Given level j, the terms at levels <= j read their own
+    entries and every finer entry coarsens to ``win[j]`` (tower property):
+
+        E[sum_t win[levels[t]] @ gains[t].T | level j]
+            = known[j] + win[j] @ tails[j].T
+
+    Returns ``known`` (L+1, P, c) and ``tails`` (L+1, c, n) for j = 0..L,
+    each summed in term order; ``known[L]`` is the realized sum and
+    ``tails[L]`` is zero.
     """
-    L = len(gains) - 1
-    sums = np.cumsum(win[:L + 1] @ gains.swapaxes(1, 2), axis=0)
-    tails = np.cumsum(gains[:0:-1], axis=0)[::-1]     # sum of gains[l > j]
-    sums[:L] += win[:L] @ tails.swapaxes(1, 2)
-    return sums
+    j = np.arange(levels[-1] + 1)
+    known = win[levels] @ gains.swapaxes(1, 2)
+    for t in range(1, len(known)):      # running sum; cumsum is slower here
+        known[t] += known[t - 1]
+    finer = (levels > j[:, None])[:, :, None, None]
+    tails = np.where(finer, gains, 0.0).sum(axis=1)
+    return known[np.searchsorted(levels, j, side="right") - 1], tails
 
 
 def _entry_levels(grid: Grid) -> np.ndarray:
@@ -102,6 +109,7 @@ class LadderStepper:
         self.grid = ladder.grid
         self.gap = ladder.gap
         self.levels = _entry_levels(self.grid)
+        self.term_levels = np.arange(self.gap + 1)
 
     def controls(self, k: int, win: np.ndarray):
         lad = self.ladder
@@ -117,14 +125,15 @@ class LadderStepper:
         realized increment times the increment parts.
         """
         u1, u2 = self.controls(k, win)
-        d1 = self.grid.d1
+        d1, lv = self.grid.d1, self.levels
         a_c, a_n = self.ladder.a_mat
         coef = self.ladder.coef[k]
-        sums = level_sums(win, coef[:, 0])
+        known, tails = level_sums(win, self.term_levels, coef[:, 0])
         new = np.empty_like(win)
-        new[:d1] = win[1:] @ a_c.T + sums[self.levels]
-        diff = (win[d1] @ a_n.T
-                + (win[:self.gap + 1] @ coef[:, 1].swapaxes(1, 2)).sum(axis=0))
+        new[:d1] = win[1:] @ (a_c + tails[lv]).swapaxes(1, 2) + known[lv]
+        # the state's own term first, then the levels in order
+        diff = sum(win[:self.gap + 1] @ coef[:, 1].swapaxes(1, 2),
+                   win[d1] @ a_n.T)
         new[d1] = new[d1 - 1] + dw_k[:, None] * diff
         return u1, u2, new, diff
 
@@ -139,6 +148,8 @@ class GainStepper:
         self.gap = grid.d1 - grid.d2
         self.weights = law.kernel_weights(grid.delta)
         self.levels = _entry_levels(grid)
+        # player 2's gain terms by window level: coarse lag, kernel, fine lag
+        self.term_levels = np.r_[0, np.arange(self.gap + 1), self.gap]
 
     def u_levels(self, k: int, win: np.ndarray):
         """Controls and their conditional expectations per window level.
@@ -148,13 +159,15 @@ class GainStepper:
         levels) and ``u2_lv[l]`` is E[u2 | level l] for the saturating
         level index l = 0..gap; ``u2_lv[gap]`` is the realized control.
         """
-        law = self.law
+        law, gap = self.law, self.gap
         u1 = win[0] @ law.k1[k].T + law.offset1[k]
-        # player 2's gain per window level: coarse lag, kernel, fine lag
-        gains = self.weights[:, None, None] * law.k2_kernel[k]
-        gains[0] += law.k2_h1[k]
-        gains[-1] += law.k2_h2[k]
-        return u1, level_sums(win, gains) + law.offset2[k]
+        gains = np.concatenate([law.k2_h1[k][None],
+                                self.weights[:, None, None] * law.k2_kernel[k],
+                                law.k2_h2[k][None]])
+        known, tails = level_sums(win, self.term_levels, gains)
+        u2_lv = known + law.offset2[k]
+        u2_lv[:gap] += win[:gap] @ tails[:gap].swapaxes(1, 2)
+        return u1, u2_lv
 
     def controls(self, k: int, win: np.ndarray):
         u1, u2_lv = self.u_levels(k, win)
@@ -243,7 +256,9 @@ def mean_recursion(ladder: RiccatiLadder, x0) -> np.ndarray:
     """Deterministic mean propagation: the increment-free parts of the
     closed-loop coefficients applied to the running mean."""
     x0 = np.asarray(x0, dtype=float)
-    totals = ladder.a_mat[0] + ladder.coef[:, :, 0].sum(axis=1)
+    const = ladder.coef[:, :, 0]
+    totals = (ladder.a_mat[0] + const[:, 0] + const[:, 1:-1].sum(axis=1)
+              + const[:, -1])
     out = np.empty((len(totals) + 1, len(x0)))
     out[0] = x0
     for k, total in enumerate(totals):

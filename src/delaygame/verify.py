@@ -40,24 +40,22 @@ STATIONARITY_BAND_C = 3.0
 CROSS_REP_C = 4.0
 
 
-def _costate_coef(ladder: RiccatiLadder) -> np.ndarray:
-    """(N+2, 2, d1+1, n, n): each layer's coefficient on every window level
-    in the costate formula (first lag family on all levels, second on the
-    finest d2+1, state coefficient on the state itself)."""
-    coef = ladder.phat_lag.copy()
-    coef[:, :, ladder.gap:] += ladder.ccheck_lag
-    coef[:, :, -1] += ladder.phat
-    return coef
+def _pathwise_costate(ladder: RiccatiLadder, k, win_next: np.ndarray):
+    """p at step k from the layer-(k+1) formula and the step-(k+1) window:
+    (2, P, n). With an index array ``k`` and the windows stacked on the same
+    leading axis, one p per step: (len(k), 2, P, n). Each player's terms are
+    summed in the formula's order: state, first lag family on every level,
+    second lag family on the finest d2+1 levels."""
+    gap = ladder.gap
+    win = np.concatenate([win_next[..., -1:, :, :], win_next,
+                          win_next[..., gap:, :, :]], axis=-3)
+    coef = np.concatenate([ladder.phat[k + 1][..., None, :, :],
+                           ladder.phat_lag[k + 1], ladder.ccheck_lag[k + 1]],
+                          axis=-3)
+    return (win[..., None, :, :, :] @ coef.swapaxes(-1, -2)).sum(axis=-3)
 
 
-def _pathwise_costate(coef_next: np.ndarray, win_next: np.ndarray):
-    """p at step k from the layer-(k+1) coefficients (a slice of
-    :func:`_costate_coef`) and the step-(k+1) window: (2, P, n)."""
-    return np.einsum("jpa,ijba->ipb", win_next, coef_next, optimize=True)
-
-
-def costate_reconstruct(ladder: RiccatiLadder, trajectory: Trajectory,
-                        grid: Grid):
+def costate_reconstruct(ladder: RiccatiLadder, trajectory: Trajectory):
     """Costate pair along recorded paths.
 
     ``p[i, k]`` evaluates the explicit layered formula on the recorded
@@ -66,11 +64,10 @@ def costate_reconstruct(ladder: RiccatiLadder, trajectory: Trajectory,
     """
     if trajectory.windows is None:
         raise MissingWindow("trajectory was simulated without window recording")
-    p = np.einsum("kjpa,kijba->ikpb", trajectory.windows[1:],
-                  _costate_coef(ladder)[1:], optimize=True)
-    q = np.einsum("kpa,kiba->ikpb", trajectory.diff, ladder.phat[1:],
-                  optimize=True)
-    return p, q
+    k = np.arange(ladder.grid.N + 1)
+    p = _pathwise_costate(ladder, k, trajectory.windows[1:])
+    q = trajectory.diff[:, None] @ ladder.phat[1:].swapaxes(-1, -2)
+    return p.swapaxes(0, 1), q.swapaxes(0, 1)
 
 
 def _test_variables(win: np.ndarray, up_to: int) -> np.ndarray:
@@ -132,14 +129,13 @@ def fbsde_residual_test(ladder: RiccatiLadder, spec: GameSpec, grid: Grid,
     q_mats = (np.asarray(spec.Q1, dtype=float), np.asarray(spec.Q2, dtype=float))
     a_hat = ladder.a_mat[0]
     a_bar = spec.Abar
-    coef = _costate_coef(ladder)
 
     rows = []    # (k, raw, se, net)
     p_prev = None
     for k, win, _, _, win_next, _ in rollout(stepper, spec.x0, dw):
         x_k = win[grid.d1]
         Z = _test_variables(win, grid.d1)
-        p_k = _pathwise_costate(coef[k + 1], win_next)
+        p_k = _pathwise_costate(ladder, k, win_next)
         if p_prev is not None:
             raw = se = net = 0.0
             for i in range(2):
@@ -174,11 +170,10 @@ def stationarity_residual_test(ladder: RiccatiLadder, law: FeedbackLaw | None,
     b_mats = (spec.B1, spec.B2)
     bbar_mats = (spec.B1bar, spec.B2bar)
     z_upto = (1, gap + 1)
-    coef = _costate_coef(ladder)
 
     rows = []
     for k, win, *u, win_next, diff_k in rollout(stepper, spec.x0, dw):
-        p_k = _pathwise_costate(coef[k + 1], win_next)
+        p_k = _pathwise_costate(ladder, k, win_next)
         raw = se = net = 0.0
         for i in range(2):
             q_ik = diff_k @ ladder.phat[k + 1, i].T

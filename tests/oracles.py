@@ -6,9 +6,11 @@ instead of factorizations, explicit python sums, and the closed-form
 coefficient displays (available for lag gaps 1 and 3) instead of the
 back-substitution chain. For other gaps, ``chain_step`` solves the chain
 one (level, source level) pair at a time through explicit inverses. Tests
-compare the two implementations. The reference CSV writers at the end
-format one row at a time through the csv module, as a byte-level check on
-the vectorized exporters.
+compare the two implementations. The reference window steps sum one
+term at a time in a fixed order (state term first, then the levels
+upward), as an exact check on the batched steppers. The reference CSV
+writers at the end format one row at a time through the csv module, as a
+byte-level check on the vectorized exporters.
 """
 
 import csv
@@ -292,6 +294,56 @@ def oracle_chain_sweep(A, Abar, B1, B1bar, B2, B2bar, Q1, Q2, R1, R2, H1, H2,
                                     delta)
         layer_by_k[k] = layer
     return layer_by_k, step_by_k
+
+
+# ---------------------------------------------------------------------------
+# reference window steps: one term at a time, in the order state term,
+# then window levels upward, prefix sums before tails
+# ---------------------------------------------------------------------------
+
+def reference_ladder_window_step(ladder, k, win, dw_k):
+    """New window and diffusion coefficient of the recursion form."""
+    d1, gap = ladder.grid.d1, ladder.gap
+    a_c, a_n = ladder.a_mat
+    const, noise = ladder.coef[k, :, 0], ladder.coef[k, :, 1]
+    new = np.empty_like(win)
+    for i in range(d1):
+        lvl = min(i + 1, gap)
+        prefix = np.zeros_like(win[0])
+        for l in range(lvl + 1):
+            prefix = prefix + win[l] @ const[l].T
+        tail = np.zeros_like(a_c)
+        for l in range(lvl + 1, gap + 1):
+            tail = tail + const[l]
+        new[i] = win[i + 1] @ (a_c + tail).T + prefix
+    diff = win[d1] @ a_n.T
+    for l in range(gap + 1):
+        diff = diff + win[l] @ noise[l].T
+    new[d1] = new[d1 - 1] + dw_k[:, None] * diff
+    return new, diff
+
+
+def reference_u2_levels(law, grid, k, win):
+    """E[u2 | level l] for l = 0..gap under the feedback law."""
+    gap = grid.d1 - grid.d2
+    weights = law.kernel_weights(grid.delta)
+    terms = ([(0, law.k2_h1[k])]
+             + [(j, w * law.k2_kernel[k, j]) for j, w in enumerate(weights)]
+             + [(gap, law.k2_h2[k])])
+    out = []
+    for l in range(gap + 1):
+        prefix = np.zeros((win.shape[1], law.k2_h1.shape[1]))
+        tail = np.zeros_like(law.k2_h1[k])
+        for idx, mat in terms:
+            if idx <= l:
+                prefix = prefix + win[idx] @ mat.T
+            else:
+                tail = tail + mat
+        u = prefix + law.offset2[k]
+        if l < gap:
+            u = u + win[l] @ tail.T
+        out.append(u)
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------

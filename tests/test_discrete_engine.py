@@ -48,9 +48,9 @@ class TestAssembleBlocks:
         coeffs = SweepCoefficients.from_spec(spec)
         blocks = assemble_blocks(ladder.layer(grid.N + 1), coeffs, grid.delta)
         eye = np.eye(2 * ladder.n)
-        np.testing.assert_array_equal(blocks.gamma_hat, eye)
-        np.testing.assert_array_equal(blocks.gamma_check, eye)
-        for gm in blocks.gamma_m:
+        np.testing.assert_array_equal(blocks.levels[0], eye)
+        np.testing.assert_array_equal(blocks.levels[-1], eye)
+        for gm in blocks.levels[1:-1]:
             np.testing.assert_array_equal(gm, eye)
         np.testing.assert_array_equal(blocks.g_block, np.zeros_like(eye))
 
@@ -64,9 +64,9 @@ class TestAssembleBlocks:
         coeffs = SweepCoefficients.from_spec(spec)
         layer = terminal_layer(spec.H1, spec.H2, grid)
         blocks = assemble_blocks(layer, coeffs, grid.delta)
-        np.testing.assert_allclose(blocks.gamma_hat,
+        np.testing.assert_allclose(blocks.levels[0],
                                    [[1.2, 2.0], [0.2, 3.0]])
-        np.testing.assert_allclose(blocks.gamma_check,
+        np.testing.assert_allclose(blocks.levels[-1],
                                    [[1.1, 1.0], [0.1, 2.0]])
         np.testing.assert_allclose(blocks.g_block,
                                    [[-0.1, -1.0], [-0.1, -1.0]])
@@ -82,7 +82,7 @@ class TestAssembleBlocks:
         r = coeffs.reduced
         P1, P2 = layer.phat
         np.testing.assert_allclose(
-            blocks.gamma_hat,
+            blocks.levels[0],
             np.block([[np.eye(1), -(r.B21 @ P1 + r.B22 @ P2)],
                       [np.zeros((1, 1)), np.eye(1) - r.Bbar21 @ P1
                        - r.Bbar22 @ P2]]))

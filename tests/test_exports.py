@@ -18,9 +18,7 @@ def matrix_artifacts():
     ladder = solve_ladder(spec, grid)
     fields = extract_fields(ladder)
     law = assemble_gains(fields, spec)
-    # one path more than a block, so the trajectory rows span two blocks
-    traj = simulate_path_gains(law, spec, grid, seed=7,
-                               n_paths=exports.PATHS_PER_BLOCK + 1)
+    traj = simulate_path_gains(law, spec, grid, seed=7, n_paths=5)
     return grid, ladder, fields, law, traj
 
 

@@ -6,10 +6,11 @@ from delaygame import (GameSpec, assemble_gains, build_grid,
                        estimate_costs, extract_fields, mean_recursion,
                        path_costs, perturb_control, simulate_path_gains,
                        simulate_path_ladder, solve_ladder)
-from delaygame.simulator import (GainStepper, draw_increments,
-                                 initial_window, level_sums,
+from delaygame.simulator import (GainStepper, LadderStepper,
+                                 draw_increments, initial_window, level_sums,
                                  paired_deviation_costs)
 from conftest import wide_delay_spec, zero_cost_spec
+from oracles import reference_ladder_window_step, reference_u2_levels
 
 
 @pytest.fixture(scope="module")
@@ -89,17 +90,41 @@ class TestWindow:
     @pytest.mark.parametrize("levels", [1, 2, 3, 9])
     def test_level_sums_match_termwise_expectation(self, levels):
         # level j: terms at levels l <= j read their own entry, finer
-        # terms read the level-j entry; summed term by term in level order
+        # terms read the level-j entry; summed term by term in level order.
+        # The end levels carry two terms each, as in the gain form.
         rng = np.random.default_rng(levels)
+        term_levels = np.r_[0, np.arange(levels), levels - 1]
         win = rng.normal(size=(levels + 2, 5, 2))
-        gains = rng.normal(size=(levels, 3, 2))
-        got = level_sums(win, gains)
-        assert got.shape == (levels, 5, 3)
+        gains = rng.normal(size=(len(term_levels), 3, 2))
+        known, tails = level_sums(win, term_levels, gains)
+        assert known.shape == (levels, 5, 3)
+        assert tails.shape == (levels, 3, 2)
+        assert np.all(tails[-1] == 0.0)
         for j in range(levels):
             ref = np.zeros((5, 3))
-            for l in range(levels):
-                ref = ref + win[min(l, j)] @ gains[l].T
-            np.testing.assert_allclose(got[j], ref, rtol=0, atol=1e-13)
+            for l, g in zip(term_levels, gains):
+                ref = ref + win[min(l, j)] @ g.T
+            np.testing.assert_allclose(known[j] + win[j] @ tails[j].T, ref,
+                                       rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("case", ["wide", "matrix_case"])
+    def test_steps_sum_in_reference_order(self, case, request):
+        # the batched steppers add the same terms in the same order as the
+        # one-term-at-a-time references, so their output is bit-equal
+        spec, grid, ladder = request.getfixturevalue(case)
+        law = assemble_gains(extract_fields(ladder), spec)
+        rng = np.random.default_rng(3)
+        win = rng.normal(size=(grid.d1 + 1, 6, ladder.n))
+        dw_k = rng.normal(size=6)
+        for k in (0, grid.N // 2, grid.N):
+            _, _, new, diff = LadderStepper(ladder).step(k, win, dw_k)
+            ref_new, ref_diff = reference_ladder_window_step(ladder, k, win,
+                                                             dw_k)
+            np.testing.assert_array_equal(new, ref_new)
+            np.testing.assert_array_equal(diff, ref_diff)
+            _, u2_lv = GainStepper(law, spec, grid).u_levels(k, win)
+            np.testing.assert_array_equal(
+                u2_lv, reference_u2_levels(law, grid, k, win))
 
     def test_warmup_window_holds_initial_state(self, wide_case):
         spec, grid, ladder, law = wide_case

@@ -23,7 +23,7 @@ class TestCostateReconstruct:
         spec, grid, ladder, law = wide_case
         traj = simulate_path_ladder(ladder, grid, spec.x0, seed=1, n_paths=3)
         with pytest.raises(MissingWindow):
-            vfy.costate_reconstruct(ladder, traj, grid)
+            vfy.costate_reconstruct(ladder, traj)
 
     def test_terminal_identity(self, wide_case):
         # at the last step the costate is the terminal weight applied to
@@ -31,7 +31,7 @@ class TestCostateReconstruct:
         spec, grid, ladder, law = wide_case
         traj = simulate_path_ladder(ladder, grid, spec.x0, seed=1,
                                     n_paths=16, record_windows=True)
-        p, q = vfy.costate_reconstruct(ladder, traj, grid)
+        p, q = vfy.costate_reconstruct(ladder, traj)
         for i, H in enumerate((spec.H1, spec.H2)):
             np.testing.assert_allclose(p[i, grid.N], traj.x[grid.N + 1] @ H.T,
                                        atol=1e-12)
@@ -40,7 +40,7 @@ class TestCostateReconstruct:
         spec, grid, ladder = zero_cost
         traj = simulate_path_ladder(ladder, grid, spec.x0, seed=1,
                                     n_paths=4, record_windows=True)
-        p, q = vfy.costate_reconstruct(ladder, traj, grid)
+        p, q = vfy.costate_reconstruct(ladder, traj)
         assert np.all(p == 0.0)
         assert np.all(q == 0.0)
 
@@ -50,7 +50,7 @@ class TestCostateReconstruct:
         spec, grid, ladder, law = wide_case
         traj = simulate_path_ladder(ladder, grid, spec.x0, seed=6,
                                     n_paths=5, record_windows=True)
-        p, q = vfy.costate_reconstruct(ladder, traj, grid)
+        p, q = vfy.costate_reconstruct(ladder, traj)
         k = grid.N // 2
         gap = grid.d1 - grid.d2
         layer = ladder.layer(k + 1)
