@@ -25,7 +25,6 @@ from .gains import assemble_gains, stationarity_identity_check
 from .model import build_grid, load_problem, validate
 from .simulator import estimate_costs, simulate_path_gains
 from . import verify as vfy
-from .verify import zero_layer
 
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
@@ -186,7 +185,7 @@ def _halvings(spec, coeffs, ladder, halvings: int, zero_at=None):
         g = build_grid(spec, ladder.grid.delta / 2 ** j)
         lad = backward_sweep(coeffs, g, spec.Q1, spec.Q2, spec.H1, spec.H2)
         if zero_at is not None:
-            zero_layer(lad, min(zero_at, g.N + 1))
+            vfy.zero_layer(lad, min(zero_at, g.N + 1))
         yield lad
 
 
@@ -196,7 +195,7 @@ def cmd_verify(config: RunConfig) -> int:
         if not 0 <= config.debug_zero_layer <= grid.N + 1:
             print("--debug-zero-layer out of range", file=sys.stderr)
             return EXIT_USAGE
-        zero_layer(ladder, config.debug_zero_layer)
+        vfy.zero_layer(ladder, config.debug_zero_layer)
     fields = extract_fields(ladder)
     law = assemble_gains(fields, spec)
     records = []
@@ -235,13 +234,12 @@ def cmd_verify(config: RunConfig) -> int:
     add("fbsde_martingale_projection", rep.component("projection_net").max,
         vfy.FBSDE_BAND_C * grid.delta, rep.passed)
 
-    rep = vfy.stationarity_residual_test(ladder, law, spec, grid,
-                                         config.n_paths, config.seed)
+    rep, verdicts = vfy.paired_law_checks(ladder, law, spec, grid,
+                                          config.n_paths, config.seed)
     add("stationarity_projection", rep.component("projection_net").max,
         vfy.STATIONARITY_BAND_C * grid.delta, rep.passed)
 
-    for v in vfy.nash_deviation_test(law, spec, grid, config.n_paths,
-                                     seed=config.seed):
+    for v in verdicts:
         add(f"nash_deviation_p{v.player}_{v.description.replace(' ', '_')}",
             v.margin, -3.0 * v.combined_se, v.passed)
 
@@ -286,9 +284,7 @@ def cmd_convergence(config: RunConfig) -> int:
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     deltas = [grid.delta / 2 ** j for j in range(config.halvings + 1)]
-    lines = []
-    prev_fields = None
-    records = []
+    lines, records, prev_fields = [], [], None
     for lad in _halvings(spec, coeffs, ladder, config.halvings):
         g = lad.grid
         f = extract_fields(lad)
@@ -306,9 +302,7 @@ def cmd_convergence(config: RunConfig) -> int:
         prev_fields = f
         records.append(row)
         lines.append("  ".join(f"{k}={v:.5g}" for k, v in row.items()))
-    if np.all(np.asarray(spec.Abar) == 0.0) and \
-            np.all(np.asarray(spec.B1bar) == 0.0) and \
-            np.all(np.asarray(spec.B2bar) == 0.0):
+    if not any(np.any(m) for m in (spec.Abar, spec.B1bar, spec.B2bar)):
         rep = vfy.no_delay_oracle(spec, deltas)
         for dt, gapv in zip(deltas, rep.component("gain_gap").value):
             lines.append(f"no-delay gain gap at delta={dt:.5g}: {gapv:.5g}")

@@ -13,9 +13,10 @@ entry starts at x0.
 Both closed-loop representations share this machinery: the ladder form
 advances the state by the solved recursion coefficients, the gain form by
 an Euler step of the controlled equation with the law's gains applied to
-the window (kernel integrated by trapezoid on its lattice). ``rollout``
-is the one time-stepping loop over a single stepper; only the paired
-deviation pass, which overrides the opponent's control, steps its own.
+the window (kernel integrated by trapezoid on its lattice). A paired
+stepper runs a base gain law and its unilateral deviations side by side
+in stacked window slots. ``rollout`` is the one time-stepping loop, for
+every stepper.
 """
 
 from __future__ import annotations
@@ -64,11 +65,12 @@ def draw_increments(grid: Grid, n_paths: int, seed: int) -> np.ndarray:
     return rng.standard_normal((grid.N + 1, n_paths)) * np.sqrt(grid.delta)
 
 
-def initial_window(x0: np.ndarray, n_paths: int, d1: int) -> np.ndarray:
-    """Warm-up window: every level holds the (deterministic) initial state."""
-    n = len(x0)
-    win = np.empty((d1 + 1, n_paths, n))
-    win[:] = np.asarray(x0, dtype=float)[None, None, :]
+def initial_window(x0: np.ndarray, n_paths: int, d1: int,
+                   slots: tuple = ()) -> np.ndarray:
+    """Warm-up window: every level holds the (deterministic) initial state.
+    ``slots`` prefixes the shape for a stepper that stacks several windows."""
+    win = np.empty(slots + (d1 + 1, n_paths, len(x0)))
+    win[:] = np.asarray(x0, dtype=float)
     return win
 
 
@@ -103,6 +105,8 @@ def _entry_levels(grid: Grid) -> np.ndarray:
 
 class LadderStepper:
     """Advances a window batch by the solved closed-loop recursion."""
+
+    slots = ()
 
     def __init__(self, ladder: RiccatiLadder):
         self.ladder = ladder
@@ -140,6 +144,8 @@ class LadderStepper:
 
 class GainStepper:
     """Advances a window batch by an Euler step under the feedback law."""
+
+    slots = ()
 
     def __init__(self, law: FeedbackLaw, spec: GameSpec, grid: Grid):
         self.law = law
@@ -196,19 +202,55 @@ class GainStepper:
         return (u1, u2_lv[self.gap], *self.advance_with(win, dw_k, u1, u2_lv))
 
 
+class PairedStepper:
+    """Advances a base gain law and ``(player, dev_law)`` deviations from it
+    side by side: the window stacks slot 0 for the base law and one slot
+    per deviation, (1+D, d1+1, P, n), and controls and increment
+    coefficients are stacked by slot. A unilateral deviation holds the
+    opponent to its equilibrium CONTROL process, not its feedback rule: in
+    a deviation slot the opponent's control is the base slot's."""
+
+    def __init__(self, base_law: FeedbackLaw, deviations, spec: GameSpec,
+                 grid: Grid):
+        if any(player not in (1, 2) for player, _ in deviations):
+            raise ValueError("player must be 1 or 2")
+        self.grid = grid
+        self.players = [player for player, _ in deviations]
+        self.steppers = [GainStepper(law, spec, grid) for law
+                         in [base_law] + [law for _, law in deviations]]
+        self.slots = (len(self.steppers),)
+
+    def step(self, k: int, win: np.ndarray, dw_k: np.ndarray):
+        base, gap = self.steppers[0], self.steppers[0].gap
+        u1_b, u2_b = base.u_levels(k, win[0])
+        u1 = np.empty(self.slots + u1_b.shape)
+        u2 = np.empty(self.slots + u2_b[gap].shape)
+        new, diff = np.empty_like(win), np.empty_like(win[:, 0])
+        for slot, player in enumerate(self.players, 1):
+            u1_d, u2_d = self.steppers[slot].u_levels(k, win[slot])
+            u1_d, u2_d = (u1_d, u2_b) if player == 1 else (u1_b, u2_d)
+            new[slot], diff[slot] = self.steppers[slot].advance_with(
+                win[slot], dw_k, u1_d, u2_d)
+            u1[slot], u2[slot] = u1_d, u2_d[gap]
+        new[0], diff[0] = base.advance_with(win[0], dw_k, u1_b, u2_b)
+        u1[0], u2[0] = u1_b, u2_b[gap]
+        return u1, u2, new, diff
+
+
 def rollout(stepper, x0: np.ndarray, dw: np.ndarray):
     """Step a path batch through the grid on the given increments.
 
     Yields ``(k, win, u1, u2, win_next, diff)`` for k = 0..N: the window
     at step k, the realized controls, the window at step k+1 and the
     increment coefficient of the state update. Every Monte Carlo consumer
-    of a single stepper reads its paths from this one loop.
+    reads its paths from this one loop.
     """
-    win = initial_window(x0, dw.shape[1], stepper.grid.d1)
+    win = initial_window(x0, dw.shape[1], stepper.grid.d1, stepper.slots)
     for k in range(stepper.grid.N + 1):
         u1, u2, win_next, diff = stepper.step(k, win, dw[k])
         yield k, win, u1, u2, win_next, diff
         win = win_next
+        del u1, u2, diff    # not held while the next step is computed
 
 
 def _run(stepper, x0: np.ndarray, seed: int, n_paths: int,
@@ -287,54 +329,37 @@ def path_costs(traj: Trajectory,
             cost(spec.Q2, traj.u2, spec.R2, spec.H2))
 
 
+def paired_costs(stepper: PairedStepper, spec: GameSpec, dw: np.ndarray,
+                 observe=None) -> tuple[np.ndarray, np.ndarray]:
+    """Roll a paired stepper out on ``dw``, calling ``observe`` with every
+    step; per deviation (D, P), the deviating player's own cost under the
+    base pair and under its deviation. Running costs are summed in time
+    order, as in ``path_costs``."""
+    weights = ((spec.Q1, spec.R1, spec.H1), (spec.Q2, spec.R2, spec.H2))
+    sums = np.zeros((2, len(stepper.steppers), dw.shape[1]))  # player, slot
+    d1, delta = stepper.grid.d1, stepper.grid.delta
+    for step in rollout(stepper, spec.x0, dw):
+        _, win, *u, win_next, _ = step
+        for i, (q, r, _) in enumerate(weights):
+            sums[i] += delta * (_quad(win[:, d1], q) + _quad(u[i], r))
+        if observe is not None:
+            observe(*step)
+        del step, win, u    # not held while the next step is computed
+    for i, (_, _, h) in enumerate(weights):
+        sums[i] += _quad(win_next[:, d1], h)
+    own = np.array(stepper.players, dtype=int) - 1
+    return 0.5 * sums[own, 0], 0.5 * sums[own, np.arange(1, len(own) + 1)]
+
+
 def paired_deviation_costs(base_law: FeedbackLaw, deviations,
                            spec: GameSpec, grid: Grid, n_paths: int,
                            seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each deviating player's per-path costs under the base pair and
-    under its unilateral deviation, on common noise.
-
-    ``deviations`` lists ``(player, dev_law)`` pairs; both returned arrays
-    are shaped (D, P). A unilateral deviation holds the opponent to its
-    equilibrium CONTROL process, not its feedback rule: the opponent's
-    path (and the estimates of it entering the window propagation) stay
-    driven by the undeviated state. The base law is stepped once per step
-    on one noise draw, and every deviation window advances beside it, so
-    each margin's standard error comes from paired differences.
-    """
-    if any(player not in (1, 2) for player, _ in deviations):
-        raise ValueError("player must be 1 or 2")
-    sb = GainStepper(base_law, spec, grid)
-    devs = [(player, GainStepper(law, spec, grid))
-            for player, law in deviations]
-    weights = {1: (spec.Q1, spec.R1, spec.H1), 2: (spec.Q2, spec.R2, spec.H2)}
-    gap, d1 = sb.gap, grid.d1
-    dw = draw_increments(grid, n_paths, seed)
-    win_b = initial_window(spec.x0, n_paths, d1)
-    wins = [win_b] * len(devs)     # advance_with never writes in place
-    c_base = {1: np.zeros(n_paths), 2: np.zeros(n_paths)}
-    c_dev = np.zeros((len(devs), n_paths))
-    for k in range(grid.N + 1):
-        u1_b, u2_b = sb.u_levels(k, win_b)
-        for player, own_b in ((1, u1_b), (2, u2_b[gap])):
-            q, r, _ = weights[player]
-            c_base[player] += grid.delta * (_quad(win_b[d1], q)
-                                            + _quad(own_b, r))
-        for i, (player, sd) in enumerate(devs):
-            u1_d, u2_d = sd.u_levels(k, wins[i])
-            if player == 1:
-                u2_d, own_d = u2_b, u1_d
-            else:
-                u1_d, own_d = u1_b, u2_d[gap]
-            q, r, _ = weights[player]
-            c_dev[i] += grid.delta * (_quad(wins[i][d1], q) + _quad(own_d, r))
-            wins[i], _ = sd.advance_with(wins[i], dw[k], u1_d, u2_d)
-        win_b, _ = sb.advance_with(win_b, dw[k], u1_b, u2_b)
-    for player in (1, 2):
-        c_base[player] += _quad(win_b[d1], weights[player][2])
-    for i, (player, _) in enumerate(devs):
-        c_dev[i] += _quad(wins[i][d1], weights[player][2])
-    own_base = np.array([c_base[player] for player, _ in devs])
-    return 0.5 * own_base, 0.5 * c_dev
+    """Each deviating player's per-path costs (D, P) under the base pair and
+    under its ``(player, dev_law)`` deviation, from one paired rollout on
+    one noise draw, so each margin's standard error comes from paired
+    differences."""
+    return paired_costs(PairedStepper(base_law, deviations, spec, grid),
+                        spec, draw_increments(grid, n_paths, seed))
 
 
 @dataclass(frozen=True)
@@ -349,15 +374,14 @@ class CostEstimate:
 
 def estimate_costs(traj: Trajectory, spec: GameSpec) -> CostEstimate:
     """Monte Carlo mean and standard error of both players' costs."""
-    c1, c2 = path_costs(traj, spec)
     n_paths = traj.n_paths
-    if n_paths >= 2:
-        se1 = float(np.std(c1, ddof=1) / np.sqrt(n_paths))
-        se2 = float(np.std(c2, ddof=1) / np.sqrt(n_paths))
-    else:
-        se1 = se2 = None
-    return CostEstimate(j1=float(np.mean(c1)), j1_se=se1,
-                        j2=float(np.mean(c2)), j2_se=se2,
+
+    def mean_se(c):
+        return float(np.mean(c)), (float(np.std(c, ddof=1) / np.sqrt(n_paths))
+                                   if n_paths >= 2 else None)
+
+    (j1, j1_se), (j2, j2_se) = map(mean_se, path_costs(traj, spec))
+    return CostEstimate(j1=j1, j1_se=j1_se, j2=j2, j2_se=j2_se,
                         n_paths=n_paths, seed=traj.seed)
 
 
@@ -377,28 +401,15 @@ def perturb_control(base: FeedbackLaw, player: int, kind: str,
         raise ValueError("player must be 1 or 2")
     if kind not in PERTURBATION_KINDS:
         raise ValueError(f"unknown perturbation kind {kind!r}")
-    law = replace(
-        base,
-        k1=base.k1.copy(), k2_h1=base.k2_h1.copy(),
-        k2_kernel=base.k2_kernel.copy(), k2_h2=base.k2_h2.copy(),
-        offset1=base.offset1.copy(), offset2=base.offset2.copy(),
-    )
-    t = law.t_samples
-    t_hi = t[-1]
-    if kind == "constant_shift":
-        mask = np.ones_like(t, dtype=bool)
-    elif kind == "time_bump":
-        mask = (t >= 0.4 * t_hi) & (t <= 0.6 * t_hi)
+    law = replace(base, **{name: getattr(base, name).copy() for name in (
+        "k1", "k2_h1", "k2_kernel", "k2_h2", "offset1", "offset2")})
     if kind == "gain_scale":
-        if player == 1:
-            law.k1 *= magnitude
-        else:
-            law.k2_h1 *= magnitude
-            law.k2_kernel *= magnitude
-            law.k2_h2 *= magnitude
+        for gain in ((law.k1,) if player == 1
+                     else (law.k2_h1, law.k2_kernel, law.k2_h2)):
+            gain *= magnitude
     else:
-        if player == 1:
-            law.offset1[mask] += magnitude
-        else:
-            law.offset2[mask] += magnitude
+        t = law.t_samples
+        mask = ((t >= 0.4 * t[-1]) & (t <= 0.6 * t[-1])
+                if kind == "time_bump" else slice(None))
+        (law.offset1 if player == 1 else law.offset2)[mask] += magnitude
     return law

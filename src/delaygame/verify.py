@@ -12,7 +12,7 @@ principles, independent of the production sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import replace as dc_replace
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .gains import FeedbackLaw, assemble_gains
 from .continuous_limit import extract_fields
 from .model import GameSpec, Grid, build_grid
 from .reports import DeviationVerdict, ResidualComponent, ResidualReport
-from .simulator import (GainStepper, LadderStepper, Trajectory,
-                        draw_increments, paired_deviation_costs,
+from .simulator import (GainStepper, LadderStepper, PairedStepper, Trajectory,
+                        draw_increments, paired_costs, paired_deviation_costs,
                         perturb_control, rollout, simulate_path_gains,
                         simulate_path_ladder)
 
@@ -72,11 +72,8 @@ def costate_reconstruct(ladder: RiccatiLadder, trajectory: Trajectory):
 
 def _test_variables(win: np.ndarray, up_to: int) -> np.ndarray:
     """Constant plus window components up to the given index: (P, nz)."""
-    n_paths = win.shape[1]
-    cols = [np.ones((n_paths, 1))]
-    for i in range(up_to + 1):
-        cols.append(win[i])
-    return np.concatenate(cols, axis=1)
+    return np.concatenate([np.ones((win.shape[1], 1)), *win[:up_to + 1]],
+                          axis=1)
 
 
 def _projection_stats(res: np.ndarray, Z: np.ndarray):
@@ -94,22 +91,18 @@ def _projection_report(name: str, rows, grid: Grid,
     """Per-step ``(k, raw, se, net)`` projection rows as a report; steps
     below d1 are provisional and do not gate."""
     ks, raws, ses, nets = np.asarray(rows).T
-    provisional = ks < grid.d1
-    band = np.full(nets[~provisional].shape, band_c * grid.delta)
-    return ResidualReport(
-        name=name,
-        components=[
-            ResidualComponent("projection_net", ks[~provisional],
-                              np.maximum(nets[~provisional], 0.0), band=band),
-            ResidualComponent("projection_raw", ks[~provisional],
-                              raws[~provisional], gating=False),
-            ResidualComponent("projection_se", ks[~provisional],
-                              ses[~provisional], gating=False),
-            ResidualComponent("projection_provisional", ks[provisional],
-                              raws[provisional], gating=False),
-        ],
-        tolerance=0.0,
-    )
+    prov = ks < grid.d1
+    gate = ~prov
+    band = np.full(nets[gate].shape, band_c * grid.delta)
+    return ResidualReport(name=name, tolerance=0.0, components=[
+        ResidualComponent("projection_net", ks[gate],
+                          np.maximum(nets[gate], 0.0), band=band),
+        ResidualComponent("projection_raw", ks[gate], raws[gate],
+                          gating=False),
+        ResidualComponent("projection_se", ks[gate], ses[gate], gating=False),
+        ResidualComponent("projection_provisional", ks[prov], raws[prov],
+                          gating=False),
+    ])
 
 
 def fbsde_residual_test(ladder: RiccatiLadder, spec: GameSpec, grid: Grid,
@@ -126,10 +119,6 @@ def fbsde_residual_test(ladder: RiccatiLadder, spec: GameSpec, grid: Grid,
     """
     stepper = LadderStepper(ladder)
     dw = draw_increments(grid, n_paths, seed)
-    q_mats = (np.asarray(spec.Q1, dtype=float), np.asarray(spec.Q2, dtype=float))
-    a_hat = ladder.a_mat[0]
-    a_bar = spec.Abar
-
     rows = []    # (k, raw, se, net)
     p_prev = None
     for k, win, _, _, win_next, _ in rollout(stepper, spec.x0, dw):
@@ -138,16 +127,33 @@ def fbsde_residual_test(ladder: RiccatiLadder, spec: GameSpec, grid: Grid,
         p_k = _pathwise_costate(ladder, k, win_next)
         if p_prev is not None:
             raw = se = net = 0.0
-            for i in range(2):
-                transported = (p_k[i] @ a_hat
-                               + dw[k][:, None] * (p_k[i] @ a_bar))
+            for i, q_mat in enumerate((spec.Q1, spec.Q2)):
+                transported = (p_k[i] @ ladder.a_mat[0]
+                               + dw[k][:, None] * (p_k[i] @ spec.Abar))
                 res = (p_prev[i] - transported
-                       - grid.delta * (x_k @ q_mats[i].T))
+                       - grid.delta * (x_k @ q_mat.T))
                 r, s, nt = _projection_stats(res, Z)
                 raw, se, net = max(raw, r), max(se, s), max(net, nt)
             rows.append((k, raw, se, net))
         p_prev = p_k
     return _projection_report("fbsde-martingale", rows, grid, band_c)
+
+
+def _stationarity_row(ladder: RiccatiLadder, spec: GameSpec, k: int,
+                      win: np.ndarray, u, win_next: np.ndarray,
+                      diff_k: np.ndarray):
+    """Step k's worst ``(k, raw, se, net)`` projection of both players'
+    first-order-condition residuals; ``u`` holds the realized controls."""
+    p_k = _pathwise_costate(ladder, k, win_next)
+    raw = se = net = 0.0
+    for i, (r_mat, b_mat, bbar_mat, z_upto) in enumerate((
+            (spec.R1, spec.B1, spec.B1bar, 1),
+            (spec.R2, spec.B2, spec.B2bar, ladder.gap + 1))):
+        q_ik = diff_k @ ladder.phat[k + 1, i].T
+        res = u[i] @ r_mat + p_k[i] @ b_mat + q_ik @ bbar_mat
+        r, s, nt = _projection_stats(res, _test_variables(win, z_upto))
+        raw, se, net = max(raw, r), max(se, s), max(net, nt)
+    return k, raw, se, net
 
 
 def stationarity_residual_test(ladder: RiccatiLadder, law: FeedbackLaw | None,
@@ -164,23 +170,9 @@ def stationarity_residual_test(ladder: RiccatiLadder, law: FeedbackLaw | None,
     """
     stepper = (GainStepper(law, spec, grid) if law is not None
                else LadderStepper(ladder))
-    dw = draw_increments(grid, n_paths, seed)
-    gap = grid.d1 - grid.d2
-    r_mats = (spec.R1, spec.R2)
-    b_mats = (spec.B1, spec.B2)
-    bbar_mats = (spec.B1bar, spec.B2bar)
-    z_upto = (1, gap + 1)
-
-    rows = []
-    for k, win, *u, win_next, diff_k in rollout(stepper, spec.x0, dw):
-        p_k = _pathwise_costate(ladder, k, win_next)
-        raw = se = net = 0.0
-        for i in range(2):
-            q_ik = diff_k @ ladder.phat[k + 1, i].T
-            res = u[i] @ r_mats[i] + p_k[i] @ b_mats[i] + q_ik @ bbar_mats[i]
-            r, s, nt = _projection_stats(res, _test_variables(win, z_upto[i]))
-            raw, se, net = max(raw, r), max(se, s), max(net, nt)
-        rows.append((k, raw, se, net))
+    rows = [_stationarity_row(ladder, spec, k, win, u, win_next, diff_k)
+            for k, win, *u, win_next, diff_k
+            in rollout(stepper, spec.x0, draw_increments(grid, n_paths, seed))]
     return _projection_report("stationarity-projection", rows, grid, band_c)
 
 
@@ -188,6 +180,9 @@ DEFAULT_DEVIATIONS = (
     ("constant_shift", 0.1), ("constant_shift", -0.1),
     ("gain_scale", 0.9), ("gain_scale", 1.1), ("time_bump", 0.1),
 )
+# the default family: every DEFAULT_DEVIATIONS entry for both players
+DEVIATION_FAMILY = tuple((player, kind, mag) for player in (1, 2)
+                         for kind, mag in DEFAULT_DEVIATIONS)
 
 
 def implied_law(ladder: RiccatiLadder, spec: GameSpec) -> FeedbackLaw:
@@ -198,21 +193,16 @@ def implied_law(ladder: RiccatiLadder, spec: GameSpec) -> FeedbackLaw:
     the trapezoid recombines them unchanged). Useful as the discrete-level
     equilibrium reference in deviation tests.
     """
-    grid = ladder.grid
-    gap = ladder.gap
-    n = ladder.n
-    n_t = grid.N + 2
-    d1c, d2c = spec.d1c, spec.d2c
+    grid, gap, n = ladder.grid, ladder.gap, ladder.n
+    n_t, d1c, d2c = grid.N + 2, spec.d1c, spec.d2c
     law = FeedbackLaw(
         t_samples=grid.times(),
         theta_kernel=grid.delta * np.arange(gap + 1),
         rt1=np.broadcast_to(spec.R1, (n_t, d1c, d1c)).copy(),
         rt2=np.broadcast_to(spec.R2, (n_t, d2c, d2c)).copy(),
-        o1=np.zeros((n_t, d1c, n)),
-        k1=np.zeros((n_t, d1c, n)),
-        k2_h1=np.zeros((n_t, d2c, n)),
+        o1=np.zeros((n_t, d1c, n)), k1=np.zeros((n_t, d1c, n)),
+        k2_h1=np.zeros((n_t, d2c, n)), k2_h2=np.zeros((n_t, d2c, n)),
         k2_kernel=np.zeros((n_t, gap + 1, d2c, n)),
-        k2_h2=np.zeros((n_t, d2c, n)),
         provisional=np.arange(n_t) < grid.d1,
     )
     weights = law.kernel_weights(grid.delta)
@@ -228,6 +218,21 @@ def implied_law(ladder: RiccatiLadder, spec: GameSpec) -> FeedbackLaw:
     return law
 
 
+def _deviation_laws(law: FeedbackLaw, deviations):
+    return [(player, perturb_control(law, player, kind, mag))
+            for player, kind, mag in deviations]
+
+
+def _verdicts(deviations, own_base, own_dev) -> list[DeviationVerdict]:
+    def mean_se(c):
+        return float(np.mean(c)), float(np.std(c, ddof=1) / np.sqrt(len(c)))
+
+    return [DeviationVerdict(player, f"{kind} {mag:+g}", *mean_se(base),
+                             *mean_se(dev), *mean_se(dev - base))
+            for (player, kind, mag), base, dev
+            in zip(deviations, own_base, own_dev)]
+
+
 def nash_deviation_test(law: FeedbackLaw, spec: GameSpec, grid: Grid,
                         n_paths: int, deviations=None,
                         seed: int = 0) -> list[DeviationVerdict]:
@@ -238,50 +243,42 @@ def nash_deviation_test(law: FeedbackLaw, spec: GameSpec, grid: Grid,
     margin's standard error comes from the paired per-path differences.
     """
     if deviations is None:
-        deviations = [(player, kind, mag) for player in (1, 2)
-                      for kind, mag in DEFAULT_DEVIATIONS]
-    dev_laws = [(player, perturb_control(law, player, kind, mag))
-                for player, kind, mag in deviations]
-    own_base, own_dev = paired_deviation_costs(law, dev_laws, spec, grid,
-                                               n_paths, seed)
-    verdicts = []
-    for (player, kind, mag), base, dev in zip(deviations, own_base, own_dev):
-        paired = dev - base
-        verdicts.append(DeviationVerdict(
-            player=player,
-            description=f"{kind} {mag:+g}",
-            j_base=float(np.mean(base)),
-            se_base=float(np.std(base, ddof=1) / np.sqrt(n_paths)),
-            j_dev=float(np.mean(dev)),
-            se_dev=float(np.std(dev, ddof=1) / np.sqrt(n_paths)),
-            margin=float(np.mean(paired)),
-            combined_se=float(np.std(paired, ddof=1) / np.sqrt(n_paths)),
-        ))
-    return verdicts
+        deviations = DEVIATION_FAMILY
+    return _verdicts(deviations, *paired_deviation_costs(
+        law, _deviation_laws(law, deviations), spec, grid, n_paths, seed))
+
+
+def paired_law_checks(ladder: RiccatiLadder, law: FeedbackLaw,
+                      spec: GameSpec, grid: Grid, n_paths: int, seed: int):
+    """``stationarity_residual_test(ladder, law, ...)`` and
+    ``nash_deviation_test`` on the same seed from one paired rollout: the
+    stationarity rows read the base slot, the own costs every slot."""
+    rows = []
+
+    def observe(k, win, u1, u2, win_next, diff):
+        rows.append(_stationarity_row(ladder, spec, k, win[0], (u1[0], u2[0]),
+                                      win_next[0], diff[0]))
+
+    stepper = PairedStepper(law, _deviation_laws(law, DEVIATION_FAMILY),
+                            spec, grid)
+    own = paired_costs(stepper, spec, draw_increments(grid, n_paths, seed),
+                       observe)
+    return (_projection_report("stationarity-projection", rows, grid,
+                               STATIONARITY_BAND_C),
+            _verdicts(DEVIATION_FAMILY, *own))
 
 
 # ---------------------------------------------------------------------------
 # reduction oracles, implemented independently of the production sweep
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OneDelayLadder:
-    """Single-controller, single-delay backward recursion (no second lag
-    family), written straight from the one-delay system."""
-
-    P: list[np.ndarray]          # index k = 0..N+1
-    lag: list[np.ndarray]        # (d+1, n, n) per k
-
-
 def one_delay_sweep(A, Abar, B, Bbar, Q, R, H, delta: float, d: int,
-                    N: int) -> OneDelayLadder:
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    Abar = np.atleast_2d(np.asarray(Abar, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    Bbar = np.atleast_2d(np.asarray(Bbar, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    H = np.atleast_2d(np.asarray(H, dtype=float))
+                    N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Single-controller, single-delay backward recursion (no second lag
+    family), written straight from the one-delay system: the state layers
+    P (N+2, n, n) and the lag layers (N+2, d+1, n, n), index k = 0..N+1."""
+    A, Abar, B, Bbar, Q, R, H = (np.atleast_2d(np.asarray(m, dtype=float))
+                                 for m in (A, Abar, B, Bbar, Q, R, H))
     n = A.shape[0]
     Ri = np.linalg.inv(R)
     b11 = -B @ Ri @ B.T
@@ -290,10 +287,8 @@ def one_delay_sweep(A, Abar, B, Bbar, Q, R, H, delta: float, d: int,
     bb21 = -Bbar @ Ri @ Bbar.T
     a_hat = np.eye(n) + delta * A
 
-    P = [None] * (N + 2)
-    lag = [None] * (N + 2)
-    P[N + 1] = H.copy()
-    lag[N + 1] = np.zeros((d + 1, n, n))
+    P, lag = [None] * (N + 2), [None] * (N + 2)
+    P[N + 1], lag[N + 1] = H.copy(), np.zeros((d + 1, n, n))
     for k in range(N, -1, -1):
         Pn = P[k + 1]
         Sn = Pn + lag[k + 1].sum(axis=0)
@@ -310,7 +305,7 @@ def one_delay_sweep(A, Abar, B, Bbar, Q, R, H, delta: float, d: int,
         for m in range(1, d + 1):
             lk[m] = a_hat.T @ lag[k + 1][m - 1] @ a_hat
         P[k], lag[k] = Pk, lk
-    return OneDelayLadder(P=P, lag=lag)
+    return np.array(P), np.array(lag)
 
 
 def single_player_reduction_gap(ladder: RiccatiLadder, spec: GameSpec) -> float:
@@ -318,12 +313,11 @@ def single_player_reduction_gap(ladder: RiccatiLadder, spec: GameSpec) -> float:
     sweep (second player costless and uncontrolled) and the one-delay
     oracle on the same data."""
     grid = ladder.grid
-    oracle = one_delay_sweep(spec.A, spec.Abar, spec.B1, spec.B1bar,
+    P, lag = one_delay_sweep(spec.A, spec.Abar, spec.B1, spec.B1bar,
                              spec.Q1, spec.R1, spec.H1,
                              grid.delta, grid.d1, grid.N)
-    return max(float(np.max(np.abs(ladder.phat[:, 0] - np.array(oracle.P)))),
-               float(np.max(np.abs(ladder.phat_lag[:, 0]
-                                   - np.array(oracle.lag)))),
+    return max(float(np.max(np.abs(ladder.phat[:, 0] - P))),
+               float(np.max(np.abs(ladder.phat_lag[:, 0] - lag))),
                float(np.max(np.abs(ladder.phat[:, 1]))),
                float(np.max(np.abs(ladder.ccheck_lag))))
 
@@ -385,9 +379,8 @@ def no_delay_oracle(spec: GameSpec, deltas) -> ResidualReport:
         law = assemble_gains(extract_fields(ladder), tiny)
         k1_eff, k2_eff = effective_gains(law, grid.delta)
         t, K1c, K2c = classical_game_gains(spec, grid.N + 1)
-        gap = max(float(np.max(np.abs(k1_eff - K1c))),
-                  float(np.max(np.abs(k2_eff - K2c))))
-        gaps.append(gap)
+        gaps.append(max(float(np.max(np.abs(k1_eff - K1c))),
+                        float(np.max(np.abs(k2_eff - K2c)))))
     return ResidualReport(
         name="no-delay-reduction",
         components=[ResidualComponent("gain_gap", np.asarray(deltas, dtype=float),

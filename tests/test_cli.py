@@ -1,9 +1,12 @@
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from delaygame import save_problem
+from delaygame import build_grid, save_problem
 from delaygame.cli import main
 from conftest import golden_scalar_spec, wide_delay_spec, zero_cost_spec
 
@@ -191,6 +194,36 @@ class TestVerify:
         assert code == 0
         assert len(calls) == halvings + 1
 
+    def test_one_rollout_per_stepper(self, wide_problem, tmp_path,
+                                     monkeypatch):
+        # one paired pass serves the stationarity projection and the
+        # deviation costs, so the base law steps once over the (paths,
+        # seed) block; the backward-equation projection draws that block
+        # again for the ladder stepper, and the cross-representation check
+        # draws its own 256-path block for each simulator
+        from delaygame import cli, simulator, verify
+        draws, laws, steps = [], [], []
+        for module in (simulator, verify):
+            monkeypatch.setattr(
+                module, "draw_increments",
+                lambda grid, n, seed, f=module.draw_increments:
+                draws.append((n, seed)) or f(grid, n, seed))
+        assemble = cli.assemble_gains
+        monkeypatch.setattr(cli, "assemble_gains",
+                            lambda *a: laws.append(assemble(*a)) or laws[-1])
+        u_levels = simulator.GainStepper.u_levels
+        monkeypatch.setattr(
+            simulator.GainStepper, "u_levels",
+            lambda self, k, win: steps.append((self.law, win.shape[1]))
+            or u_levels(self, k, win))
+        main(["verify", "--problem", str(wide_problem), "--delta", "0.05",
+              "--paths", "300", "--seed", "3", "--halvings", "0",
+              "--out", str(tmp_path / "v")])
+        (law,) = laws
+        n_steps = build_grid(wide_delay_spec(), 0.05).N + 1
+        assert sum(lw is law and p == 300 for lw, p in steps) == n_steps
+        assert sorted(draws) == [(256, 3), (256, 3), (300, 3), (300, 3)]
+
     @pytest.mark.parametrize("halvings,skipped", [
         (0, ["riccati_ode_trend", "semigroup_trend", "z_factor_convergence"]),
         (1, ["z_factor_convergence"]),
@@ -257,3 +290,22 @@ class TestConvergence:
                 if "no_delay_gain_gap" in r]
         assert len(gaps) == 2
         assert gaps[1] < gaps[0]
+
+
+def test_benchmark_hooks_resolve():
+    # perfbench/spans.py patches these names before every traced run and
+    # perfbench/worker.py calls the two cli names; a rename would otherwise
+    # show only as a crash of the traced benchmark
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    names = ([(module, attr) for module, attr, *_ in spans.SPANNED]
+             + [(module, attr) for module, attr, *_ in spans.COUNTED]
+             + [("delaygame.exports", attr) for attr in spans.EXPORTS]
+             + list(spans.DRAWS)
+             + [("delaygame.cli", "build_grid"),
+                ("delaygame.cli", "load_problem")])
+    missing = [f"{module}.{attr}" for module, attr in names
+               if not hasattr(importlib.import_module(module), attr)]
+    assert not missing

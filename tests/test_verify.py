@@ -193,6 +193,54 @@ class TestNashDeviation:
         assert verdicts[0].passed
 
 
+class TestPairedLawChecks:
+    def test_matches_stand_alone_checks(self, wide_case):
+        # the one paired pass gives the stand-alone stationarity projection
+        # and deviation verdicts exactly
+        spec, grid, ladder, law = wide_case
+        rep, verdicts = vfy.paired_law_checks(ladder, law, spec, grid, 400, 8)
+        alone = vfy.stationarity_residual_test(ladder, law, spec, grid, 400, 8)
+        for a, b in zip(rep.components, alone.components):
+            assert a.name == b.name
+            np.testing.assert_array_equal(a.coord, b.coord)
+            np.testing.assert_array_equal(a.value, b.value)
+        assert verdicts == vfy.nash_deviation_test(law, spec, grid, 400, seed=8)
+
+
+class TestMatrixDeviationCase:
+    """The n = 2 problem at delta 0.05 (lag gap 3), 1,000 paths, seed 5."""
+
+    @staticmethod
+    def _gain_scale_p1(verdicts):
+        (v,) = [v for v in verdicts
+                if v.player == 1 and v.description == "gain_scale +0.9"]
+        return v
+
+    def test_implied_law_lines_pass(self, matrix_case):
+        # the discrete equilibrium the sweep solved: only noise may excuse
+        # a deviation line here
+        spec, grid, ladder = matrix_case
+        verdicts = vfy.nash_deviation_test(vfy.implied_law(ladder, spec),
+                                           spec, grid, 1000, seed=5)
+        assert len(verdicts) == 10
+        assert all(v.passed for v in verdicts), \
+            [str(v) for v in verdicts if not v.passed]
+        assert self._gain_scale_p1(verdicts).margin == \
+            pytest.approx(9.64e-4, rel=1e-3)
+
+    def test_assembled_law_gain_scale_verdict(self, matrix_case):
+        # the assembled continuous-limit law carries a first-order bias at
+        # this coarse step: scaling player 1's gain by 0.9 lowers its own
+        # cost beyond the -3 se bound (recorded verdict: FAIL)
+        spec, grid, ladder = matrix_case
+        law = assemble_gains(extract_fields(ladder), spec)
+        v = self._gain_scale_p1(vfy.nash_deviation_test(law, spec, grid,
+                                                        1000, seed=5))
+        assert v.margin == pytest.approx(-1.048e-3, rel=1e-3)
+        assert -3.0 * v.combined_se == pytest.approx(-4.58e-4, rel=1e-3)
+        assert not v.passed
+
+
 class TestImpliedLaw:
     def test_reproduces_ladder_paths_exactly(self, wide_case):
         spec, grid, ladder, law = wide_case
