@@ -21,7 +21,7 @@ from .continuous_limit import (continuous_residuals, extract_fields,
                                invertibility_rcond)
 from .discrete_engine import SweepCoefficients, backward_sweep
 from .errors import DelayGameError, IncommensurateDelays, SingularGamma
-from .gains import assemble_gains, stationarity_identity_check
+from .gains import IDENTITY_TOL, assemble_gains, stationarity_identity_check
 from .model import build_grid, load_problem, validate
 from .simulator import estimate_costs, simulate_path_gains
 from . import verify as vfy
@@ -203,6 +203,8 @@ def cmd_verify(config: RunConfig) -> int:
     def add(name, statistic, bound, ok, skipped=None):
         """Record one check; ``skipped`` gives the reason a check compared
         nothing (it then counts as a pass with statistic 0)."""
+        if skipped:
+            statistic, ok = 0.0, True
         records.append({"name": name, "statistic": float(statistic),
                         "bound": float(bound), "pass": bool(ok),
                         "evaluated": skipped is None})
@@ -227,7 +229,7 @@ def cmd_verify(config: RunConfig) -> int:
     add("lag_truncation", trunc, 0.0, trunc == 0.0)
 
     ident = stationarity_identity_check(law, fields, spec)
-    add("gain_stationarity_identity", ident.max, 1e-10, ident.max <= 1e-10)
+    add("gain_stationarity_identity", ident.max, ident.tolerance, ident.passed)
 
     rep = vfy.fbsde_residual_test(ladder, spec, grid, config.n_paths,
                                   config.seed)
@@ -267,9 +269,12 @@ def cmd_verify(config: RunConfig) -> int:
             ("semigroup_trend", semi_series, 0.95, "needs --halvings >= 1"),
             ("z_factor_convergence", zdist, 0.7,
              "fewer than two grids with coupling factors")):
+        # a ratio of round-off noise shows no trend
+        skipped = (why if len(series) < 2
+                   else f"every residual <= {IDENTITY_TOL:g}"
+                   if max(series) <= IDENTITY_TOL else None)
         ratio = _trend_ratio(series)
-        add(name, ratio, bound, ratio <= bound,
-            skipped=why if len(series) < 2 else None)
+        add(name, ratio, bound, ratio <= bound, skipped=skipped)
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
     exports.export_verification_report(records,

@@ -91,23 +91,22 @@ def extract_fields(ladder: RiccatiLadder) -> RiccatiFields:
                          ccheck=ccheck, shat=shat, scheck=scheck)
 
 
+def _absmax(res: np.ndarray) -> np.ndarray:
+    """Largest entry magnitude of each matrix in a stack: (..., r, c) -> (...)."""
+    return np.max(np.abs(res), axis=(-2, -1))
+
+
 def invertibility_rcond(fields: RiccatiFields, coeffs: SweepCoefficients):
     """Reciprocal condition numbers of the two closure matrices per sample."""
     r = coeffs.reduced
-    n = fields.n
-    eye = np.eye(n)
-    out = {"joint": np.zeros(len(fields.t)), "second": np.zeros(len(fields.t))}
-    for k in range(len(fields.t)):
-        joint = eye - r.Bbar21 @ fields.P[0, k] - r.Bbar22 @ fields.P[1, k]
-        second = eye - r.Bbar22 @ fields.P[1, k]
-        for name, M in (("joint", joint), ("second", second)):
-            out[name][k] = _rcond(M)
-    return out
+    eye = np.eye(fields.n)
+    P1, P2 = fields.P
+    return {"joint": _rcond(eye - r.Bbar21 @ P1 - r.Bbar22 @ P2),
+            "second": _rcond(eye - r.Bbar22 @ P2)}
 
 
 def continuous_residuals(fields: RiccatiFields, coeffs: SweepCoefficients,
-                         Q1: np.ndarray, Q2: np.ndarray,
-                         tolerance: float | None = None) -> ResidualReport:
+                         Q1: np.ndarray, Q2: np.ndarray) -> ResidualReport:
     """Residuals of the limiting equation system on the extracted fields.
 
     Components: the backward ODE of the state coefficient (first-order
@@ -115,115 +114,82 @@ def continuous_residuals(fields: RiccatiFields, coeffs: SweepCoefficients,
     transport equation on its coupled and free branches, and the
     semigroup identity of the second kernel (matrix exponential by
     scaling and squaring). The terminal sample is excluded from the
-    boundary checks: the kernels jump to zero at the horizon.
+    boundary checks: the kernels jump to zero at the horizon. Every
+    component is the worst over both players; the report has no
+    tolerance and does not gate.
     """
     grid = fields.grid
-    n = fields.n
     d1, d2 = grid.d1, grid.d2
     gap = d1 - d2
     delta = grid.delta
     A, Abar = coeffs.A, coeffs.Abar
     r = coeffs.reduced
-    q_mats = (np.asarray(Q1, dtype=float), np.asarray(Q2, dtype=float))
-    eye = np.eye(n)
+    q_mats = np.array([Q1, Q2], dtype=float)[:, None]
+    eye = np.eye(fields.n)
     n_t = len(fields.t)
+    P, phat, shat = fields.P, fields.phat, fields.shat
 
-    def absmax(res):
-        # res: (..., samples, n, n) -> per-sample max over matrix entries
-        return np.max(np.abs(res), axis=(-2, -1))
+    # backward ODE of the state coefficient
+    Pk = P[:, 1:]
+    rhs = (A.T @ Pk + Pk @ A + Abar.T @ Pk @ Abar + q_mats
+           + phat[:, 1:, d1] + fields.ccheck[:, 1:, d2])
+    ode_v = _absmax((P[:, :-1] - Pk) / delta - rhs).max(axis=0)
 
-    # backward ODE of the state coefficient, batched over samples
-    ode_v = np.zeros(n_t - 1)
-    for i in range(2):
-        Pk = fields.P[i, 1:]
-        rhs = (A.T @ Pk + Pk @ A + Abar.T @ Pk @ Abar + q_mats[i]
-               + fields.phat[i, 1:, d1] + fields.ccheck[i, 1:, d2])
-        res = (fields.P[i, :-1] - Pk) / delta - rhs
-        ode_v = np.maximum(ode_v, absmax(res))
-    ode_t = fields.t[1:]
-
-    # batched closure inverses
-    inv2_all = np.linalg.inv(eye - r.Bbar22 @ fields.P[1])
-    invj_all = np.linalg.inv(eye - r.Bbar21 @ fields.P[0]
-                             - r.Bbar22 @ fields.P[1])
+    inv2_all = np.linalg.inv(eye - r.Bbar22 @ P[1])
 
     # theta = 0 boundary identities (terminal sample excluded)
     sl = slice(0, n_t - 1)
-    P1, P2 = fields.P[0, sl], fields.P[1, sl]
-    inv2, invj = inv2_all[sl], invj_all[sl]
-    S1, S2 = fields.shat[0, sl], fields.shat[1, sl]
-    S2c = fields.scheck[1, sl]
-    mix = invj @ (r.Bbar11 @ S1 + r.Bbar12 @ S2 + Abar)
-    bh_v = np.zeros(n_t - 1)
-    bc_v = np.zeros(n_t - 1)
-    for i in range(2):
-        Si, Sic = fields.shat[i, sl], fields.scheck[i, sl]
-        Pi = fields.P[i, sl]
-        rhs_h = ((Si @ r.B11 + Abar.T @ Pi @ r.Bbar11) @ S1
-                 + (Si @ r.B21 + Abar.T @ Pi @ r.Bbar21) @ P1 @ mix
-                 + (Si @ r.B22 + Abar.T @ Pi @ r.Bbar22) @ P2 @ inv2
-                 @ (r.Bbar11 @ S1 + r.Bbar21 @ P1 @ mix))
-        bh_v = np.maximum(bh_v, absmax(fields.phat[i, sl, 0] - rhs_h))
-        rhs_c = ((Sic @ r.B12 + Abar.T @ Pi @ r.Bbar12) @ S2c
-                 + (Sic @ r.B22 + Abar.T @ Pi @ r.Bbar22) @ P2 @ inv2
-                 @ (r.Bbar12 @ S2c + Abar))
-        bc_v = np.maximum(bc_v, absmax(fields.ccheck[i, sl, 0] - rhs_c))
-    bh_t = bc_t = fields.t[sl]
+    P1, P2 = P[0, sl], P[1, sl]
+    inv2 = inv2_all[sl]
+    S1, S2c = shat[0, sl], fields.scheck[1, sl]
+    mix = (np.linalg.inv(eye - r.Bbar21 @ P1 - r.Bbar22 @ P2)
+           @ (r.Bbar11 @ S1 + r.Bbar12 @ shat[1, sl] + Abar))
+    Si, Sic, Pi = shat[:, sl], fields.scheck[:, sl], P[:, sl]
+    rhs_h = ((Si @ r.B11 + Abar.T @ Pi @ r.Bbar11) @ S1
+             + (Si @ r.B21 + Abar.T @ Pi @ r.Bbar21) @ P1 @ mix
+             + (Si @ r.B22 + Abar.T @ Pi @ r.Bbar22) @ P2 @ inv2
+             @ (r.Bbar11 @ S1 + r.Bbar21 @ P1 @ mix))
+    bh_v = _absmax(phat[:, sl, 0] - rhs_h).max(axis=0)
+    rhs_c = ((Sic @ r.B12 + Abar.T @ Pi @ r.Bbar12) @ S2c
+             + (Sic @ r.B22 + Abar.T @ Pi @ r.Bbar22) @ P2 @ inv2
+             @ (r.Bbar12 @ S2c + Abar))
+    bc_v = _absmax(fields.ccheck[:, sl, 0] - rhs_c).max(axis=0)
 
-    # transport equation along fixed forward argument s = t + theta;
-    # all per-sample factors evaluated one step forward in time
+    # transport equation along fixed forward argument s = t + theta, on
+    # lag offsets 1..d1 (axis 2), the first gap-1 of them on the coupled
+    # branch; all per-sample factors evaluated one step forward in time
     nxt = slice(1, n_t)
-    P2n, inv2n = fields.P[1, nxt], inv2_all[nxt]
+    P2n, inv2n = P[1, nxt], inv2_all[nxt]
     S2cn = fields.scheck[1, nxt]
     ker_drift = r.B12 + r.B22 @ P2n @ inv2n @ r.Bbar12
     ker_diff = r.Bbar12 + r.Bbar22 @ P2n @ inv2n @ r.Bbar12
     h_drift = r.B12 @ S2cn + r.B22 @ P2n @ inv2n @ (r.Bbar12 @ S2cn + Abar)
-    tc_v = np.zeros(n_t - 1)
-    tf_v = np.zeros(n_t - 1)
-    any_coupled = gap > 1
-    for j in range(1, d1 + 1):
-        for i in range(2):
-            prev = fields.phat[i, nxt, j - 1]
-            dt_term = (fields.phat[i, :-1, j] - prev) / delta
-            rhs = A.T @ prev + prev @ A
-            if j < gap:
-                Si = fields.shat[i, nxt]
-                Pi = fields.P[i, nxt]
-                ker = fields.phat[1, nxt, j - 1]
-                rhs = (rhs + Si @ ker_drift @ ker
-                       + Abar.T @ Pi @ ker_diff @ ker + prev @ h_drift)
-                tc_v = np.maximum(tc_v, absmax(dt_term - rhs))
-            else:
-                tf_v = np.maximum(tf_v, absmax(dt_term - rhs))
-    tc_t = tf_t = fields.t[:-1]
-    if not any_coupled:
-        tc_t, tc_v = np.zeros(0), np.zeros(0)
+    prev = phat[:, nxt, :d1]
+    dt_term = (phat[:, :-1, 1:] - prev) / delta
+    rhs = A.T @ prev + prev @ A
+    tf_v = _absmax(dt_term[:, :, gap - 1:] - rhs[:, :, gap - 1:]).max(axis=(0, 2))
+    c = slice(0, gap - 1)
+    ker = phat[1, nxt, c]
+    coupled = _absmax(dt_term[:, :, c] - (
+        rhs[:, :, c] + (shat[:, nxt] @ ker_drift)[:, :, None] @ ker
+        + (Abar.T @ P[:, nxt] @ ker_diff)[:, :, None] @ ker
+        + prev[:, :, c] @ h_drift[:, None]))
+    tc_t, tc_v = ((fields.t[:-1], coupled.max(axis=(0, 2))) if gap > 1
+                  else (np.zeros(0), np.zeros(0)))
 
     # semigroup identity of the second kernel
-    sg_t, sg_vals = [], []
+    sg_t, sg_v = [], []
     for j in range(1, d2 + 1):
         exp_a = scipy.linalg.expm(A * (j * delta))
-        span = n_t - j
         ref = exp_a.T @ fields.ccheck[:, j:, 0] @ exp_a
-        res = absmax(fields.ccheck[:, :span, j] - ref).max(axis=0)
-        sg_t.append(fields.t[:span])
-        sg_vals.append(res)
-    sg_t = np.concatenate(sg_t) if sg_t else np.zeros(0)
-    sg_v = np.concatenate(sg_vals) if sg_vals else np.zeros(0)
+        sg_t.append(fields.t[:n_t - j])
+        sg_v.append(_absmax(fields.ccheck[:, :n_t - j, j] - ref).max(axis=0))
 
-    def comp(name, ts, vs):
-        return ResidualComponent(name, np.asarray(ts, dtype=float),
-                                 np.asarray(vs, dtype=float))
-
-    return ResidualReport(
-        name="continuous-system",
-        components=[
-            comp("riccati_ode", ode_t, ode_v),
-            comp("boundary_hat", bh_t, bh_v),
-            comp("boundary_check", bc_t, bc_v),
-            comp("transport_hat_coupled", tc_t, tc_v),
-            comp("transport_hat_free", tf_t, tf_v),
-            comp("semigroup_check", sg_t, sg_v),
-        ],
-        tolerance=tolerance,
-    )
+    return ResidualReport(name="continuous-system", components=[
+        ResidualComponent(name, ts, vs) for name, ts, vs in (
+            ("riccati_ode", fields.t[1:], ode_v),
+            ("boundary_hat", fields.t[sl], bh_v),
+            ("boundary_check", fields.t[sl], bc_v),
+            ("transport_hat_coupled", tc_t, tc_v),
+            ("transport_hat_free", fields.t[:-1], tf_v),
+            ("semigroup_check", np.concatenate(sg_t), np.concatenate(sg_v)))])

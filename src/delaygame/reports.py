@@ -52,8 +52,8 @@ class ResidualReport:
             if not c.gating:
                 continue
             slack = c.value - (c.band if c.band is not None else 0.0)
-            if slack.size:
-                worst = max(worst, float(np.max(slack)))
+            # a NaN residual propagates, so it never passes
+            worst = float(np.max(slack, initial=worst))
         return worst
 
     @property

@@ -18,7 +18,7 @@ import numpy as np
 
 from .discrete_engine import LAYER_FIELDS, RiccatiLadder, solve_ladder
 from .errors import MissingWindow
-from .gains import FeedbackLaw, assemble_gains
+from .gains import FeedbackLaw, assemble_gains, effective_gains
 from .continuous_limit import extract_fields
 from .model import GameSpec, Grid, build_grid
 from .reports import DeviationVerdict, ResidualComponent, ResidualReport
@@ -359,14 +359,6 @@ def classical_game_gains(spec: GameSpec, n_steps: int):
     return t, K1, K2
 
 
-def effective_gains(law: FeedbackLaw, delta: float):
-    """Total state gains when every estimate collapses to the state itself
-    (the deterministic reduction): player 2's three parts aggregate."""
-    w = law.kernel_weights(delta)
-    k2 = law.k2_h1 + law.k2_h2 + np.tensordot(law.k2_kernel, w, axes=(1, 0))
-    return law.k1, k2
-
-
 def no_delay_oracle(spec: GameSpec, deltas) -> ResidualReport:
     """Gap between tiny-delay equilibrium gains and the classical no-delay
     coupled-game gains, per resolution (delays shrink with the step:
@@ -388,10 +380,10 @@ def no_delay_oracle(spec: GameSpec, deltas) -> ResidualReport:
     )
 
 
-def z_factor_distances(ladder: RiccatiLadder,
-                       include_provisional: bool = False) -> float:
-    """Worst distance from identity of the chain's level-coupling factors."""
-    z = ladder.zfactors[0 if include_provisional else ladder.grid.d1:]
+def z_factor_distances(ladder: RiccatiLadder) -> float:
+    """Worst distance from identity of the chain's level-coupling factors
+    past the provisional range."""
+    z = ladder.zfactors[ladder.grid.d1:]
     return float(np.max(np.abs(z - np.eye(z.shape[-1])), initial=0.0))
 
 

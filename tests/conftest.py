@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
-from delaygame import GameSpec, build_grid, solve_ladder
+from delaygame import GameSpec, build_grid, extract_fields, solve_ladder
 
 
 def golden_scalar_spec() -> GameSpec:
@@ -40,6 +42,26 @@ def matrix_spec() -> GameSpec:
                     R2=1.5 * np.eye(2), H1=0.4 * np.eye(2),
                     H2=0.6 * np.eye(2), h1=0.2, h2=0.05, T=1.0,
                     x0=[1.0, -0.5])
+
+
+@functools.lru_cache(maxsize=None)
+def swept(make_spec, delta):
+    """Spec, grid and fields of one sweep, solved once per session."""
+    spec = make_spec()
+    grid = build_grid(spec, delta)
+    return spec, grid, extract_fields(solve_ladder(spec, grid))
+
+
+# grids on which the batched post-sweep routines are compared with the
+# sample-by-sample references: golden at lag gaps 2, 8 and 16, the matrix
+# problem at gaps 3 and 30
+REFERENCE_CASES = pytest.mark.parametrize(
+    "make_spec,delta",
+    [(golden_scalar_spec, 0.005), (golden_scalar_spec, 0.00125),
+     (golden_scalar_spec, 0.000625), (matrix_spec, 0.05),
+     (matrix_spec, 0.005)],
+    ids=["golden-gap2", "golden-gap8", "golden-gap16", "matrix-gap3",
+         "matrix-gap30"])
 
 
 @pytest.fixture(scope="session")

@@ -9,8 +9,11 @@ one (level, source level) pair at a time through explicit inverses. Tests
 compare the two implementations. The reference window steps sum one
 term at a time in a fixed order (state term first, then the levels
 upward), as an exact check on the batched steppers. The reference CSV
-writers at the end format one row at a time through the csv module, as a
-byte-level check on the vectorized exporters.
+writers format one row at a time through the csv module, as a
+byte-level check on the vectorized exporters. The reference gain assembly,
+stationarity identity, closure conditioning and transport residuals at the
+end walk the time samples (and lag offsets) one at a time, as a check on
+the batched post-sweep expressions.
 """
 
 import csv
@@ -460,3 +463,135 @@ def reference_trajectories_csv(traj, grid, path):
                 dw = ""
             rows.append([p, k, repr(float(times[k])), *xs, *u1s, *u2s, dw])
     _reference_write(path, header, rows)
+
+
+# ---------------------------------------------------------------------------
+# reference post-sweep routines: one time sample (and lag offset) at a time
+# ---------------------------------------------------------------------------
+
+def _ref_rcond(M):
+    c = np.linalg.cond(M, 1)
+    return 1.0 / c if np.isfinite(c) and c != 0.0 else 0.0
+
+
+def reference_gains(fields, spec, rcond_min=1e-12):
+    """Gain arrays sample by sample; raises ``ValueError((which, k))`` at
+    the first singular effective weight, second player's first."""
+    grid = fields.grid
+    gap = grid.d1 - grid.d2
+    n_t, n = len(fields.t), fields.n
+    d1c, d2c = spec.d1c, spec.d2c
+    B1, B1b, B2, B2b = spec.B1, spec.B1bar, spec.B2, spec.B2bar
+    out = {"rt1": np.zeros((n_t, d1c, d1c)), "rt2": np.zeros((n_t, d2c, d2c)),
+           "o1": np.zeros((n_t, d1c, n)), "k1": np.zeros((n_t, d1c, n)),
+           "k2_h1": np.zeros((n_t, d2c, n)),
+           "k2_kernel": np.zeros((n_t, gap + 1, d2c, n)),
+           "k2_h2": np.zeros((n_t, d2c, n))}
+    asym, rc2_min, rc1_min = 0.0, 1.0, 1.0
+    for k in range(n_t):
+        P1, P2 = fields.P[0, k], fields.P[1, k]
+        rt2 = spec.R2 + B2b.T @ P2 @ B2b
+        rc2 = _ref_rcond(rt2)
+        rc2_min = min(rc2_min, rc2)
+        if rc2 < rcond_min:
+            raise ValueError("rt2", k)
+        rt2_inv = np.linalg.inv(rt2)
+        cross12 = B1b.T @ P1 @ B2b
+        cross21 = B2b.T @ P2 @ B1b
+        rt1 = spec.R1 + B1b.T @ P1 @ B1b - cross12 @ rt2_inv @ cross21
+        asym = max(asym, float(np.max(np.abs(rt1 - rt1.T))))
+        rc1 = _ref_rcond(rt1)
+        rc1_min = min(rc1_min, rc1)
+        if rc1 < rcond_min:
+            raise ValueError("rt1", k)
+        ker = fields.phat[1, k, :gap + 1]
+        ker_int = np.zeros((n, n))
+        for j in range(gap):
+            ker_int = ker_int + 0.5 * grid.delta * (ker[j] + ker[j + 1])
+        o2 = (B2.T @ fields.scheck[1, k] + B2b.T @ P2 @ spec.Abar
+              + B2.T @ ker_int)
+        o1 = (B1.T @ fields.shat[0, k] + B1b.T @ P1 @ spec.Abar
+              - cross12 @ rt2_inv @ o2)
+        k1 = -np.linalg.solve(rt1, o1)
+        out["rt1"][k], out["rt2"][k], out["o1"][k], out["k1"][k] = \
+            rt1, rt2, o1, k1
+        out["k2_h1"][k] = -rt2_inv @ cross21 @ k1
+        for j in range(gap + 1):
+            out["k2_kernel"][k, j] = -rt2_inv @ (B2.T @ ker[j])
+        out["k2_h2"][k] = -rt2_inv @ (B2.T @ fields.scheck[1, k]
+                                      + B2b.T @ P2 @ spec.Abar)
+    out.update(rt1_asymmetry=asym, rt2_rcond_min=rc2_min,
+               rt1_rcond_min=rc1_min)
+    return out
+
+
+def reference_identity_residuals(law, fields, spec):
+    """Per-sample stationarity residuals of both players, each relative to
+    its control-weight scale."""
+    B1, B1b, B2, B2b = spec.B1, spec.B1bar, spec.B2, spec.B2bar
+    w = law.kernel_weights(fields.delta)
+    scale1 = max(float(np.max(np.abs(spec.R1))), 1.0)
+    scale2 = max(float(np.max(np.abs(spec.R2))), 1.0)
+    r1_v, r2_v = np.zeros(law.n_t), np.zeros(law.n_t)
+    for k in range(law.n_t):
+        P1, P2 = fields.P[0, k], fields.P[1, k]
+        k2_sum = law.k2_h1[k] + law.k2_h2[k]
+        for j in range(law.gap_points):
+            k2_sum = k2_sum + w[j] * law.k2_kernel[k, j]
+        res1 = ((spec.R1 + B1b.T @ P1 @ B1b) @ law.k1[k]
+                + B1.T @ fields.shat[0, k] + B1b.T @ P1 @ spec.Abar
+                + B1b.T @ P1 @ B2b @ k2_sum)
+        r1_v[k] = np.max(np.abs(res1)) / scale1
+        rt2 = law.rt2[k]
+        terms = [rt2 @ law.k2_h1[k] + B2b.T @ P2 @ B1b @ law.k1[k],
+                 rt2 @ law.k2_h2[k] + B2.T @ fields.scheck[1, k]
+                 + B2b.T @ P2 @ spec.Abar]
+        for j in range(law.gap_points):
+            terms.append(rt2 @ law.k2_kernel[k, j]
+                         + B2.T @ fields.phat[1, k, j])
+        r2_v[k] = max(np.max(np.abs(t)) for t in terms) / scale2
+    return r1_v, r2_v
+
+
+def reference_closure_rcond(fields, coeffs):
+    r = coeffs.reduced
+    eye = np.eye(fields.n)
+    out = {"joint": np.zeros(len(fields.t)), "second": np.zeros(len(fields.t))}
+    for k in range(len(fields.t)):
+        P1, P2 = fields.P[0, k], fields.P[1, k]
+        out["joint"][k] = _ref_rcond(eye - r.Bbar21 @ P1 - r.Bbar22 @ P2)
+        out["second"][k] = _ref_rcond(eye - r.Bbar22 @ P2)
+    return out
+
+
+def reference_transport_residuals(fields, coeffs):
+    """Worst transport residual per sample on the coupled (lag offsets
+    below the gap) and free branches, one lag offset and player at a time
+    over the stacked samples."""
+    grid = fields.grid
+    d1, gap, delta = grid.d1, grid.d1 - grid.d2, grid.delta
+    A, Abar, r = coeffs.A, coeffs.Abar, coeffs.reduced
+    n_t = len(fields.t)
+    nxt = slice(1, n_t)
+    P2n = fields.P[1, nxt]
+    inv2n = np.linalg.inv(np.eye(fields.n) - r.Bbar22 @ P2n)
+    S2cn = fields.scheck[1, nxt]
+    ker_drift = r.B12 + r.B22 @ P2n @ inv2n @ r.Bbar12
+    ker_diff = r.Bbar12 + r.Bbar22 @ P2n @ inv2n @ r.Bbar12
+    h_drift = r.B12 @ S2cn + r.B22 @ P2n @ inv2n @ (r.Bbar12 @ S2cn + Abar)
+    coupled, free = np.zeros(n_t - 1), np.zeros(n_t - 1)
+    for j in range(1, d1 + 1):
+        for i in range(2):
+            prev = fields.phat[i, nxt, j - 1]
+            dt_term = (fields.phat[i, :-1, j] - prev) / delta
+            rhs = A.T @ prev + prev @ A
+            if j < gap:
+                ker = fields.phat[1, nxt, j - 1]
+                rhs = (rhs + fields.shat[i, nxt] @ ker_drift @ ker
+                       + Abar.T @ fields.P[i, nxt] @ ker_diff @ ker
+                       + prev @ h_drift)
+                coupled = np.maximum(coupled, np.abs(dt_term - rhs).max(
+                    axis=(1, 2)))
+            else:
+                free = np.maximum(free, np.abs(dt_term - rhs).max(axis=(1, 2)))
+    return (coupled if gap > 1 else np.zeros(0)), free

@@ -250,6 +250,38 @@ class TestVerify:
         assert sorted(line.split(":")[0] for line in lines
                       if "not evaluated (" in line) == skipped
 
+    @staticmethod
+    def _verify_drift_free(tmp_path, *flags):
+        # without drift the backward ODE and the semigroup identity hold to
+        # round-off on every grid, so their halving ratios compare noise
+        from dataclasses import replace
+        path = tmp_path / "drift_free.json"
+        save_problem(replace(golden_scalar_spec(), A=np.zeros((1, 1))), path)
+        out = tmp_path / "v"
+        code = main(["verify", "--problem", str(path), "--delta", "0.005",
+                     "--paths", "200", "--seed", "1", "--out", str(out),
+                     *flags])
+        return code, json.loads((out / "verify_report.json").read_text())
+
+    @pytest.mark.parametrize("halvings", [1, 2])
+    def test_roundoff_trends_not_evaluated(self, tmp_path, capsys, halvings):
+        code, report = self._verify_drift_free(tmp_path, "--halvings",
+                                               str(halvings))
+        assert code == 0
+        trends = ["riccati_ode_trend", "semigroup_trend"]
+        assert [r["name"] for r in report["tests"]
+                if r["name"] in trends and not r["evaluated"]] == trends
+        lines = capsys.readouterr().out.splitlines()
+        assert sorted(line.split(":")[0] for line in lines if
+                      "not evaluated (every residual <= 1e-10)" in line) \
+            == trends
+
+    def test_roundoff_trends_keep_mutation_failing(self, tmp_path):
+        code, report = self._verify_drift_free(
+            tmp_path, "--halvings", "1", "--debug-zero-layer", "50")
+        assert code == 4
+        assert not report["passed"]
+
     def test_mutated_ladder_exit_4(self, tmp_path):
         path = tmp_path / "golden.json"
         save_problem(golden_scalar_spec(), path)

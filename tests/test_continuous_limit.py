@@ -4,7 +4,8 @@ import pytest
 from delaygame import (build_grid, continuous_residuals, extract_fields,
                        invertibility_rcond, solve_ladder)
 from delaygame.discrete_engine import SweepCoefficients
-from conftest import golden_scalar_spec, wide_delay_spec
+import oracles
+from conftest import REFERENCE_CASES, golden_scalar_spec, swept, wide_delay_spec
 
 
 @pytest.fixture(scope="module")
@@ -143,3 +144,25 @@ class TestContinuousResiduals:
         with pytest.raises(KeyError):
             rep.component("nonexistent")
         assert len(rep.components) == 6
+
+
+@REFERENCE_CASES
+class TestMatchesReferenceLoops:
+    def test_closure_rcond(self, make_spec, delta):
+        spec, grid, fields = swept(make_spec, delta)
+        coeffs = SweepCoefficients.from_spec(spec)
+        rc = invertibility_rcond(fields, coeffs)
+        for name, ref in oracles.reference_closure_rcond(fields, coeffs).items():
+            assert rc[name].shape == ref.shape
+            assert np.max(np.abs(rc[name] - ref)) <= 1e-15, name
+
+    def test_transport(self, make_spec, delta):
+        spec, grid, fields = swept(make_spec, delta)
+        coeffs = SweepCoefficients.from_spec(spec)
+        rep = continuous_residuals(fields, coeffs, spec.Q1, spec.Q2)
+        coupled, free = oracles.reference_transport_residuals(fields, coeffs)
+        for name, ref in (("transport_hat_coupled", coupled),
+                          ("transport_hat_free", free)):
+            got = rep.component(name).value
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-15, name

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from delaygame import (SingularGain, assemble_gains, build_grid,
+import oracles
+from delaygame import (GameSpec, SingularGain, assemble_gains, build_grid,
                        extract_fields, solve_ladder,
                        stationarity_identity_check)
-from conftest import wide_delay_spec
+from delaygame.errors import SingularGamma
+from delaygame.gains import IDENTITY_TOL
+from conftest import REFERENCE_CASES, swept, wide_delay_spec
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +94,32 @@ class TestAssembleGains:
         assert err.value.which == "rt2"
         assert err.value.t == pytest.approx(spec.T)
 
+    @pytest.mark.parametrize("doctored,which", [
+        ({"R1": -0.5}, "rt1"),
+        ({"R1": -0.5, "R2": -0.7}, "rt2"),
+    ], ids=["first-weight", "tie"])
+    def test_singular_weight_named_at_first_sample(self, doctored, which):
+        # orthogonal increment maps: B1bar' H1 B2bar = 0, so at T
+        # rt1 = R1 + H1[0, 0] and rt2 = R2 + H2[1, 1]; the doctored
+        # (invalid) weights make one or both vanish there, and at a tie the
+        # second player's weight is named and never inverted
+        eye = np.eye(2)
+        spec = GameSpec(A=0.2 * eye, Abar=0.3 * eye, B1=[[1.0], [0.5]],
+                        B1bar=[[1.0], [0.0]], B2=[[0.5], [0.8]],
+                        B2bar=[[0.0], [1.0]], Q1=eye, Q2=0.8 * eye, R1=1.0,
+                        R2=1.2, H1=0.5 * eye, H2=0.7 * eye, h1=0.2, h2=0.1,
+                        T=1.0, x0=[1.0, -0.5])
+        grid = build_grid(spec, 0.05)
+        fields = extract_fields(solve_ladder(spec, grid))
+        bad = replace(spec, **doctored)
+        with pytest.raises(SingularGain) as err:
+            assemble_gains(fields, bad)
+        assert err.value.which == which
+        assert err.value.t == pytest.approx(spec.T)
+        with pytest.raises(ValueError) as ref:
+            oracles.reference_gains(fields, bad)
+        assert ref.value.args == (which, grid.N + 1)
+
     def test_monotone_gain_pressure(self):
         # doubling the first player's state weight does not reduce its
         # initial gain magnitude (sanity on the golden-style instance)
@@ -128,7 +159,79 @@ class TestStationarityIdentity:
         assert not rep.passed
         assert rep.max >= 1e-3
 
+    def test_nan_residual_fails(self, wide_law):
+        spec, grid, fields, law = wide_law
+        bad = replace(law, k1=np.full_like(law.k1, np.nan))
+        assert not stationarity_identity_check(bad, fields, spec).passed
+
     def test_provisional_range_flagged(self, wide_law):
         spec, grid, fields, law = wide_law
         assert law.provisional[:grid.d1].all()
         assert not law.provisional[grid.d1:].any()
+
+
+@REFERENCE_CASES
+class TestMatchesReferenceLoops:
+    def test_gains(self, make_spec, delta):
+        spec, grid, fields = swept(make_spec, delta)
+        law = assemble_gains(fields, spec)
+        for name, ref in oracles.reference_gains(fields, spec).items():
+            assert np.max(np.abs(getattr(law, name) - ref)) <= 1e-15, name
+
+    def test_stationarity_identity(self, make_spec, delta):
+        spec, grid, fields = swept(make_spec, delta)
+        law = assemble_gains(fields, spec)
+        rep = stationarity_identity_check(law, fields, spec)
+        r1, r2 = oracles.reference_identity_residuals(law, fields, spec)
+        assert np.max(np.abs(rep.component("player1").value - r1)) <= 1e-15
+        assert np.max(np.abs(rep.component("player2").value - r2)) <= 1e-15
+        assert rep.passed and rep.tolerance == IDENTITY_TOL
+
+
+def _random_spec(seed, n, d1c, d2c, d2, gap, tail) -> GameSpec:
+    """A well-posed game on the binary-exact step 1/8: positive definite
+    control weights, positive semi-definite state and terminal weights."""
+    rng = np.random.default_rng(seed)
+
+    def gram(m, scale):
+        q = rng.normal(size=(m, m))
+        return scale * (q.T @ q)
+
+    delta = 0.125
+    return GameSpec(
+        A=0.3 * rng.normal(size=(n, n)), Abar=0.2 * rng.normal(size=(n, n)),
+        B1=rng.normal(size=(n, d1c)), B1bar=0.3 * rng.normal(size=(n, d1c)),
+        B2=rng.normal(size=(n, d2c)), B2bar=0.3 * rng.normal(size=(n, d2c)),
+        Q1=gram(n, 0.5), Q2=gram(n, 0.5),
+        R1=gram(d1c, 0.2) + np.eye(d1c), R2=gram(d2c, 0.2) + np.eye(d2c),
+        H1=gram(n, 0.3), H2=gram(n, 0.3),
+        h1=(d2 + gap) * delta, h2=d2 * delta, T=(d2 + gap + tail) * delta,
+        x0=np.ones(n))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3),
+       d1c=st.integers(1, 2), d2c=st.integers(1, 2), d2=st.integers(1, 2),
+       gap=st.integers(1, 3), tail=st.integers(1, 6))
+def test_random_specs_match_reference(seed, n, d1c, d2c, d2, gap, tail):
+    # the state coefficient of a nonzero-sum game is not symmetric in
+    # general (the matrix problem's is not); its terminal value is H
+    spec = _random_spec(seed, n, d1c, d2c, d2, gap, tail)
+    grid = build_grid(spec, 0.125)
+    try:
+        fields = extract_fields(solve_ladder(spec, grid))
+    except SingularGamma:
+        return
+    np.testing.assert_array_equal(fields.P[:, -1], [spec.H1, spec.H2])
+    try:
+        ref = oracles.reference_gains(fields, spec)
+    except ValueError as exc:
+        with pytest.raises(SingularGain) as err:
+            assemble_gains(fields, spec)
+        assert (err.value.which, err.value.t) == (exc.args[0],
+                                                  fields.t[exc.args[1]])
+        return
+    law = assemble_gains(fields, spec)
+    for name, value in ref.items():
+        assert np.max(np.abs(getattr(law, name) - value)) <= 1e-15, name
+    assert stationarity_identity_check(law, fields, spec).passed
