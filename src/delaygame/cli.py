@@ -1,9 +1,11 @@
 """Command-line pipeline: solve, simulate, verify, convergence study.
 
-Exit codes: 0 success, 1 usage error, 2 unreadable or invalid problem
-file, 3 singular block in the backward sweep, 4 verification failure.
-All randomness flows from the single --seed through one block draw per
-simulation, so runs are reproducible byte for byte.
+Exit codes: 0 success, 1 usage error (also a grid too fine for memory),
+2 unreadable or invalid problem file, 3 singular block in the backward
+sweep, 4 verification failure. All randomness flows from the single
+--seed: every Monte Carlo pass generates its increments from it, one
+step at a time (``simulator.increment_rows``), as a block or streamed,
+so runs are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -86,8 +88,8 @@ def _config(args) -> RunConfig:
 
 
 def _positive(config: RunConfig) -> str | None:
-    if config.delta_target is not None and config.delta_target <= 0:
-        return "--delta must be positive"
+    if config.delta_target is not None and not config.delta_target > 0:
+        return "--delta must be positive"      # also rejects nan
     if config.n_paths <= 0:
         return "--paths must be positive"
     if config.command == "verify" and config.n_paths < 2:
@@ -343,6 +345,11 @@ def main(argv=None) -> int:
         return handler[config.command](config)
     except SystemExit as exc:
         return int(exc.code)
+    except MemoryError as exc:
+        # e.g. a --delta so fine that the grid's arrays cannot be allocated
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
+        return EXIT_USAGE
     except DelayGameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         # delays that share no step are a fault of the problem file

@@ -13,10 +13,16 @@ entry starts at x0.
 Both closed-loop representations share this machinery: the ladder form
 advances the state by the solved recursion coefficients, the gain form by
 an Euler step of the controlled equation with the law's gains applied to
-the window (kernel integrated by trapezoid on its lattice). A paired
-stepper runs a base gain law and its unilateral deviations side by side
-in stacked window slots. ``rollout`` is the one time-stepping loop, for
+the window (kernel integrated by trapezoid on its lattice). The gain
+stepper runs a base law and its unilateral deviations side by side in
+stacked window slots. ``rollout`` is the one time-stepping loop, for
 every stepper.
+
+Inside the steppers every array is slot-stacked and paths-last: windows
+(slots, d1+1, n, P), controls (slots, c, P), so a gain applies to a whole
+batch as one ``(c, n) @ (n, P)`` product (an elementwise product when the
+inner dimension is 1). ``paths_first`` gives the base slot as views in
+the layout of ``Trajectory``.
 """
 
 from __future__ import annotations
@@ -59,67 +65,98 @@ class Trajectory:
         return self.x[-1]
 
 
-def draw_increments(grid: Grid, n_paths: int, seed: int) -> np.ndarray:
-    """All Brownian increments for a batch, one deterministic block draw."""
+def increment_rows(grid: Grid, n_paths: int, seed: int):
+    """The batch's Brownian increments one step at a time: row k, (P,), is
+    row k of ``draw_increments``' block, bit for bit."""
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((grid.N + 1, n_paths)) * np.sqrt(grid.delta)
+    scale = np.sqrt(grid.delta)
+    for _ in range(grid.N + 1):
+        yield rng.standard_normal(n_paths) * scale
+
+
+def draw_increments(grid: Grid, n_paths: int, seed: int) -> np.ndarray:
+    """All Brownian increments for a batch as one (N+1, P) block."""
+    dw = np.empty((grid.N + 1, n_paths))
+    for k, row in enumerate(increment_rows(grid, n_paths, seed)):
+        dw[k] = row
+    return dw
 
 
 def initial_window(x0: np.ndarray, n_paths: int, d1: int,
-                   slots: tuple = ()) -> np.ndarray:
-    """Warm-up window: every level holds the (deterministic) initial state.
-    ``slots`` prefixes the shape for a stepper that stacks several windows."""
-    win = np.empty(slots + (d1 + 1, n_paths, len(x0)))
-    win[:] = np.asarray(x0, dtype=float)
+                   slots: int = 1) -> np.ndarray:
+    """Warm-up window, (slots, d1+1, n, P): every level of every slot holds
+    the (deterministic) initial state."""
+    win = np.empty((slots, d1 + 1, len(x0), n_paths))
+    win[:] = np.asarray(x0, dtype=float)[:, None]
     return win
+
+
+def _apply(m: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
+    """``m @ x`` on paths-last operands. With inner dimension 1 it is the
+    elementwise product, bit-identical to the matmul and faster."""
+    if m.shape[-1] == 1:
+        return np.multiply(m, x, out=out)
+    return np.matmul(m, x, out=out)
 
 
 def level_sums(win: np.ndarray, levels: np.ndarray, gains: np.ndarray):
     """Known part and finer-gain tail of a window sum, for every level.
 
-    Term t applies ``gains[t]`` to window level ``levels[t]`` (ascending,
-    starting at 0). Given level j, the terms at levels <= j read their own
-    entries and every finer entry coarsens to ``win[j]`` (tower property):
+    Term t applies ``gains[..., t, :, :]`` to window level ``levels[t]``
+    (ascending, starting at 0). Given level j, the terms at levels <= j
+    read their own entries and every finer entry coarsens to ``win[j]``
+    (tower property):
 
-        E[sum_t win[levels[t]] @ gains[t].T | level j]
-            = known[j] + win[j] @ tails[j].T
+        E[sum_t gains[t] @ win[levels[t]] | level j]
+            = known[j] + tails[j] @ win[j]
 
-    Returns ``known`` (L+1, P, c) and ``tails`` (L+1, c, n) for j = 0..L,
-    each summed in term order; ``known[L]`` is the realized sum and
-    ``tails[L]`` is zero.
+    ``win`` is (..., d1+1, n, P) and ``gains`` (..., T, c, n), with
+    broadcasting leading (slot) axes. Returns ``known`` (..., L+1, c, P)
+    and ``tails`` (..., L+1, c, n) for j = 0..L, each summed in term order;
+    ``known[L]`` is the realized sum and ``tails[L]`` is zero.
     """
     j = np.arange(levels[-1] + 1)
-    known = win[levels] @ gains.swapaxes(1, 2)
-    for t in range(1, len(known)):      # running sum; cumsum is slower here
-        known[t] += known[t - 1]
+    known = np.empty(np.broadcast_shapes(win.shape[:-3], gains.shape[:-3])
+                     + (len(levels), gains.shape[-2], win.shape[-1]))
+    for t, level in enumerate(levels):     # running sum over the terms
+        _apply(gains[..., t, :, :], win[..., level, :, :],
+               out=known[..., t, :, :])
+        if t:
+            known[..., t, :, :] += known[..., t - 1, :, :]
     finer = (levels > j[:, None])[:, :, None, None]
-    tails = np.where(finer, gains, 0.0).sum(axis=1)
-    return known[np.searchsorted(levels, j, side="right") - 1], tails
+    tails = np.where(finer, gains[..., None, :, :, :], 0.0).sum(axis=-3)
+    return known[..., np.searchsorted(levels, j, side="right") - 1, :, :], \
+        tails
 
 
-def _entry_levels(grid: Grid) -> np.ndarray:
-    """For the window entries at levels 1..d1, the level their conditional
-    expectation of a window sum saturates at (the lag gap)."""
-    return np.minimum(np.arange(1, grid.d1 + 1), grid.d1 - grid.d2)
+def _add_by_level(entries: np.ndarray, per_level: np.ndarray) -> None:
+    """Add to the window entries at levels 1..d1 (axis -3 of ``entries``)
+    a per-level array's value at the level each entry's conditional
+    expectation saturates at: entry level j reads level min(j, gap) of
+    ``per_level`` (axis -3, levels 0..gap)."""
+    gap = per_level.shape[-3] - 1
+    entries[..., :gap - 1, :, :] += per_level[..., 1:gap, :, :]
+    entries[..., gap - 1:, :, :] += per_level[..., gap:, :, :]
+
+
+def _top_entry(new: np.ndarray, d1: int, dw_k: np.ndarray,
+               diff: np.ndarray) -> None:
+    """The state entry: the advanced finest estimate plus the realized
+    increment times the increment coefficient."""
+    np.multiply(dw_k, diff, out=new[:, d1])
+    new[:, d1] += new[:, d1 - 1]
 
 
 class LadderStepper:
     """Advances a window batch by the solved closed-loop recursion."""
 
-    slots = ()
+    slots = 1
 
     def __init__(self, ladder: RiccatiLadder):
         self.ladder = ladder
         self.grid = ladder.grid
         self.gap = ladder.gap
-        self.levels = _entry_levels(self.grid)
         self.term_levels = np.arange(self.gap + 1)
-
-    def controls(self, k: int, win: np.ndarray):
-        lad = self.ladder
-        u1 = win[0] @ lad.u1_gain[k].T
-        u2 = (win[:self.gap + 1] @ lad.u2_gain[k].swapaxes(1, 2)).sum(axis=0)
-        return u1, u2
 
     def step(self, k: int, win: np.ndarray, dw_k: np.ndarray):
         """Returns (u1, u2, new window, diffusion coefficient of the update).
@@ -128,129 +165,144 @@ class LadderStepper:
         window sum's expectation at level j; the top entry adds the
         realized increment times the increment parts.
         """
-        u1, u2 = self.controls(k, win)
-        d1, lv = self.grid.d1, self.levels
-        a_c, a_n = self.ladder.a_mat
-        coef = self.ladder.coef[k]
+        lad, d1, gap = self.ladder, self.grid.d1, self.gap
+        u1 = _apply(lad.u1_gain[k], win[:, 0])
+        u2 = _apply(lad.u2_gain[k], win[:, :gap + 1]).sum(axis=-3)
+        a_c, a_n = lad.a_mat
+        coef = lad.coef[k]
         known, tails = level_sums(win, self.term_levels, coef[:, 0])
+        trans = np.repeat(a_c[None], d1, axis=0)
+        _add_by_level(trans, tails)
         new = np.empty_like(win)
-        new[:d1] = win[1:] @ (a_c + tails[lv]).swapaxes(1, 2) + known[lv]
+        _apply(trans, win[:, 1:], out=new[:, :d1])
+        _add_by_level(new[:, :d1], known)
+        del known
         # the state's own term first, then the levels in order
-        diff = sum(win[:self.gap + 1] @ coef[:, 1].swapaxes(1, 2),
-                   win[d1] @ a_n.T)
-        new[d1] = new[d1 - 1] + dw_k[:, None] * diff
+        diff = _apply(a_n, win[:, d1])
+        for term in _apply(coef[:, 1], win[:, :gap + 1]).swapaxes(0, 1):
+            diff += term
+        _top_entry(new, d1, dw_k, diff)
         return u1, u2, new, diff
 
 
 class GainStepper:
-    """Advances a window batch by an Euler step under the feedback law."""
+    """Advances a base gain law and ``(player, dev_law)`` deviations from it
+    side by side, by an Euler step of the controlled equation.
 
-    slots = ()
+    Every law has a window slot, (1+D, d1+1, n, P), and controls and
+    increment coefficients are stacked by slot; the laws' gains and offsets
+    are stacked on the same slot axis. Slot 0 is the base law, then player
+    2's deviations, then player 1's (``dev_slots`` maps each deviation to
+    its slot). A unilateral deviation holds the opponent to its equilibrium
+    CONTROL process, not its feedback rule: in a deviation slot the
+    opponent's controls are the base slot's. So player 2's control levels
+    are computed for the leading ``u2_slots`` slots only, and player 1's
+    control for the base and player-1 slots only.
+    """
 
-    def __init__(self, law: FeedbackLaw, spec: GameSpec, grid: Grid):
+    def __init__(self, law: FeedbackLaw, spec: GameSpec, grid: Grid,
+                 deviations=()):
+        players = np.array([player for player, _ in deviations], dtype=int)
+        if np.any((players != 1) & (players != 2)):
+            raise ValueError("player must be 1 or 2")
+        order = np.argsort(players == 1, kind="stable")
+        self.players = players
+        self.dev_slots = np.empty(len(players), dtype=int)
+        self.dev_slots[order] = np.arange(1, len(players) + 1)
+        laws = [law] + [deviations[i][1] for i in order]
         self.law = law
+        self.slots = len(laws)
+        self.u2_slots = 1 + int(np.sum(players == 2))
         self.spec = spec
         self.grid = grid
         self.gap = grid.d1 - grid.d2
-        self.weights = law.kernel_weights(grid.delta)
-        self.levels = _entry_levels(grid)
         # player 2's gain terms by window level: coarse lag, kernel, fine lag
         self.term_levels = np.r_[0, np.arange(self.gap + 1), self.gap]
+        weights = law.kernel_weights(grid.delta)
+        u2_laws = laws[:self.u2_slots]
+        self.k1 = np.stack([lw.k1 for lw in laws], axis=1)
+        self.offset1 = np.stack([lw.offset1 for lw in laws], axis=1)[..., None]
+        self.k2 = np.stack([np.concatenate(
+            [lw.k2_h1[:, None], weights[:, None, None] * lw.k2_kernel,
+             lw.k2_h2[:, None]], axis=1) for lw in u2_laws], axis=1)
+        self.offset2 = np.stack([lw.offset2 for lw in u2_laws],
+                                axis=1)[:, :, None, :, None]
 
     def u_levels(self, k: int, win: np.ndarray):
         """Controls and their conditional expectations per window level.
 
-        Returns ``(u1, u2_lv)`` where ``u1`` is the realized first control
-        (measurable already at the coarsest level, so constant across
-        levels) and ``u2_lv[l]`` is E[u2 | level l] for the saturating
-        level index l = 0..gap; ``u2_lv[gap]`` is the realized control.
+        Returns ``(u1, u2_lv)``: ``u1`` (1+D, d1c, P) is every slot's
+        realized first control (measurable already at the coarsest level,
+        so constant across levels); ``u2_lv[s, l]`` (u2_slots, gap+1, d2c,
+        P) is E[u2 | level l] in slot s for the saturating level index
+        l = 0..gap, and ``u2_lv[:, gap]`` is the realized control.
         """
-        law, gap = self.law, self.gap
-        u1 = win[0] @ law.k1[k].T + law.offset1[k]
-        gains = np.concatenate([law.k2_h1[k][None],
-                                self.weights[:, None, None] * law.k2_kernel[k],
-                                law.k2_h2[k][None]])
-        known, tails = level_sums(win, self.term_levels, gains)
-        u2_lv = known + law.offset2[k]
-        u2_lv[:gap] += win[:gap] @ tails[:gap].swapaxes(1, 2)
+        gap, s2 = self.gap, self.u2_slots
+        u1 = np.empty((self.slots, self.k1.shape[-2], win.shape[-1]))
+        for own in (slice(1), slice(s2, None)):    # base, player-1 slots
+            _apply(self.k1[k, own], win[own, 0], out=u1[own])
+            u1[own] += self.offset1[k, own]
+        u1[1:s2] = u1[0]
+        u2_lv, tails = level_sums(win[:s2], self.term_levels, self.k2[k])
+        u2_lv += self.offset2[k]
+        u2_lv[:, :gap] += _apply(tails[:, :gap], win[:s2, :gap])
         return u1, u2_lv
 
-    def controls(self, k: int, win: np.ndarray):
+    def step(self, k: int, win: np.ndarray, dw_k: np.ndarray):
+        """Returns (u1, u2, new window, diffusion coefficient of the update),
+        every one stacked by slot."""
+        spec, d1, gap, s2 = self.spec, self.grid.d1, self.gap, self.u2_slots
         u1, u2_lv = self.u_levels(k, win)
-        return u1, u2_lv[self.gap]
-
-    def advance_with(self, win: np.ndarray, dw_k: np.ndarray,
-                     u1: np.ndarray, u2_lv: np.ndarray):
-        """Euler update of every window entry under given control levels."""
-        spec, grid = self.spec, self.grid
-        d1, gap = grid.d1, self.gap
+        u2 = np.empty(u1.shape[:1] + u2_lv.shape[-2:])
+        u2[:s2] = u2_lv[:, gap]
+        u2[s2:] = u2_lv[0, gap]
+        # entries 1..d1 advance one level down: A x + B1 u1 + B2 E[u2 | the
+        # entry's level], times delta, plus the entry itself. The u2 levels
+        # are the slot's own, or, in a player-1 deviation slot, the base
+        # slot's.
         new = np.empty_like(win)
-        u1_drift = u1 @ spec.B1.T
-        u2_drift = u2_lv @ spec.B2.T           # (gap+1, P, n)
-        base = win[1:] @ spec.A.T              # (d1, P, n)
-        new[:d1] = win[1:] + grid.delta * (base + u1_drift
-                                           + u2_drift[self.levels])
-        x = win[d1]
-        u2 = u2_lv[gap]
-        drift = base[d1 - 1] + u1_drift + u2_drift[gap]
-        diff = x @ spec.Abar.T + u1 @ spec.B1bar.T + u2 @ spec.B2bar.T
-        new[d1] = x + grid.delta * drift + dw_k[:, None] * diff
-        return new, diff
-
-    def step(self, k: int, win: np.ndarray, dw_k: np.ndarray):
-        u1, u2_lv = self.u_levels(k, win)
-        return (u1, u2_lv[self.gap], *self.advance_with(win, dw_k, u1, u2_lv))
-
-
-class PairedStepper:
-    """Advances a base gain law and ``(player, dev_law)`` deviations from it
-    side by side: the window stacks slot 0 for the base law and one slot
-    per deviation, (1+D, d1+1, P, n), and controls and increment
-    coefficients are stacked by slot. A unilateral deviation holds the
-    opponent to its equilibrium CONTROL process, not its feedback rule: in
-    a deviation slot the opponent's control is the base slot's."""
-
-    def __init__(self, base_law: FeedbackLaw, deviations, spec: GameSpec,
-                 grid: Grid):
-        if any(player not in (1, 2) for player, _ in deviations):
-            raise ValueError("player must be 1 or 2")
-        self.grid = grid
-        self.players = [player for player, _ in deviations]
-        self.steppers = [GainStepper(law, spec, grid) for law
-                         in [base_law] + [law for _, law in deviations]]
-        self.slots = (len(self.steppers),)
-
-    def step(self, k: int, win: np.ndarray, dw_k: np.ndarray):
-        base, gap = self.steppers[0], self.steppers[0].gap
-        u1_b, u2_b = base.u_levels(k, win[0])
-        u1 = np.empty(self.slots + u1_b.shape)
-        u2 = np.empty(self.slots + u2_b[gap].shape)
-        new, diff = np.empty_like(win), np.empty_like(win[:, 0])
-        for slot, player in enumerate(self.players, 1):
-            u1_d, u2_d = self.steppers[slot].u_levels(k, win[slot])
-            u1_d, u2_d = (u1_d, u2_b) if player == 1 else (u1_b, u2_d)
-            new[slot], diff[slot] = self.steppers[slot].advance_with(
-                win[slot], dw_k, u1_d, u2_d)
-            u1[slot], u2[slot] = u1_d, u2_d[gap]
-        new[0], diff[0] = base.advance_with(win[0], dw_k, u1_b, u2_b)
-        u1[0], u2[0] = u1_b, u2_b[gap]
+        head = new[:, :d1]
+        _apply(spec.A, win[:, 1:], out=head)
+        head += _apply(spec.B1, u1)[:, None]
+        u2_drift = _apply(spec.B2, u2_lv)
+        _add_by_level(head[:s2], u2_drift)
+        _add_by_level(head[s2:], u2_drift[0])
+        del u2_drift
+        head *= self.grid.delta
+        head += win[:, 1:]
+        diff = _apply(spec.Abar, win[:, d1])
+        diff += _apply(spec.B1bar, u1)
+        diff += _apply(spec.B2bar, u2)
+        _top_entry(new, d1, dw_k, diff)
         return u1, u2, new, diff
 
 
-def rollout(stepper, x0: np.ndarray, dw: np.ndarray):
+def rollout(stepper, x0: np.ndarray, dw):
     """Step a path batch through the grid on the given increments.
 
-    Yields ``(k, win, u1, u2, win_next, diff)`` for k = 0..N: the window
-    at step k, the realized controls, the window at step k+1 and the
-    increment coefficient of the state update. Every Monte Carlo consumer
-    reads its paths from this one loop.
+    ``dw`` is the (N+1, P) block or any iterable of its rows (such as
+    ``increment_rows``). Yields ``(k, win, u1, u2, win_next, diff)`` for
+    k = 0..N, stacked by slot and paths-last: the window at step k, the
+    realized controls, the window at step k+1 and the increment
+    coefficient of the state update. Every Monte Carlo consumer reads its
+    paths from this one loop.
     """
-    win = initial_window(x0, dw.shape[1], stepper.grid.d1, stepper.slots)
-    for k in range(stepper.grid.N + 1):
-        u1, u2, win_next, diff = stepper.step(k, win, dw[k])
+    for k, dw_k in enumerate(dw):
+        if k == 0:
+            win = initial_window(x0, len(dw_k), stepper.grid.d1,
+                                 stepper.slots)
+        u1, u2, win_next, diff = stepper.step(k, win, dw_k)
         yield k, win, u1, u2, win_next, diff
         win = win_next
         del u1, u2, diff    # not held while the next step is computed
+
+
+def paths_first(step):
+    """The base slot of a rollout step as views in the paths-first layout
+    of ``Trajectory``: ``(k, win (d1+1, P, n), u1 (P, d1c), u2 (P, d2c),
+    win_next, diff (P, n))``."""
+    k, *arrays = step
+    return (k, *(a[0].swapaxes(-1, -2) for a in arrays))
 
 
 def _run(stepper, x0: np.ndarray, seed: int, n_paths: int,
@@ -262,7 +314,8 @@ def _run(stepper, x0: np.ndarray, seed: int, n_paths: int,
     diff = np.empty((n_steps, n_paths, len(x0)))
     windows = (np.empty((n_steps + 1, grid.d1 + 1, n_paths, len(x0)))
                if record_windows else None)
-    for k, win, u1, u2, win_next, diff_k in rollout(stepper, x0, dw):
+    for step in rollout(stepper, x0, dw):
+        k, win, u1, u2, win_next, diff_k = paths_first(step)
         if k == 0:
             u1s = np.empty((n_steps,) + u1.shape)
             u2s = np.empty((n_steps,) + u2.shape)
@@ -309,7 +362,8 @@ def mean_recursion(ladder: RiccatiLadder, x0) -> np.ndarray:
 
 
 def _quad(v: np.ndarray, M: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,ij,...j->...", v, M, v)
+    """v' M v per path for paths-last ``v`` (..., n, P)."""
+    return np.einsum("...ip,ij,...jp->...p", v, M, v)
 
 
 def path_costs(traj: Trajectory,
@@ -320,25 +374,27 @@ def path_costs(traj: Trajectory,
     the running cost is summed over the steps in time order.
     """
     def cost(Q, u, R, H):
-        run = _quad(traj.x[:-1], Q)
-        run += _quad(u, R)
+        run = _quad(traj.x[:-1].swapaxes(-1, -2), Q)
+        run += _quad(u.swapaxes(-1, -2), R)
         run *= traj.grid.delta
-        return 0.5 * (run.sum(axis=0) + _quad(traj.terminal, H))
+        return 0.5 * (run.sum(axis=0) + _quad(traj.terminal.T, H))
 
     return (cost(spec.Q1, traj.u1, spec.R1, spec.H1),
             cost(spec.Q2, traj.u2, spec.R2, spec.H2))
 
 
-def paired_costs(stepper: PairedStepper, spec: GameSpec, dw: np.ndarray,
-                 observe=None) -> tuple[np.ndarray, np.ndarray]:
-    """Roll a paired stepper out on ``dw``, calling ``observe`` with every
-    step; per deviation (D, P), the deviating player's own cost under the
-    base pair and under its deviation. Running costs are summed in time
-    order, as in ``path_costs``."""
+def paired_costs(stepper: GainStepper, spec: GameSpec, n_paths: int,
+                 seed: int, observe=None) -> tuple[np.ndarray, np.ndarray]:
+    """Roll a gain stepper with deviations out on the (paths, seed)
+    increments, streamed row by row, calling ``observe`` with every step;
+    per deviation (D, P), the deviating player's own cost under the base
+    pair and under its deviation. Running costs are summed in time order,
+    as in ``path_costs``."""
     weights = ((spec.Q1, spec.R1, spec.H1), (spec.Q2, spec.R2, spec.H2))
-    sums = np.zeros((2, len(stepper.steppers), dw.shape[1]))  # player, slot
+    sums = np.zeros((2, stepper.slots, n_paths))     # player, slot
     d1, delta = stepper.grid.d1, stepper.grid.delta
-    for step in rollout(stepper, spec.x0, dw):
+    for step in rollout(stepper, spec.x0,
+                        increment_rows(stepper.grid, n_paths, seed)):
         _, win, *u, win_next, _ = step
         for i, (q, r, _) in enumerate(weights):
             sums[i] += delta * (_quad(win[:, d1], q) + _quad(u[i], r))
@@ -347,8 +403,8 @@ def paired_costs(stepper: PairedStepper, spec: GameSpec, dw: np.ndarray,
         del step, win, u    # not held while the next step is computed
     for i, (_, _, h) in enumerate(weights):
         sums[i] += _quad(win_next[:, d1], h)
-    own = np.array(stepper.players, dtype=int) - 1
-    return 0.5 * sums[own, 0], 0.5 * sums[own, np.arange(1, len(own) + 1)]
+    own = stepper.players - 1
+    return 0.5 * sums[own, 0], 0.5 * sums[own, stepper.dev_slots]
 
 
 def paired_deviation_costs(base_law: FeedbackLaw, deviations,
@@ -358,8 +414,8 @@ def paired_deviation_costs(base_law: FeedbackLaw, deviations,
     under its ``(player, dev_law)`` deviation, from one paired rollout on
     one noise draw, so each margin's standard error comes from paired
     differences."""
-    return paired_costs(PairedStepper(base_law, deviations, spec, grid),
-                        spec, draw_increments(grid, n_paths, seed))
+    return paired_costs(GainStepper(base_law, spec, grid, deviations),
+                        spec, n_paths, seed)
 
 
 @dataclass(frozen=True)

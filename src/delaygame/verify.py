@@ -22,10 +22,10 @@ from .gains import FeedbackLaw, assemble_gains, effective_gains
 from .continuous_limit import extract_fields
 from .model import GameSpec, Grid, build_grid
 from .reports import DeviationVerdict, ResidualComponent, ResidualReport
-from .simulator import (GainStepper, LadderStepper, PairedStepper, Trajectory,
+from .simulator import (GainStepper, LadderStepper, Trajectory,
                         draw_increments, paired_costs, paired_deviation_costs,
-                        perturb_control, rollout, simulate_path_gains,
-                        simulate_path_ladder)
+                        paths_first, perturb_control, rollout,
+                        simulate_path_gains, simulate_path_ladder)
 
 # Projection bands are C*delta + 3*se; C calibrated once on the golden
 # scalar instance by a step-halving pair (see tests/test_acceptance.py):
@@ -121,7 +121,8 @@ def fbsde_residual_test(ladder: RiccatiLadder, spec: GameSpec, grid: Grid,
     dw = draw_increments(grid, n_paths, seed)
     rows = []    # (k, raw, se, net)
     p_prev = None
-    for k, win, _, _, win_next, _ in rollout(stepper, spec.x0, dw):
+    for step in rollout(stepper, spec.x0, dw):
+        k, win, _, _, win_next, _ = paths_first(step)
         x_k = win[grid.d1]
         Z = _test_variables(win, grid.d1)
         p_k = _pathwise_costate(ladder, k, win_next)
@@ -172,7 +173,8 @@ def stationarity_residual_test(ladder: RiccatiLadder, law: FeedbackLaw | None,
                else LadderStepper(ladder))
     rows = [_stationarity_row(ladder, spec, k, win, u, win_next, diff_k)
             for k, win, *u, win_next, diff_k
-            in rollout(stepper, spec.x0, draw_increments(grid, n_paths, seed))]
+            in map(paths_first, rollout(stepper, spec.x0,
+                                        draw_increments(grid, n_paths, seed)))]
     return _projection_report("stationarity-projection", rows, grid, band_c)
 
 
@@ -255,14 +257,13 @@ def paired_law_checks(ladder: RiccatiLadder, law: FeedbackLaw,
     stationarity rows read the base slot, the own costs every slot."""
     rows = []
 
-    def observe(k, win, u1, u2, win_next, diff):
-        rows.append(_stationarity_row(ladder, spec, k, win[0], (u1[0], u2[0]),
-                                      win_next[0], diff[0]))
+    def observe(*step):
+        k, win, *u, win_next, diff = paths_first(step)
+        rows.append(_stationarity_row(ladder, spec, k, win, u, win_next, diff))
 
-    stepper = PairedStepper(law, _deviation_laws(law, DEVIATION_FAMILY),
-                            spec, grid)
-    own = paired_costs(stepper, spec, draw_increments(grid, n_paths, seed),
-                       observe)
+    stepper = GainStepper(law, spec, grid,
+                          _deviation_laws(law, DEVIATION_FAMILY))
+    own = paired_costs(stepper, spec, n_paths, seed, observe)
     return (_projection_report("stationarity-projection", rows, grid,
                                STATIONARITY_BAND_C),
             _verdicts(DEVIATION_FAMILY, *own))

@@ -8,7 +8,9 @@ back-substitution chain. For other gaps, ``chain_step`` solves the chain
 one (level, source level) pair at a time through explicit inverses. Tests
 compare the two implementations. The reference window steps sum one
 term at a time in a fixed order (state term first, then the levels
-upward), as an exact check on the batched steppers. The reference CSV
+upward), on paths-first windows and one law at a time (the opponent's
+control levels of a deviation copied from the base law), as an exact
+check on the slot-stacked, paths-last steppers. The reference CSV
 writers format one row at a time through the csv module, as a
 byte-level check on the vectorized exporters. The reference gain assembly,
 stationarity identity, closure conditioning and transport residuals at the
@@ -347,6 +349,83 @@ def reference_u2_levels(law, grid, k, win):
             u = u + win[l] @ tail.T
         out.append(u)
     return np.array(out)
+
+
+def reference_gain_advance(spec, grid, win, dw_k, u1, u2_lv):
+    """Euler update of every window entry of one law's paths-first window
+    under given control levels; returns the new window and the increment
+    coefficient."""
+    d1, gap = grid.d1, grid.d1 - grid.d2
+    levels = np.minimum(np.arange(1, d1 + 1), gap)
+    new = np.empty_like(win)
+    u1_drift = u1 @ spec.B1.T
+    u2_drift = u2_lv @ spec.B2.T
+    base = win[1:] @ spec.A.T
+    new[:d1] = win[1:] + grid.delta * (base + u1_drift + u2_drift[levels])
+    x = win[d1]
+    drift = base[d1 - 1] + u1_drift + u2_drift[gap]
+    diff = x @ spec.Abar.T + u1 @ spec.B1bar.T + u2_lv[gap] @ spec.B2bar.T
+    new[d1] = x + grid.delta * drift + dw_k[:, None] * diff
+    return new, diff
+
+
+def reference_paired_step(law, deviations, spec, grid, k, wins, dw_k):
+    """One step of a base law and its ``(player, dev_law)`` deviations, one
+    law at a time on paths-first windows ``wins[0]`` (base) and ``wins[i]``
+    (deviation i). A deviation keeps the opponent's control levels of the
+    base law. Returns per law the new window, u1, u2 and the increment
+    coefficient."""
+    gap = grid.d1 - grid.d2
+
+    def u_levels(lw, win):
+        return (win[0] @ lw.k1[k].T + lw.offset1[k],
+                reference_u2_levels(lw, grid, k, win))
+
+    u1_b, u2_b = u_levels(law, wins[0])
+    levels = [(u1_b, u2_b)]
+    for (player, dev), win in zip(deviations, wins[1:]):
+        u1_d, u2_d = u_levels(dev, win)
+        levels.append((u1_d, u2_b) if player == 1 else (u1_b, u2_d))
+    out = []
+    for win, (u1, u2_lv) in zip(wins, levels):
+        new, diff = reference_gain_advance(spec, grid, win, dw_k, u1, u2_lv)
+        out.append((new, u1, u2_lv[gap], diff))
+    return out
+
+
+def reference_paired_rollout(law, deviations, spec, grid, dw):
+    """The per-law loop over the whole grid: every law's windows (N+2, P,
+    ...), controls, increment coefficients and its deviating player's own
+    cost (left-endpoint rectangle rule, as ``path_costs``). Row 0 is the
+    base law."""
+    weights = ((spec.Q1, spec.R1, spec.H1), (spec.Q2, spec.R2, spec.H2))
+    n_laws, n_paths = 1 + len(deviations), dw.shape[1]
+    wins = [np.full((grid.d1 + 1, n_paths, spec.n), spec.x0)
+            for _ in range(n_laws)]
+    rec = {"win": [wins], "u1": [], "u2": [], "diff": []}
+    costs = np.zeros((n_laws, 2, n_paths))
+    for k in range(grid.N + 1):
+        out = reference_paired_step(law, deviations, spec, grid, k, wins,
+                                    dw[k])
+        for i, (win, (new, u1, u2, diff)) in enumerate(zip(wins, out)):
+            for p, (q, r, _) in enumerate(weights):
+                u = (u1, u2)[p]
+                costs[i, p] += grid.delta * (
+                    np.einsum("pi,ij,pj->p", win[grid.d1], q, win[grid.d1])
+                    + np.einsum("pi,ij,pj->p", u, r, u))
+        wins = [new for new, _, _, _ in out]
+        rec["win"].append(wins)
+        for name, idx in (("u1", 1), ("u2", 2), ("diff", 3)):
+            rec[name].append([o[idx] for o in out])
+    for i, win in enumerate(wins):
+        for p, (_, _, h) in enumerate(weights):
+            costs[i, p] += np.einsum("pi,ij,pj->p", win[grid.d1], h,
+                                     win[grid.d1])
+    rec = {name: np.array(v).swapaxes(0, 1) for name, v in rec.items()}
+    own = np.array([player - 1 for player, _ in deviations], dtype=int)
+    rec["own_base"] = 0.5 * costs[0, own]
+    rec["own_dev"] = 0.5 * costs[np.arange(1, n_laws), own]
+    return rec
 
 
 # ---------------------------------------------------------------------------

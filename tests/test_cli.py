@@ -97,6 +97,30 @@ class TestSolve:
         assert main(["simulate", "--problem", str(wide_problem),
                      "--paths", "0", "--out", str(tmp_path / "o")]) == 1
 
+    def test_nan_delta_exit_1(self, wide_problem, tmp_path, capsys):
+        code = main(["solve", "--problem", str(wide_problem),
+                     "--delta", "nan", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "--delta must be positive\n"
+
+    def test_out_of_memory_exit_1(self, wide_problem, tmp_path, capsys,
+                                  monkeypatch):
+        # a --delta like 1e-9 asks numpy for petabytes; stand in for that
+        # allocation instead of attempting it
+        from delaygame import cli
+
+        def allocate(*args):
+            raise MemoryError("Unable to allocate 1.42 PiB for an array")
+
+        monkeypatch.setattr(cli, "backward_sweep", allocate)
+        code = main(["solve", "--problem", str(wide_problem),
+                     "--delta", "0.05", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == ("error: out of memory: Unable to allocate 1.42 PiB "
+                       "for an array\n")
+
 
 class TestSimulate:
     def test_zero_cost_reports_zero(self, zero_problem, tmp_path):
@@ -198,23 +222,23 @@ class TestVerify:
                                      monkeypatch):
         # one paired pass serves the stationarity projection and the
         # deviation costs, so the base law steps once over the (paths,
-        # seed) block; the backward-equation projection draws that block
+        # seed) increments; the backward-equation projection generates them
         # again for the ladder stepper, and the cross-representation check
-        # draws its own 256-path block for each simulator
-        from delaygame import cli, simulator, verify
+        # generates its own 256-path block for each simulator. Every
+        # increment, streamed or drawn as a block, comes from increment_rows
+        from delaygame import cli, simulator
         draws, laws, steps = [], [], []
-        for module in (simulator, verify):
-            monkeypatch.setattr(
-                module, "draw_increments",
-                lambda grid, n, seed, f=module.draw_increments:
-                draws.append((n, seed)) or f(grid, n, seed))
+        rows = simulator.increment_rows
+        monkeypatch.setattr(simulator, "increment_rows",
+                            lambda grid, n, seed: draws.append((n, seed))
+                            or rows(grid, n, seed))
         assemble = cli.assemble_gains
         monkeypatch.setattr(cli, "assemble_gains",
                             lambda *a: laws.append(assemble(*a)) or laws[-1])
         u_levels = simulator.GainStepper.u_levels
         monkeypatch.setattr(
             simulator.GainStepper, "u_levels",
-            lambda self, k, win: steps.append((self.law, win.shape[1]))
+            lambda self, k, win: steps.append((self.law, win.shape[-1]))
             or u_levels(self, k, win))
         main(["verify", "--problem", str(wide_problem), "--delta", "0.05",
               "--paths", "300", "--seed", "3", "--halvings", "0",

@@ -7,10 +7,13 @@ from delaygame import (GameSpec, assemble_gains, build_grid,
                        path_costs, perturb_control, simulate_path_gains,
                        simulate_path_ladder, solve_ladder)
 from delaygame.simulator import (GainStepper, LadderStepper,
-                                 draw_increments, initial_window, level_sums,
-                                 paired_deviation_costs)
+                                 draw_increments, increment_rows,
+                                 initial_window, level_sums, paired_costs,
+                                 paired_deviation_costs, rollout)
+from delaygame.verify import DEVIATION_FAMILY, _deviation_laws
 from conftest import wide_delay_spec, zero_cost_spec
-from oracles import reference_ladder_window_step, reference_u2_levels
+from oracles import (reference_ladder_window_step, reference_paired_rollout,
+                     reference_u2_levels)
 
 
 @pytest.fixture(scope="module")
@@ -91,21 +94,25 @@ class TestWindow:
     def test_level_sums_match_termwise_expectation(self, levels):
         # level j: terms at levels l <= j read their own entry, finer
         # terms read the level-j entry; summed term by term in level order.
-        # The end levels carry two terms each, as in the gain form.
+        # The end levels carry two terms each, as in the gain form. Windows
+        # are paths-last, alone or stacked with their gains by slot.
         rng = np.random.default_rng(levels)
         term_levels = np.r_[0, np.arange(levels), levels - 1]
-        win = rng.normal(size=(levels + 2, 5, 2))
-        gains = rng.normal(size=(len(term_levels), 3, 2))
-        known, tails = level_sums(win, term_levels, gains)
-        assert known.shape == (levels, 5, 3)
-        assert tails.shape == (levels, 3, 2)
-        assert np.all(tails[-1] == 0.0)
-        for j in range(levels):
-            ref = np.zeros((5, 3))
-            for l, g in zip(term_levels, gains):
-                ref = ref + win[min(l, j)] @ g.T
-            np.testing.assert_allclose(known[j] + win[j] @ tails[j].T, ref,
-                                       rtol=0, atol=1e-13)
+        for slots in ((), (4,)):
+            win = rng.normal(size=slots + (levels + 2, 2, 5))
+            gains = rng.normal(size=slots + (len(term_levels), 3, 2))
+            known, tails = level_sums(win, term_levels, gains)
+            assert known.shape == slots + (levels, 3, 5)
+            assert tails.shape == slots + (levels, 3, 2)
+            assert np.all(tails[..., -1, :, :] == 0.0)
+            for s in np.ndindex(slots):
+                for j in range(levels):
+                    ref = np.zeros((3, 5))
+                    for l, g in zip(term_levels, gains[s]):
+                        ref = ref + g @ win[s][min(l, j)]
+                    np.testing.assert_allclose(
+                        known[s][j] + tails[s][j] @ win[s][j], ref,
+                        rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("case", ["wide", "matrix_case"])
     def test_steps_sum_in_reference_order(self, case, request):
@@ -114,17 +121,19 @@ class TestWindow:
         spec, grid, ladder = request.getfixturevalue(case)
         law = assemble_gains(extract_fields(ladder), spec)
         rng = np.random.default_rng(3)
-        win = rng.normal(size=(grid.d1 + 1, 6, ladder.n))
+        win = rng.normal(size=(grid.d1 + 1, 6, ladder.n))   # paths-first
+        stacked = win.swapaxes(-1, -2)[None].copy()          # one slot
         dw_k = rng.normal(size=6)
         for k in (0, grid.N // 2, grid.N):
-            _, _, new, diff = LadderStepper(ladder).step(k, win, dw_k)
+            _, _, new, diff = LadderStepper(ladder).step(k, stacked, dw_k)
             ref_new, ref_diff = reference_ladder_window_step(ladder, k, win,
                                                              dw_k)
-            np.testing.assert_array_equal(new, ref_new)
-            np.testing.assert_array_equal(diff, ref_diff)
-            _, u2_lv = GainStepper(law, spec, grid).u_levels(k, win)
+            np.testing.assert_array_equal(new[0].swapaxes(-1, -2), ref_new)
+            np.testing.assert_array_equal(diff[0].T, ref_diff)
+            _, u2_lv = GainStepper(law, spec, grid).u_levels(k, stacked)
             np.testing.assert_array_equal(
-                u2_lv, reference_u2_levels(law, grid, k, win))
+                u2_lv[0].swapaxes(-1, -2),
+                reference_u2_levels(law, grid, k, win))
 
     def test_warmup_window_holds_initial_state(self, wide_case):
         spec, grid, ladder, law = wide_case
@@ -168,16 +177,16 @@ class TestWindow:
         rng = np.random.default_rng(0)
         win += rng.normal(size=win.shape)
         k = grid.N // 2
-        u1, u2 = stepper.controls(k, win)
         gap = grid.d1 - grid.d2
+        u1, u2_lv = stepper.u_levels(k, win)
         corrupted = win.copy()
-        corrupted[1:] += 100.0       # finer than player 1's lag
-        u1c, _ = stepper.controls(k, corrupted)
+        corrupted[:, 1:] += 100.0       # finer than player 1's lag
+        u1c, _ = stepper.u_levels(k, corrupted)
         np.testing.assert_array_equal(u1, u1c)
         corrupted = win.copy()
-        corrupted[gap + 1:] += 100.0  # finer than player 2's lag
-        _, u2c = stepper.controls(k, corrupted)
-        np.testing.assert_array_equal(u2, u2c)
+        corrupted[:, gap + 1:] += 100.0  # finer than player 2's lag
+        _, u2c = stepper.u_levels(k, corrupted)
+        np.testing.assert_array_equal(u2_lv[:, gap], u2c[:, gap])
 
 
 class TestCosts:
@@ -319,22 +328,76 @@ class TestPairedDeviation:
         np.testing.assert_array_equal(base, dev)
 
     def test_opponent_path_frozen(self, wide_case):
-        # under a player-1 deviation, the second player's realized control
-        # must match the base run exactly (same noise)
+        # under a unilateral deviation, the opponent's realized control
+        # must match the base run exactly (same noise), while the
+        # deviating player's own control moves
         spec, grid, ladder, law = wide_case
-        dev_law = perturb_control(law, 1, "constant_shift", 0.4)
         base = simulate_path_gains(law, spec, grid, seed=13, n_paths=5)
-        sb = GainStepper(law, spec, grid)
-        sd = GainStepper(dev_law, spec, grid)
-        dw = draw_increments(grid, 5, 13)
-        win_b = initial_window(spec.x0, 5, grid.d1)
-        win_d = win_b.copy()
-        for k in range(grid.N + 1):
-            u1_b, u2_b = sb.u_levels(k, win_b)
-            u1_d, _ = sd.u_levels(k, win_d)
-            np.testing.assert_allclose(u2_b[sb.gap], base.u2[k], atol=1e-12)
-            win_b, _ = sb.advance_with(win_b, dw[k], u1_b, u2_b)
-            win_d, _ = sd.advance_with(win_d, dw[k], u1_d, u2_b)
+        for player in (1, 2):
+            dev_law = perturb_control(law, player, "constant_shift", 0.4)
+            stepper = GainStepper(law, spec, grid, [(player, dev_law)])
+            (slot,) = stepper.dev_slots
+            for k, _, u1, u2, _, _ in rollout(stepper, spec.x0,
+                                              draw_increments(grid, 5, 13)):
+                own, opp = (u1, u2) if player == 1 else (u2, u1)
+                np.testing.assert_array_equal(opp[slot], opp[0])
+                assert not np.array_equal(own[slot], own[0])
+                np.testing.assert_allclose(u2[0].T, base.u2[k], atol=1e-12)
+
+    def test_streamed_rows_equal_block_draw(self, wide_case):
+        spec, grid, ladder, law = wide_case
+        block = (np.random.default_rng(21).standard_normal((grid.N + 1, 7))
+                 * np.sqrt(grid.delta))
+        rows = list(increment_rows(grid, 7, 21))
+        assert len(rows) == grid.N + 1
+        np.testing.assert_array_equal(np.array(rows), block)
+        np.testing.assert_array_equal(draw_increments(grid, 7, 21), block)
+
+    @staticmethod
+    def _stacked_vs_reference(spec, grid, law, n_paths, seed):
+        """The slot-stacked rollout and the per-law reference loop on the
+        same increments, with the stacked arrays in the reference's layout:
+        (law, step, ..., P, n), the base law first, then the deviations in
+        family order."""
+        devs = _deviation_laws(law, DEVIATION_FAMILY)
+        stepper = GainStepper(law, spec, grid, devs)
+        order = np.r_[0, stepper.dev_slots]
+        rec = {"win": [], "u1": [], "u2": [], "diff": []}
+        for _, win, u1, u2, win_next, diff in rollout(
+                stepper, spec.x0, draw_increments(grid, n_paths, seed)):
+            for name, a in (("win", win), ("u1", u1), ("u2", u2),
+                            ("diff", diff)):
+                rec[name].append(a[order].swapaxes(-1, -2))
+        rec["win"].append(win_next[order].swapaxes(-1, -2))
+        rec = {name: np.array(v).swapaxes(0, 1) for name, v in rec.items()}
+        rec["own_base"], rec["own_dev"] = paired_costs(stepper, spec,
+                                                       n_paths, seed)
+        ref = reference_paired_rollout(law, devs, spec, grid,
+                                       draw_increments(grid, n_paths, seed))
+        return rec, ref
+
+    def test_stacked_step_reproduces_per_law_loop(self, golden):
+        # n = 1: every product is elementwise and every sum keeps the
+        # reference's term order, so both players' deviations step
+        # bit-identically to the per-law loop
+        spec, grid, ladder = golden
+        law = assemble_gains(extract_fields(ladder), spec)
+        rec, ref = self._stacked_vs_reference(spec, grid, law, 64, 4)
+        for name in ("win", "u1", "u2", "diff", "own_base", "own_dev"):
+            np.testing.assert_array_equal(rec[name], ref[name], err_msg=name)
+
+    @pytest.mark.parametrize("case", ["wide", "matrix_case"])
+    def test_stacked_step_matches_per_law_loop(self, case, request):
+        # for n >= 2 the paths-last products may round differently from the
+        # paths-first ones: at most 1e-12 relative, per path
+        spec, grid, ladder = request.getfixturevalue(case)
+        law = assemble_gains(extract_fields(ladder), spec)
+        rec, ref = self._stacked_vs_reference(spec, grid, law, 64, 4)
+        for name in ("win", "u1", "u2", "diff", "own_base", "own_dev"):
+            scale = np.max(np.abs(ref[name]), axis=-1 if name.startswith(
+                "own") else (-1, -3), keepdims=True)
+            assert np.all(np.abs(rec[name] - ref[name]) <= 1e-12 * scale), \
+                name
 
     def test_deviated_state_differs(self, wide_case):
         spec, grid, ladder, law = wide_case

@@ -172,8 +172,8 @@ class TestNashDeviation:
         spec, grid, ladder, law = wide_case
         from delaygame import simulator
         draws = []
-        original = simulator.draw_increments
-        monkeypatch.setattr(simulator, "draw_increments",
+        original = simulator.increment_rows
+        monkeypatch.setattr(simulator, "increment_rows",
                             lambda *a: draws.append(a) or original(*a))
         batched = vfy.nash_deviation_test(law, spec, grid, 400, seed=8)
         assert len(batched) == 10 and len(draws) == 1
