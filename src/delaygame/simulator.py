@@ -21,12 +21,12 @@ every stepper.
 Inside the steppers every array is slot-stacked and paths-last: windows
 (slots, d1+1, n, P), controls (slots, c, P), so a gain applies to a whole
 batch as one ``(c, n) @ (n, P)`` product (an elementwise product when the
-inner dimension is 1). ``paths_first`` gives the base slot as views in
-the layout of ``Trajectory``.
+inner dimension is 1). ``Trajectory`` records the base slot paths-first.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -297,12 +297,12 @@ def rollout(stepper, x0: np.ndarray, dw):
         del u1, u2, diff    # not held while the next step is computed
 
 
-def paths_first(step):
-    """The base slot of a rollout step as views in the paths-first layout
-    of ``Trajectory``: ``(k, win (d1+1, P, n), u1 (P, d1c), u2 (P, d2c),
-    win_next, diff (P, n))``."""
-    k, *arrays = step
-    return (k, *(a[0].swapaxes(-1, -2) for a in arrays))
+def streamed_rollout(stepper, x0: np.ndarray, n_paths: int, seed: int):
+    """``rollout`` on the (paths, seed) increments streamed row by row:
+    yields ``(step, dw_k)``, each step with its increment row. The two
+    branches of the one ``increment_rows`` generator buffer one row."""
+    rows, dw = itertools.tee(increment_rows(stepper.grid, n_paths, seed))
+    return zip(rollout(stepper, x0, rows), dw)
 
 
 def _run(stepper, x0: np.ndarray, seed: int, n_paths: int,
@@ -314,8 +314,10 @@ def _run(stepper, x0: np.ndarray, seed: int, n_paths: int,
     diff = np.empty((n_steps, n_paths, len(x0)))
     windows = (np.empty((n_steps + 1, grid.d1 + 1, n_paths, len(x0)))
                if record_windows else None)
-    for step in rollout(stepper, x0, dw):
-        k, win, u1, u2, win_next, diff_k = paths_first(step)
+    for k, *arrays in rollout(stepper, x0, dw):
+        # the base slot, as views in the paths-first layout
+        win, u1, u2, win_next, diff_k = (a[0].swapaxes(-1, -2)
+                                         for a in arrays)
         if k == 0:
             u1s = np.empty((n_steps,) + u1.shape)
             u2s = np.empty((n_steps,) + u2.shape)
@@ -362,7 +364,11 @@ def mean_recursion(ladder: RiccatiLadder, x0) -> np.ndarray:
 
 
 def _quad(v: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """v' M v per path for paths-last ``v`` (..., n, P)."""
+    """v' M v per path for paths-last ``v`` (..., n, P). With n = 1 it is
+    the elementwise product, bit-identical to the einsum and faster (the
+    rule of ``_apply``)."""
+    if M.shape[-1] == 1:
+        return ((v * M) * v)[..., 0, :]
     return np.einsum("...ip,ij,...jp->...p", v, M, v)
 
 

@@ -24,8 +24,8 @@ from .model import GameSpec, Grid, build_grid
 from .reports import DeviationVerdict, ResidualComponent, ResidualReport
 from .simulator import (GainStepper, LadderStepper, Trajectory,
                         draw_increments, paired_costs, paired_deviation_costs,
-                        paths_first, perturb_control, rollout,
-                        simulate_path_gains, simulate_path_ladder)
+                        perturb_control, rollout, simulate_path_gains,
+                        simulate_path_ladder, streamed_rollout)
 
 # Projection bands are C*delta + 3*se; C calibrated once on the golden
 # scalar instance by a step-halving pair (see tests/test_acceptance.py):
@@ -40,19 +40,18 @@ STATIONARITY_BAND_C = 3.0
 CROSS_REP_C = 4.0
 
 
-def _pathwise_costate(ladder: RiccatiLadder, k, win_next: np.ndarray):
-    """p at step k from the layer-(k+1) formula and the step-(k+1) window:
-    (2, P, n). With an index array ``k`` and the windows stacked on the same
-    leading axis, one p per step: (len(k), 2, P, n). Each player's terms are
-    summed in the formula's order: state, first lag family on every level,
-    second lag family on the finest d2+1 levels."""
-    gap = ladder.gap
-    win = np.concatenate([win_next[..., -1:, :, :], win_next,
-                          win_next[..., gap:, :, :]], axis=-3)
-    coef = np.concatenate([ladder.phat[k + 1][..., None, :, :],
-                           ladder.phat_lag[k + 1], ladder.ccheck_lag[k + 1]],
-                          axis=-3)
-    return (win[..., None, :, :, :] @ coef.swapaxes(-1, -2)).sum(axis=-3)
+def costate_matrices(ladder: RiccatiLadder) -> np.ndarray:
+    """The layer-(k+1) costate formula of every step as one matrix,
+    (N+1, 2n, (d1+1)·n): row block i is player i, column block j the
+    step-(k+1) window level j, holding ``phat_lag[k+1][i][j]``, plus
+    ``ccheck_lag[k+1][i][j-gap]`` on the finest d2+1 levels, plus
+    ``phat[k+1][i]`` on the state level d1. Step k's costates are this
+    matrix applied to the level-major paths-last window, (2n, P)."""
+    gap, n = ladder.gap, ladder.n
+    cm = ladder.phat_lag[1:].swapaxes(-3, -2).copy()   # (N+1, 2, n, d1+1, n)
+    cm[..., gap:, :] += ladder.ccheck_lag[1:].swapaxes(-3, -2)
+    cm[..., -1, :] += ladder.phat[1:]
+    return cm.reshape(len(cm), 2 * n, -1)
 
 
 def costate_reconstruct(ladder: RiccatiLadder, trajectory: Trajectory):
@@ -64,26 +63,31 @@ def costate_reconstruct(ladder: RiccatiLadder, trajectory: Trajectory):
     """
     if trajectory.windows is None:
         raise MissingWindow("trajectory was simulated without window recording")
-    k = np.arange(ladder.grid.N + 1)
-    p = _pathwise_costate(ladder, k, trajectory.windows[1:])
+    win = trajectory.windows[1:].swapaxes(-1, -2)      # (N+1, d1+1, n, P)
+    steps, n_paths = len(win), win.shape[-1]
+    p = costate_matrices(ladder) @ win.reshape(steps, -1, n_paths)
     q = trajectory.diff[:, None] @ ladder.phat[1:].swapaxes(-1, -2)
-    return p.swapaxes(0, 1), q.swapaxes(0, 1)
+    return (p.reshape(steps, 2, -1, n_paths).transpose(1, 0, 3, 2),
+            q.swapaxes(0, 1))
 
 
-def _test_variables(win: np.ndarray, up_to: int) -> np.ndarray:
-    """Constant plus window components up to the given index: (P, nz)."""
-    return np.concatenate([np.ones((win.shape[1], 1)), *win[:up_to + 1]],
-                          axis=1)
-
-
-def _projection_stats(res: np.ndarray, Z: np.ndarray):
-    """max |E[res x Z]| and the matching max standard error."""
-    n_paths = res.shape[0]
-    prod = res[:, :, None] * Z[:, None, :]
-    mean = prod.mean(axis=0)
-    se = prod.std(axis=0, ddof=1) / np.sqrt(n_paths)
-    return float(np.max(np.abs(mean))), float(np.max(se)), \
-        float(np.max(np.abs(mean) - 3.0 * se))
+def _projection_stats(res: np.ndarray, rows: np.ndarray):
+    """max |E[res x Z]|, the matching max standard error and the max of
+    |mean| - 3 se, for paths-last residuals ``res`` (r, P) and test
+    variables Z: the constant and the ``rows`` (m, P). The standard error
+    is the two-pass one, so a residual that is constant on the paths gives
+    se = 0 (exactly, when its sum over the paths is exact)."""
+    n_paths = res.shape[-1]
+    prod = np.empty((len(res), 1 + len(rows), n_paths))
+    prod[:, 0] = res
+    np.multiply(res[:, None], rows, out=prod[:, 1:])
+    mean = prod.mean(axis=-1, keepdims=True)
+    prod -= mean
+    prod *= prod
+    se = np.sqrt(prod.sum(axis=-1) / (n_paths - 1)) / np.sqrt(n_paths)
+    mean = np.abs(mean[..., 0])
+    return float(np.max(mean)), float(np.max(se)), \
+        float(np.max(mean - 3.0 * se))
 
 
 def _projection_report(name: str, rows, grid: Grid,
@@ -115,46 +119,43 @@ def fbsde_residual_test(ladder: RiccatiLadder, spec: GameSpec, grid: Grid,
     variable measurable one step back; it is projected on the constant
     and the step-k window components. Pass band per sample:
     ``band_c * delta + 3 * se``. Steps below d1 are reported separately
-    and do not gate.
+    and do not gate. Both players' residuals are projected together.
     """
-    stepper = LadderStepper(ladder)
-    dw = draw_increments(grid, n_paths, seed)
+    cm = costate_matrices(ladder)
+    a_t, abar_t = ladder.a_mat[0].T, spec.Abar.T
+    q_mats = np.stack([spec.Q1, spec.Q2])
     rows = []    # (k, raw, se, net)
     p_prev = None
-    for step in rollout(stepper, spec.x0, dw):
-        k, win, _, _, win_next, _ = paths_first(step)
-        x_k = win[grid.d1]
-        Z = _test_variables(win, grid.d1)
-        p_k = _pathwise_costate(ladder, k, win_next)
+    for (k, win, _, _, win_next, _), dw_k in streamed_rollout(
+            LadderStepper(ladder), spec.x0, n_paths, seed):
+        win = win[0]
+        p_k = (cm[k] @ win_next[0].reshape(-1, n_paths)).reshape(
+            2, -1, n_paths)
         if p_prev is not None:
-            raw = se = net = 0.0
-            for i, q_mat in enumerate((spec.Q1, spec.Q2)):
-                transported = (p_k[i] @ ladder.a_mat[0]
-                               + dw[k][:, None] * (p_k[i] @ spec.Abar))
-                res = (p_prev[i] - transported
-                       - grid.delta * (x_k @ q_mat.T))
-                r, s, nt = _projection_stats(res, Z)
-                raw, se, net = max(raw, r), max(se, s), max(net, nt)
-            rows.append((k, raw, se, net))
+            res = (p_prev - (a_t @ p_k + dw_k * (abar_t @ p_k))
+                   - grid.delta * (q_mats @ win[grid.d1]))
+            rows.append((k, *_projection_stats(
+                res.reshape(-1, n_paths), win.reshape(-1, n_paths))))
         p_prev = p_k
     return _projection_report("fbsde-martingale", rows, grid, band_c)
 
 
-def _stationarity_row(ladder: RiccatiLadder, spec: GameSpec, k: int,
-                      win: np.ndarray, u, win_next: np.ndarray,
-                      diff_k: np.ndarray):
-    """Step k's worst ``(k, raw, se, net)`` projection of both players'
-    first-order-condition residuals; ``u`` holds the realized controls."""
-    p_k = _pathwise_costate(ladder, k, win_next)
-    raw = se = net = 0.0
-    for i, (r_mat, b_mat, bbar_mat, z_upto) in enumerate((
-            (spec.R1, spec.B1, spec.B1bar, 1),
-            (spec.R2, spec.B2, spec.B2bar, ladder.gap + 1))):
-        q_ik = diff_k @ ladder.phat[k + 1, i].T
-        res = u[i] @ r_mat + p_k[i] @ b_mat + q_ik @ bbar_mat
-        r, s, nt = _projection_stats(res, _test_variables(win, z_upto))
-        raw, se, net = max(raw, r), max(se, s), max(net, nt)
-    return k, raw, se, net
+def _stationarity_row(ladder: RiccatiLadder, spec: GameSpec, cm: np.ndarray,
+                      step):
+    """A rollout step's worst ``(k, raw, se, net)`` projection of both
+    players' first-order-condition residuals, read off its base slot;
+    ``cm`` is ``costate_matrices(ladder)``."""
+    k, win, u1, u2, win_next, diff = step[0], *(a[0] for a in step[1:])
+    n_paths = win.shape[-1]
+    p_k = (cm[k] @ win_next.reshape(-1, n_paths)).reshape(2, -1, n_paths)
+    q_k = ladder.phat[k + 1] @ diff
+    stats = [_projection_stats(
+        r_mat.T @ u + b_mat.T @ p_k[i] + bbar_mat.T @ q_k[i],
+        win[:z_upto + 1].reshape(-1, n_paths))
+        for i, (u, r_mat, b_mat, bbar_mat, z_upto) in enumerate((
+            (u1, spec.R1, spec.B1, spec.B1bar, 1),
+            (u2, spec.R2, spec.B2, spec.B2bar, ladder.gap + 1)))]
+    return (k, *np.max(stats, axis=0))
 
 
 def stationarity_residual_test(ladder: RiccatiLadder, law: FeedbackLaw | None,
@@ -171,10 +172,10 @@ def stationarity_residual_test(ladder: RiccatiLadder, law: FeedbackLaw | None,
     """
     stepper = (GainStepper(law, spec, grid) if law is not None
                else LadderStepper(ladder))
-    rows = [_stationarity_row(ladder, spec, k, win, u, win_next, diff_k)
-            for k, win, *u, win_next, diff_k
-            in map(paths_first, rollout(stepper, spec.x0,
-                                        draw_increments(grid, n_paths, seed)))]
+    cm = costate_matrices(ladder)
+    rows = [_stationarity_row(ladder, spec, cm, step)
+            for step in rollout(stepper, spec.x0,
+                                draw_increments(grid, n_paths, seed))]
     return _projection_report("stationarity-projection", rows, grid, band_c)
 
 
@@ -255,11 +256,11 @@ def paired_law_checks(ladder: RiccatiLadder, law: FeedbackLaw,
     """``stationarity_residual_test(ladder, law, ...)`` and
     ``nash_deviation_test`` on the same seed from one paired rollout: the
     stationarity rows read the base slot, the own costs every slot."""
+    cm = costate_matrices(ladder)
     rows = []
 
     def observe(*step):
-        k, win, *u, win_next, diff = paths_first(step)
-        rows.append(_stationarity_row(ladder, spec, k, win, u, win_next, diff))
+        rows.append(_stationarity_row(ladder, spec, cm, step))
 
     stepper = GainStepper(law, spec, grid,
                           _deviation_laws(law, DEVIATION_FAMILY))

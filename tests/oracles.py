@@ -12,7 +12,9 @@ upward), on paths-first windows and one law at a time (the opponent's
 control levels of a deviation copied from the base law), as an exact
 check on the slot-stacked, paths-last steppers. The reference CSV
 writers format one row at a time through the csv module, as a
-byte-level check on the vectorized exporters. The reference gain assembly,
+byte-level check on the vectorized exporters. The reference costate and
+projection statistics work on paths-first arrays, one player at a time,
+as a check on the paths-last projection tests. The reference gain assembly,
 stationarity identity, closure conditioning and transport residuals at the
 end walk the time samples (and lag offsets) one at a time, as a check on
 the batched post-sweep expressions.
@@ -426,6 +428,45 @@ def reference_paired_rollout(law, deviations, spec, grid, dw):
     rec["own_base"] = 0.5 * costs[0, own]
     rec["own_dev"] = 0.5 * costs[np.arange(1, n_laws), own]
     return rec
+
+
+# ---------------------------------------------------------------------------
+# reference projection pieces: the paths-first costate formula, summed term
+# by term, and projection statistics reduced over the leading path axis
+# ---------------------------------------------------------------------------
+
+def reference_pathwise_costate(ladder, k, win_next):
+    """p at step k from the layer-(k+1) formula and the paths-first
+    step-(k+1) window (d1+1, P, n): (2, P, n). With an index array ``k``
+    and the windows stacked on the same leading axis, one p per step:
+    (len(k), 2, P, n). Each player's terms are summed in the formula's
+    order: state, first lag family on every level, second lag family on
+    the finest d2+1 levels."""
+    gap = ladder.gap
+    win = np.concatenate([win_next[..., -1:, :, :], win_next,
+                          win_next[..., gap:, :, :]], axis=-3)
+    coef = np.concatenate([ladder.phat[k + 1][..., None, :, :],
+                           ladder.phat_lag[k + 1], ladder.ccheck_lag[k + 1]],
+                          axis=-3)
+    return (win[..., None, :, :, :] @ coef.swapaxes(-1, -2)).sum(axis=-3)
+
+
+def reference_test_variables(win, up_to):
+    """Constant plus paths-first window components up to the given index:
+    (P, nz)."""
+    return np.concatenate([np.ones((win.shape[1], 1)), *win[:up_to + 1]],
+                          axis=1)
+
+
+def reference_projection_stats(res, Z):
+    """max |E[res x Z]|, the matching max standard error and the max of
+    |mean| - 3 se, for paths-first ``res`` (P, r) and ``Z`` (P, nz)."""
+    n_paths = res.shape[0]
+    prod = res[:, :, None] * Z[:, None, :]
+    mean = prod.mean(axis=0)
+    se = prod.std(axis=0, ddof=1) / np.sqrt(n_paths)
+    return float(np.max(np.abs(mean))), float(np.max(se)), \
+        float(np.max(np.abs(mean) - 3.0 * se))
 
 
 # ---------------------------------------------------------------------------

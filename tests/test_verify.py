@@ -5,8 +5,11 @@ from dataclasses import replace
 from delaygame import (GameSpec, Grid, MissingWindow, assemble_gains,
                        build_grid, extract_fields, perturb_control,
                        simulate_path_ladder, solve_ladder)
+from delaygame import simulate_path_gains
 from delaygame import verify as vfy
 from conftest import golden_scalar_spec, wide_delay_spec, zero_cost_spec
+from oracles import (reference_pathwise_costate, reference_projection_stats,
+                     reference_test_variables)
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +128,111 @@ class TestStationarityResidual:
                                              n_paths=4000, seed=2)
         band = vfy.STATIONARITY_BAND_C * grid.delta
         assert rep.component("projection_net").max >= 5.0 * band
+
+
+def _case(name, request):
+    """Spec, grid and ladder of a named case: golden at lag gap 2, the wide
+    problem, or the n = 2 matrix problem at lag gap 3."""
+    if name == "wide_case":
+        return request.getfixturevalue(name)[:3]
+    return request.getfixturevalue(name)
+
+
+def _reference_rows(ladder, spec, grid, traj, kind):
+    """Per-step ``(k, raw, se, net)`` of the backward-equation ("fbsde") or
+    first-order-condition projections, from a recorded paths-first batch,
+    one player at a time."""
+    p = reference_pathwise_costate(ladder, np.arange(grid.N + 1),
+                                   traj.windows[1:])
+    a_c = ladder.a_mat[0]
+    rows = []
+    for k in range(grid.N + 1):
+        win = traj.windows[k]
+        if kind == "fbsde":
+            if k == 0:
+                continue
+            Z = reference_test_variables(win, grid.d1)
+            stats = [reference_projection_stats(
+                p[k - 1, i] - (p[k, i] @ a_c + traj.dw[k][:, None]
+                               * (p[k, i] @ spec.Abar))
+                - grid.delta * (traj.x[k] @ q.T), Z)
+                for i, q in enumerate((spec.Q1, spec.Q2))]
+        else:
+            stats = [reference_projection_stats(
+                u[k] @ r + p[k, i] @ b
+                + (traj.diff[k] @ ladder.phat[k + 1, i].T) @ bbar,
+                reference_test_variables(win, up_to))
+                for i, (u, r, b, bbar, up_to) in enumerate((
+                    (traj.u1, spec.R1, spec.B1, spec.B1bar, 1),
+                    (traj.u2, spec.R2, spec.B2, spec.B2bar, ladder.gap + 1)))]
+        rows.append((k, *np.max(stats, axis=0)))
+    return np.array(rows).T
+
+
+class TestPathsLastProjections:
+    """The paths-last costate and projection statistics against the
+    paths-first references, at 1e-12 of each quantity's scale."""
+
+    CASES = pytest.mark.parametrize("case",
+                                    ["golden", "wide_case", "matrix_case"])
+
+    @staticmethod
+    def _assert_rows(rep, rows, grid):
+        ks, raws, ses, nets = rows
+        gate = ks >= grid.d1
+        scale = max(np.max(raws), np.max(ses))
+        for name, mask, ref in (
+                ("projection_raw", gate, raws[gate]),
+                ("projection_se", gate, ses[gate]),
+                ("projection_net", gate, np.maximum(nets[gate], 0.0)),
+                ("projection_provisional", ~gate, raws[~gate])):
+            comp = rep.component(name)
+            np.testing.assert_array_equal(comp.coord, ks[mask])
+            assert np.all(np.abs(comp.value - ref) <= 1e-12 * scale), name
+
+    @CASES
+    def test_costate_matches_reference(self, case, request):
+        spec, grid, ladder = _case(case, request)
+        traj = simulate_path_ladder(ladder, grid, spec.x0, seed=6,
+                                    n_paths=200, record_windows=True)
+        p, _ = vfy.costate_reconstruct(ladder, traj)
+        ref = reference_pathwise_costate(ladder, np.arange(grid.N + 1),
+                                         traj.windows[1:]).swapaxes(0, 1)
+        assert np.all(np.abs(p - ref) <= 1e-12 * np.max(np.abs(ref)))
+
+    @CASES
+    def test_fbsde_rows_match_reference(self, case, request):
+        spec, grid, ladder = _case(case, request)
+        traj = simulate_path_ladder(ladder, grid, spec.x0, seed=2,
+                                    n_paths=1000, record_windows=True)
+        rep = vfy.fbsde_residual_test(ladder, spec, grid, 1000, 2)
+        self._assert_rows(rep, _reference_rows(ladder, spec, grid, traj,
+                                               "fbsde"), grid)
+
+    @CASES
+    @pytest.mark.parametrize("mode", ["ladder", "law"])
+    def test_stationarity_rows_match_reference(self, case, mode, request):
+        spec, grid, ladder = _case(case, request)
+        if mode == "law":
+            law = assemble_gains(extract_fields(ladder), spec)
+            traj = simulate_path_gains(law, spec, grid, seed=2, n_paths=1000,
+                                       record_windows=True)
+        else:
+            law = None
+            traj = simulate_path_ladder(ladder, grid, spec.x0, seed=2,
+                                        n_paths=1000, record_windows=True)
+        rep = vfy.stationarity_residual_test(ladder, law, spec, grid, 1000, 2)
+        self._assert_rows(rep, _reference_rows(ladder, spec, grid, traj,
+                                               "stationarity"), grid)
+
+    def test_constant_residual_has_zero_se(self):
+        # the two-pass standard error of a residual constant on the paths
+        # (with an exact sum) is 0, so the net statistic is |mean|
+        res = np.full((2, 1000), -0.375)
+        raw, se, net = vfy._projection_stats(res, np.ones((3, 1000)))
+        assert (raw, se, net) == (0.375, 0.0, 0.375)
+        assert reference_projection_stats(res.T, np.ones((1000, 4))) == \
+            (raw, se, net)
 
 
 class TestNashDeviation:
