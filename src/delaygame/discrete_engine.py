@@ -3,9 +3,9 @@
 Working backward from the terminal weights, each step k
 
   * assembles four 2n-by-2n block systems from the next layer's aggregates,
-  * solves the chain of conditional-expectation pairs level by level
-    (coarsest information first, each level's right-hand side augmented by
-    the already-solved levels), and
+  * solves the chain of conditional-expectation pairs (one batched solve
+    for every information level, then a scan over the levels, coarsest
+    first, carrying the coupling of the already-solved levels), and
   * substitutes the solved pairs back to express the state update as
 
         x_{k+1} = A_k x_k + M_k E_{k-d1-1}[x_k]
@@ -266,13 +266,15 @@ def assemble_blocks(layer_next: RiccatiLayer, coeffs: SweepCoefficients,
     levels[1:, :n, n:] = -(r.B22 @ P2)
     levels[1:, n:, :n] = -delta * (r.Bbar12 @ S2)
     levels[1:, n:, n:] = eye - r.Bbar22 @ P2
-    g_block = np.block([
-        [delta * (r.B11 @ S1h), r.B21 @ P1],
-        [delta * (r.Bbar11 @ S1h), r.Bbar21 @ P1],
-    ])
+    g_block = np.empty((2 * n, 2 * n))
+    g_block[:n, :n] = delta * (r.B11 @ S1h)
+    g_block[:n, n:] = r.B21 @ P1
+    g_block[n:, :n] = delta * (r.Bbar11 @ S1h)
+    g_block[n:, n:] = r.Bbar21 @ P1
 
     rc = _rcond(levels)
-    where = k if k is not None else layer_next.k
+    # step k reads layer k+1
+    where = k if k is not None else layer_next.k - 1
     for m, which in block_order(gap):
         if rc[m] < RCOND_MIN:
             raise SingularGamma(where, which, rc[m])
@@ -293,69 +295,68 @@ def solve_estimate_chain(layer_next: RiccatiLayer, coeffs: SweepCoefficients,
                          delta: float, k: int) -> ClosedLoopStep:
     """Back-substitution chain producing the closed-loop step at index k.
 
-    Solves the estimate pair at the coarsest information level through
-    ``gamma_hat``, then each finer level m through its own block (the
-    right-hand side gaining the coarse-level coupling plus the kernel
-    coupling of already-solved levels), the last level through
-    ``gamma_check``; substitutes everything back into the state update.
-    Each level is factored once and solved once, for all its right-hand
-    sides together.
+    Each information level's estimate pair is linear in its right-hand
+    side, so one batched solve over the level blocks (``gamma_hat``, the
+    ``gamma_m{m}``, ``gamma_check``) gives every level m its response C_m
+    to the state column, Y_m to the kernel coupling of already-solved
+    levels and Z_m to the coarse-level coupling. The coupling that the
+    solved levels feed into finer ones then follows as a scan of gap-1
+    n-by-n product steps, coarsest level first; the coarsest and the last
+    level's estimate pairs are substituted back into the state update.
     """
     r = coeffs.reduced
     n = layer_next.n
-    gap = layer_next.phat_lag.shape[1] - layer_next.ccheck_lag.shape[1]
-
     blocks = assemble_blocks(layer_next, coeffs, delta, k)
-    levels = blocks.levels
+    gap = len(blocks.levels) - 1
     S1h = layer_next.shat[0]
     P1, P2 = layer_next.phat
     S2c = layer_next.scheck[1]
     # lag entries of player 2 at the next layer, offsets 0..gap-2, that
     # enter both the kernel couplings and the mid-level state terms
-    lag2 = layer_next.phat_lag[1]
+    lag2 = layer_next.phat_lag[1][:gap - 1]
 
-    a_hat = np.eye(n) + delta * coeffs.A
-    rhs_base = np.vstack([a_hat, delta * coeffs.Abar])
-    # kernel coupling [delta B12; delta Bbar12] of an already-solved level
-    kcol = np.vstack([delta * r.B12, delta * r.Bbar12])
+    # right-hand sides shared by every level: the state column, the kernel
+    # coupling [delta B12; delta Bbar12] and the coarse-level coupling.
+    # One LAPACK gesv per level in one call (scipy's lu_solve hands tiny
+    # multi-column solves to the OpenBLAS thread pool and can stall); b is
+    # broadcast to 3-D because numpy < 2 reads a 2-D b as a vector stack.
+    rhs = np.empty((2 * n, 4 * n))
+    rhs[:n, :n] = np.eye(n) + delta * coeffs.A
+    rhs[n:, :n] = delta * coeffs.Abar
+    rhs[:n, n:2 * n] = delta * r.B12
+    rhs[n:, n:2 * n] = delta * r.Bbar12
+    rhs[:, 2 * n:] = blocks.g_block
+    sol = np.linalg.solve(blocks.levels,
+                          np.broadcast_to(rhs, (gap + 1,) + rhs.shape))
+    C, Y, Z = sol[..., :n], sol[..., n:2 * n], sol[..., 2 * n:]
+    W00 = C[0]
 
-    # W[m][:, l*n:(l+1)*n]: (2n, n) dependence of the level-m estimate pair
-    # on the level-l estimate of the previous state; zero for l > m.
-    # R = sum_{0 < j < m} lag2[j-1] @ W[j][:n]: the kernel coupling that
-    # the levels solved so far feed into level m.
-    W = np.zeros((gap + 1, 2 * n, (gap + 1) * n))
+    # The level-m estimate pair depends on the level-l estimate of the
+    # previous state through Y_m R (plus Z_m W00 on l = 0) for l < m and
+    # C_m for l = m, where R = sum_{0 < j < m} lag2[j-1] @ W_j[:n] is the
+    # coupling of the levels solved so far (column block l).
+    top = lag2 @ sol[1:gap, :n]
+    T = top[..., n:2 * n]
+    E = top[..., 2 * n:] @ W00
     R = np.zeros((n, (gap + 1) * n))
-    zfactors = []
-    for m in range(gap + 1):
-        # right-hand sides: the couplings to levels l < m, the state
-        # column and, on levels 2..gap-1, the zfactor coupling columns
-        acc = kcol @ R[:, :m * n]
-        if m > 0:
-            acc[:, :n] += blocks.g_block @ W[0][:, :n]
-        with_z = 2 <= m < gap
-        rhs = np.hstack([acc, rhs_base, kcol] if with_z else [acc, rhs_base])
-        # one factorization and one multi-column solve (LAPACK gesv); not
-        # scipy's lu_solve, whose multi-column getrs hands these tiny
-        # solves to the OpenBLAS thread pool and can stall for milliseconds
-        sol = np.linalg.solve(levels[m], rhs)
-        W[m][:, :(m + 1) * n] = sol[:, :(m + 1) * n]
-        if with_z:
-            inner = sol[:, (m + 1) * n:]
-            z = np.eye(2 * n)
-            z[:n, :n] += lag2[m - 1] @ inner[:n]
-            z[n:, :n] += lag2[m - 1] @ inner[n:]
-            zfactors.append(z)
-        if 0 < m < gap:
-            R += lag2[m - 1] @ W[m][:n]
+    for m in range(1, gap):
+        R += T[m - 1] @ R
+        R[:, :n] += E[m - 1]
+        R[:, m * n:(m + 1) * n] = top[m - 1, :, :n]
+    Wc = Y[gap] @ R
+    Wc[:, :n] += Z[gap] @ W00
+    Wc[:, gap * n:] = C[gap]
+    # level-coupling operators of levels 2..gap-1
+    zfactors = np.tile(np.eye(2 * n), (max(gap - 2, 0), 1, 1))
+    zfactors[:, :n, :n] += T[1:]
+    zfactors[:, n:, :n] += lag2[1:] @ Y[2:gap, n:]
 
     # state-update coefficients, affine in the increment, for every
     # source level l at once (column block l)
-    Wc = W[gap]
     const = (delta * (r.B12 @ R)
              + _row_apply(delta * (r.B12 @ S2c), r.B22 @ P2, Wc, n))
     noise = (r.Bbar12 @ R
              + _row_apply(r.Bbar12 @ S2c, r.Bbar22 @ P2 / delta, Wc, n))
-    W00 = W[0][:, :n]
     const[:, :n] += _row_apply(delta * (r.B11 @ S1h), r.B21 @ P1, W00, n)
     noise[:, :n] += _row_apply(r.Bbar11 @ S1h, r.Bbar21 @ P1 / delta, W00, n)
 
@@ -371,7 +372,7 @@ def solve_estimate_chain(layer_next: RiccatiLayer, coeffs: SweepCoefficients,
                       axis=1),
         u1_gain=u1_gain,
         u2_gain=_column_blocks(u2, n),
-        zfactors=np.reshape(zfactors, (-1, 2 * n, 2 * n)),
+        zfactors=zfactors,
         rcond=blocks.rcond,
     )
 
@@ -393,12 +394,20 @@ def riccati_step(layer_next: RiccatiLayer, closed_loop: ClosedLoopStep,
 
     a_hat = np.eye(n) + delta * coeffs.A
     a_bar = coeffs.Abar
-    q_mats = (np.asarray(Q1, dtype=float), np.asarray(Q2, dtype=float))
+    q_mats = np.stack([np.asarray(Q1, dtype=float),
+                       np.asarray(Q2, dtype=float)])
     coef = closed_loop.coef
+    P_next = layer_next.phat
+    lag_next = layer_next.phat_lag
+    cc_next = layer_next.ccheck_lag
+    phat_lag = np.empty((2, d1 + 1, n, n))
+    ccheck_lag = np.empty((2, d2 + 1, n, n))
 
-    phat = np.empty((2, n, n))
-    phat_lag = np.zeros((2, d1 + 1, n, n))
-    ccheck_lag = np.zeros((2, d2 + 1, n, n))
+    # every expression below carries the leading player axis
+    phat = (a_hat.T @ P_next @ a_hat
+            + delta * (a_bar.T @ P_next @ a_bar)
+            + a_hat.T @ (lag_next[:, d1] + cc_next[:, d2]) @ a_hat
+            + delta * q_mats)
 
     # const-part tails sum(Mm[j], j >= m) + H + A_hat, m = 1..gap-1, used
     # by the coupled branch
@@ -407,29 +416,20 @@ def riccati_step(layer_next: RiccatiLayer, closed_loop: ClosedLoopStep,
 
     # the left factors a_hat' S + dw a_bar' P_next of the three lag-entry
     # products, one (const, noise) pair per aggregate S
-    left = np.empty((gap + 1, 2, n, n))
-    for i in range(2):
-        P_next = layer_next.phat[i]
-        phat[i] = (a_hat.T @ P_next @ a_hat
-                   + delta * (a_bar.T @ P_next @ a_bar)
-                   + a_hat.T @ (layer_next.phat_lag[i][d1]
-                                + layer_next.ccheck_lag[i][d2]) @ a_hat
-                   + delta * q_mats[i])
-        left[0, 0] = a_hat.T @ layer_next.shat[i]
-        left[1:gap, 0] = a_hat.T @ layer_next.sm[i]
-        left[gap, 0] = a_hat.T @ layer_next.scheck[i]
-        left[:, 1] = a_bar.T @ P_next
-        products = expectation_of_product(left, coef, delta)
-        phat_lag[i][0] = products[0]
-        # coupled branch, batched over offsets m = 1..gap-1
-        phat_lag[i][1:gap] = (products[1:gap]
-                              + a_hat.T @ layer_next.phat_lag[i][:gap - 1]
-                              @ tails)
-        # free-branch transport of both lag families, batched over offsets
-        phat_lag[i][gap:] = a_hat.T @ layer_next.phat_lag[i][gap - 1:d1] @ a_hat
-        ccheck_lag[i][0] = products[gap]
-        if d2 >= 1:
-            ccheck_lag[i][1:] = a_hat.T @ layer_next.ccheck_lag[i][:d2] @ a_hat
+    left = np.empty((2, gap + 1, 2, n, n))
+    left[:, 0, 0] = a_hat.T @ layer_next.shat
+    left[:, 1:gap, 0] = a_hat.T @ layer_next.sm
+    left[:, gap, 0] = a_hat.T @ layer_next.scheck
+    left[:, :, 1] = (a_bar.T @ P_next)[:, None]
+    products = expectation_of_product(left, coef, delta)
+    phat_lag[:, 0] = products[:, 0]
+    # coupled branch, batched over offsets m = 1..gap-1
+    phat_lag[:, 1:gap] = (products[:, 1:gap]
+                          + a_hat.T @ lag_next[:, :gap - 1] @ tails)
+    # free-branch transport of both lag families, batched over offsets
+    phat_lag[:, gap:] = a_hat.T @ lag_next[:, gap - 1:d1] @ a_hat
+    ccheck_lag[:, 0] = products[:, gap]
+    ccheck_lag[:, 1:] = a_hat.T @ cc_next[:, :d2] @ a_hat
 
     # aggregates from suffix sums of the first lag family: index j holds
     # phat + sum(phat_lag[j:]) + sum(ccheck_lag), so j = 0 is shat (and

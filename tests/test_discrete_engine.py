@@ -87,7 +87,8 @@ class TestAssembleBlocks:
                       [np.zeros((1, 1)), np.eye(1) - r.Bbar21 @ P1
                        - r.Bbar22 @ P2]]))
 
-    def test_singular_block_raises(self):
+    @staticmethod
+    def _singular_terminal():
         # for admissible weights the product signs keep the closure blocks
         # away from singularity, so an artificial indefinite layer
         # (terminal weight -1 against a pure increment control map) is
@@ -98,9 +99,21 @@ class TestAssembleBlocks:
                         H1=-1.0, H2=0.0, h1=0.2, h2=0.1, T=1.0, x0=[1.0])
         grid = Grid(N=9, delta=0.1, d1=2, d2=1)
         coeffs = SweepCoefficients.from_spec(spec)
-        layer = terminal_layer(spec.H1, spec.H2, grid)
+        return terminal_layer(spec.H1, spec.H2, grid), coeffs, grid
+
+    def test_singular_block_raises(self):
+        layer, coeffs, grid = self._singular_terminal()
         with pytest.raises(SingularGamma) as err:
             assemble_blocks(layer, coeffs, grid.delta, k=grid.N)
+        assert err.value.k == grid.N
+        assert err.value.which == "gamma_hat"
+
+    def test_singular_block_default_step(self):
+        # without k the error names the step that reads the given layer:
+        # the terminal layer N+1 is read by step N
+        layer, coeffs, grid = self._singular_terminal()
+        with pytest.raises(SingularGamma) as err:
+            assemble_blocks(layer, coeffs, grid.delta)
         assert err.value.k == grid.N
         assert err.value.which == "gamma_hat"
 
@@ -255,10 +268,11 @@ class TestChainAgainstClosedForms:
                 assert np.all(mm[0] == 0.0)
 
 
-# short horizons (two lag windows and a step) at lag gaps 2, 5 and 8
+# short horizons (two lag windows and a step) at lag gaps 2, 5, 8 and 16
 CHAIN_GRIDS = {2: Grid(N=9, delta=0.05, d1=4, d2=2),
                5: Grid(N=21, delta=0.02, d1=10, d2=5),
-               8: Grid(N=33, delta=0.0125, d1=16, d2=8)}
+               8: Grid(N=33, delta=0.0125, d1=16, d2=8),
+               16: Grid(N=65, delta=0.00625, d1=32, d2=16)}
 
 
 class TestChainAgainstReference:
@@ -308,9 +322,10 @@ class TestChainAgainstReference:
                 for m in range(1, gap):
                     self._close(layer.sm[i][m - 1], ref.Sm(i, m))
 
-    def test_one_solve_per_level(self, monkeypatch):
-        # one factor-and-solve call per information level, for all its
-        # right-hand sides, and one conditioning call for all blocks
+    def test_one_solve_per_step(self, monkeypatch):
+        # one batched factor-and-solve call for every information level
+        # and all their right-hand sides, and one conditioning call for
+        # all blocks
         spec, grid = matrix_spec(), CHAIN_GRIDS[8]
         ladder = solve_ladder(spec, grid)
         calls = {"solve": 0, "lu_factor": 0, "lu_solve": 0, "cond": 0}
@@ -330,7 +345,7 @@ class TestChainAgainstReference:
         k = grid.N - grid.d1
         solve_estimate_chain(ladder.layer(k + 1),
                              SweepCoefficients.from_spec(spec), grid.delta, k)
-        assert calls == {"solve": 9, "lu_factor": 0, "lu_solve": 0, "cond": 1}
+        assert calls == {"solve": 1, "lu_factor": 0, "lu_solve": 0, "cond": 1}
 
 
 class TestSweepInvariants:
