@@ -11,9 +11,7 @@ so runs are reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,20 +32,14 @@ EXIT_SINGULAR = 3
 EXIT_VERIFY = 4
 
 
-@dataclass
-class RunConfig:
-    problem_file: Path
-    command: str
-    delta_target: float
-    n_paths: int
-    seed: int
-    out_dir: Path
-    halvings: int
-    debug_zero_layer: int | None = None
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is one stderr line, without the usage text."""
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="delaygame",
         description="LQ stochastic differential games with asymmetric "
                     "information delays: solve, simulate, verify.")
@@ -58,15 +50,20 @@ def _build_parser() -> argparse.ArgumentParser:
             ("verify", "residual and deviation verification suite"),
             ("convergence", "step-halving convergence study")):
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--problem", required=True, help="problem file (JSON)")
+        p.add_argument("--problem", type=Path, required=True,
+                       help="problem file (JSON)")
         p.add_argument("--delta", type=float, default=None,
                        help="target step length (default h2/2)")
-        p.add_argument("--paths", type=int, default=2000,
-                       help="Monte Carlo paths")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--halvings", type=int, default=2,
-                       help="step halvings for convergence/trend checks")
+        p.add_argument("--out", type=Path, default=Path("out"),
+                       help="output directory")
+        if name in ("simulate", "verify"):
+            p.add_argument("--paths", type=int, default=2000,
+                           help="Monte Carlo paths")
+            p.add_argument("--seed", type=int, default=0,
+                           help="RNG seed (u64)")
+        if name in ("verify", "convergence"):
+            p.add_argument("--halvings", type=int, default=2,
+                           help="step halvings for convergence/trend checks")
         if name == "verify":
             p.add_argument("--debug-zero-layer", type=int, default=None,
                            help="zero one layer before testing "
@@ -74,37 +71,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(
-        problem_file=Path(args.problem),
-        command=args.command,
-        delta_target=args.delta,
-        n_paths=args.paths,
-        seed=args.seed,
-        out_dir=Path(args.out),
-        halvings=args.halvings,
-        debug_zero_layer=getattr(args, "debug_zero_layer", None),
-    )
-
-
-def _positive(config: RunConfig) -> str | None:
-    if config.delta_target is not None and not config.delta_target > 0:
+def _positive(args) -> str | None:
+    """The first out-of-range value among the flags the command takes."""
+    given = vars(args)
+    if args.delta is not None and not args.delta > 0:
         return "--delta must be positive"      # also rejects nan
-    if config.n_paths <= 0:
+    if given.get("paths", 1) <= 0:
         return "--paths must be positive"
-    if config.command == "verify" and config.n_paths < 2:
+    if args.command == "verify" and args.paths < 2:
         return "verify needs --paths >= 2 (paired standard errors)"
-    if config.halvings < 0:
+    if given.get("halvings", 0) < 0:
         return "--halvings must be nonnegative"
-    if config.seed < 0 or config.seed > 2 ** 64 - 1:
+    if not 0 <= given.get("seed", 0) <= 2 ** 64 - 1:
         return "--seed must fit an unsigned 64-bit value"
     return None
 
 
-def _load(config: RunConfig):
+def _load(args):
     """Parse + validate + solve; shared front half of every command."""
     try:
-        spec = load_problem(config.problem_file)
+        spec = load_problem(args.problem)
     except (OSError, ValueError, TypeError) as exc:
         print(f"cannot load problem: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
@@ -113,8 +99,7 @@ def _load(config: RunConfig):
         for line in report.violations:
             print(f"validation: {line}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
-    delta_target = (config.delta_target if config.delta_target is not None
-                    else spec.h2 / 2)
+    delta_target = args.delta if args.delta is not None else spec.h2 / 2
     grid = build_grid(spec, delta_target)
     coeffs = SweepCoefficients.from_spec(spec)
     try:
@@ -126,18 +111,18 @@ def _load(config: RunConfig):
     return spec, grid, coeffs, ladder
 
 
-def cmd_solve(config: RunConfig) -> int:
-    spec, grid, coeffs, ladder = _load(config)
+def cmd_solve(args) -> int:
+    spec, grid, coeffs, ladder = _load(args)
     fields = extract_fields(ladder)
     law = assemble_gains(fields, spec)
-    out = config.out_dir
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
     exports.export_ladder_csv(ladder, out / "ladder.csv")
     exports.export_fields_csv(fields, out / "fields.csv")
     exports.export_gains_csv(law, out / "gains.csv")
     rc = invertibility_rcond(fields, coeffs)
     exports.export_ladder_metadata(
-        ladder, out / "metadata.json", problem_path=config.problem_file,
+        ladder, out / "metadata.json", problem_path=args.problem,
         extra={"closure_rcond_min": {k: float(np.min(v))
                                      for k, v in rc.items()},
                "effective_weight_rcond_min": {"rt1": law.rt1_rcond_min,
@@ -153,14 +138,14 @@ def cmd_solve(config: RunConfig) -> int:
     return 0
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    spec, grid, coeffs, ladder = _load(config)
+def cmd_simulate(args) -> int:
+    spec, grid, coeffs, ladder = _load(args)
     fields = extract_fields(ladder)
     law = assemble_gains(fields, spec)
-    out = config.out_dir
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    traj = simulate_path_gains(law, spec, grid, seed=config.seed,
-                               n_paths=config.n_paths)
+    traj = simulate_path_gains(law, spec, grid, seed=args.seed,
+                               n_paths=args.paths)
     exports.export_trajectories_csv(traj, grid, out / "trajectories.csv")
     est = estimate_costs(traj, spec)
     exports.export_cost_report(est, out / "costs.json")
@@ -191,13 +176,13 @@ def _halvings(spec, coeffs, ladder, halvings: int, zero_at=None):
         yield lad
 
 
-def cmd_verify(config: RunConfig) -> int:
-    spec, grid, coeffs, ladder = _load(config)
-    if config.debug_zero_layer is not None:
-        if not 0 <= config.debug_zero_layer <= grid.N + 1:
+def cmd_verify(args) -> int:
+    spec, grid, coeffs, ladder = _load(args)
+    if args.debug_zero_layer is not None:
+        if not 0 <= args.debug_zero_layer <= grid.N + 1:
             print("--debug-zero-layer out of range", file=sys.stderr)
             return EXIT_USAGE
-        vfy.zero_layer(ladder, config.debug_zero_layer)
+        vfy.zero_layer(ladder, args.debug_zero_layer)
     fields = extract_fields(ladder)
     law = assemble_gains(fields, spec)
     records = []
@@ -233,13 +218,12 @@ def cmd_verify(config: RunConfig) -> int:
     ident = stationarity_identity_check(law, fields, spec)
     add("gain_stationarity_identity", ident.max, ident.tolerance, ident.passed)
 
-    rep = vfy.fbsde_residual_test(ladder, spec, grid, config.n_paths,
-                                  config.seed)
+    rep = vfy.fbsde_residual_test(ladder, spec, grid, args.paths, args.seed)
     add("fbsde_martingale_projection", rep.component("projection_net").max,
         vfy.FBSDE_BAND_C * grid.delta, rep.passed)
 
     rep, verdicts = vfy.paired_law_checks(ladder, law, spec, grid,
-                                          config.n_paths, config.seed)
+                                          args.paths, args.seed)
     add("stationarity_projection", rep.component("projection_net").max,
         vfy.STATIONARITY_BAND_C * grid.delta, rep.passed)
 
@@ -248,14 +232,14 @@ def cmd_verify(config: RunConfig) -> int:
             v.margin, -3.0 * v.combined_se, v.passed)
 
     cross = vfy.cross_representation_gap(ladder, law, spec, grid,
-                                         min(config.n_paths, 256), config.seed)
+                                         min(args.paths, 256), args.seed)
     bound = vfy.CROSS_REP_C * grid.delta
     add("cross_representation", cross, bound, cross <= bound)
 
     # step-halving trends for the deterministic residuals
     ode_series, semi_series, ladders = [], [], []
-    for lad in _halvings(spec, coeffs, ladder, config.halvings,
-                         config.debug_zero_layer):
+    for lad in _halvings(spec, coeffs, ladder, args.halvings,
+                         args.debug_zero_layer):
         ladders.append(lad)
         cr = continuous_residuals(fields if lad is ladder
                                   else extract_fields(lad), coeffs,
@@ -278,21 +262,20 @@ def cmd_verify(config: RunConfig) -> int:
         ratio = _trend_ratio(series)
         add(name, ratio, bound, ratio <= bound, skipped=skipped)
 
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    exports.export_verification_report(records,
-                                       config.out_dir / "verify_report.json")
+    args.out.mkdir(parents=True, exist_ok=True)
+    exports.export_verification_report(records, args.out / "verify_report.json")
     ok = all(r["pass"] for r in records)
     print("verification: " + ("all tests passed" if ok else "FAILURES present"))
     return 0 if ok else EXIT_VERIFY
 
 
-def cmd_convergence(config: RunConfig) -> int:
-    spec, grid, coeffs, ladder = _load(config)
-    out = config.out_dir
+def cmd_convergence(args) -> int:
+    spec, grid, coeffs, ladder = _load(args)
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    deltas = [grid.delta / 2 ** j for j in range(config.halvings + 1)]
+    deltas = [grid.delta / 2 ** j for j in range(args.halvings + 1)]
     lines, records, prev_fields = [], [], None
-    for lad in _halvings(spec, coeffs, ladder, config.halvings):
+    for lad in _halvings(spec, coeffs, ladder, args.halvings):
         g = lad.grid
         f = extract_fields(lad)
         cr = continuous_residuals(f, coeffs, spec.Q1, spec.Q2)
@@ -316,10 +299,8 @@ def cmd_convergence(config: RunConfig) -> int:
             records.append({"delta": dt, "no_delay_gain_gap": float(gapv)})
     else:
         lines.append("no-delay reduction skipped (increment maps nonzero)")
-    report = Path(out / "convergence.json")
-    with open(report, "w", encoding="utf-8") as fh:
-        json.dump(records, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    report = out / "convergence.json"
+    exports.write_json(report, records)
     print("\n".join(lines))
     print(f"report written to {report}")
     return 0
@@ -331,18 +312,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    config = _config(args)
-    usage_error = _positive(config)
+    usage_error = _positive(args)
     if usage_error:
         print(usage_error, file=sys.stderr)
         return EXIT_USAGE
-    if not config.problem_file.is_file():
-        print(f"problem file not found: {config.problem_file}", file=sys.stderr)
+    if not args.problem.is_file():
+        print(f"problem file not found: {args.problem}", file=sys.stderr)
         return EXIT_USAGE
     handler = {"solve": cmd_solve, "simulate": cmd_simulate,
                "verify": cmd_verify, "convergence": cmd_convergence}
     try:
-        return handler[config.command](config)
+        return handler[args.command](args)
     except SystemExit as exc:
         return int(exc.code)
     except MemoryError as exc:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from pathlib import Path
@@ -27,17 +26,25 @@ def _text(values) -> list[str]:
 
 
 def _write_table(path, header, *tables) -> None:
-    """One CSV file from a header and tables, each a list of equally long
-    columns of field text; the rows of every table are written in order."""
+    """One CSV file from a header and tables of rows of field text, the
+    rows of every table in order. Each row is its fields joined by commas
+    and ended by CRLF, as the csv module writes it: no field needs quoting,
+    each being a number, an index, a fixed label or empty."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for columns in tables:
-            writer.writerows(zip(*columns))
+        fh.write(",".join(header) + "\r\n")
+        for rows in tables:
+            fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
-def _entry_table(lead, parts) -> list[list[str]]:
-    """Columns of a table with one row per matrix entry, outer index first.
+def write_json(path, data) -> None:
+    """``data`` as JSON with sorted keys, indented by 2, newline-ended."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _entry_table(lead, parts):
+    """Rows of a table with one row per matrix entry, outer index first.
 
     ``lead`` holds the text of the leading column, one per outer index a;
     ``parts`` lists ``(labels, stack)`` with ``stack`` of shape (len(lead),
@@ -50,10 +57,10 @@ def _entry_table(lead, parts) -> list[list[str]]:
         template += [(*map(str, labels), str(i), str(j))
                      for i in range(r) for j in range(c)]
         blocks.append(stack.reshape(len(lead), -1))
-    m = len(template)
-    return ([[a for a in lead for _ in range(m)]]
-            + [list(col) * len(lead) for col in zip(*template)]
-            + [_text(np.concatenate(blocks, axis=1))])
+    m, values = len(template), _text(np.concatenate(blocks, axis=1))
+    for n, a in enumerate(lead):
+        for entry, value in zip(template, values[n * m:(n + 1) * m]):
+            yield (a, *entry, value)
 
 
 def export_ladder_csv(ladder: RiccatiLadder, path) -> None:
@@ -105,9 +112,7 @@ def export_ladder_metadata(ladder: RiccatiLadder, path, problem_path=None,
                            "hash": problem_hash(problem_path)}
     if extra:
         meta.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, meta)
 
 
 def export_fields_csv(fields: RiccatiFields, path) -> None:
@@ -137,49 +142,38 @@ def export_gains_csv(law: FeedbackLaw, path) -> None:
 
 def export_trajectories_csv(traj: Trajectory, grid: Grid, path) -> None:
     """One row per path and step k = 0..N+1; the controls and the
-    increment are blank at k = N+1."""
-    n_k, n_paths = grid.N + 2, traj.n_paths
-    header = (["path_id", "k", "t"]
-              + [f"x{i}" for i in range(traj.x.shape[2])]
+    increment are blank at k = N+1. The text of one path is held at a
+    time."""
+    n = traj.x.shape[2]
+    header = (["path_id", "k", "t"] + [f"x{i}" for i in range(n)]
               + [f"u1_{i}" for i in range(traj.u1.shape[2])]
-              + [f"u2_{i}" for i in range(traj.u2.shape[2])]
-              + ["dW"])
-    ks = [str(k) for k in range(n_k)]
+              + [f"u2_{i}" for i in range(traj.u2.shape[2])] + ["dW"])
+    block = np.full((grid.N + 2, len(header)), "", dtype=object)
+    block[:, 1] = [str(k) for k in range(grid.N + 2)]
+    block[:, 2] = _text(grid.times())
 
-    def per_path(values):
-        """Text of a (steps, paths) array, path-major, blank past N."""
-        text = np.full((n_paths, n_k), "", dtype=object)
-        text[:, :len(values)] = np.reshape(
-            np.array(_text(values.T), dtype=object), (n_paths, len(values)))
-        return text.ravel().tolist()
+    def rows():
+        for p in range(traj.n_paths):
+            block[:, 0] = str(p)
+            block[:, 3:3 + n].flat = _text(traj.x[:, p])
+            block[:-1, 3 + n:].flat = _text(np.concatenate(
+                (traj.u1[:, p], traj.u2[:, p], traj.dw[:, p, None]), axis=1))
+            yield from block.tolist()
 
-    _write_table(path, header,
-                 [[str(p) for p in range(n_paths) for _ in ks],
-                  ks * n_paths, _text(grid.times()) * n_paths]
-                 + [per_path(a[..., i]) for a in (traj.x, traj.u1, traj.u2)
-                    for i in range(a.shape[2])]
-                 + [per_path(traj.dw)])
+    _write_table(path, header, rows())
 
 
 def export_cost_report(est: CostEstimate, path) -> None:
-    data = {
-        "J1_mean": est.j1, "J1_se": est.j1_se,
-        "J2_mean": est.j2, "J2_se": est.j2_se,
-        "n_paths": est.n_paths, "seed": est.seed,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"J1_mean": est.j1, "J1_se": est.j1_se,
+                      "J2_mean": est.j2, "J2_se": est.j2_se,
+                      "n_paths": est.n_paths, "seed": est.seed})
 
 
 def export_verification_report(records: list[dict], path) -> None:
     """One record per test: name, statistic, bound, pass, evaluated; the
     names of the checks that compared nothing are listed again under
     ``not_evaluated``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"tests": records,
-                   "passed": all(r["pass"] for r in records),
-                   "not_evaluated": [r["name"] for r in records
-                                     if not r["evaluated"]]},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"tests": records,
+                      "passed": all(r["pass"] for r in records),
+                      "not_evaluated": [r["name"] for r in records
+                                        if not r["evaluated"]]})

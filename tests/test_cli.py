@@ -97,6 +97,19 @@ class TestSolve:
         assert main(["simulate", "--problem", str(wide_problem),
                      "--paths", "0", "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        "solve --out {out}",
+        "simulate --problem {problem} --paths abc --out {out}",
+        "solve --problem {problem} --seed 1 --out {out}"],
+        ids=["problem-missing", "paths-not-int", "flag-not-read"])
+    def test_usage_error_one_line(self, wide_problem, tmp_path, capsys,
+                                  argv):
+        code = main([a.format(problem=wide_problem, out=tmp_path / "o")
+                     for a in argv.split()])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and "error:" in err
+
     def test_nan_delta_exit_1(self, wide_problem, tmp_path, capsys):
         code = main(["solve", "--problem", str(wide_problem),
                      "--delta", "nan", "--out", str(tmp_path / "o")])
@@ -211,8 +224,9 @@ class TestVerify:
         original = cli.backward_sweep
         monkeypatch.setattr(cli, "backward_sweep",
                             lambda *a: calls.append(a) or original(*a))
+        paths = ["--paths", "200"] if command == "verify" else []
         code = main([command, "--problem", str(zero_problem),
-                     "--delta", "0.05", "--paths", "200",
+                     "--delta", "0.05", *paths,
                      "--halvings", str(halvings),
                      "--out", str(tmp_path / "o")])
         assert code == 0

@@ -1,25 +1,34 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from delaygame import (assemble_gains, build_grid, extract_fields,
                        simulate_path_gains, solve_ladder)
 from delaygame import exports
-from conftest import matrix_spec
+from conftest import golden_scalar_spec, matrix_spec
 from oracles import (reference_fields_csv, reference_gains_csv,
                      reference_ladder_csv, reference_trajectories_csv)
 
 
-@pytest.fixture(scope="module")
-def matrix_artifacts():
-    # lag gap 3: Mm rows in ladder.csv, interior K2_kernel rows in gains.csv
-    spec = matrix_spec()
-    grid = build_grid(spec, 0.05)
-    assert grid.d1 - grid.d2 == 3
+def _artifacts(spec, delta, seed, n_paths):
+    grid = build_grid(spec, delta)
     ladder = solve_ladder(spec, grid)
     fields = extract_fields(ladder)
     law = assemble_gains(fields, spec)
-    traj = simulate_path_gains(law, spec, grid, seed=7, n_paths=5)
+    traj = simulate_path_gains(law, spec, grid, seed=seed, n_paths=n_paths)
     return grid, ladder, fields, law, traj
+
+
+@pytest.fixture(scope="module")
+def artifacts():
+    # matrix: lag gap 3, so Mm rows in ladder.csv and interior K2_kernel rows
+    # in gains.csv; golden: n = 1 and a single simulated path
+    sets = {"matrix": _artifacts(matrix_spec(), 0.05, 7, 5),
+            "golden": _artifacts(golden_scalar_spec(), 0.005, 3, 1)}
+    grid = sets["matrix"][0]
+    assert grid.d1 - grid.d2 == 3
+    return sets
 
 
 CASES = {
@@ -35,16 +44,34 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_csv_bytes_match_reference(matrix_artifacts, tmp_path, name):
+@pytest.mark.parametrize("problem,name", [
+    *(pytest.param("matrix", name, id=name) for name in sorted(CASES)),
+    *(pytest.param("golden", name, id=f"golden-{name}")
+      for name in sorted(CASES))])
+def test_csv_bytes_match_reference(artifacts, tmp_path, problem, name):
     export, reference, args = CASES[name]
-    export(*args(matrix_artifacts), tmp_path / "got.csv")
-    reference(*args(matrix_artifacts), tmp_path / "ref.csv")
+    export(*args(artifacts[problem]), tmp_path / "got.csv")
+    reference(*args(artifacts[problem]), tmp_path / "ref.csv")
     got = (tmp_path / "got.csv").read_bytes()
     assert got == (tmp_path / "ref.csv").read_bytes()
-    if name == "ladder.csv":
+    if problem == "matrix" and name == "ladder.csv":
         assert b",Mm_const,2," in got and b",Mm_noise,1," in got
-    if name == "gains.csv":
+    if problem == "matrix" and name == "gains.csv":
+        law = artifacts[problem][3]
         assert got.count(b",K2_kernel,") == 4 * np.prod(
-            matrix_artifacts[3].k2_kernel.shape[2:]) * len(
-            matrix_artifacts[3].t_samples)
+            law.k2_kernel.shape[2:]) * len(law.t_samples)
+
+
+def test_trajectory_text_held_one_path_at_a_time(artifacts, tmp_path):
+    # the text of every row (about 9 times the arrays) is never held at once
+    grid, _, _, law, _ = artifacts["matrix"]
+    traj = simulate_path_gains(law, matrix_spec(), grid, seed=7, n_paths=2000)
+    arrays = sum(a.nbytes for a in (traj.x, traj.u1, traj.u2, traj.dw,
+                                    traj.diff))
+    tracemalloc.start()
+    try:
+        exports.export_trajectories_csv(traj, grid, tmp_path / "t.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < arrays
