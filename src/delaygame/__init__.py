@@ -4,12 +4,12 @@ extraction, equilibrium gain assembly, Monte Carlo simulation, and a
 residual/deviation verification suite."""
 
 from .errors import (DelayGameError, IncommensurateDelays, MissingWindow,
-                     SingularGain, SingularGamma, SingularWeight)
+                     NonFiniteLayer, SingularGain, SingularGamma,
+                     SingularWeight)
 from .model import (GameSpec, Grid, ReducedCoefficients, ValidationReport,
                     build_grid, load_problem, reduce_coefficients,
                     save_problem, validate)
-from .discrete_engine import (ClosedLoopStep, RiccatiLadder, RiccatiLayer,
-                              SweepCoefficients,
+from .discrete_engine import (RiccatiLadder, RiccatiLayer, SweepCoefficients,
                               assemble_blocks, backward_sweep,
                               expectation_of_product, riccati_step,
                               solve_estimate_chain, solve_ladder)
@@ -22,9 +22,9 @@ from .simulator import (CostEstimate, Trajectory, estimate_costs,
                         simulate_path_gains, simulate_path_ladder)
 
 __all__ = [
-    "ClosedLoopStep", "CostEstimate", "DelayGameError",
-    "DeviationVerdict", "FeedbackLaw", "GameSpec", "Grid",
-    "IncommensurateDelays", "MissingWindow", "ReducedCoefficients",
+    "CostEstimate", "DelayGameError", "DeviationVerdict", "FeedbackLaw",
+    "GameSpec", "Grid", "IncommensurateDelays", "MissingWindow",
+    "NonFiniteLayer", "ReducedCoefficients",
     "ResidualComponent", "ResidualReport", "RiccatiFields", "RiccatiLadder",
     "RiccatiLayer", "SingularGain", "SingularGamma", "SingularWeight",
     "SweepCoefficients", "Trajectory", "ValidationReport",

@@ -1,11 +1,12 @@
 """Command-line pipeline: solve, simulate, verify, convergence study.
 
 Exit codes: 0 success, 1 usage error (also a grid too fine for memory),
-2 unreadable or invalid problem file, 3 singular block in the backward
-sweep, 4 verification failure. All randomness flows from the single
---seed: every Monte Carlo pass generates its increments from it, one
-step at a time (``simulator.increment_rows``), as a block or streamed,
-so runs are reproducible byte for byte.
+2 unreadable or invalid problem file, 3 singular block or non-finite
+(overflowed) layer in a backward sweep, 4 verification failure. All
+randomness flows from the single --seed: every Monte Carlo pass
+generates its increments from it, one step at a time
+(``simulator.increment_rows``), as a block or streamed, so runs are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from . import exports
 from .continuous_limit import (continuous_residuals, extract_fields,
                                invertibility_rcond)
 from .discrete_engine import SweepCoefficients, backward_sweep
-from .errors import DelayGameError, IncommensurateDelays, SingularGamma
+from .errors import (DelayGameError, IncommensurateDelays, NonFiniteLayer,
+                     SingularGamma)
 from .gains import IDENTITY_TOL, assemble_gains, stationarity_identity_check
 from .model import build_grid, load_problem, validate
 from .simulator import estimate_costs, simulate_path_gains
@@ -102,12 +104,7 @@ def _load(args):
     delta_target = args.delta if args.delta is not None else spec.h2 / 2
     grid = build_grid(spec, delta_target)
     coeffs = SweepCoefficients.from_spec(spec)
-    try:
-        ladder = backward_sweep(coeffs, grid, spec.Q1, spec.Q2,
-                                spec.H1, spec.H2)
-    except SingularGamma as exc:
-        print(f"singular sweep block: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_SINGULAR)
+    ladder = backward_sweep(coeffs, grid, spec.Q1, spec.Q2, spec.H1, spec.H2)
     return spec, grid, coeffs, ladder
 
 
@@ -330,6 +327,9 @@ def main(argv=None) -> int:
         print(f"error: out of memory: {str(exc) or 'allocation failed'}",
               file=sys.stderr)
         return EXIT_USAGE
+    except (SingularGamma, NonFiniteLayer) as exc:
+        print(f"backward sweep: {exc}", file=sys.stderr)
+        return EXIT_SINGULAR
     except DelayGameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         # delays that share no step are a fault of the problem file

@@ -14,17 +14,20 @@ Working backward from the terminal weights, each step k
     with every coefficient affine in the Brownian increment, then
   * advances the layer matrices one step back.
 
+Both step functions write their results in place into the one
+``RiccatiLadder`` of the sweep, step k reading only its layer k+1.
+
 All expectations over the increment use exactly the first two moments
 (E[dw] = 0, E[dw^2] = delta); higher moments are deliberately dropped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularGamma
+from .errors import NonFiniteLayer, SingularGamma
 from .model import GameSpec, Grid, ReducedCoefficients, reduce_coefficients
 
 # A block system counts as singular when its reciprocal condition number
@@ -46,33 +49,58 @@ def expectation_of_product(X: np.ndarray, Y: np.ndarray,
             + delta * (X[..., 1, :, :] @ Y[..., 1, :, :]))
 
 
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
+
+
+class _Aggregates:
+    """Read-only views of the aggregate stack ``agg`` (axis -3 holds S^m
+    at index m-1): ``shat`` is S^1, ``scheck`` is S^gap and ``sm`` holds
+    S^1..S^{gap-1}."""
+
+    @property
+    def shat(self) -> np.ndarray:
+        return _read_only(self.agg[..., 0, :, :])
+
+    @property
+    def scheck(self) -> np.ndarray:
+        return _read_only(self.agg[..., -1, :, :])
+
+    @property
+    def sm(self) -> np.ndarray:
+        return _read_only(self.agg[..., :-1, :, :])
+
+
 @dataclass
-class RiccatiLayer:
+class RiccatiLayer(_Aggregates):
     """Per-step layer of the backward recursion.
 
     ``phat[i]`` is the state coefficient; ``phat_lag[i][j]`` (j = 0..d1)
     and ``ccheck_lag[i][j]`` (j = 0..d2) are the lag-family entries whose
     forward index is k + j; lag entries with k + j > N are identically
-    zero. ``shat``/``sm``/``scheck`` are the information aggregates: sums
-    of phat and the lag families from lag offsets 0 / m-1 / (d1-d2)-1.
-    Player index i is 0-based (player 1 -> 0).
+    zero. ``agg[i][m-1]`` is the information aggregate S^m (m = 1..gap):
+    phat plus the first lag family from offset m-1 on plus the whole
+    second family, so S^1 is ``shat`` and S^gap is ``scheck``. Player
+    index i is 0-based (player 1 -> 0).
     """
 
     k: int
     phat: np.ndarray          # (2, n, n)
     phat_lag: np.ndarray      # (2, d1+1, n, n)
     ccheck_lag: np.ndarray    # (2, d2+1, n, n)
-    shat: np.ndarray          # (2, n, n)
-    scheck: np.ndarray        # (2, n, n)
-    sm: np.ndarray            # (2, gap-1, n, n), S^m stored at index m-1
+    agg: np.ndarray           # (2, gap, n, n), S^m stored at index m-1
     provisional: bool = False
 
     @property
     def n(self) -> int:
         return self.phat.shape[-1]
 
+    def finite(self) -> bool:
+        return all(np.isfinite(getattr(self, f)).all() for f in LAYER_FIELDS)
 
-LAYER_FIELDS = ("phat", "phat_lag", "ccheck_lag", "shat", "scheck", "sm")
+
+LAYER_FIELDS = ("phat", "phat_lag", "ccheck_lag", "agg")
 
 
 def block_order(gap: int) -> list[tuple[int, str]]:
@@ -95,98 +123,6 @@ class GammaBlocks:
     levels: np.ndarray        # (gap+1, 2n, 2n)
     g_block: np.ndarray
     rcond: np.ndarray         # (gap+1,)
-
-
-@dataclass
-class ClosedLoopStep:
-    """Noise-affine coefficients advancing x_k to x_{k+1}, one step's slice
-    of the ladder's closed-loop stacks (see :class:`RiccatiLadder`)."""
-
-    coef: np.ndarray          # (gap+1, 2, n, n)
-    u1_gain: np.ndarray       # (d1c, n)
-    u2_gain: np.ndarray       # (gap+1, d2c, n)
-    zfactors: np.ndarray      # (max(gap-2, 0), 2n, 2n)
-    rcond: np.ndarray         # (gap+1,)
-
-
-@dataclass
-class RiccatiLadder:
-    """Every layer (k = 0..N+1) and closed-loop step (k = 0..N) of a sweep,
-    stacked on a leading k axis.
-
-    Layer stacks: ``phat`` (N+2, 2, n, n), ``phat_lag`` (N+2, 2, d1+1, n,
-    n), ``ccheck_lag`` (N+2, 2, d2+1, n, n), ``shat``/``scheck`` (N+2, 2,
-    n, n) and ``sm`` (N+2, 2, gap-1, n, n), as described by
-    :class:`RiccatiLayer`. Closed loop:
-
-        x_{k+1} = a(dw) x_k + sum_l coef[k, l](dw) E_{k-d1-1+l}[x_k],
-
-    with every coefficient affine in the increment, stored as (const,
-    noise) pairs: ``a_mat`` (2, n, n) is I + delta*A, Abar at every k, and
-    ``coef`` (N+1, gap+1, 2, n, n) holds M at source level l = 0, Mm at
-    0 < l < gap (zero once k + l > N) and H at l = gap. ``u1_gain`` (N+1,
-    d1c, n) and ``u2_gain`` (N+1, gap+1, d2c, n) recover the implied
-    controls as gains on the estimate window (``u2_gain[k, l]`` acts on
-    level k-d1-1+l). ``zfactors`` (N+1, max(gap-2, 0), 2n, 2n) are the
-    level-coupling operators that tend to the identity as delta -> 0, and
-    ``rcond`` (N+1, gap+1) the reciprocal condition number of each level's
-    block. Layers below k = d1 are computed (the simulation warm-up needs
-    them) but flagged provisional; verification treats them separately.
-    """
-
-    grid: Grid
-    a_mat: np.ndarray
-    phat: np.ndarray
-    phat_lag: np.ndarray
-    ccheck_lag: np.ndarray
-    shat: np.ndarray
-    scheck: np.ndarray
-    sm: np.ndarray
-    coef: np.ndarray
-    u1_gain: np.ndarray
-    u2_gain: np.ndarray
-    zfactors: np.ndarray
-    rcond: np.ndarray
-
-    @staticmethod
-    def empty(grid: Grid, a_mat: np.ndarray, layer: RiccatiLayer,
-              step: ClosedLoopStep) -> "RiccatiLadder":
-        """Uninitialized stacks for the layers and steps of ``grid``,
-        shaped like the given layer and step."""
-        def stack(x, count):
-            return np.empty((count,) + x.shape)
-        return RiccatiLadder(
-            grid, a_mat,
-            **{f: stack(getattr(layer, f), grid.N + 2) for f in LAYER_FIELDS},
-            **{f.name: stack(getattr(step, f.name), grid.N + 1)
-               for f in fields(step)})
-
-    @property
-    def n(self) -> int:
-        return self.a_mat.shape[-1]
-
-    @property
-    def gap(self) -> int:
-        return self.grid.d1 - self.grid.d2
-
-    def layer(self, k: int) -> RiccatiLayer:
-        """Layer k as views into the stacks (writes go through)."""
-        return RiccatiLayer(k, *(getattr(self, f)[k] for f in LAYER_FIELDS),
-                            provisional=k < self.grid.d1)
-
-    def set_layer(self, k: int, layer: RiccatiLayer) -> None:
-        for f in LAYER_FIELDS:
-            getattr(self, f)[k] = getattr(layer, f)
-
-    def set_step(self, k: int, step: ClosedLoopStep) -> None:
-        for f in fields(step):
-            getattr(self, f.name)[k] = getattr(step, f.name)
-
-    @property
-    def rcond_min(self) -> dict[str, float]:
-        """Worst reciprocal condition number of each block over all steps."""
-        worst = self.rcond.min(axis=0)
-        return {name: float(worst[m]) for m, name in block_order(self.gap)}
 
 
 @dataclass(frozen=True)
@@ -214,21 +150,73 @@ class SweepCoefficients:
         )
 
 
-def terminal_layer(H1: np.ndarray, H2: np.ndarray, grid: Grid) -> RiccatiLayer:
-    """Layer at k = N+1: state coefficients equal the terminal weights,
-    every lag entry zero, every aggregate equal to the state coefficient."""
-    n = H1.shape[0]
-    gap = grid.d1 - grid.d2
-    phat = np.stack([np.asarray(H1, dtype=float), np.asarray(H2, dtype=float)])
-    return RiccatiLayer(
-        k=grid.N + 1,
-        phat=phat,
-        phat_lag=np.zeros((2, grid.d1 + 1, n, n)),
-        ccheck_lag=np.zeros((2, grid.d2 + 1, n, n)),
-        shat=phat.copy(),
-        scheck=phat.copy(),
-        sm=np.repeat(phat[:, None], gap - 1, axis=1),
-    )
+class RiccatiLadder(_Aggregates):
+    """Every layer (k = 0..N+1) and closed-loop step (k = 0..N) of a sweep,
+    stacked on a leading k axis: the only storage the sweep writes.
+
+    Layer stacks: ``phat`` (N+2, 2, n, n), ``phat_lag`` (N+2, 2, d1+1, n,
+    n), ``ccheck_lag`` (N+2, 2, d2+1, n, n) and ``agg`` (N+2, 2, gap, n,
+    n), as described by :class:`RiccatiLayer`. Closed loop:
+
+        x_{k+1} = a(dw) x_k + sum_l coef[k, l](dw) E_{k-d1-1+l}[x_k],
+
+    with every coefficient affine in the increment, stored as (const,
+    noise) pairs: ``a_mat`` (2, n, n) is I + delta*A, Abar at every k, and
+    ``coef`` (N+1, gap+1, 2, n, n) holds M at source level l = 0, Mm at
+    0 < l < gap (zero once k + l > N) and H at l = gap. ``u1_gain`` (N+1,
+    d1c, n) and ``u2_gain`` (N+1, gap+1, d2c, n) recover the implied
+    controls as gains on the estimate window (``u2_gain[k, l]`` acts on
+    level k-d1-1+l). ``zfactors`` (N+1, max(gap-2, 0), 2n, 2n) are the
+    level-coupling operators that tend to the identity as delta -> 0, and
+    ``rcond`` (N+1, gap+1) the reciprocal condition number of each level's
+    block. Layers below k = d1 are computed (the simulation warm-up needs
+    them) but flagged provisional; verification treats them separately.
+
+    The constructor allocates every stack and writes the terminal layer
+    k = N+1: state coefficients equal the terminal weights, every lag
+    entry is zero and every aggregate equals the state coefficient. The
+    other slices are left uninitialized for the sweep to fill.
+    """
+
+    def __init__(self, grid: Grid, coeffs: SweepCoefficients,
+                 H1: np.ndarray, H2: np.ndarray):
+        n, gap = coeffs.A.shape[0], grid.d1 - grid.d2
+        layers, steps = (grid.N + 2, 2), (grid.N + 1,)
+        self.grid = grid
+        self.a_mat = np.stack([np.eye(n) + grid.delta * coeffs.A,
+                               coeffs.Abar])
+        self.phat = np.empty(layers + (n, n))
+        self.phat_lag = np.empty(layers + (grid.d1 + 1, n, n))
+        self.ccheck_lag = np.empty(layers + (grid.d2 + 1, n, n))
+        self.agg = np.empty(layers + (gap, n, n))
+        self.coef = np.empty(steps + (gap + 1, 2, n, n))
+        self.u1_gain = np.empty(steps + (coeffs.B1.shape[1], n))
+        self.u2_gain = np.empty(steps + (gap + 1, coeffs.B2.shape[1], n))
+        self.zfactors = np.empty(steps + (max(gap - 2, 0), 2 * n, 2 * n))
+        self.rcond = np.empty(steps + (gap + 1,))
+        self.phat[-1] = H1, H2
+        self.phat_lag[-1] = 0.0
+        self.ccheck_lag[-1] = 0.0
+        self.agg[-1] = self.phat[-1][:, None]
+
+    @property
+    def n(self) -> int:
+        return self.a_mat.shape[-1]
+
+    @property
+    def gap(self) -> int:
+        return self.grid.d1 - self.grid.d2
+
+    def layer(self, k: int) -> RiccatiLayer:
+        """Layer k as views into the stacks (writes go through)."""
+        return RiccatiLayer(k, *(getattr(self, f)[k] for f in LAYER_FIELDS),
+                            provisional=k < self.grid.d1)
+
+    @property
+    def rcond_min(self) -> dict[str, float]:
+        """Worst reciprocal condition number of each block over all steps."""
+        worst = self.rcond.min(axis=0)
+        return {name: float(worst[m]) for m, name in block_order(self.gap)}
 
 
 def _rcond(M: np.ndarray):
@@ -244,15 +232,17 @@ def assemble_blocks(layer_next: RiccatiLayer, coeffs: SweepCoefficients,
     """Build the four block families from the next layer's aggregates.
 
     Raises :class:`SingularGamma` when any block is numerically singular,
-    i.e. the explicit-solution hypothesis fails at this step/resolution.
+    i.e. the explicit-solution hypothesis fails at this step/resolution,
+    and :class:`NonFiniteLayer` instead when the layer read holds an inf
+    or nan entry (the recursion overflowed before this step).
     """
     r = coeffs.reduced
     n = layer_next.n
     eye = np.eye(n)
     S1h, S2h = layer_next.shat
     P1, P2 = layer_next.phat
-    # player 2's aggregates of levels m = 1..gap-1, then of the last level
-    S2 = np.concatenate([layer_next.sm[1], layer_next.scheck[1][None]])
+    # player 2's aggregates S^1..S^gap, one per finer level
+    S2 = layer_next.agg[1]
     gap = len(S2)
 
     # level 0 holds gamma_hat, level m the block gamma_m{m}, level gap
@@ -277,6 +267,8 @@ def assemble_blocks(layer_next: RiccatiLayer, coeffs: SweepCoefficients,
     where = k if k is not None else layer_next.k - 1
     for m, which in block_order(gap):
         if rc[m] < RCOND_MIN:
+            if not layer_next.finite():
+                raise NonFiniteLayer(where + 1)
             raise SingularGamma(where, which, rc[m])
     return GammaBlocks(levels, g_block, rc)
 
@@ -291,9 +283,11 @@ def _column_blocks(X: np.ndarray, n: int) -> np.ndarray:
     return X.reshape(len(X), -1, n).swapaxes(0, 1)
 
 
-def solve_estimate_chain(layer_next: RiccatiLayer, coeffs: SweepCoefficients,
-                         delta: float, k: int) -> ClosedLoopStep:
-    """Back-substitution chain producing the closed-loop step at index k.
+def solve_estimate_chain(ladder: RiccatiLadder, coeffs: SweepCoefficients,
+                         k: int) -> None:
+    """Back-substitution chain writing the closed-loop step k of ``ladder``
+    (``coef``, ``u1_gain``, ``u2_gain``, ``zfactors``, ``rcond``) from its
+    layer k+1.
 
     Each information level's estimate pair is linear in its right-hand
     side, so one batched solve over the level blocks (``gamma_hat``, the
@@ -305,9 +299,9 @@ def solve_estimate_chain(layer_next: RiccatiLayer, coeffs: SweepCoefficients,
     level's estimate pairs are substituted back into the state update.
     """
     r = coeffs.reduced
-    n = layer_next.n
+    n, gap, delta = ladder.n, ladder.gap, ladder.grid.delta
+    layer_next = ladder.layer(k + 1)
     blocks = assemble_blocks(layer_next, coeffs, delta, k)
-    gap = len(blocks.levels) - 1
     S1h = layer_next.shat[0]
     P1, P2 = layer_next.phat
     S2c = layer_next.scheck[1]
@@ -321,8 +315,8 @@ def solve_estimate_chain(layer_next: RiccatiLayer, coeffs: SweepCoefficients,
     # multi-column solves to the OpenBLAS thread pool and can stall); b is
     # broadcast to 3-D because numpy < 2 reads a 2-D b as a vector stack.
     rhs = np.empty((2 * n, 4 * n))
-    rhs[:n, :n] = np.eye(n) + delta * coeffs.A
-    rhs[n:, :n] = delta * coeffs.Abar
+    rhs[:n, :n] = ladder.a_mat[0]
+    rhs[n:, :n] = delta * ladder.a_mat[1]
     rhs[:n, n:2 * n] = delta * r.B12
     rhs[n:, n:2 * n] = delta * r.Bbar12
     rhs[:, 2 * n:] = blocks.g_block
@@ -347,7 +341,8 @@ def solve_estimate_chain(layer_next: RiccatiLayer, coeffs: SweepCoefficients,
     Wc[:, :n] += Z[gap] @ W00
     Wc[:, gap * n:] = C[gap]
     # level-coupling operators of levels 2..gap-1
-    zfactors = np.tile(np.eye(2 * n), (max(gap - 2, 0), 1, 1))
+    zfactors = ladder.zfactors[k]
+    zfactors[:] = np.eye(2 * n)
     zfactors[:, :n, :n] += T[1:]
     zfactors[:, n:, :n] += lag2[1:] @ Y[2:gap, n:]
 
@@ -359,55 +354,45 @@ def solve_estimate_chain(layer_next: RiccatiLayer, coeffs: SweepCoefficients,
              + _row_apply(r.Bbar12 @ S2c, r.Bbar22 @ P2 / delta, Wc, n))
     const[:, :n] += _row_apply(delta * (r.B11 @ S1h), r.B21 @ P1, W00, n)
     noise[:, :n] += _row_apply(r.Bbar11 @ S1h, r.Bbar21 @ P1 / delta, W00, n)
+    ladder.coef[k, :, 0] = _column_blocks(const, n)
+    ladder.coef[k, :, 1] = _column_blocks(noise, n)
 
     # controls implied by the solved estimate pairs, as window gains
-    u1_gain = -coeffs.R1inv @ (
+    ladder.u1_gain[k] = -coeffs.R1inv @ (
         coeffs.B1.T @ (S1h @ W00[:n])
         + coeffs.B1bar.T @ (P1 @ W00[n:]) / delta)
     u2 = -coeffs.R2inv @ (coeffs.B2.T @ (S2c @ Wc[:n] + R)
                           + coeffs.B2bar.T @ (P2 @ Wc[n:] / delta))
-
-    return ClosedLoopStep(
-        coef=np.stack([_column_blocks(const, n), _column_blocks(noise, n)],
-                      axis=1),
-        u1_gain=u1_gain,
-        u2_gain=_column_blocks(u2, n),
-        zfactors=zfactors,
-        rcond=blocks.rcond,
-    )
+    ladder.u2_gain[k] = _column_blocks(u2, n)
+    ladder.rcond[k] = blocks.rcond
 
 
-def riccati_step(layer_next: RiccatiLayer, closed_loop: ClosedLoopStep,
-                 coeffs: SweepCoefficients, Q1: np.ndarray, Q2: np.ndarray,
-                 delta: float) -> RiccatiLayer:
-    """Advance the layer one step back using the closed-loop coefficients.
+def riccati_step(ladder: RiccatiLadder, Q1: np.ndarray, Q2: np.ndarray,
+                 k: int) -> None:
+    """Write layer k of ``ladder`` from its layer k+1 and closed-loop step k.
 
     The lag families shift by one offset per step: offset m at the new
     layer reads offset m-1 at the next layer, with the coupled branch
     active only for 0 < m < d1-d2.
     """
-    n = layer_next.n
-    d1 = layer_next.phat_lag.shape[1] - 1
-    d2 = layer_next.ccheck_lag.shape[1] - 1
-    gap = d1 - d2
-    k = layer_next.k - 1
-
-    a_hat = np.eye(n) + delta * coeffs.A
-    a_bar = coeffs.Abar
+    n, d1, d2, gap = ladder.n, ladder.grid.d1, ladder.grid.d2, ladder.gap
+    delta = ladder.grid.delta
+    a_hat, a_bar = ladder.a_mat
     q_mats = np.stack([np.asarray(Q1, dtype=float),
                        np.asarray(Q2, dtype=float)])
-    coef = closed_loop.coef
-    P_next = layer_next.phat
-    lag_next = layer_next.phat_lag
-    cc_next = layer_next.ccheck_lag
-    phat_lag = np.empty((2, d1 + 1, n, n))
-    ccheck_lag = np.empty((2, d2 + 1, n, n))
+    coef = ladder.coef[k]
+    P_next = ladder.phat[k + 1]
+    lag_next = ladder.phat_lag[k + 1]
+    cc_next = ladder.ccheck_lag[k + 1]
+    phat = ladder.phat[k]
+    phat_lag = ladder.phat_lag[k]
+    ccheck_lag = ladder.ccheck_lag[k]
 
     # every expression below carries the leading player axis
-    phat = (a_hat.T @ P_next @ a_hat
-            + delta * (a_bar.T @ P_next @ a_bar)
-            + a_hat.T @ (lag_next[:, d1] + cc_next[:, d2]) @ a_hat
-            + delta * q_mats)
+    phat[:] = (a_hat.T @ P_next @ a_hat
+               + delta * (a_bar.T @ P_next @ a_bar)
+               + a_hat.T @ (lag_next[:, d1] + cc_next[:, d2]) @ a_hat
+               + delta * q_mats)
 
     # const-part tails sum(Mm[j], j >= m) + H + A_hat, m = 1..gap-1, used
     # by the coupled branch
@@ -415,11 +400,11 @@ def riccati_step(layer_next: RiccatiLayer, closed_loop: ClosedLoopStep,
              + np.cumsum(coef[gap - 1:0:-1, 0], axis=0)[::-1])
 
     # the left factors a_hat' S + dw a_bar' P_next of the three lag-entry
-    # products, one (const, noise) pair per aggregate S
+    # products, one (const, noise) pair per aggregate S: S^1 for the
+    # coarsest product, then S^1..S^gap
     left = np.empty((2, gap + 1, 2, n, n))
-    left[:, 0, 0] = a_hat.T @ layer_next.shat
-    left[:, 1:gap, 0] = a_hat.T @ layer_next.sm
-    left[:, gap, 0] = a_hat.T @ layer_next.scheck
+    left[:, 1:, 0] = a_hat.T @ ladder.agg[k + 1]
+    left[:, 0, 0] = left[:, 1, 0]
     left[:, :, 1] = (a_bar.T @ P_next)[:, None]
     products = expectation_of_product(left, coef, delta)
     phat_lag[:, 0] = products[:, 0]
@@ -431,16 +416,11 @@ def riccati_step(layer_next: RiccatiLayer, closed_loop: ClosedLoopStep,
     ccheck_lag[:, 0] = products[:, gap]
     ccheck_lag[:, 1:] = a_hat.T @ cc_next[:, :d2] @ a_hat
 
-    # aggregates from suffix sums of the first lag family: index j holds
-    # phat + sum(phat_lag[j:]) + sum(ccheck_lag), so j = 0 is shat (and
-    # S^1), j = m-1 is S^m and j = gap-1 is scheck
+    # aggregates from suffix sums of the first lag family: index m-1 holds
+    # S^m = phat + sum(phat_lag[m-1:]) + sum(ccheck_lag)
     suffix = np.cumsum(phat_lag[:, ::-1], axis=1)[:, ::-1]
-    agg = phat[:, None] + suffix[:, :gap] + ccheck_lag.sum(axis=1)[:, None]
-
-    return RiccatiLayer(k=k, phat=phat, phat_lag=phat_lag,
-                        ccheck_lag=ccheck_lag, shat=agg[:, 0].copy(),
-                        scheck=agg[:, gap - 1].copy(), sm=agg[:, :gap - 1],
-                        provisional=k < d1)
+    ladder.agg[k] = (phat[:, None] + suffix[:, :gap]
+                     + ccheck_lag.sum(axis=1)[:, None])
 
 
 def backward_sweep(coeffs: SweepCoefficients, grid: Grid,
@@ -450,20 +430,18 @@ def backward_sweep(coeffs: SweepCoefficients, grid: Grid,
 
     Layers with k < d1 fall outside the explicit solution's proven range;
     they are still produced (the forward simulation needs its warm-up
-    window) but marked provisional.
+    window) but marked provisional. An overflow inside the loop is not
+    warned about: the next step's block gate names the layer it reached
+    (:class:`NonFiniteLayer`), and layer 0, which no block reads, is
+    checked once at the end.
     """
-    n = coeffs.A.shape[0]
-    a_mat = np.stack([np.eye(n) + grid.delta * coeffs.A, coeffs.Abar])
-    layer = terminal_layer(np.asarray(H1, dtype=float),
-                           np.asarray(H2, dtype=float), grid)
-    for k in range(grid.N, -1, -1):
-        step = solve_estimate_chain(layer, coeffs, grid.delta, k)
-        if k == grid.N:
-            ladder = RiccatiLadder.empty(grid, a_mat, layer, step)
-            ladder.set_layer(k + 1, layer)
-        ladder.set_step(k, step)
-        layer = riccati_step(layer, step, coeffs, Q1, Q2, grid.delta)
-        ladder.set_layer(k, layer)
+    ladder = RiccatiLadder(grid, coeffs, H1, H2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(grid.N, -1, -1):
+            solve_estimate_chain(ladder, coeffs, k)
+            riccati_step(ladder, Q1, Q2, k)
+    if not ladder.layer(0).finite():
+        raise NonFiniteLayer(0)
     return ladder
 
 

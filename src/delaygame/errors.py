@@ -29,6 +29,15 @@ class SingularGamma(DelayGameError):
         )
 
 
+class NonFiniteLayer(DelayGameError):
+    """A layer of the backward sweep holds an inf or nan entry: the
+    recursion overflowed on the way down to it."""
+
+    def __init__(self, k: int):
+        self.k = k
+        super().__init__(f"non-finite entry in layer k={k} (overflow)")
+
+
 class SingularGain(DelayGameError):
     """An effective control weight is numerically singular at some time."""
 

@@ -132,11 +132,6 @@ class Grid:
     d1: int
     d2: int
 
-    @property
-    def n_steps(self) -> int:
-        """Number of subintervals, N + 1."""
-        return self.N + 1
-
     def times(self) -> np.ndarray:
         """Sample times t_k = k * delta for k = 0..N+1."""
         return self.delta * np.arange(self.N + 2)
@@ -160,11 +155,6 @@ class ValidationReport:
     @property
     def violations(self) -> list[str]:
         return [f"{c.name}: {c.detail}" for c in self.checks if not c.passed]
-
-    def __str__(self) -> str:
-        if self.passed:
-            return "all invariants hold"
-        return "; ".join(self.violations)
 
 
 def _sym_gap(M: np.ndarray) -> float:

@@ -110,16 +110,16 @@ def _projection_report(name: str, rows, grid: Grid,
 
 
 def fbsde_residual_test(ladder: RiccatiLadder, spec: GameSpec, grid: Grid,
-                        n_paths: int, seed: int,
-                        band_c: float = FBSDE_BAND_C) -> ResidualReport:
+                        n_paths: int, seed: int) -> ResidualReport:
     """Martingale projections of the backward-equation residual.
 
     Along simulated closed-loop paths, the residual
     ``p_{k-1} - A_k' p_k - delta*Q x_k`` must be orthogonal to every
     variable measurable one step back; it is projected on the constant
     and the step-k window components. Pass band per sample:
-    ``band_c * delta + 3 * se``. Steps below d1 are reported separately
-    and do not gate. Both players' residuals are projected together.
+    ``FBSDE_BAND_C * delta + 3 * se``. Steps below d1 are reported
+    separately and do not gate. Both players' residuals are projected
+    together.
     """
     cm = costate_matrices(ladder)
     a_t, abar_t = ladder.a_mat[0].T, spec.Abar.T
@@ -137,7 +137,7 @@ def fbsde_residual_test(ladder: RiccatiLadder, spec: GameSpec, grid: Grid,
             rows.append((k, *_projection_stats(
                 res.reshape(-1, n_paths), win.reshape(-1, n_paths))))
         p_prev = p_k
-    return _projection_report("fbsde-martingale", rows, grid, band_c)
+    return _projection_report("fbsde-martingale", rows, grid, FBSDE_BAND_C)
 
 
 def _stationarity_row(ladder: RiccatiLadder, spec: GameSpec, cm: np.ndarray,
@@ -160,8 +160,7 @@ def _stationarity_row(ladder: RiccatiLadder, spec: GameSpec, cm: np.ndarray,
 
 def stationarity_residual_test(ladder: RiccatiLadder, law: FeedbackLaw | None,
                                spec: GameSpec, grid: Grid, n_paths: int,
-                               seed: int,
-                               band_c: float = STATIONARITY_BAND_C) -> ResidualReport:
+                               seed: int) -> ResidualReport:
     """Projections of each player's first-order-condition residual.
 
     ``R_i u_i + B_i' p_i + B_ibar' q_i`` is projected on the player's own
@@ -176,7 +175,8 @@ def stationarity_residual_test(ladder: RiccatiLadder, law: FeedbackLaw | None,
     rows = [_stationarity_row(ladder, spec, cm, step)
             for step in rollout(stepper, spec.x0,
                                 draw_increments(grid, n_paths, seed))]
-    return _projection_report("stationarity-projection", rows, grid, band_c)
+    return _projection_report("stationarity-projection", rows, grid,
+                              STATIONARITY_BAND_C)
 
 
 DEFAULT_DEVIATIONS = (

@@ -117,6 +117,21 @@ class TestSolve:
         assert code == 1
         assert err == "--delta must be positive\n"
 
+    def test_overflowed_layer_exit_3(self, tmp_path, capsys):
+        # I + delta*A stays finite but the layer below the horizon
+        # overflows: the error names that layer, not the block that
+        # reads it, in one line and without numpy warnings
+        from dataclasses import replace
+        path = tmp_path / "huge.json"
+        save_problem(replace(golden_scalar_spec(), A=np.full((1, 1), 1e308)),
+                     path)
+        code = main(["solve", "--problem", str(path),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.splitlines() == [
+            "backward sweep: non-finite entry in layer k=199 (overflow)"]
+
     def test_out_of_memory_exit_1(self, wide_problem, tmp_path, capsys,
                                   monkeypatch):
         # a --delta like 1e-9 asks numpy for petabytes; stand in for that

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from delaygame import (GameSpec, Grid, SingularGamma, SweepCoefficients,
                        assemble_blocks, expectation_of_product, solve_ladder)
-from delaygame.discrete_engine import solve_estimate_chain, terminal_layer
+from delaygame.discrete_engine import (LAYER_FIELDS, RiccatiLadder,
+                                      riccati_step, solve_estimate_chain)
 from conftest import matrix_spec, wide_delay_spec
 from oracles import oracle_chain_sweep, oracle_sweep
 
@@ -62,7 +63,8 @@ class TestAssembleBlocks:
                         H1=1.0, H2=1.0, h1=0.2, h2=0.1, T=1.0, x0=[1.0])
         grid = Grid(N=9, delta=0.1, d1=2, d2=1)
         coeffs = SweepCoefficients.from_spec(spec)
-        layer = terminal_layer(spec.H1, spec.H2, grid)
+        ladder = RiccatiLadder(grid, coeffs, spec.H1, spec.H2)
+        layer = ladder.layer(grid.N + 1)
         blocks = assemble_blocks(layer, coeffs, grid.delta)
         np.testing.assert_allclose(blocks.levels[0],
                                    [[1.2, 2.0], [0.2, 3.0]])
@@ -77,7 +79,8 @@ class TestAssembleBlocks:
         spec = wide_delay_spec()
         grid = Grid(N=9, delta=0.1, d1=2, d2=1)
         coeffs = SweepCoefficients.from_spec(spec)
-        layer = terminal_layer(spec.H1, spec.H2, grid)
+        ladder = RiccatiLadder(grid, coeffs, spec.H1, spec.H2)
+        layer = ladder.layer(grid.N + 1)
         blocks = assemble_blocks(layer, coeffs, 0.0)
         r = coeffs.reduced
         P1, P2 = layer.phat
@@ -99,7 +102,8 @@ class TestAssembleBlocks:
                         H1=-1.0, H2=0.0, h1=0.2, h2=0.1, T=1.0, x0=[1.0])
         grid = Grid(N=9, delta=0.1, d1=2, d2=1)
         coeffs = SweepCoefficients.from_spec(spec)
-        return terminal_layer(spec.H1, spec.H2, grid), coeffs, grid
+        ladder = RiccatiLadder(grid, coeffs, spec.H1, spec.H2)
+        return ladder.layer(grid.N + 1), coeffs, grid
 
     def test_singular_block_raises(self):
         layer, coeffs, grid = self._singular_terminal()
@@ -343,8 +347,7 @@ class TestChainAgainstReference:
         counted(scipy.linalg, "lu_solve")
         counted(np.linalg, "cond")
         k = grid.N - grid.d1
-        solve_estimate_chain(ladder.layer(k + 1),
-                             SweepCoefficients.from_spec(spec), grid.delta, k)
+        solve_estimate_chain(ladder, SweepCoefficients.from_spec(spec), k)
         assert calls == {"solve": 1, "lu_factor": 0, "lu_solve": 0, "cond": 1}
 
 
@@ -356,6 +359,34 @@ class TestSweepInvariants:
         np.testing.assert_array_equal(term.phat[1], spec.H2)
         assert np.all(term.phat_lag == 0.0)
         assert np.all(term.ccheck_lag == 0.0)
+        for i, H in enumerate((spec.H1, spec.H2)):
+            for S in term.agg[i]:
+                np.testing.assert_array_equal(S, H)
+
+    @pytest.mark.parametrize("at", ["terminal", "interior", "base"])
+    def test_steps_write_only_their_own_slices(self, matrix_case, at):
+        # a ladder that is NaN except layer k+1, copied from a solved one:
+        # step k and layer k must come out bit for bit, and every other
+        # slice must stay NaN (a write to the wrong k would show)
+        spec, grid, solved = matrix_case
+        k = {"terminal": grid.N, "interior": grid.N - grid.d1,
+             "base": 0}[at]
+        coeffs = SweepCoefficients.from_spec(spec)
+        ladder = RiccatiLadder(grid, coeffs, spec.H1, spec.H2)
+        steps = ("coef", "u1_gain", "u2_gain", "zfactors", "rcond")
+        for f in LAYER_FIELDS + steps:
+            getattr(ladder, f)[:] = np.nan
+        for f in LAYER_FIELDS:
+            getattr(ladder, f)[k + 1] = getattr(solved, f)[k + 1]
+        solve_estimate_chain(ladder, coeffs, k)
+        riccati_step(ladder, spec.Q1, spec.Q2, k)
+        for f, written in ([(f, (k, k + 1)) for f in LAYER_FIELDS]
+                           + [(f, (k,)) for f in steps]):
+            got, ref = getattr(ladder, f), getattr(solved, f)
+            for j in written:
+                np.testing.assert_array_equal(got[j], ref[j])
+            others = np.delete(got, written, axis=0)
+            assert np.isnan(others).all(), f
 
     def test_lag_truncation(self, matrix_case):
         spec, grid, ladder = matrix_case
