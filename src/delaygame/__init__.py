@@ -6,9 +6,8 @@ residual/deviation verification suite."""
 from .errors import (DelayGameError, IncommensurateDelays, MissingWindow,
                      NonFiniteLayer, SingularGain, SingularGamma,
                      SingularWeight)
-from .model import (GameSpec, Grid, ReducedCoefficients, ValidationReport,
-                    build_grid, load_problem, reduce_coefficients,
-                    save_problem, validate)
+from .model import (GameSpec, Grid, ValidationReport, build_grid,
+                    load_problem, save_problem, validate)
 from .discrete_engine import (RiccatiLadder, RiccatiLayer, SweepCoefficients,
                               assemble_blocks, backward_sweep,
                               expectation_of_product, riccati_step,
@@ -24,15 +23,14 @@ from .simulator import (CostEstimate, Trajectory, estimate_costs,
 __all__ = [
     "CostEstimate", "DelayGameError", "DeviationVerdict", "FeedbackLaw",
     "GameSpec", "Grid", "IncommensurateDelays", "MissingWindow",
-    "NonFiniteLayer", "ReducedCoefficients",
-    "ResidualComponent", "ResidualReport", "RiccatiFields", "RiccatiLadder",
-    "RiccatiLayer", "SingularGain", "SingularGamma", "SingularWeight",
-    "SweepCoefficients", "Trajectory", "ValidationReport",
-    "assemble_blocks", "assemble_gains", "backward_sweep", "build_grid",
-    "continuous_residuals", "estimate_costs", "expectation_of_product",
-    "extract_fields", "invertibility_rcond", "load_problem",
-    "mean_recursion", "path_costs", "perturb_control", "reduce_coefficients",
-    "riccati_step", "save_problem", "simulate_path_gains",
-    "simulate_path_ladder", "solve_estimate_chain", "solve_ladder",
-    "stationarity_identity_check", "validate",
+    "NonFiniteLayer", "ResidualComponent", "ResidualReport",
+    "RiccatiFields", "RiccatiLadder", "RiccatiLayer", "SingularGain",
+    "SingularGamma", "SingularWeight", "SweepCoefficients", "Trajectory",
+    "ValidationReport", "assemble_blocks", "assemble_gains",
+    "backward_sweep", "build_grid", "continuous_residuals",
+    "estimate_costs", "expectation_of_product", "extract_fields",
+    "invertibility_rcond", "load_problem", "mean_recursion", "path_costs",
+    "perturb_control", "riccati_step", "save_problem",
+    "simulate_path_gains", "simulate_path_ladder", "solve_estimate_chain",
+    "solve_ladder", "stationarity_identity_check", "validate",
 ]

@@ -1,8 +1,9 @@
 """Command-line pipeline: solve, simulate, verify, convergence study.
 
 Exit codes: 0 success, 1 usage error (also a grid too fine for memory),
-2 unreadable or invalid problem file, 3 singular block or non-finite
-(overflowed) layer in a backward sweep, 4 verification failure. All
+2 unreadable or invalid problem file, 3 non-finite numbers in a sweep or
+a simulation (a singular block or an overflowed layer in a backward
+sweep, an overflowed cost in ``simulate``), 4 verification failure. All
 randomness flows from the single --seed: every Monte Carlo pass
 generates its increments from it, one step at a time
 (``simulator.increment_rows``), as a block or streamed, so runs are
@@ -30,7 +31,7 @@ from . import verify as vfy
 
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
-EXIT_SINGULAR = 3
+EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
 
@@ -139,12 +140,18 @@ def cmd_simulate(args) -> int:
     spec, grid, coeffs, ladder = _load(args)
     fields = extract_fields(ladder)
     law = assemble_gains(fields, spec)
+    # an overflow shows as a non-finite cost, checked before any export
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = simulate_path_gains(law, spec, grid, seed=args.seed,
+                                   n_paths=args.paths)
+        est = estimate_costs(traj, spec)
+    if not np.all(np.isfinite((est.j1, est.j2, est.j1_se or 0.0,
+                               est.j2_se or 0.0))):
+        print("simulation: non-finite cost (overflow)", file=sys.stderr)
+        return EXIT_NUMERIC
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    traj = simulate_path_gains(law, spec, grid, seed=args.seed,
-                               n_paths=args.paths)
     exports.export_trajectories_csv(traj, grid, out / "trajectories.csv")
-    est = estimate_costs(traj, spec)
     exports.export_cost_report(est, out / "costs.json")
     se1 = "n/a" if est.j1_se is None else f"{est.j1_se:.4g}"
     se2 = "n/a" if est.j2_se is None else f"{est.j2_se:.4g}"
@@ -329,7 +336,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (SingularGamma, NonFiniteLayer) as exc:
         print(f"backward sweep: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
+        return EXIT_NUMERIC
     except DelayGameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         # delays that share no step are a fault of the problem file

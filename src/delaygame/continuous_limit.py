@@ -17,7 +17,6 @@ try:
     _trapz = np.trapezoid
 except AttributeError:  # numpy < 2
     _trapz = np.trapz
-import scipy.linalg
 
 from .discrete_engine import RiccatiLadder, SweepCoefficients, _rcond
 from .model import Grid
@@ -96,13 +95,29 @@ def _absmax(res: np.ndarray) -> np.ndarray:
     return np.max(np.abs(res), axis=(-2, -1))
 
 
+def _expm(M: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring (Higham, SIAM J. Matrix
+    Anal. Appl. 26(4), 2005): M is halved s times to a 1-norm of at most 1,
+    where a degree-18 Taylor polynomial is exact to e/19! ~ 2e-17, and the
+    polynomial is squared s times. A 1-by-1 input takes ``np.exp``."""
+    if M.shape == (1, 1):
+        return np.exp(M)
+    s = max(0, int(np.ceil(np.log2(np.linalg.norm(M, 1) or 1.0))))
+    X = M / 2.0 ** s
+    E = eye = np.eye(len(M))
+    for j in range(18, 0, -1):      # Horner: I + X/1 (I + X/2 (I + ...))
+        E = eye + (X / j) @ E
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
 def invertibility_rcond(fields: RiccatiFields, coeffs: SweepCoefficients):
     """Reciprocal condition numbers of the two closure matrices per sample."""
-    r = coeffs.reduced
     eye = np.eye(fields.n)
     P1, P2 = fields.P
-    return {"joint": _rcond(eye - r.Bbar21 @ P1 - r.Bbar22 @ P2),
-            "second": _rcond(eye - r.Bbar22 @ P2)}
+    return {"joint": _rcond(eye - coeffs.Bbar21 @ P1 - coeffs.Bbar22 @ P2),
+            "second": _rcond(eye - coeffs.Bbar22 @ P2)}
 
 
 def continuous_residuals(fields: RiccatiFields, coeffs: SweepCoefficients,
@@ -123,7 +138,6 @@ def continuous_residuals(fields: RiccatiFields, coeffs: SweepCoefficients,
     gap = d1 - d2
     delta = grid.delta
     A, Abar = coeffs.A, coeffs.Abar
-    r = coeffs.reduced
     q_mats = np.array([Q1, Q2], dtype=float)[:, None]
     eye = np.eye(fields.n)
     n_t = len(fields.t)
@@ -135,24 +149,24 @@ def continuous_residuals(fields: RiccatiFields, coeffs: SweepCoefficients,
            + phat[:, 1:, d1] + fields.ccheck[:, 1:, d2])
     ode_v = _absmax((P[:, :-1] - Pk) / delta - rhs).max(axis=0)
 
-    inv2_all = np.linalg.inv(eye - r.Bbar22 @ P[1])
+    inv2_all = np.linalg.inv(eye - coeffs.Bbar22 @ P[1])
 
     # theta = 0 boundary identities (terminal sample excluded)
     sl = slice(0, n_t - 1)
     P1, P2 = P[0, sl], P[1, sl]
     inv2 = inv2_all[sl]
     S1, S2c = shat[0, sl], fields.scheck[1, sl]
-    mix = (np.linalg.inv(eye - r.Bbar21 @ P1 - r.Bbar22 @ P2)
-           @ (r.Bbar11 @ S1 + r.Bbar12 @ shat[1, sl] + Abar))
+    mix = (np.linalg.inv(eye - coeffs.Bbar21 @ P1 - coeffs.Bbar22 @ P2)
+           @ (coeffs.Bbar11 @ S1 + coeffs.Bbar12 @ shat[1, sl] + Abar))
     Si, Sic, Pi = shat[:, sl], fields.scheck[:, sl], P[:, sl]
-    rhs_h = ((Si @ r.B11 + Abar.T @ Pi @ r.Bbar11) @ S1
-             + (Si @ r.B21 + Abar.T @ Pi @ r.Bbar21) @ P1 @ mix
-             + (Si @ r.B22 + Abar.T @ Pi @ r.Bbar22) @ P2 @ inv2
-             @ (r.Bbar11 @ S1 + r.Bbar21 @ P1 @ mix))
+    rhs_h = ((Si @ coeffs.B11 + Abar.T @ Pi @ coeffs.Bbar11) @ S1
+             + (Si @ coeffs.B21 + Abar.T @ Pi @ coeffs.Bbar21) @ P1 @ mix
+             + (Si @ coeffs.B22 + Abar.T @ Pi @ coeffs.Bbar22) @ P2 @ inv2
+             @ (coeffs.Bbar11 @ S1 + coeffs.Bbar21 @ P1 @ mix))
     bh_v = _absmax(phat[:, sl, 0] - rhs_h).max(axis=0)
-    rhs_c = ((Sic @ r.B12 + Abar.T @ Pi @ r.Bbar12) @ S2c
-             + (Sic @ r.B22 + Abar.T @ Pi @ r.Bbar22) @ P2 @ inv2
-             @ (r.Bbar12 @ S2c + Abar))
+    rhs_c = ((Sic @ coeffs.B12 + Abar.T @ Pi @ coeffs.Bbar12) @ S2c
+             + (Sic @ coeffs.B22 + Abar.T @ Pi @ coeffs.Bbar22) @ P2 @ inv2
+             @ (coeffs.Bbar12 @ S2c + Abar))
     bc_v = _absmax(fields.ccheck[:, sl, 0] - rhs_c).max(axis=0)
 
     # transport equation along fixed forward argument s = t + theta, on
@@ -161,9 +175,10 @@ def continuous_residuals(fields: RiccatiFields, coeffs: SweepCoefficients,
     nxt = slice(1, n_t)
     P2n, inv2n = P[1, nxt], inv2_all[nxt]
     S2cn = fields.scheck[1, nxt]
-    ker_drift = r.B12 + r.B22 @ P2n @ inv2n @ r.Bbar12
-    ker_diff = r.Bbar12 + r.Bbar22 @ P2n @ inv2n @ r.Bbar12
-    h_drift = r.B12 @ S2cn + r.B22 @ P2n @ inv2n @ (r.Bbar12 @ S2cn + Abar)
+    ker_drift = coeffs.B12 + coeffs.B22 @ P2n @ inv2n @ coeffs.Bbar12
+    ker_diff = coeffs.Bbar12 + coeffs.Bbar22 @ P2n @ inv2n @ coeffs.Bbar12
+    h_drift = (coeffs.B12 @ S2cn
+               + coeffs.B22 @ P2n @ inv2n @ (coeffs.Bbar12 @ S2cn + Abar))
     prev = phat[:, nxt, :d1]
     dt_term = (phat[:, :-1, 1:] - prev) / delta
     rhs = A.T @ prev + prev @ A
@@ -180,7 +195,7 @@ def continuous_residuals(fields: RiccatiFields, coeffs: SweepCoefficients,
     # semigroup identity of the second kernel
     sg_t, sg_v = [], []
     for j in range(1, d2 + 1):
-        exp_a = scipy.linalg.expm(A * (j * delta))
+        exp_a = _expm(A * (j * delta))
         ref = exp_a.T @ fields.ccheck[:, j:, 0] @ exp_a
         sg_t.append(fields.t[:n_t - j])
         sg_v.append(_absmax(fields.ccheck[:, :n_t - j, j] - ref).max(axis=0))

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteLayer, SingularGamma
-from .model import GameSpec, Grid, ReducedCoefficients, reduce_coefficients
+from .errors import NonFiniteLayer, SingularGamma, SingularWeight
+from .model import GameSpec, Grid
 
 # A block system counts as singular when its reciprocal condition number
 # drops below this.
@@ -127,26 +127,55 @@ class GammaBlocks:
 
 @dataclass(frozen=True)
 class SweepCoefficients:
-    """Everything the sweep consumes: state maps, reduced products, and the
-    control-map data needed to read the implied controls back out."""
+    """Everything the sweep consumes: the state maps, the control-map data
+    that reads the implied controls back out and the eight n-by-n reduced
+    products ``B11 = -B1 R1^{-1} B1'``, ``B21 = -B1 R1^{-1} B1bar'``,
+    ``Bbar11 = -B1bar R1^{-1} B1'``, ``Bbar21 = -B1bar R1^{-1} B1bar'``
+    and their player-2 counterparts (so ``B21' = Bbar11``)."""
 
     A: np.ndarray
     Abar: np.ndarray
-    reduced: ReducedCoefficients
     B1: np.ndarray
     B1bar: np.ndarray
     B2: np.ndarray
     B2bar: np.ndarray
     R1inv: np.ndarray
     R2inv: np.ndarray
+    B11: np.ndarray
+    B12: np.ndarray
+    B21: np.ndarray
+    B22: np.ndarray
+    Bbar11: np.ndarray
+    Bbar12: np.ndarray
+    Bbar21: np.ndarray
+    Bbar22: np.ndarray
 
     @staticmethod
     def from_spec(spec: GameSpec) -> "SweepCoefficients":
+        """Factor each control weight once (Cholesky) and form the products.
+
+        Raises :class:`SingularWeight` if R1 or R2 has no Cholesky factor,
+        which signals an invalid spec slipped past validation.
+        """
+        def weight_solves(R, drift, noise):
+            # R^{-1} M' = Li' (Li M') with Li the inverse Cholesky factor
+            try:
+                Li = np.linalg.inv(np.linalg.cholesky(R))
+            except np.linalg.LinAlgError as exc:
+                raise SingularWeight(
+                    f"control weight factorization failed: {exc}") from exc
+            return Li.T @ (Li @ drift.T), Li.T @ (Li @ noise.T)
+
+        r1_b1t, r1_b1bart = weight_solves(spec.R1, spec.B1, spec.B1bar)
+        r2_b2t, r2_b2bart = weight_solves(spec.R2, spec.B2, spec.B2bar)
         return SweepCoefficients(
             A=spec.A, Abar=spec.Abar,
-            reduced=reduce_coefficients(spec),
             B1=spec.B1, B1bar=spec.B1bar, B2=spec.B2, B2bar=spec.B2bar,
             R1inv=np.linalg.inv(spec.R1), R2inv=np.linalg.inv(spec.R2),
+            B11=-spec.B1 @ r1_b1t, B12=-spec.B2 @ r2_b2t,
+            B21=-spec.B1 @ r1_b1bart, B22=-spec.B2 @ r2_b2bart,
+            Bbar11=-spec.B1bar @ r1_b1t, Bbar12=-spec.B2bar @ r2_b2t,
+            Bbar21=-spec.B1bar @ r1_b1bart, Bbar22=-spec.B2bar @ r2_b2bart,
         )
 
 
@@ -236,7 +265,6 @@ def assemble_blocks(layer_next: RiccatiLayer, coeffs: SweepCoefficients,
     and :class:`NonFiniteLayer` instead when the layer read holds an inf
     or nan entry (the recursion overflowed before this step).
     """
-    r = coeffs.reduced
     n = layer_next.n
     eye = np.eye(n)
     S1h, S2h = layer_next.shat
@@ -248,19 +276,19 @@ def assemble_blocks(layer_next: RiccatiLayer, coeffs: SweepCoefficients,
     # level 0 holds gamma_hat, level m the block gamma_m{m}, level gap
     # gamma_check; the finer levels differ only in their S^2 aggregate
     levels = np.empty((gap + 1, 2 * n, 2 * n))
-    levels[0, :n, :n] = eye - delta * (r.B11 @ S1h + r.B12 @ S2h)
-    levels[0, :n, n:] = -(r.B21 @ P1 + r.B22 @ P2)
-    levels[0, n:, :n] = -delta * (r.Bbar11 @ S1h + r.Bbar12 @ S2h)
-    levels[0, n:, n:] = eye - r.Bbar21 @ P1 - r.Bbar22 @ P2
-    levels[1:, :n, :n] = eye - delta * (r.B12 @ S2)
-    levels[1:, :n, n:] = -(r.B22 @ P2)
-    levels[1:, n:, :n] = -delta * (r.Bbar12 @ S2)
-    levels[1:, n:, n:] = eye - r.Bbar22 @ P2
+    levels[0, :n, :n] = eye - delta * (coeffs.B11 @ S1h + coeffs.B12 @ S2h)
+    levels[0, :n, n:] = -(coeffs.B21 @ P1 + coeffs.B22 @ P2)
+    levels[0, n:, :n] = -delta * (coeffs.Bbar11 @ S1h + coeffs.Bbar12 @ S2h)
+    levels[0, n:, n:] = eye - coeffs.Bbar21 @ P1 - coeffs.Bbar22 @ P2
+    levels[1:, :n, :n] = eye - delta * (coeffs.B12 @ S2)
+    levels[1:, :n, n:] = -(coeffs.B22 @ P2)
+    levels[1:, n:, :n] = -delta * (coeffs.Bbar12 @ S2)
+    levels[1:, n:, n:] = eye - coeffs.Bbar22 @ P2
     g_block = np.empty((2 * n, 2 * n))
-    g_block[:n, :n] = delta * (r.B11 @ S1h)
-    g_block[:n, n:] = r.B21 @ P1
-    g_block[n:, :n] = delta * (r.Bbar11 @ S1h)
-    g_block[n:, n:] = r.Bbar21 @ P1
+    g_block[:n, :n] = delta * (coeffs.B11 @ S1h)
+    g_block[:n, n:] = coeffs.B21 @ P1
+    g_block[n:, :n] = delta * (coeffs.Bbar11 @ S1h)
+    g_block[n:, n:] = coeffs.Bbar21 @ P1
 
     rc = _rcond(levels)
     # step k reads layer k+1
@@ -298,7 +326,6 @@ def solve_estimate_chain(ladder: RiccatiLadder, coeffs: SweepCoefficients,
     n-by-n product steps, coarsest level first; the coarsest and the last
     level's estimate pairs are substituted back into the state update.
     """
-    r = coeffs.reduced
     n, gap, delta = ladder.n, ladder.gap, ladder.grid.delta
     layer_next = ladder.layer(k + 1)
     blocks = assemble_blocks(layer_next, coeffs, delta, k)
@@ -311,14 +338,13 @@ def solve_estimate_chain(ladder: RiccatiLadder, coeffs: SweepCoefficients,
 
     # right-hand sides shared by every level: the state column, the kernel
     # coupling [delta B12; delta Bbar12] and the coarse-level coupling.
-    # One LAPACK gesv per level in one call (scipy's lu_solve hands tiny
-    # multi-column solves to the OpenBLAS thread pool and can stall); b is
-    # broadcast to 3-D because numpy < 2 reads a 2-D b as a vector stack.
+    # One LAPACK gesv per level in one call; b is broadcast to 3-D because
+    # numpy < 2 reads a 2-D b as a vector stack.
     rhs = np.empty((2 * n, 4 * n))
     rhs[:n, :n] = ladder.a_mat[0]
     rhs[n:, :n] = delta * ladder.a_mat[1]
-    rhs[:n, n:2 * n] = delta * r.B12
-    rhs[n:, n:2 * n] = delta * r.Bbar12
+    rhs[:n, n:2 * n] = delta * coeffs.B12
+    rhs[n:, n:2 * n] = delta * coeffs.Bbar12
     rhs[:, 2 * n:] = blocks.g_block
     sol = np.linalg.solve(blocks.levels,
                           np.broadcast_to(rhs, (gap + 1,) + rhs.shape))
@@ -348,12 +374,16 @@ def solve_estimate_chain(ladder: RiccatiLadder, coeffs: SweepCoefficients,
 
     # state-update coefficients, affine in the increment, for every
     # source level l at once (column block l)
-    const = (delta * (r.B12 @ R)
-             + _row_apply(delta * (r.B12 @ S2c), r.B22 @ P2, Wc, n))
-    noise = (r.Bbar12 @ R
-             + _row_apply(r.Bbar12 @ S2c, r.Bbar22 @ P2 / delta, Wc, n))
-    const[:, :n] += _row_apply(delta * (r.B11 @ S1h), r.B21 @ P1, W00, n)
-    noise[:, :n] += _row_apply(r.Bbar11 @ S1h, r.Bbar21 @ P1 / delta, W00, n)
+    const = (delta * (coeffs.B12 @ R)
+             + _row_apply(delta * (coeffs.B12 @ S2c), coeffs.B22 @ P2,
+                          Wc, n))
+    noise = (coeffs.Bbar12 @ R
+             + _row_apply(coeffs.Bbar12 @ S2c, coeffs.Bbar22 @ P2 / delta,
+                          Wc, n))
+    const[:, :n] += _row_apply(delta * (coeffs.B11 @ S1h),
+                               coeffs.B21 @ P1, W00, n)
+    noise[:, :n] += _row_apply(coeffs.Bbar11 @ S1h,
+                               coeffs.Bbar21 @ P1 / delta, W00, n)
     ladder.coef[k, :, 0] = _column_blocks(const, n)
     ladder.coef[k, :, 1] = _column_blocks(noise, n)
 

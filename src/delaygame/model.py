@@ -1,4 +1,4 @@
-"""Game data, standing-assumption checks, coefficient reduction, time grids.
+"""Game data, standing-assumption checks, time grids, problem files.
 
 The controlled dynamics are
 
@@ -6,9 +6,10 @@ The controlled dynamics are
 
 with each player i paying a quadratic running cost (Qi, Ri) plus terminal
 weight Hi, and acting on information delayed by hi (0 < h2 < h1 < T).
-Everything downstream consumes a validated :class:`GameSpec`, the eight
-reduced control products of :class:`ReducedCoefficients`, and a
-delay-commensurate :class:`Grid`.
+Everything downstream consumes a validated :class:`GameSpec` and a
+delay-commensurate :class:`Grid`; the sweep's coefficients, the eight
+reduced control products among them, are formed from the spec by
+``discrete_engine.SweepCoefficients.from_spec``.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .errors import IncommensurateDelays, SingularWeight
+from .errors import IncommensurateDelays
 
 # Accept numerically semi-definite inputs: smallest eigenvalue may dip this
 # far below zero before a PSD check fails.
@@ -92,30 +92,6 @@ class GameSpec:
     @property
     def d2c(self) -> int:
         return self.B2.shape[1]
-
-
-@dataclass(frozen=True)
-class ReducedCoefficients:
-    """The eight reduced control products driving the decoupled dynamics.
-
-    ``B11 = -B1 R1^{-1} B1'`` and so on; ``Bbar11 = -B1bar R1^{-1} B1'``
-    pairs with ``B21 = -B1 R1^{-1} B1bar'`` through ``B21' = Bbar11``.
-    All are n-by-n.
-    """
-
-    B11: np.ndarray
-    B12: np.ndarray
-    B21: np.ndarray
-    B22: np.ndarray
-    Bbar11: np.ndarray
-    Bbar12: np.ndarray
-    Bbar21: np.ndarray
-    Bbar22: np.ndarray
-
-    def __post_init__(self):
-        for name in ("B11", "B12", "B21", "B22",
-                     "Bbar11", "Bbar12", "Bbar21", "Bbar22"):
-            object.__setattr__(self, name, _as_matrix(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -220,35 +196,6 @@ def validate(spec: GameSpec) -> ValidationReport:
             f"(symmetry gap {gap:.3e}, smallest eigenvalue {lam:.3e})")
 
     return ValidationReport(tuple(checks))
-
-
-def reduce_coefficients(spec: GameSpec) -> ReducedCoefficients:
-    """Form the eight reduced products from the control maps and weights.
-
-    Raises :class:`SingularWeight` if R1 or R2 fails Cholesky factorization,
-    which signals an invalid spec slipped past validation.
-    """
-    try:
-        c1 = scipy.linalg.cho_factor(spec.R1)
-        c2 = scipy.linalg.cho_factor(spec.R2)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularWeight(f"control weight factorization failed: {exc}") from exc
-
-    r1_b1t = scipy.linalg.cho_solve(c1, spec.B1.T)
-    r1_b1bart = scipy.linalg.cho_solve(c1, spec.B1bar.T)
-    r2_b2t = scipy.linalg.cho_solve(c2, spec.B2.T)
-    r2_b2bart = scipy.linalg.cho_solve(c2, spec.B2bar.T)
-
-    return ReducedCoefficients(
-        B11=-spec.B1 @ r1_b1t,
-        B12=-spec.B2 @ r2_b2t,
-        B21=-spec.B1 @ r1_b1bart,
-        B22=-spec.B2 @ r2_b2bart,
-        Bbar11=-spec.B1bar @ r1_b1t,
-        Bbar12=-spec.B2bar @ r2_b2t,
-        Bbar21=-spec.B1bar @ r1_b1bart,
-        Bbar22=-spec.B2bar @ r2_b2bart,
-    )
 
 
 def _float_gcd(values, floor: float) -> float:

@@ -673,32 +673,31 @@ def reference_identity_residuals(law, fields, spec):
     return r1_v, r2_v
 
 
-def reference_closure_rcond(fields, coeffs):
-    r = coeffs.reduced
+def reference_closure_rcond(fields, c):
     eye = np.eye(fields.n)
     out = {"joint": np.zeros(len(fields.t)), "second": np.zeros(len(fields.t))}
     for k in range(len(fields.t)):
         P1, P2 = fields.P[0, k], fields.P[1, k]
-        out["joint"][k] = _ref_rcond(eye - r.Bbar21 @ P1 - r.Bbar22 @ P2)
-        out["second"][k] = _ref_rcond(eye - r.Bbar22 @ P2)
+        out["joint"][k] = _ref_rcond(eye - c.Bbar21 @ P1 - c.Bbar22 @ P2)
+        out["second"][k] = _ref_rcond(eye - c.Bbar22 @ P2)
     return out
 
 
-def reference_transport_residuals(fields, coeffs):
+def reference_transport_residuals(fields, c):
     """Worst transport residual per sample on the coupled (lag offsets
     below the gap) and free branches, one lag offset and player at a time
     over the stacked samples."""
     grid = fields.grid
     d1, gap, delta = grid.d1, grid.d1 - grid.d2, grid.delta
-    A, Abar, r = coeffs.A, coeffs.Abar, coeffs.reduced
+    A, Abar = c.A, c.Abar
     n_t = len(fields.t)
     nxt = slice(1, n_t)
     P2n = fields.P[1, nxt]
-    inv2n = np.linalg.inv(np.eye(fields.n) - r.Bbar22 @ P2n)
+    inv2n = np.linalg.inv(np.eye(fields.n) - c.Bbar22 @ P2n)
     S2cn = fields.scheck[1, nxt]
-    ker_drift = r.B12 + r.B22 @ P2n @ inv2n @ r.Bbar12
-    ker_diff = r.Bbar12 + r.Bbar22 @ P2n @ inv2n @ r.Bbar12
-    h_drift = r.B12 @ S2cn + r.B22 @ P2n @ inv2n @ (r.Bbar12 @ S2cn + Abar)
+    ker_drift = c.B12 + c.B22 @ P2n @ inv2n @ c.Bbar12
+    ker_diff = c.Bbar12 + c.Bbar22 @ P2n @ inv2n @ c.Bbar12
+    h_drift = c.B12 @ S2cn + c.B22 @ P2n @ inv2n @ (c.Bbar12 @ S2cn + Abar)
     coupled, free = np.zeros(n_t - 1), np.zeros(n_t - 1)
     for j in range(1, d1 + 1):
         for i in range(2):

@@ -1,6 +1,10 @@
+import functools
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +12,8 @@ import pytest
 
 from delaygame import build_grid, save_problem
 from delaygame.cli import main
-from conftest import golden_scalar_spec, wide_delay_spec, zero_cost_spec
+from conftest import (golden_scalar_spec, matrix_spec, wide_delay_spec,
+                      zero_cost_spec)
 
 
 @pytest.fixture()
@@ -197,6 +202,21 @@ class TestSimulate:
               "--paths", "5", "--out", str(tmp_path / "o")])
         assert wide_problem.read_bytes() == before
 
+    def test_overflowed_cost_exit_3(self, tmp_path, capsys):
+        # a huge but valid initial state overflows the path costs: one
+        # line, no numpy warnings and no artifact with a non-finite number
+        from dataclasses import replace
+        path = tmp_path / "huge.json"
+        save_problem(replace(golden_scalar_spec(), x0=np.array([1e200])),
+                     path)
+        out = tmp_path / "o"
+        code = main(["simulate", "--problem", str(path), "--paths", "50",
+                     "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "simulation: non-finite cost (overflow)"]
+        assert not out.exists()
+
 
 class TestVerify:
     def test_zero_cost_all_pass(self, zero_problem, tmp_path):
@@ -378,9 +398,11 @@ class TestConvergence:
 
 
 def test_benchmark_hooks_resolve():
-    # perfbench/spans.py patches these names before every traced run and
-    # perfbench/worker.py calls the two cli names; a rename would otherwise
-    # show only as a crash of the traced benchmark
+    # perfbench/spans.py patches these names before every traced run,
+    # perfbench/worker.py calls the two cli loaders and
+    # perfbench/setup_probe.py calls cli.validate and
+    # cli.SweepCoefficients.from_spec; a rename would otherwise show only
+    # as a crash of the benchmark
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -390,7 +412,45 @@ def test_benchmark_hooks_resolve():
              + [("delaygame.exports", attr) for attr in spans.EXPORTS]
              + list(spans.DRAWS)
              + [("delaygame.cli", "build_grid"),
-                ("delaygame.cli", "load_problem")])
+                ("delaygame.cli", "load_problem"),
+                ("delaygame.cli", "validate"),
+                ("delaygame.cli", "SweepCoefficients.from_spec")])
+
+    def resolves(module, attr):
+        try:
+            functools.reduce(getattr, attr.split("."),
+                             importlib.import_module(module))
+        except AttributeError:
+            return False
+        return True
+
     missing = [f"{module}.{attr}" for module, attr in names
-               if not hasattr(importlib.import_module(module), attr)]
+               if not resolves(module, attr)]
     assert not missing
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: every command runs with any
+    # import of scipy failing
+    problem = tmp_path / "matrix.json"
+    save_problem(matrix_spec(), problem)
+    script = """
+import json, sys
+sys.modules["scipy"] = None
+from delaygame.cli import main
+common = ["--problem", sys.argv[1], "--delta", "0.05"]
+codes = [main([command, *flags, *common, "--out", sys.argv[2] + command])
+         for command, *flags in (
+             ["solve"], ["simulate", "--paths", "200"],
+             ["verify", "--paths", "200", "--halvings", "1"],
+             ["convergence", "--halvings", "1"])]
+print(json.dumps(codes))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script, str(problem),
+                          str(tmp_path / "out_")],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == [0, 0, 0, 0]

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from delaygame import (build_grid, continuous_residuals, extract_fields,
                        invertibility_rcond, solve_ladder)
+from delaygame.continuous_limit import _expm
 from delaygame.discrete_engine import SweepCoefficients
 import oracles
 from conftest import REFERENCE_CASES, golden_scalar_spec, swept, wide_delay_spec
@@ -14,6 +16,54 @@ def wide_fields():
     grid = build_grid(spec, 0.05)
     ladder = solve_ladder(spec, grid)
     return spec, grid, ladder, extract_fields(ladder)
+
+
+# Normwise relative gap allowed between the numpy exponential and scipy's.
+# The two round differently while squaring, so the gap grows with the
+# number of squarings: below 2e-16 where none is needed, at most 1.6e-12
+# on the inputs below (1-norm up to 66). Against a 40-digit reference on
+# random 3x3 inputs, the numpy version was the closer of the two.
+EXPM_RTOL = 1e-11
+
+
+def _normwise_gap(X, ref):
+    return np.max(np.abs(X - ref)) / np.max(np.abs(ref))
+
+
+class TestExpm:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0])
+    def test_matches_scipy_on_random_matrices(self, n, scale):
+        rng = np.random.default_rng(10 * n + int(scale))
+        for _ in range(20):
+            M = scale * rng.normal(size=(n, n))
+            assert (_normwise_gap(_expm(M), scipy.linalg.expm(M))
+                    <= EXPM_RTOL)
+
+    def test_large_norm_needs_squaring(self):
+        M = np.array([[-20.0, 35.0], [-12.0, 6.0]])
+        assert np.linalg.norm(M, 1) > 32     # at least five squarings
+        assert _normwise_gap(_expm(M), scipy.linalg.expm(M)) <= EXPM_RTOL
+
+    def test_zero_matrix_is_identity(self):
+        np.testing.assert_array_equal(_expm(np.zeros((3, 3))), np.eye(3))
+        np.testing.assert_array_equal(scipy.linalg.expm(np.zeros((3, 3))),
+                                      np.eye(3))
+
+    def test_nilpotent(self):
+        # defective (one Jordan block), norm large enough to need squaring;
+        # the series stops at N^2/2
+        N = np.array([[0.0, 40.0, -7.0], [0.0, 0.0, 25.0], [0.0, 0.0, 0.0]])
+        exact = np.eye(3) + N + N @ N / 2
+        assert _normwise_gap(_expm(N), exact) <= 1e-15
+        assert _normwise_gap(_expm(N), scipy.linalg.expm(N)) <= EXPM_RTOL
+
+    def test_scalar_is_np_exp(self):
+        values = np.random.default_rng(3).normal(scale=20.0, size=500)
+        for v in values:
+            M = np.array([[v]])
+            np.testing.assert_array_equal(_expm(M), np.exp(M))
+            np.testing.assert_array_equal(_expm(M), scipy.linalg.expm(M))
 
 
 class TestExtractFields:

@@ -82,13 +82,12 @@ class TestAssembleBlocks:
         ladder = RiccatiLadder(grid, coeffs, spec.H1, spec.H2)
         layer = ladder.layer(grid.N + 1)
         blocks = assemble_blocks(layer, coeffs, 0.0)
-        r = coeffs.reduced
         P1, P2 = layer.phat
         np.testing.assert_allclose(
             blocks.levels[0],
-            np.block([[np.eye(1), -(r.B21 @ P1 + r.B22 @ P2)],
-                      [np.zeros((1, 1)), np.eye(1) - r.Bbar21 @ P1
-                       - r.Bbar22 @ P2]]))
+            np.block([[np.eye(1), -(coeffs.B21 @ P1 + coeffs.B22 @ P2)],
+                      [np.zeros((1, 1)), np.eye(1) - coeffs.Bbar21 @ P1
+                       - coeffs.Bbar22 @ P2]]))
 
     @staticmethod
     def _singular_terminal():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaygame import (GameSpec, IncommensurateDelays, SingularWeight,
-                       build_grid, load_problem, reduce_coefficients,
+                       SweepCoefficients, build_grid, load_problem,
                        save_problem, validate)
 from conftest import golden_scalar_spec, matrix_spec, wide_delay_spec
 
@@ -71,27 +71,29 @@ def _spec_dict(spec):
 
 
 class TestReduceCoefficients:
+    """The reduced products that ``SweepCoefficients.from_spec`` forms."""
+
     def test_identity_case(self):
-        red = reduce_coefficients(scalar_spec(B1=1.0, R1=1.0))
+        red = SweepCoefficients.from_spec(scalar_spec(B1=1.0, R1=1.0))
         assert red.B11[0, 0] == pytest.approx(-1.0)
 
     def test_zero_diffusion_map_annihilates(self):
-        red = reduce_coefficients(scalar_spec(B1bar=0.0))
+        red = SweepCoefficients.from_spec(scalar_spec(B1bar=0.0))
         assert red.B21[0, 0] == 0.0
         assert red.Bbar11[0, 0] == 0.0
         assert red.Bbar21[0, 0] == 0.0
 
     def test_scalar_product(self):
-        red = reduce_coefficients(scalar_spec(B1=2.0, R1=4.0))
+        red = SweepCoefficients.from_spec(scalar_spec(B1=2.0, R1=4.0))
         assert red.B11[0, 0] == pytest.approx(-1.0)
 
     def test_transpose_pairing(self):
-        red = reduce_coefficients(matrix_spec())
+        red = SweepCoefficients.from_spec(matrix_spec())
         np.testing.assert_allclose(red.B21.T, red.Bbar11, atol=1e-14)
         np.testing.assert_allclose(red.B22.T, red.Bbar12, atol=1e-14)
 
     def test_definiteness_of_own_products(self):
-        red = reduce_coefficients(matrix_spec())
+        red = SweepCoefficients.from_spec(matrix_spec())
         for M in (red.B11, red.B12, red.Bbar21, red.Bbar22):
             sym = 0.5 * (M + M.T)
             assert np.max(np.abs(M - M.T)) < 1e-12
@@ -99,14 +101,21 @@ class TestReduceCoefficients:
 
     def test_singular_weight_raises(self):
         with pytest.raises(SingularWeight):
-            reduce_coefficients(scalar_spec(R1=0.0))
+            SweepCoefficients.from_spec(scalar_spec(R1=0.0))
+        # an indefinite 2x2 weight (eigenvalues 3 and -1) for a player
+        # with two controls
+        spec = matrix_spec()
+        with pytest.raises(SingularWeight):
+            SweepCoefficients.from_spec(GameSpec(**{
+                **_spec_dict(spec), "B1": spec.B2, "B1bar": spec.B2bar,
+                "R1": [[1.0, 2.0], [2.0, 1.0]]}))
 
     @settings(max_examples=25, deadline=None)
     @given(c=st.floats(min_value=1e-3, max_value=1e3))
     def test_homogeneous_in_r1(self, c):
-        base = reduce_coefficients(matrix_spec())
+        base = SweepCoefficients.from_spec(matrix_spec())
         spec = matrix_spec()
-        scaled = reduce_coefficients(
+        scaled = SweepCoefficients.from_spec(
             GameSpec(**{**_spec_dict(spec), "R1": c * spec.R1}))
         np.testing.assert_allclose(scaled.B11, base.B11 / c, rtol=1e-12)
         np.testing.assert_allclose(scaled.B21, base.B21 / c, rtol=1e-12)
