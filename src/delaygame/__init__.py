@@ -8,7 +8,7 @@ from .errors import (DelayGameError, IncommensurateDelays, MissingWindow,
                      SingularWeight)
 from .model import (GameSpec, Grid, ValidationReport, build_grid,
                     load_problem, save_problem, validate)
-from .discrete_engine import (RiccatiLadder, RiccatiLayer, SweepCoefficients,
+from .discrete_engine import (RiccatiLadder, SweepCoefficients,
                               assemble_blocks, backward_sweep,
                               expectation_of_product, riccati_step,
                               solve_estimate_chain, solve_ladder)
@@ -24,7 +24,7 @@ __all__ = [
     "CostEstimate", "DelayGameError", "DeviationVerdict", "FeedbackLaw",
     "GameSpec", "Grid", "IncommensurateDelays", "MissingWindow",
     "NonFiniteLayer", "ResidualComponent", "ResidualReport",
-    "RiccatiFields", "RiccatiLadder", "RiccatiLayer", "SingularGain",
+    "RiccatiFields", "RiccatiLadder", "SingularGain",
     "SingularGamma", "SingularWeight", "SweepCoefficients", "Trajectory",
     "ValidationReport", "assemble_blocks", "assemble_gains",
     "backward_sweep", "build_grid", "continuous_residuals",

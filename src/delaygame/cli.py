@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 usage error (also a grid too fine for memory),
 2 unreadable or invalid problem file, 3 non-finite numbers in a sweep or
 a simulation (a singular block or an overflowed layer in a backward
-sweep, an overflowed cost in ``simulate``), 4 verification failure. All
+sweep, an overflowed cost in ``simulate``, a non-finite statistic or
+bound in ``verify``, which then writes no report), 4 verification
+failure. All
 randomness flows from the single --seed: every Monte Carlo pass
 generates its increments from it, one step at a time
 (``simulator.increment_rows``), as a block or streamed, so runs are
@@ -193,9 +195,14 @@ def cmd_verify(args) -> int:
 
     def add(name, statistic, bound, ok, skipped=None):
         """Record one check; ``skipped`` gives the reason a check compared
-        nothing (it then counts as a pass with statistic 0)."""
+        nothing (it then counts as a pass with statistic 0). A non-finite
+        statistic or bound ends the command before any report is written."""
         if skipped:
             statistic, ok = 0.0, True
+        if not np.isfinite((statistic, bound)).all():
+            print(f"verification: non-finite statistic in {name} (overflow)",
+                  file=sys.stderr)
+            raise SystemExit(EXIT_NUMERIC)
         records.append({"name": name, "statistic": float(statistic),
                         "bound": float(bound), "pass": bool(ok),
                         "evaluated": skipped is None})
@@ -222,23 +229,28 @@ def cmd_verify(args) -> int:
     ident = stationarity_identity_check(law, fields, spec)
     add("gain_stationarity_identity", ident.max, ident.tolerance, ident.passed)
 
-    rep = vfy.fbsde_residual_test(ladder, spec, grid, args.paths, args.seed)
-    add("fbsde_martingale_projection", rep.component("projection_net").max,
-        vfy.FBSDE_BAND_C * grid.delta, rep.passed)
+    # an overflow on the paths shows as a non-finite statistic
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = vfy.fbsde_residual_test(ladder, spec, grid, args.paths,
+                                      args.seed)
+        add("fbsde_martingale_projection",
+            rep.component("projection_net").max,
+            vfy.FBSDE_BAND_C * grid.delta, rep.passed)
 
-    rep, verdicts = vfy.paired_law_checks(ladder, law, spec, grid,
-                                          args.paths, args.seed)
-    add("stationarity_projection", rep.component("projection_net").max,
-        vfy.STATIONARITY_BAND_C * grid.delta, rep.passed)
+        rep, verdicts = vfy.paired_law_checks(ladder, law, spec, grid,
+                                              args.paths, args.seed)
+        add("stationarity_projection", rep.component("projection_net").max,
+            vfy.STATIONARITY_BAND_C * grid.delta, rep.passed)
 
-    for v in verdicts:
-        add(f"nash_deviation_p{v.player}_{v.description.replace(' ', '_')}",
-            v.margin, -3.0 * v.combined_se, v.passed)
+        for v in verdicts:
+            add(f"nash_deviation_p{v.player}_"
+                f"{v.description.replace(' ', '_')}",
+                v.margin, -3.0 * v.combined_se, v.passed)
 
-    cross = vfy.cross_representation_gap(ladder, law, spec, grid,
-                                         min(args.paths, 256), args.seed)
-    bound = vfy.CROSS_REP_C * grid.delta
-    add("cross_representation", cross, bound, cross <= bound)
+        cross = vfy.cross_representation_gap(ladder, law, spec, grid,
+                                             min(args.paths, 256), args.seed)
+        bound = vfy.CROSS_REP_C * grid.delta
+        add("cross_representation", cross, bound, cross <= bound)
 
     # step-halving trends for the deterministic residuals
     ode_series, semi_series, ladders = [], [], []

@@ -14,8 +14,9 @@ Working backward from the terminal weights, each step k
     with every coefficient affine in the Brownian increment, then
   * advances the layer matrices one step back.
 
-Both step functions write their results in place into the one
-``RiccatiLadder`` of the sweep, step k reading only its layer k+1.
+Step k's functions take ``(ladder, k)``: they read layer k+1 of the one
+``RiccatiLadder`` of the sweep straight from its stacks and write step k
+and layer k in place.
 
 All expectations over the increment use exactly the first two moments
 (E[dw] = 0, E[dw^2] = delta); higher moments are deliberately dropped.
@@ -49,57 +50,6 @@ def expectation_of_product(X: np.ndarray, Y: np.ndarray,
             + delta * (X[..., 1, :, :] @ Y[..., 1, :, :]))
 
 
-def _read_only(view: np.ndarray) -> np.ndarray:
-    view.flags.writeable = False
-    return view
-
-
-class _Aggregates:
-    """Read-only views of the aggregate stack ``agg`` (axis -3 holds S^m
-    at index m-1): ``shat`` is S^1, ``scheck`` is S^gap and ``sm`` holds
-    S^1..S^{gap-1}."""
-
-    @property
-    def shat(self) -> np.ndarray:
-        return _read_only(self.agg[..., 0, :, :])
-
-    @property
-    def scheck(self) -> np.ndarray:
-        return _read_only(self.agg[..., -1, :, :])
-
-    @property
-    def sm(self) -> np.ndarray:
-        return _read_only(self.agg[..., :-1, :, :])
-
-
-@dataclass
-class RiccatiLayer(_Aggregates):
-    """Per-step layer of the backward recursion.
-
-    ``phat[i]`` is the state coefficient; ``phat_lag[i][j]`` (j = 0..d1)
-    and ``ccheck_lag[i][j]`` (j = 0..d2) are the lag-family entries whose
-    forward index is k + j; lag entries with k + j > N are identically
-    zero. ``agg[i][m-1]`` is the information aggregate S^m (m = 1..gap):
-    phat plus the first lag family from offset m-1 on plus the whole
-    second family, so S^1 is ``shat`` and S^gap is ``scheck``. Player
-    index i is 0-based (player 1 -> 0).
-    """
-
-    k: int
-    phat: np.ndarray          # (2, n, n)
-    phat_lag: np.ndarray      # (2, d1+1, n, n)
-    ccheck_lag: np.ndarray    # (2, d2+1, n, n)
-    agg: np.ndarray           # (2, gap, n, n), S^m stored at index m-1
-    provisional: bool = False
-
-    @property
-    def n(self) -> int:
-        return self.phat.shape[-1]
-
-    def finite(self) -> bool:
-        return all(np.isfinite(getattr(self, f)).all() for f in LAYER_FIELDS)
-
-
 LAYER_FIELDS = ("phat", "phat_lag", "ccheck_lag", "agg")
 
 
@@ -109,20 +59,6 @@ def block_order(gap: int) -> list[tuple[int, str]]:
     ties between equally conditioned blocks follow this order."""
     return ([(0, "gamma_hat"), (gap, "gamma_check")]
             + [(m, f"gamma_m{m}") for m in range(1, gap)])
-
-
-@dataclass
-class GammaBlocks:
-    """The 2n-by-2n block families of one chain step, with conditioning info.
-
-    ``levels[m]`` is the block of information level m: gamma_hat at 0,
-    gamma_m{m} at 0 < m < gap, gamma_check at gap; ``rcond`` is indexed
-    the same way.
-    """
-
-    levels: np.ndarray        # (gap+1, 2n, 2n)
-    g_block: np.ndarray
-    rcond: np.ndarray         # (gap+1,)
 
 
 @dataclass(frozen=True)
@@ -179,13 +115,23 @@ class SweepCoefficients:
         )
 
 
-class RiccatiLadder(_Aggregates):
+class RiccatiLadder:
     """Every layer (k = 0..N+1) and closed-loop step (k = 0..N) of a sweep,
-    stacked on a leading k axis: the only storage the sweep writes.
+    stacked on a leading k axis: the only storage the sweep writes. Step
+    k's functions take ``(ladder, k)``, read layer k+1 and write step k
+    and layer k in place.
 
-    Layer stacks: ``phat`` (N+2, 2, n, n), ``phat_lag`` (N+2, 2, d1+1, n,
-    n), ``ccheck_lag`` (N+2, 2, d2+1, n, n) and ``agg`` (N+2, 2, gap, n,
-    n), as described by :class:`RiccatiLayer`. Closed loop:
+    Layer stacks, player index i 0-based (player 1 -> 0): ``phat[k, i]``
+    (N+2, 2, n, n) is the state coefficient; ``phat_lag[k, i, j]`` (N+2,
+    2, d1+1, n, n) and ``ccheck_lag[k, i, j]`` (N+2, 2, d2+1, n, n) are
+    the lag-family entries whose forward index is k + j, identically zero
+    when k + j > N. ``agg[k, i, m-1]`` (N+2, 2, gap, n, n) is the
+    information aggregate S^m (m = 1..gap): phat plus the first lag family
+    from offset m-1 on plus the whole second family. ``shat`` (S^1) and
+    ``scheck`` (S^gap) are read-only views of it. Layers below k = d1 fall
+    outside the explicit solution's proven range: they are computed (the
+    simulation warm-up needs them) but provisional, and verification
+    treats them separately. Closed loop:
 
         x_{k+1} = a(dw) x_k + sum_l coef[k, l](dw) E_{k-d1-1+l}[x_k],
 
@@ -198,8 +144,7 @@ class RiccatiLadder(_Aggregates):
     level k-d1-1+l). ``zfactors`` (N+1, max(gap-2, 0), 2n, 2n) are the
     level-coupling operators that tend to the identity as delta -> 0, and
     ``rcond`` (N+1, gap+1) the reciprocal condition number of each level's
-    block. Layers below k = d1 are computed (the simulation warm-up needs
-    them) but flagged provisional; verification treats them separately.
+    block.
 
     The constructor allocates every stack and writes the terminal layer
     k = N+1: state coefficients equal the terminal weights, every lag
@@ -218,6 +163,8 @@ class RiccatiLadder(_Aggregates):
         self.phat_lag = np.empty(layers + (grid.d1 + 1, n, n))
         self.ccheck_lag = np.empty(layers + (grid.d2 + 1, n, n))
         self.agg = np.empty(layers + (gap, n, n))
+        self.shat, self.scheck = self.agg[:, :, 0], self.agg[:, :, -1]
+        self.shat.flags.writeable = self.scheck.flags.writeable = False
         self.coef = np.empty(steps + (gap + 1, 2, n, n))
         self.u1_gain = np.empty(steps + (coeffs.B1.shape[1], n))
         self.u2_gain = np.empty(steps + (gap + 1, coeffs.B2.shape[1], n))
@@ -236,10 +183,10 @@ class RiccatiLadder(_Aggregates):
     def gap(self) -> int:
         return self.grid.d1 - self.grid.d2
 
-    def layer(self, k: int) -> RiccatiLayer:
-        """Layer k as views into the stacks (writes go through)."""
-        return RiccatiLayer(k, *(getattr(self, f)[k] for f in LAYER_FIELDS),
-                            provisional=k < self.grid.d1)
+    def finite(self, k: int) -> bool:
+        """Whether every entry of layer k is finite."""
+        return all(np.isfinite(getattr(self, f)[k]).all()
+                   for f in LAYER_FIELDS)
 
     @property
     def rcond_min(self) -> dict[str, float]:
@@ -256,21 +203,25 @@ def _rcond(M: np.ndarray):
         return np.where(np.isfinite(c) & (c != 0.0), 1.0 / c, 0.0)[()]
 
 
-def assemble_blocks(layer_next: RiccatiLayer, coeffs: SweepCoefficients,
-                    delta: float, k: int | None = None) -> GammaBlocks:
-    """Build the four block families from the next layer's aggregates.
+def assemble_blocks(ladder: RiccatiLadder, coeffs: SweepCoefficients,
+                    k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The block families of step k, built from layer k+1's aggregates:
+    ``levels`` (gap+1, 2n, 2n), the block of information level m at
+    index m (gamma_hat at 0, gamma_m{m} at 0 < m < gap, gamma_check at
+    gap), and the coarse-level coupling ``g_block`` (2n, 2n). Writes each
+    level's reciprocal condition number to ``ladder.rcond[k]``.
 
     Raises :class:`SingularGamma` when any block is numerically singular,
     i.e. the explicit-solution hypothesis fails at this step/resolution,
-    and :class:`NonFiniteLayer` instead when the layer read holds an inf
-    or nan entry (the recursion overflowed before this step).
+    and :class:`NonFiniteLayer` instead when layer k+1 holds an inf or nan
+    entry (the recursion overflowed before this step).
     """
-    n = layer_next.n
+    n, delta = ladder.n, ladder.grid.delta
     eye = np.eye(n)
-    S1h, S2h = layer_next.shat
-    P1, P2 = layer_next.phat
+    S1h, S2h = ladder.shat[k + 1]
+    P1, P2 = ladder.phat[k + 1]
     # player 2's aggregates S^1..S^gap, one per finer level
-    S2 = layer_next.agg[1]
+    S2 = ladder.agg[k + 1, 1]
     gap = len(S2)
 
     # level 0 holds gamma_hat, level m the block gamma_m{m}, level gap
@@ -290,15 +241,13 @@ def assemble_blocks(layer_next: RiccatiLayer, coeffs: SweepCoefficients,
     g_block[n:, :n] = delta * (coeffs.Bbar11 @ S1h)
     g_block[n:, n:] = coeffs.Bbar21 @ P1
 
-    rc = _rcond(levels)
-    # step k reads layer k+1
-    where = k if k is not None else layer_next.k - 1
+    rc = ladder.rcond[k] = _rcond(levels)
     for m, which in block_order(gap):
         if rc[m] < RCOND_MIN:
-            if not layer_next.finite():
-                raise NonFiniteLayer(where + 1)
-            raise SingularGamma(where, which, rc[m])
-    return GammaBlocks(levels, g_block, rc)
+            if not ladder.finite(k + 1):
+                raise NonFiniteLayer(k + 1)
+            raise SingularGamma(k, which, rc[m])
+    return levels, g_block
 
 
 def _row_apply(top: np.ndarray, bot: np.ndarray, W: np.ndarray, n: int) -> np.ndarray:
@@ -314,8 +263,8 @@ def _column_blocks(X: np.ndarray, n: int) -> np.ndarray:
 def solve_estimate_chain(ladder: RiccatiLadder, coeffs: SweepCoefficients,
                          k: int) -> None:
     """Back-substitution chain writing the closed-loop step k of ``ladder``
-    (``coef``, ``u1_gain``, ``u2_gain``, ``zfactors``, ``rcond``) from its
-    layer k+1.
+    (``coef``, ``u1_gain``, ``u2_gain``, ``zfactors``, and ``rcond`` through
+    ``assemble_blocks``) from its layer k+1.
 
     Each information level's estimate pair is linear in its right-hand
     side, so one batched solve over the level blocks (``gamma_hat``, the
@@ -327,14 +276,13 @@ def solve_estimate_chain(ladder: RiccatiLadder, coeffs: SweepCoefficients,
     level's estimate pairs are substituted back into the state update.
     """
     n, gap, delta = ladder.n, ladder.gap, ladder.grid.delta
-    layer_next = ladder.layer(k + 1)
-    blocks = assemble_blocks(layer_next, coeffs, delta, k)
-    S1h = layer_next.shat[0]
-    P1, P2 = layer_next.phat
-    S2c = layer_next.scheck[1]
+    levels, g_block = assemble_blocks(ladder, coeffs, k)
+    S1h = ladder.shat[k + 1, 0]
+    P1, P2 = ladder.phat[k + 1]
+    S2c = ladder.scheck[k + 1, 1]
     # lag entries of player 2 at the next layer, offsets 0..gap-2, that
     # enter both the kernel couplings and the mid-level state terms
-    lag2 = layer_next.phat_lag[1][:gap - 1]
+    lag2 = ladder.phat_lag[k + 1, 1, :gap - 1]
 
     # right-hand sides shared by every level: the state column, the kernel
     # coupling [delta B12; delta Bbar12] and the coarse-level coupling.
@@ -345,8 +293,8 @@ def solve_estimate_chain(ladder: RiccatiLadder, coeffs: SweepCoefficients,
     rhs[n:, :n] = delta * ladder.a_mat[1]
     rhs[:n, n:2 * n] = delta * coeffs.B12
     rhs[n:, n:2 * n] = delta * coeffs.Bbar12
-    rhs[:, 2 * n:] = blocks.g_block
-    sol = np.linalg.solve(blocks.levels,
+    rhs[:, 2 * n:] = g_block
+    sol = np.linalg.solve(levels,
                           np.broadcast_to(rhs, (gap + 1,) + rhs.shape))
     C, Y, Z = sol[..., :n], sol[..., n:2 * n], sol[..., 2 * n:]
     W00 = C[0]
@@ -394,7 +342,6 @@ def solve_estimate_chain(ladder: RiccatiLadder, coeffs: SweepCoefficients,
     u2 = -coeffs.R2inv @ (coeffs.B2.T @ (S2c @ Wc[:n] + R)
                           + coeffs.B2bar.T @ (P2 @ Wc[n:] / delta))
     ladder.u2_gain[k] = _column_blocks(u2, n)
-    ladder.rcond[k] = blocks.rcond
 
 
 def riccati_step(ladder: RiccatiLadder, Q1: np.ndarray, Q2: np.ndarray,
@@ -458,9 +405,8 @@ def backward_sweep(coeffs: SweepCoefficients, grid: Grid,
                    H1: np.ndarray, H2: np.ndarray) -> RiccatiLadder:
     """Run the full recursion from the terminal layer down to k = 0.
 
-    Layers with k < d1 fall outside the explicit solution's proven range;
-    they are still produced (the forward simulation needs its warm-up
-    window) but marked provisional. An overflow inside the loop is not
+    Layers with k < d1 are still produced, as provisional layers (see
+    :class:`RiccatiLadder`). An overflow inside the loop is not
     warned about: the next step's block gate names the layer it reached
     (:class:`NonFiniteLayer`), and layer 0, which no block reads, is
     checked once at the end.
@@ -470,7 +416,7 @@ def backward_sweep(coeffs: SweepCoefficients, grid: Grid,
         for k in range(grid.N, -1, -1):
             solve_estimate_chain(ladder, coeffs, k)
             riccati_step(ladder, Q1, Q2, k)
-    if not ladder.layer(0).finite():
+    if not ladder.finite(0):
         raise NonFiniteLayer(0)
     return ladder
 

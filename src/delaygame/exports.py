@@ -37,9 +37,10 @@ def _write_table(path, header, *tables) -> None:
 
 
 def write_json(path, data) -> None:
-    """``data`` as JSON with sorted keys, indented by 2, newline-ended."""
+    """``data`` as strict JSON with sorted keys, indented by 2,
+    newline-ended; a NaN or infinite value raises ``ValueError``."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -26,7 +26,6 @@ inner dimension is 1). ``Trajectory`` records the base slot paths-first.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -281,28 +280,20 @@ def rollout(stepper, x0: np.ndarray, dw):
     """Step a path batch through the grid on the given increments.
 
     ``dw`` is the (N+1, P) block or any iterable of its rows (such as
-    ``increment_rows``). Yields ``(k, win, u1, u2, win_next, diff)`` for
-    k = 0..N, stacked by slot and paths-last: the window at step k, the
-    realized controls, the window at step k+1 and the increment
-    coefficient of the state update. Every Monte Carlo consumer reads its
-    paths from this one loop.
+    ``increment_rows``). Yields ``(k, win, u1, u2, win_next, diff, dw_k)``
+    for k = 0..N, stacked by slot and paths-last: the window at step k,
+    the realized controls, the window at step k+1, the increment
+    coefficient of the state update and the step's increment row (P,).
+    Every Monte Carlo consumer reads its paths from this one loop.
     """
     for k, dw_k in enumerate(dw):
         if k == 0:
             win = initial_window(x0, len(dw_k), stepper.grid.d1,
                                  stepper.slots)
         u1, u2, win_next, diff = stepper.step(k, win, dw_k)
-        yield k, win, u1, u2, win_next, diff
+        yield k, win, u1, u2, win_next, diff, dw_k
         win = win_next
         del u1, u2, diff    # not held while the next step is computed
-
-
-def streamed_rollout(stepper, x0: np.ndarray, n_paths: int, seed: int):
-    """``rollout`` on the (paths, seed) increments streamed row by row:
-    yields ``(step, dw_k)``, each step with its increment row. The two
-    branches of the one ``increment_rows`` generator buffer one row."""
-    rows, dw = itertools.tee(increment_rows(stepper.grid, n_paths, seed))
-    return zip(rollout(stepper, x0, rows), dw)
 
 
 def _run(stepper, x0: np.ndarray, seed: int, n_paths: int,
@@ -314,7 +305,7 @@ def _run(stepper, x0: np.ndarray, seed: int, n_paths: int,
     diff = np.empty((n_steps, n_paths, len(x0)))
     windows = (np.empty((n_steps + 1, grid.d1 + 1, n_paths, len(x0)))
                if record_windows else None)
-    for k, *arrays in rollout(stepper, x0, dw):
+    for k, *arrays, _ in rollout(stepper, x0, dw):
         # the base slot, as views in the paths-first layout
         win, u1, u2, win_next, diff_k = (a[0].swapaxes(-1, -2)
                                          for a in arrays)
@@ -401,7 +392,7 @@ def paired_costs(stepper: GainStepper, spec: GameSpec, n_paths: int,
     d1, delta = stepper.grid.d1, stepper.grid.delta
     for step in rollout(stepper, spec.x0,
                         increment_rows(stepper.grid, n_paths, seed)):
-        _, win, *u, win_next, _ = step
+        _, win, *u, win_next, _, _ = step
         for i, (q, r, _) in enumerate(weights):
             sums[i] += delta * (_quad(win[:, d1], q) + _quad(u[i], r))
         if observe is not None:

@@ -22,10 +22,11 @@ from .gains import FeedbackLaw, assemble_gains, effective_gains
 from .continuous_limit import extract_fields
 from .model import GameSpec, Grid, build_grid
 from .reports import DeviationVerdict, ResidualComponent, ResidualReport
+from . import simulator
 from .simulator import (GainStepper, LadderStepper, Trajectory,
                         draw_increments, paired_costs, paired_deviation_costs,
                         perturb_control, rollout, simulate_path_gains,
-                        simulate_path_ladder, streamed_rollout)
+                        simulate_path_ladder)
 
 # Projection bands are C*delta + 3*se; C calibrated once on the golden
 # scalar instance by a step-halving pair (see tests/test_acceptance.py):
@@ -126,8 +127,9 @@ def fbsde_residual_test(ladder: RiccatiLadder, spec: GameSpec, grid: Grid,
     q_mats = np.stack([spec.Q1, spec.Q2])
     rows = []    # (k, raw, se, net)
     p_prev = None
-    for (k, win, _, _, win_next, _), dw_k in streamed_rollout(
-            LadderStepper(ladder), spec.x0, n_paths, seed):
+    for k, win, _, _, win_next, _, dw_k in rollout(
+            LadderStepper(ladder), spec.x0,
+            simulator.increment_rows(ladder.grid, n_paths, seed)):
         win = win[0]
         p_k = (cm[k] @ win_next[0].reshape(-1, n_paths)).reshape(
             2, -1, n_paths)
@@ -145,7 +147,7 @@ def _stationarity_row(ladder: RiccatiLadder, spec: GameSpec, cm: np.ndarray,
     """A rollout step's worst ``(k, raw, se, net)`` projection of both
     players' first-order-condition residuals, read off its base slot;
     ``cm`` is ``costate_matrices(ladder)``."""
-    k, win, u1, u2, win_next, diff = step[0], *(a[0] for a in step[1:])
+    k, win, u1, u2, win_next, diff = step[0], *(a[0] for a in step[1:-1])
     n_paths = win.shape[-1]
     p_k = (cm[k] @ win_next.reshape(-1, n_paths)).reshape(2, -1, n_paths)
     q_k = ladder.phat[k + 1] @ diff

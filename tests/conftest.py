@@ -2,6 +2,7 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from delaygame import GameSpec, build_grid, extract_fields, solve_ladder
 
@@ -42,6 +43,39 @@ def matrix_spec() -> GameSpec:
                     R2=1.5 * np.eye(2), H1=0.4 * np.eye(2),
                     H2=0.6 * np.eye(2), h1=0.2, h2=0.05, T=1.0,
                     x0=[1.0, -0.5])
+
+
+# the step of every random spec: binary-exact, so the grid is exact
+RANDOM_DELTA = 0.125
+
+
+def random_spec(seed, n, d1c, d2c, d2, gap, tail) -> GameSpec:
+    """A well-posed game on the step ``RANDOM_DELTA``: positive definite
+    control weights, positive semi-definite state and terminal weights,
+    delays of d2 and d2 + gap steps and a horizon ``tail`` steps longer."""
+    rng = np.random.default_rng(seed)
+
+    def gram(m, scale):
+        q = rng.normal(size=(m, m))
+        return scale * (q.T @ q)
+
+    delta = RANDOM_DELTA
+    return GameSpec(
+        A=0.3 * rng.normal(size=(n, n)), Abar=0.2 * rng.normal(size=(n, n)),
+        B1=rng.normal(size=(n, d1c)), B1bar=0.3 * rng.normal(size=(n, d1c)),
+        B2=rng.normal(size=(n, d2c)), B2bar=0.3 * rng.normal(size=(n, d2c)),
+        Q1=gram(n, 0.5), Q2=gram(n, 0.5),
+        R1=gram(d1c, 0.2) + np.eye(d1c), R2=gram(d2c, 0.2) + np.eye(d2c),
+        H1=gram(n, 0.3), H2=gram(n, 0.3),
+        h1=(d2 + gap) * delta, h2=d2 * delta, T=(d2 + gap + tail) * delta,
+        x0=np.ones(n))
+
+
+# n 1-3, control dimensions 1-2, commensurate delays
+RANDOM_SPECS = st.builds(
+    random_spec, seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3),
+    d1c=st.integers(1, 2), d2c=st.integers(1, 2), d2=st.integers(1, 2),
+    gap=st.integers(1, 3), tail=st.integers(1, 6))
 
 
 @functools.lru_cache(maxsize=None)

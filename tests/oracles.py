@@ -493,20 +493,19 @@ def reference_ladder_csv(ladder, path):
     gap = grid.d1 - grid.d2
     rows = []
     for k in range(grid.N + 2):
-        layer = ladder.layer(k)
         for i in range(2):
             rows.extend(_reference_entries((k, i + 1, "Phat", ""),
-                                           layer.phat[i]))
+                                           ladder.phat[k][i]))
             for j in range(grid.d1 + 1):
                 rows.extend(_reference_entries((k, i + 1, "Phat_lag", j),
-                                               layer.phat_lag[i][j]))
+                                               ladder.phat_lag[k][i][j]))
             for j in range(grid.d2 + 1):
                 rows.extend(_reference_entries((k, i + 1, "Ccheck_lag", j),
-                                               layer.ccheck_lag[i][j]))
+                                               ladder.ccheck_lag[k][i][j]))
             rows.extend(_reference_entries((k, i + 1, "Shat", ""),
-                                           layer.shat[i]))
+                                           ladder.shat[k][i]))
             rows.extend(_reference_entries((k, i + 1, "Scheck", ""),
-                                           layer.scheck[i]))
+                                           ladder.scheck[k][i]))
     for k in range(grid.N + 1):
         coef = ladder.coef[k]
         rows.extend(_reference_entries((k, "", "M_const", ""), coef[0][0]))

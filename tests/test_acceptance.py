@@ -56,9 +56,9 @@ def test_criterion_01_zero_cost_annihilation():
     elapsed = time.perf_counter() - start
 
     ladder_zero = all(
-        np.all(ladder.layer(k).phat == 0.0)
-        and np.all(ladder.layer(k).phat_lag == 0.0)
-        and np.all(ladder.layer(k).ccheck_lag == 0.0)
+        np.all(ladder.phat[k] == 0.0)
+        and np.all(ladder.phat_lag[k] == 0.0)
+        and np.all(ladder.ccheck_lag[k] == 0.0)
         for k in range(grid.N + 2))
     gains_zero = (np.all(law.k1 == 0.0) and np.all(law.k2_h1 == 0.0)
                   and np.all(law.k2_kernel == 0.0)
@@ -77,21 +77,20 @@ def test_criterion_01_zero_cost_annihilation():
 def test_criterion_02_terminal_and_truncation_exactness(golden_ladders):
     spec, ladders = golden_ladders
     grid, ladder = ladders[0]
-    term = ladder.layer(grid.N + 1)
-    terminal_ok = (np.array_equal(term.phat[0], spec.H1)
-                   and np.array_equal(term.phat[1], spec.H2)
-                   and np.all(term.phat_lag == 0.0)
-                   and np.all(term.ccheck_lag == 0.0))
+    term = grid.N + 1
+    terminal_ok = (np.array_equal(ladder.phat[term][0], spec.H1)
+                   and np.array_equal(ladder.phat[term][1], spec.H2)
+                   and np.all(ladder.phat_lag[term] == 0.0)
+                   and np.all(ladder.ccheck_lag[term] == 0.0))
     trunc_ok = True
     for lad_spec in (ladder, solve_ladder(matrix_spec(),
                                           build_grid(matrix_spec(), 0.05))):
         g = lad_spec.grid
         for k in range(g.N + 2):
-            layer = lad_spec.layer(k)
             cut = g.N - k + 1
-            if cut <= g.d1 and np.any(layer.phat_lag[:, cut:] != 0.0):
+            if cut <= g.d1 and np.any(lad_spec.phat_lag[k][:, cut:] != 0.0):
                 trunc_ok = False
-            if cut <= g.d2 and np.any(layer.ccheck_lag[:, cut:] != 0.0):
+            if cut <= g.d2 and np.any(lad_spec.ccheck_lag[k][:, cut:] != 0.0):
                 trunc_ok = False
     _report(2, terminal_ok and trunc_ok,
             "terminal layer bitwise, beyond-horizon lags exactly zero")

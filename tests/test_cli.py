@@ -219,6 +219,21 @@ class TestSimulate:
 
 
 class TestVerify:
+    def test_overflowed_statistic_exit_3(self, tmp_path, capsys):
+        # a huge but valid initial state overflows the Monte Carlo
+        # statistics: one line, no numpy warnings and no report
+        from dataclasses import replace
+        path = tmp_path / "huge.json"
+        save_problem(replace(golden_scalar_spec(), x0=np.array([1e200])),
+                     path)
+        out = tmp_path / "v"
+        code = main(["verify", "--problem", str(path), "--paths", "200",
+                     "--halvings", "1", "--out", str(out)])
+        assert code == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("verification: non-finite statistic in ")
+        assert not (out / "verify_report.json").exists()
+
     def test_zero_cost_all_pass(self, zero_problem, tmp_path):
         out = tmp_path / "v"
         code = main(["verify", "--problem", str(zero_problem),

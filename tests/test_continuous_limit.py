@@ -87,7 +87,7 @@ class TestExtractFields:
         k = grid.N // 2
         np.testing.assert_allclose(
             fields.phat[0, k, 1],
-            ladder.layer(k).phat_lag[0][1] / grid.delta)
+            ladder.phat_lag[k][0][1] / grid.delta)
 
     def test_aggregates_match_quadrature(self, wide_fields):
         spec, grid, ladder, fields = wide_fields

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from delaygame import (GameSpec, Grid, SingularGamma, SweepCoefficients,
-                       assemble_blocks, expectation_of_product, solve_ladder)
+                       assemble_blocks, build_grid, expectation_of_product,
+                       solve_ladder)
 from delaygame.discrete_engine import (LAYER_FIELDS, RiccatiLadder,
                                       riccati_step, solve_estimate_chain)
-from conftest import matrix_spec, wide_delay_spec
+from conftest import RANDOM_DELTA, RANDOM_SPECS, matrix_spec, wide_delay_spec
 from oracles import oracle_chain_sweep, oracle_sweep
 
 
@@ -47,13 +48,13 @@ class TestAssembleBlocks:
     def test_zero_layers_give_identity_blocks(self, zero_cost):
         spec, grid, ladder = zero_cost
         coeffs = SweepCoefficients.from_spec(spec)
-        blocks = assemble_blocks(ladder.layer(grid.N + 1), coeffs, grid.delta)
+        levels, g_block = assemble_blocks(ladder, coeffs, grid.N)
         eye = np.eye(2 * ladder.n)
-        np.testing.assert_array_equal(blocks.levels[0], eye)
-        np.testing.assert_array_equal(blocks.levels[-1], eye)
-        for gm in blocks.levels[1:-1]:
+        np.testing.assert_array_equal(levels[0], eye)
+        np.testing.assert_array_equal(levels[-1], eye)
+        for gm in levels[1:-1]:
             np.testing.assert_array_equal(gm, eye)
-        np.testing.assert_array_equal(blocks.g_block, np.zeros_like(eye))
+        np.testing.assert_array_equal(g_block, np.zeros_like(eye))
 
     def test_terminal_scalar_block_by_hand(self):
         # unit maps, H_i = 1: every aggregate is 1 and the reduced
@@ -64,27 +65,25 @@ class TestAssembleBlocks:
         grid = Grid(N=9, delta=0.1, d1=2, d2=1)
         coeffs = SweepCoefficients.from_spec(spec)
         ladder = RiccatiLadder(grid, coeffs, spec.H1, spec.H2)
-        layer = ladder.layer(grid.N + 1)
-        blocks = assemble_blocks(layer, coeffs, grid.delta)
-        np.testing.assert_allclose(blocks.levels[0],
+        levels, g_block = assemble_blocks(ladder, coeffs, grid.N)
+        np.testing.assert_allclose(levels[0],
                                    [[1.2, 2.0], [0.2, 3.0]])
-        np.testing.assert_allclose(blocks.levels[-1],
+        np.testing.assert_allclose(levels[-1],
                                    [[1.1, 1.0], [0.1, 2.0]])
-        np.testing.assert_allclose(blocks.g_block,
+        np.testing.assert_allclose(g_block,
                                    [[-0.1, -1.0], [-0.1, -1.0]])
 
     def test_delta_to_zero_limit(self):
         # at delta = 0 only the increment-free state-coefficient terms
         # survive, in the right column of each block
         spec = wide_delay_spec()
-        grid = Grid(N=9, delta=0.1, d1=2, d2=1)
+        grid = Grid(N=9, delta=0.0, d1=2, d2=1)
         coeffs = SweepCoefficients.from_spec(spec)
         ladder = RiccatiLadder(grid, coeffs, spec.H1, spec.H2)
-        layer = ladder.layer(grid.N + 1)
-        blocks = assemble_blocks(layer, coeffs, 0.0)
-        P1, P2 = layer.phat
+        levels, _ = assemble_blocks(ladder, coeffs, grid.N)
+        P1, P2 = ladder.phat[grid.N + 1]
         np.testing.assert_allclose(
-            blocks.levels[0],
+            levels[0],
             np.block([[np.eye(1), -(coeffs.B21 @ P1 + coeffs.B22 @ P2)],
                       [np.zeros((1, 1)), np.eye(1) - coeffs.Bbar21 @ P1
                        - coeffs.Bbar22 @ P2]]))
@@ -102,21 +101,12 @@ class TestAssembleBlocks:
         grid = Grid(N=9, delta=0.1, d1=2, d2=1)
         coeffs = SweepCoefficients.from_spec(spec)
         ladder = RiccatiLadder(grid, coeffs, spec.H1, spec.H2)
-        return ladder.layer(grid.N + 1), coeffs, grid
+        return ladder, coeffs, grid
 
     def test_singular_block_raises(self):
-        layer, coeffs, grid = self._singular_terminal()
+        ladder, coeffs, grid = self._singular_terminal()
         with pytest.raises(SingularGamma) as err:
-            assemble_blocks(layer, coeffs, grid.delta, k=grid.N)
-        assert err.value.k == grid.N
-        assert err.value.which == "gamma_hat"
-
-    def test_singular_block_default_step(self):
-        # without k the error names the step that reads the given layer:
-        # the terminal layer N+1 is read by step N
-        layer, coeffs, grid = self._singular_terminal()
-        with pytest.raises(SingularGamma) as err:
-            assemble_blocks(layer, coeffs, grid.delta)
+            assemble_blocks(ladder, coeffs, grid.N)
         assert err.value.k == grid.N
         assert err.value.which == "gamma_hat"
 
@@ -152,16 +142,16 @@ class TestRiccatiStepGolden:
     def test_layer_at_last_interior_step(self):
         spec = golden_engine_spec()
         ladder = solve_ladder(spec, GOLDEN_GRID)
-        layer = ladder.layer(GOLDEN_GRID.N)
+        k = GOLDEN_GRID.N
         for i in range(2):   # players symmetric on this instance
-            assert layer.phat[i][0, 0] == pytest.approx(
+            assert ladder.phat[k][i][0, 0] == pytest.approx(
                 self.LAYER_N["phat"], rel=1e-12)
-            assert layer.phat_lag[i][0][0, 0] == pytest.approx(
+            assert ladder.phat_lag[k][i][0][0, 0] == pytest.approx(
                 self.LAYER_N["lag0"], rel=1e-12)
-            assert layer.ccheck_lag[i][0][0, 0] == pytest.approx(
+            assert ladder.ccheck_lag[k][i][0][0, 0] == pytest.approx(
                 self.LAYER_N["clag0"], rel=1e-12)
-            assert np.all(layer.phat_lag[i][1:] == 0.0)
-            assert np.all(layer.ccheck_lag[i][1:] == 0.0)
+            assert np.all(ladder.phat_lag[k][i][1:] == 0.0)
+            assert np.all(ladder.ccheck_lag[k][i][1:] == 0.0)
         (m_const, m_noise), (h_const, h_noise) = \
             ladder.coef[GOLDEN_GRID.N, [0, -1]]
         assert m_const[0, 0] == pytest.approx(
@@ -176,15 +166,14 @@ class TestRiccatiStepGolden:
     def test_full_sweep_reaches_golden_base_layer(self):
         spec = golden_engine_spec()
         ladder = solve_ladder(spec, GOLDEN_GRID)
-        layer = ladder.layer(0)
         for i in range(2):
-            assert layer.phat[i][0, 0] == pytest.approx(
+            assert ladder.phat[0][i][0, 0] == pytest.approx(
                 self.LAYER_0["phat"], rel=1e-12)
             for j, ref in enumerate(self.LAYER_0["lagP"]):
-                assert layer.phat_lag[i][j][0, 0] == pytest.approx(
+                assert ladder.phat_lag[0][i][j][0, 0] == pytest.approx(
                     ref, rel=1e-12)
             for j, ref in enumerate(self.LAYER_0["lagC"]):
-                assert layer.ccheck_lag[i][j][0, 0] == pytest.approx(
+                assert ladder.ccheck_lag[0][i][j][0, 0] == pytest.approx(
                     ref, rel=1e-12)
 
     def test_terminal_step_formula_by_hand(self):
@@ -193,16 +182,15 @@ class TestRiccatiStepGolden:
         spec = golden_engine_spec()
         ladder = solve_ladder(spec, GOLDEN_GRID)
         expected = 1.01 ** 2 * 0.5 + 0.1 * 0.1 * 0.5 * 0.1 + 0.1
-        assert ladder.layer(GOLDEN_GRID.N).phat[0][0, 0] == pytest.approx(
+        assert ladder.phat[GOLDEN_GRID.N][0][0, 0] == pytest.approx(
             expected, rel=1e-14)
 
     def test_zero_cost_layer_is_zero(self, zero_cost):
         spec, grid, ladder = zero_cost
         for k in range(grid.N + 2):
-            layer = ladder.layer(k)
-            assert np.all(layer.phat == 0.0)
-            assert np.all(layer.phat_lag == 0.0)
-            assert np.all(layer.ccheck_lag == 0.0)
+            assert np.all(ladder.phat[k] == 0.0)
+            assert np.all(ladder.phat_lag[k] == 0.0)
+            assert np.all(ladder.ccheck_lag[k] == 0.0)
 
     def test_terminal_with_zero_running_cost(self):
         spec = GameSpec(A=0.1, Abar=0.1, B1=1.0, B1bar=1.0, B2=1.0,
@@ -210,7 +198,7 @@ class TestRiccatiStepGolden:
                         H1=0.5, H2=0.5, h1=0.2, h2=0.1, T=0.6, x0=[1.0])
         ladder = solve_ladder(spec, GOLDEN_GRID)
         expected = 1.01 ** 2 * 0.5 + 0.1 * 0.1 * 0.5 * 0.1
-        assert ladder.layer(GOLDEN_GRID.N).phat[0][0, 0] == pytest.approx(
+        assert ladder.phat[GOLDEN_GRID.N][0][0, 0] == pytest.approx(
             expected, rel=1e-14)
 
 
@@ -239,12 +227,12 @@ class TestChainAgainstClosedForms:
                 np.testing.assert_allclose(coef[m + 1, 1], mmn,
                                            atol=rtol * scale)
         for k in range(grid.N + 2):
-            layer, ref = ladder.layer(k), layer_by_k[k]
+            ref = layer_by_k[k]
             for i in range(2):
-                np.testing.assert_allclose(layer.phat[i], ref.P[i],
+                np.testing.assert_allclose(ladder.phat[k][i], ref.P[i],
                                            atol=rtol)
                 for j in range(grid.d1 + 1):
-                    np.testing.assert_allclose(layer.phat_lag[i][j],
+                    np.testing.assert_allclose(ladder.phat_lag[k][i][j],
                                                ref.lagP[i][j], atol=rtol)
 
     def test_gap_one_scalar(self):
@@ -315,15 +303,15 @@ class TestChainAgainstReference:
             for got, ref in zip(ladder.zfactors[k], zf):
                 self._close(got, ref)
         for k in range(grid.N + 2):
-            layer, ref = ladder.layer(k), layer_by_k[k]
+            ref = layer_by_k[k]
             for i in range(2):
-                self._close(layer.phat[i], ref.P[i])
-                self._close(layer.phat_lag[i], np.stack(ref.lagP[i]))
-                self._close(layer.ccheck_lag[i], np.stack(ref.lagC[i]))
-                self._close(layer.shat[i], ref.Shat(i))
-                self._close(layer.scheck[i], ref.Scheck(i))
+                self._close(ladder.phat[k][i], ref.P[i])
+                self._close(ladder.phat_lag[k][i], np.stack(ref.lagP[i]))
+                self._close(ladder.ccheck_lag[k][i], np.stack(ref.lagC[i]))
+                self._close(ladder.shat[k][i], ref.Shat(i))
+                self._close(ladder.scheck[k][i], ref.Scheck(i))
                 for m in range(1, gap):
-                    self._close(layer.sm[i][m - 1], ref.Sm(i, m))
+                    self._close(ladder.agg[k][i][m - 1], ref.Sm(i, m))
 
     def test_one_solve_per_step(self, monkeypatch):
         # one batched factor-and-solve call for every information level
@@ -350,16 +338,27 @@ class TestChainAgainstReference:
         assert calls == {"solve": 1, "lu_factor": 0, "lu_solve": 0, "cond": 1}
 
 
+def _random_ladder(spec):
+    """The sweep of ``spec`` on its grid nearest ``RANDOM_DELTA`` (0.05 for
+    the matrix problem); a spec with a singular block is not drawn."""
+    try:
+        return solve_ladder(spec, build_grid(spec, RANDOM_DELTA))
+    except SingularGamma:
+        reject()
+
+
 class TestSweepInvariants:
-    def test_terminal_layer_exact(self, matrix_case):
-        spec, grid, ladder = matrix_case
-        term = ladder.layer(grid.N + 1)
-        np.testing.assert_array_equal(term.phat[0], spec.H1)
-        np.testing.assert_array_equal(term.phat[1], spec.H2)
-        assert np.all(term.phat_lag == 0.0)
-        assert np.all(term.ccheck_lag == 0.0)
+    @settings(max_examples=25, deadline=None)
+    @given(spec=RANDOM_SPECS)
+    @example(spec=matrix_spec())
+    def test_terminal_layer_exact(self, spec):
+        ladder = _random_ladder(spec)
+        np.testing.assert_array_equal(ladder.phat[-1][0], spec.H1)
+        np.testing.assert_array_equal(ladder.phat[-1][1], spec.H2)
+        assert np.all(ladder.phat_lag[-1] == 0.0)
+        assert np.all(ladder.ccheck_lag[-1] == 0.0)
         for i, H in enumerate((spec.H1, spec.H2)):
-            for S in term.agg[i]:
+            for S in ladder.agg[-1][i]:
                 np.testing.assert_array_equal(S, H)
 
     @pytest.mark.parametrize("at", ["terminal", "interior", "base"])
@@ -387,15 +386,17 @@ class TestSweepInvariants:
             others = np.delete(got, written, axis=0)
             assert np.isnan(others).all(), f
 
-    def test_lag_truncation(self, matrix_case):
-        spec, grid, ladder = matrix_case
-        for k in range(grid.N + 2):
-            layer = ladder.layer(k)
-            cut = grid.N - k + 1
-            if cut <= grid.d1:
-                assert np.all(layer.phat_lag[:, cut:] == 0.0)
-            if cut <= grid.d2:
-                assert np.all(layer.ccheck_lag[:, cut:] == 0.0)
+    @settings(max_examples=25, deadline=None)
+    @given(spec=RANDOM_SPECS)
+    @example(spec=matrix_spec())
+    def test_lag_truncation(self, spec):
+        # every lag entry whose forward index k + j exceeds N is exactly 0
+        ladder = _random_ladder(spec)
+        k = np.arange(ladder.grid.N + 2)[:, None]
+        for lag in (ladder.phat_lag, ladder.ccheck_lag):
+            beyond = k + np.arange(lag.shape[2]) > ladder.grid.N
+            assert beyond.any()
+            assert np.all(lag.swapaxes(1, 2)[beyond] == 0.0)
 
     def test_closed_loop_mm_truncation(self, matrix_case):
         spec, grid, ladder = matrix_case
@@ -408,21 +409,16 @@ class TestSweepInvariants:
     def test_aggregate_identity(self, matrix_case):
         spec, grid, ladder = matrix_case
         for k in range(0, grid.N + 2, 5):
-            layer = ladder.layer(k)
             for i in range(2):
-                expected = (layer.phat[i] + layer.phat_lag[i].sum(axis=0)
-                            + layer.ccheck_lag[i].sum(axis=0))
-                np.testing.assert_allclose(layer.shat[i], expected,
+                expected = (ladder.phat[k][i]
+                            + ladder.phat_lag[k][i].sum(axis=0)
+                            + ladder.ccheck_lag[k][i].sum(axis=0))
+                np.testing.assert_allclose(ladder.shat[k][i], expected,
                                            atol=1e-14)
-
-    def test_provisional_flags(self, wide):
-        spec, grid, ladder = wide
-        for k in range(grid.N + 2):
-            assert ladder.layer(k).provisional == (k < grid.d1)
 
     def test_bounded_layers(self, golden):
         spec, grid, ladder = golden
-        worst = max(float(np.max(np.abs(ladder.layer(k).phat)))
+        worst = max(float(np.max(np.abs(ladder.phat[k])))
                     for k in range(grid.N + 2))
         assert worst < 1e6
 
@@ -443,10 +439,10 @@ class TestSweepInvariants:
         # at the first step below the horizon the asymmetric couplings
         # have not yet entered either recursion branch
         k = grid.N
-        np.testing.assert_allclose(base.layer(k).phat[0],
-                                   flip.layer(k).phat[1], atol=1e-13)
-        np.testing.assert_allclose(base.layer(k).ccheck_lag[0][1:],
-                                   flip.layer(k).ccheck_lag[1][1:],
+        np.testing.assert_allclose(base.phat[k][0],
+                                   flip.phat[k][1], atol=1e-13)
+        np.testing.assert_allclose(base.ccheck_lag[k][0][1:],
+                                   flip.ccheck_lag[k][1][1:],
                                    atol=1e-13)
 
     def test_single_player_degeneration_zeroes_player_two(self):
@@ -456,9 +452,8 @@ class TestSweepInvariants:
         grid = Grid(N=19, delta=0.05, d1=4, d2=2)
         ladder = solve_ladder(spec, grid)
         for k in range(grid.N + 2):
-            layer = ladder.layer(k)
-            assert np.all(layer.phat[1] == 0.0)
-            assert np.all(layer.ccheck_lag == 0.0)
+            assert np.all(ladder.phat[k][1] == 0.0)
+            assert np.all(ladder.ccheck_lag[k] == 0.0)
         for k in range(grid.N + 1):
             assert np.all(ladder.coef[k, -1, 0] == 0.0)
             for mm in ladder.coef[k, 1:-1]:

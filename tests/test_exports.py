@@ -75,3 +75,14 @@ def test_trajectory_text_held_one_path_at_a_time(artifacts, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < arrays
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_write_json_rejects_non_finite(tmp_path, value):
+    # strict JSON: a non-finite number raises instead of being written
+    # as NaN or Infinity
+    path = tmp_path / "r.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        exports.write_json(path, {"statistic": value})
+    assert b"NaN" not in path.read_bytes()
+    assert b"Infinity" not in path.read_bytes()

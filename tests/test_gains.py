@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from dataclasses import replace
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
 from delaygame import (GameSpec, SingularGain, assemble_gains, build_grid,
@@ -10,7 +9,8 @@ from delaygame import (GameSpec, SingularGain, assemble_gains, build_grid,
                        stationarity_identity_check)
 from delaygame.errors import SingularGamma
 from delaygame.gains import IDENTITY_TOL
-from conftest import REFERENCE_CASES, swept, wide_delay_spec
+from conftest import (RANDOM_DELTA, RANDOM_SPECS, REFERENCE_CASES, swept,
+                      wide_delay_spec)
 
 
 @pytest.fixture(scope="module")
@@ -188,36 +188,12 @@ class TestMatchesReferenceLoops:
         assert rep.passed and rep.tolerance == IDENTITY_TOL
 
 
-def _random_spec(seed, n, d1c, d2c, d2, gap, tail) -> GameSpec:
-    """A well-posed game on the binary-exact step 1/8: positive definite
-    control weights, positive semi-definite state and terminal weights."""
-    rng = np.random.default_rng(seed)
-
-    def gram(m, scale):
-        q = rng.normal(size=(m, m))
-        return scale * (q.T @ q)
-
-    delta = 0.125
-    return GameSpec(
-        A=0.3 * rng.normal(size=(n, n)), Abar=0.2 * rng.normal(size=(n, n)),
-        B1=rng.normal(size=(n, d1c)), B1bar=0.3 * rng.normal(size=(n, d1c)),
-        B2=rng.normal(size=(n, d2c)), B2bar=0.3 * rng.normal(size=(n, d2c)),
-        Q1=gram(n, 0.5), Q2=gram(n, 0.5),
-        R1=gram(d1c, 0.2) + np.eye(d1c), R2=gram(d2c, 0.2) + np.eye(d2c),
-        H1=gram(n, 0.3), H2=gram(n, 0.3),
-        h1=(d2 + gap) * delta, h2=d2 * delta, T=(d2 + gap + tail) * delta,
-        x0=np.ones(n))
-
-
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3),
-       d1c=st.integers(1, 2), d2c=st.integers(1, 2), d2=st.integers(1, 2),
-       gap=st.integers(1, 3), tail=st.integers(1, 6))
-def test_random_specs_match_reference(seed, n, d1c, d2c, d2, gap, tail):
+@given(spec=RANDOM_SPECS)
+def test_random_specs_match_reference(spec):
     # the state coefficient of a nonzero-sum game is not symmetric in
     # general (the matrix problem's is not); its terminal value is H
-    spec = _random_spec(seed, n, d1c, d2c, d2, gap, tail)
-    grid = build_grid(spec, 0.125)
+    grid = build_grid(spec, RANDOM_DELTA)
     try:
         fields = extract_fields(solve_ladder(spec, grid))
     except SingularGamma:

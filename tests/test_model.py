@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from delaygame import (GameSpec, IncommensurateDelays, SingularWeight,
                        SweepCoefficients, build_grid, load_problem,
                        save_problem, validate)
-from conftest import golden_scalar_spec, matrix_spec, wide_delay_spec
+from conftest import (RANDOM_SPECS, golden_scalar_spec, matrix_spec,
+                      wide_delay_spec)
 
 
 def scalar_spec(**overrides):
@@ -172,8 +173,11 @@ class TestBuildGrid:
 
 
 class TestProblemFiles:
-    def test_round_trip(self, tmp_path):
-        spec = matrix_spec()
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(spec=RANDOM_SPECS)
+    @example(spec=matrix_spec())
+    def test_round_trip(self, tmp_path, spec):
         path = tmp_path / "problem.json"
         save_problem(spec, path)
         loaded = load_problem(path)

@@ -337,8 +337,8 @@ class TestPairedDeviation:
             dev_law = perturb_control(law, player, "constant_shift", 0.4)
             stepper = GainStepper(law, spec, grid, [(player, dev_law)])
             (slot,) = stepper.dev_slots
-            for k, _, u1, u2, _, _ in rollout(stepper, spec.x0,
-                                              draw_increments(grid, 5, 13)):
+            for k, _, u1, u2, _, _, _ in rollout(
+                    stepper, spec.x0, draw_increments(grid, 5, 13)):
                 own, opp = (u1, u2) if player == 1 else (u2, u1)
                 np.testing.assert_array_equal(opp[slot], opp[0])
                 assert not np.array_equal(own[slot], own[0])
@@ -363,7 +363,7 @@ class TestPairedDeviation:
         stepper = GainStepper(law, spec, grid, devs)
         order = np.r_[0, stepper.dev_slots]
         rec = {"win": [], "u1": [], "u2": [], "diff": []}
-        for _, win, u1, u2, win_next, diff in rollout(
+        for _, win, u1, u2, win_next, diff, _ in rollout(
                 stepper, spec.x0, draw_increments(grid, n_paths, seed)):
             for name, a in (("win", win), ("u1", u1), ("u2", u2),
                             ("diff", diff)):

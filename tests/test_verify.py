@@ -56,14 +56,14 @@ class TestCostateReconstruct:
         p, q = vfy.costate_reconstruct(ladder, traj)
         k = grid.N // 2
         gap = grid.d1 - grid.d2
-        layer = ladder.layer(k + 1)
         for i in range(2):
-            ref = traj.x[k + 1] @ layer.phat[i].T
+            ref = traj.x[k + 1] @ ladder.phat[k + 1][i].T
             for j in range(grid.d1 + 1):
-                ref = ref + traj.windows[k + 1][j] @ layer.phat_lag[i][j].T
+                ref = ref + (traj.windows[k + 1][j]
+                             @ ladder.phat_lag[k + 1][i][j].T)
             for j in range(grid.d2 + 1):
                 ref = ref + (traj.windows[k + 1][gap + j]
-                             @ layer.ccheck_lag[i][j].T)
+                             @ ladder.ccheck_lag[k + 1][i][j].T)
             np.testing.assert_allclose(p[i, k], ref, atol=1e-13)
 
 
