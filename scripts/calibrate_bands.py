@@ -34,12 +34,11 @@ def main():
         grid = build_grid(spec, dt)
         ladder = solve_ladder(spec, grid)
         law = assemble_gains(extract_fields(ladder), spec)
-        fb = vfy.fbsde_residual_test(ladder, spec, grid, 10_000, seed=2)
-        st = vfy.stationarity_residual_test(ladder, law, spec, grid,
-                                            10_000, seed=2)
-        tl = simulate_path_ladder(ladder, grid, spec.x0, seed=11, n_paths=64)
-        tg = simulate_path_gains(law, spec, grid, seed=11, n_paths=64)
-        ti = simulate_path_gains(vfy.implied_law(ladder, spec), spec, grid,
+        fb = vfy.fbsde_residual_test(ladder, spec, 10_000, seed=2)
+        st = vfy.stationarity_residual_test(ladder, law, spec, 10_000, seed=2)
+        tl = simulate_path_ladder(ladder, spec.x0, seed=11, n_paths=64)
+        tg = simulate_path_gains(law, spec, seed=11, n_paths=64)
+        ti = simulate_path_gains(vfy.implied_law(ladder, spec), spec,
                                  seed=11, n_paths=64)
         cross = float(np.max(np.abs(tl.x - tg.x)))
         implied = max(float(np.max(np.abs(getattr(tl, a) - getattr(ti, a))))
@@ -59,15 +58,15 @@ def main():
     ladder = solve_ladder(spec, grid)
     law = assemble_gains(extract_fields(ladder), spec)
     mutated = perturb_control(law, 1, "gain_scale", 1.1)
-    st_mut = vfy.stationarity_residual_test(ladder, mutated, spec, grid,
-                                            10_000, seed=2)
+    st_mut = vfy.stationarity_residual_test(ladder, mutated, spec, 10_000,
+                                            seed=2)
     band = vfy.STATIONARITY_BAND_C * grid.delta
     print(f"10% gain mutation: stationarity net "
           f"{st_mut.component('projection_net').max:.4f} "
           f"= {st_mut.component('projection_net').max / band:.1f}x band")
     corrupted = solve_ladder(spec, grid)
     vfy.zero_layer(corrupted, grid.N // 2)
-    fb_mut = vfy.fbsde_residual_test(corrupted, spec, grid, 10_000, seed=2)
+    fb_mut = vfy.fbsde_residual_test(corrupted, spec, 10_000, seed=2)
     band = vfy.FBSDE_BAND_C * grid.delta
     print(f"zeroed-layer mutation: backward-eq net "
           f"{fb_mut.component('projection_net').max:.4f} "

@@ -1,13 +1,13 @@
 """Command-line pipeline: solve, simulate, verify, convergence study.
 
-Exit codes: 0 success, 1 usage error (also a grid too fine for memory),
-2 unreadable or invalid problem file, 3 non-finite numbers in a sweep or
-a simulation (a singular block or an overflowed layer in a backward
-sweep, an overflowed cost in ``simulate``, a non-finite statistic or
-bound in ``verify``, which then writes no report), 4 verification
-failure. All
-randomness flows from the single --seed: every Monte Carlo pass
-generates its increments from it, one step at a time
+Exit codes: 0 success, 1 usage error (also a grid or path count too
+large for memory, or too large to represent), 2 unreadable or invalid
+problem file, 3 non-finite numbers in a sweep or a simulation (a
+singular block or an overflowed layer in a backward sweep, an overflowed
+cost in ``simulate``, a non-finite statistic or bound in ``verify`` or
+value in ``convergence``, which then write no report), 4 verification
+failure. All randomness flows from the single --seed: every Monte Carlo
+pass generates its increments from it, one step at a time
 (``simulator.increment_rows``), as a block or streamed, so runs are
 reproducible byte for byte.
 """
@@ -101,18 +101,16 @@ def _load(args):
         raise SystemExit(EXIT_VALIDATION)
     report = validate(spec)
     if not report.passed:
-        for line in report.violations:
-            print(f"validation: {line}", file=sys.stderr)
+        print("validation: " + "; ".join(report.violations), file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
     delta_target = args.delta if args.delta is not None else spec.h2 / 2
     grid = build_grid(spec, delta_target)
     coeffs = SweepCoefficients.from_spec(spec)
-    ladder = backward_sweep(coeffs, grid, spec.Q1, spec.Q2, spec.H1, spec.H2)
-    return spec, grid, coeffs, ladder
+    return spec, coeffs, backward_sweep(coeffs, grid)
 
 
 def cmd_solve(args) -> int:
-    spec, grid, coeffs, ladder = _load(args)
+    spec, coeffs, ladder = _load(args)
     fields = extract_fields(ladder)
     law = assemble_gains(fields, spec)
     out = args.out
@@ -127,6 +125,7 @@ def cmd_solve(args) -> int:
                                      for k, v in rc.items()},
                "effective_weight_rcond_min": {"rt1": law.rt1_rcond_min,
                                               "rt2": law.rt2_rcond_min}})
+    grid = ladder.grid
     print(f"grid: N={grid.N} delta={grid.delta:.6g} d1={grid.d1} d2={grid.d2}")
     for which, val in sorted(ladder.rcond_min.items()):
         print(f"block rcond min {which}: {val:.3e}")
@@ -139,12 +138,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec, grid, coeffs, ladder = _load(args)
+    spec, _, ladder = _load(args)
     fields = extract_fields(ladder)
     law = assemble_gains(fields, spec)
     # an overflow shows as a non-finite cost, checked before any export
     with np.errstate(over="ignore", invalid="ignore"):
-        traj = simulate_path_gains(law, spec, grid, seed=args.seed,
+        traj = simulate_path_gains(law, spec, seed=args.seed,
                                    n_paths=args.paths)
         est = estimate_costs(traj, spec)
     if not np.all(np.isfinite((est.j1, est.j2, est.j1_se or 0.0,
@@ -153,7 +152,7 @@ def cmd_simulate(args) -> int:
         return EXIT_NUMERIC
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    exports.export_trajectories_csv(traj, grid, out / "trajectories.csv")
+    exports.export_trajectories_csv(traj, out / "trajectories.csv")
     exports.export_cost_report(est, out / "costs.json")
     se1 = "n/a" if est.j1_se is None else f"{est.j1_se:.4g}"
     se2 = "n/a" if est.j2_se is None else f"{est.j2_se:.4g}"
@@ -176,14 +175,15 @@ def _halvings(spec, coeffs, ladder, halvings: int, zero_at=None):
     yield ladder
     for j in range(1, halvings + 1):
         g = build_grid(spec, ladder.grid.delta / 2 ** j)
-        lad = backward_sweep(coeffs, g, spec.Q1, spec.Q2, spec.H1, spec.H2)
+        lad = backward_sweep(coeffs, g)
         if zero_at is not None:
             vfy.zero_layer(lad, min(zero_at, g.N + 1))
         yield lad
 
 
 def cmd_verify(args) -> int:
-    spec, grid, coeffs, ladder = _load(args)
+    spec, coeffs, ladder = _load(args)
+    grid = ladder.grid
     if args.debug_zero_layer is not None:
         if not 0 <= args.debug_zero_layer <= grid.N + 1:
             print("--debug-zero-layer out of range", file=sys.stderr)
@@ -231,14 +231,13 @@ def cmd_verify(args) -> int:
 
     # an overflow on the paths shows as a non-finite statistic
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = vfy.fbsde_residual_test(ladder, spec, grid, args.paths,
-                                      args.seed)
+        rep = vfy.fbsde_residual_test(ladder, spec, args.paths, args.seed)
         add("fbsde_martingale_projection",
             rep.component("projection_net").max,
             vfy.FBSDE_BAND_C * grid.delta, rep.passed)
 
-        rep, verdicts = vfy.paired_law_checks(ladder, law, spec, grid,
-                                              args.paths, args.seed)
+        rep, verdicts = vfy.paired_law_checks(ladder, law, spec, args.paths,
+                                              args.seed)
         add("stationarity_projection", rep.component("projection_net").max,
             vfy.STATIONARITY_BAND_C * grid.delta, rep.passed)
 
@@ -247,7 +246,7 @@ def cmd_verify(args) -> int:
                 f"{v.description.replace(' ', '_')}",
                 v.margin, -3.0 * v.combined_se, v.passed)
 
-        cross = vfy.cross_representation_gap(ladder, law, spec, grid,
+        cross = vfy.cross_representation_gap(ladder, law, spec,
                                              min(args.paths, 256), args.seed)
         bound = vfy.CROSS_REP_C * grid.delta
         add("cross_representation", cross, bound, cross <= bound)
@@ -258,8 +257,7 @@ def cmd_verify(args) -> int:
                          args.debug_zero_layer):
         ladders.append(lad)
         cr = continuous_residuals(fields if lad is ladder
-                                  else extract_fields(lad), coeffs,
-                                  spec.Q1, spec.Q2)
+                                  else extract_fields(lad), coeffs)
         ode_series.append(cr.component("riccati_ode").max)
         semi_series.append(cr.component("semigroup_check").max)
     # only ladders with active level-coupling factors enter the z trend
@@ -286,35 +284,46 @@ def cmd_verify(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    spec, grid, coeffs, ladder = _load(args)
+    spec, coeffs, ladder = _load(args)
+    deltas = [ladder.grid.delta / 2 ** j for j in range(args.halvings + 1)]
+    lines, records, prev_fields = [], [], None
+    # an overflow shows as a non-finite value, checked before any export
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lad in _halvings(spec, coeffs, ladder, args.halvings):
+            g = lad.grid
+            f = extract_fields(lad)
+            cr = continuous_residuals(f, coeffs)
+            row = {"delta": g.delta,
+                   "riccati_ode": cr.component("riccati_ode").max,
+                   "semigroup": cr.component("semigroup_check").max,
+                   "z_distance": vfy.z_factor_distances(lad)}
+            if prev_fields is not None:
+                # compare state coefficients on the coarser sample set
+                stride = int(round(prev_fields.delta / g.delta))
+                diff = np.max(np.abs(
+                    f.P[:, ::stride][:, :prev_fields.P.shape[1]]
+                    - prev_fields.P))
+                row["state_coeff_diff_vs_coarser"] = float(diff)
+            prev_fields = f
+            records.append(row)
+            lines.append("  ".join(f"{k}={v:.5g}" for k, v in row.items()))
+        if not any(np.any(m) for m in (spec.Abar, spec.B1bar, spec.B2bar)):
+            rep = vfy.no_delay_oracle(spec, deltas)
+            for dt, gapv in zip(deltas, rep.component("gain_gap").value):
+                lines.append(
+                    f"no-delay gain gap at delta={dt:.5g}: {gapv:.5g}")
+                records.append({"delta": dt,
+                                "no_delay_gain_gap": float(gapv)})
+        else:
+            lines.append("no-delay reduction skipped (increment maps nonzero)")
+    bad = next((k for r in records for k, v in r.items()
+                if not np.isfinite(v)), None)
+    if bad is not None:
+        print(f"convergence: non-finite value in {bad} (overflow)",
+              file=sys.stderr)
+        return EXIT_NUMERIC
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    deltas = [grid.delta / 2 ** j for j in range(args.halvings + 1)]
-    lines, records, prev_fields = [], [], None
-    for lad in _halvings(spec, coeffs, ladder, args.halvings):
-        g = lad.grid
-        f = extract_fields(lad)
-        cr = continuous_residuals(f, coeffs, spec.Q1, spec.Q2)
-        row = {"delta": g.delta,
-               "riccati_ode": cr.component("riccati_ode").max,
-               "semigroup": cr.component("semigroup_check").max,
-               "z_distance": vfy.z_factor_distances(lad)}
-        if prev_fields is not None:
-            # compare state coefficients on the coarser sample set
-            stride = int(round(prev_fields.delta / g.delta))
-            diff = np.max(np.abs(f.P[:, ::stride][:, :prev_fields.P.shape[1]]
-                                 - prev_fields.P))
-            row["state_coeff_diff_vs_coarser"] = float(diff)
-        prev_fields = f
-        records.append(row)
-        lines.append("  ".join(f"{k}={v:.5g}" for k, v in row.items()))
-    if not any(np.any(m) for m in (spec.Abar, spec.B1bar, spec.B2bar)):
-        rep = vfy.no_delay_oracle(spec, deltas)
-        for dt, gapv in zip(deltas, rep.component("gain_gap").value):
-            lines.append(f"no-delay gain gap at delta={dt:.5g}: {gapv:.5g}")
-            records.append({"delta": dt, "no_delay_gain_gap": float(gapv)})
-    else:
-        lines.append("no-delay reduction skipped (increment maps nonzero)")
     report = out / "convergence.json"
     exports.write_json(report, records)
     print("\n".join(lines))
@@ -345,6 +354,15 @@ def main(argv=None) -> int:
         # e.g. a --delta so fine that the grid's arrays cannot be allocated
         print(f"error: out of memory: {str(exc) or 'allocation failed'}",
               file=sys.stderr)
+        return EXIT_USAGE
+    except (OverflowError, ValueError) as exc:
+        # numpy refuses a shape whose size overflows before allocating it,
+        # Python a step count beyond the float range; any other ValueError
+        # is a fault of the program and keeps its traceback
+        if isinstance(exc, ValueError) and not str(exc).startswith(
+                ("Maximum allowed dimension exceeded", "array is too big")):
+            raise
+        print(f"error: too large to allocate: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SingularGamma, NonFiniteLayer) as exc:
         print(f"backward sweep: {exc}", file=sys.stderr)

@@ -35,7 +35,6 @@ class RiccatiFields:
     """
 
     grid: Grid
-    t: np.ndarray            # (N+2,)
     P: np.ndarray            # (2, N+2, n, n)
     phat: np.ndarray         # (2, N+2, d1+1, n, n)
     ccheck: np.ndarray       # (2, N+2, d2+1, n, n)
@@ -51,17 +50,16 @@ class RiccatiFields:
         return self.grid.delta
 
     @property
+    def t(self) -> np.ndarray:
+        return self.grid.times()
+
+    @property
     def theta1(self) -> np.ndarray:
         return self.grid.delta * np.arange(self.grid.d1 + 1)
 
     @property
     def theta2(self) -> np.ndarray:
         return self.grid.delta * np.arange(self.grid.d2 + 1)
-
-    @property
-    def provisional(self) -> np.ndarray:
-        """Mask of samples below the proven range of the explicit solution."""
-        return np.arange(len(self.t)) < self.grid.d1
 
     def kernel1_integral(self, i: int, lo_index: int = 0) -> np.ndarray:
         """Trapezoidal integral of the first kernel over theta >= lo_index*delta."""
@@ -86,8 +84,8 @@ def extract_fields(ladder: RiccatiLadder) -> RiccatiFields:
     ker2 = _trapz(ccheck, dx=grid.delta, axis=2)
     shat = P + _trapz(phat, dx=grid.delta, axis=2) + ker2
     scheck = P + _trapz(phat[:, :, gap:], dx=grid.delta, axis=2) + ker2
-    return RiccatiFields(grid=grid, t=grid.times(), P=P, phat=phat,
-                         ccheck=ccheck, shat=shat, scheck=scheck)
+    return RiccatiFields(grid=grid, P=P, phat=phat, ccheck=ccheck,
+                         shat=shat, scheck=scheck)
 
 
 def _absmax(res: np.ndarray) -> np.ndarray:
@@ -120,8 +118,8 @@ def invertibility_rcond(fields: RiccatiFields, coeffs: SweepCoefficients):
             "second": _rcond(eye - coeffs.Bbar22 @ P2)}
 
 
-def continuous_residuals(fields: RiccatiFields, coeffs: SweepCoefficients,
-                         Q1: np.ndarray, Q2: np.ndarray) -> ResidualReport:
+def continuous_residuals(fields: RiccatiFields,
+                         coeffs: SweepCoefficients) -> ResidualReport:
     """Residuals of the limiting equation system on the extracted fields.
 
     Components: the backward ODE of the state coefficient (first-order
@@ -138,14 +136,14 @@ def continuous_residuals(fields: RiccatiFields, coeffs: SweepCoefficients,
     gap = d1 - d2
     delta = grid.delta
     A, Abar = coeffs.A, coeffs.Abar
-    q_mats = np.array([Q1, Q2], dtype=float)[:, None]
     eye = np.eye(fields.n)
-    n_t = len(fields.t)
+    t = fields.t
+    n_t = len(t)
     P, phat, shat = fields.P, fields.phat, fields.shat
 
     # backward ODE of the state coefficient
     Pk = P[:, 1:]
-    rhs = (A.T @ Pk + Pk @ A + Abar.T @ Pk @ Abar + q_mats
+    rhs = (A.T @ Pk + Pk @ A + Abar.T @ Pk @ Abar + coeffs.Q[:, None]
            + phat[:, 1:, d1] + fields.ccheck[:, 1:, d2])
     ode_v = _absmax((P[:, :-1] - Pk) / delta - rhs).max(axis=0)
 
@@ -189,7 +187,7 @@ def continuous_residuals(fields: RiccatiFields, coeffs: SweepCoefficients,
         rhs[:, :, c] + (shat[:, nxt] @ ker_drift)[:, :, None] @ ker
         + (Abar.T @ P[:, nxt] @ ker_diff)[:, :, None] @ ker
         + prev[:, :, c] @ h_drift[:, None]))
-    tc_t, tc_v = ((fields.t[:-1], coupled.max(axis=(0, 2))) if gap > 1
+    tc_t, tc_v = ((t[:-1], coupled.max(axis=(0, 2))) if gap > 1
                   else (np.zeros(0), np.zeros(0)))
 
     # semigroup identity of the second kernel
@@ -197,14 +195,14 @@ def continuous_residuals(fields: RiccatiFields, coeffs: SweepCoefficients,
     for j in range(1, d2 + 1):
         exp_a = _expm(A * (j * delta))
         ref = exp_a.T @ fields.ccheck[:, j:, 0] @ exp_a
-        sg_t.append(fields.t[:n_t - j])
+        sg_t.append(t[:n_t - j])
         sg_v.append(_absmax(fields.ccheck[:, :n_t - j, j] - ref).max(axis=0))
 
     return ResidualReport(name="continuous-system", components=[
         ResidualComponent(name, ts, vs) for name, ts, vs in (
-            ("riccati_ode", fields.t[1:], ode_v),
-            ("boundary_hat", fields.t[sl], bh_v),
-            ("boundary_check", fields.t[sl], bc_v),
+            ("riccati_ode", t[1:], ode_v),
+            ("boundary_hat", t[sl], bh_v),
+            ("boundary_check", t[sl], bc_v),
             ("transport_hat_coupled", tc_t, tc_v),
-            ("transport_hat_free", fields.t[:-1], tf_v),
+            ("transport_hat_free", t[:-1], tf_v),
             ("semigroup_check", np.concatenate(sg_t), np.concatenate(sg_v)))])

@@ -14,9 +14,9 @@ Working backward from the terminal weights, each step k
     with every coefficient affine in the Brownian increment, then
   * advances the layer matrices one step back.
 
-Step k's functions take ``(ladder, k)``: they read layer k+1 of the one
-``RiccatiLadder`` of the sweep straight from its stacks and write step k
-and layer k in place.
+Step k's functions take ``(ladder, coeffs, k)``: they read layer k+1 of
+the one ``RiccatiLadder`` of the sweep straight from its stacks and write
+step k and layer k in place.
 
 All expectations over the increment use exactly the first two moments
 (E[dw] = 0, E[dw^2] = delta); higher moments are deliberately dropped.
@@ -64,8 +64,10 @@ def block_order(gap: int) -> list[tuple[int, str]]:
 @dataclass(frozen=True)
 class SweepCoefficients:
     """Everything the sweep consumes: the state maps, the control-map data
-    that reads the implied controls back out and the eight n-by-n reduced
-    products ``B11 = -B1 R1^{-1} B1'``, ``B21 = -B1 R1^{-1} B1bar'``,
+    that reads the implied controls back out, both players' running and
+    terminal cost weights stacked on a leading player axis (``Q`` and
+    ``H``, (2, n, n)) and the eight n-by-n reduced products
+    ``B11 = -B1 R1^{-1} B1'``, ``B21 = -B1 R1^{-1} B1bar'``,
     ``Bbar11 = -B1bar R1^{-1} B1'``, ``Bbar21 = -B1bar R1^{-1} B1bar'``
     and their player-2 counterparts (so ``B21' = Bbar11``)."""
 
@@ -77,6 +79,8 @@ class SweepCoefficients:
     B2bar: np.ndarray
     R1inv: np.ndarray
     R2inv: np.ndarray
+    Q: np.ndarray
+    H: np.ndarray
     B11: np.ndarray
     B12: np.ndarray
     B21: np.ndarray
@@ -108,6 +112,7 @@ class SweepCoefficients:
             A=spec.A, Abar=spec.Abar,
             B1=spec.B1, B1bar=spec.B1bar, B2=spec.B2, B2bar=spec.B2bar,
             R1inv=np.linalg.inv(spec.R1), R2inv=np.linalg.inv(spec.R2),
+            Q=np.stack([spec.Q1, spec.Q2]), H=np.stack([spec.H1, spec.H2]),
             B11=-spec.B1 @ r1_b1t, B12=-spec.B2 @ r2_b2t,
             B21=-spec.B1 @ r1_b1bart, B22=-spec.B2 @ r2_b2bart,
             Bbar11=-spec.B1bar @ r1_b1t, Bbar12=-spec.B2bar @ r2_b2t,
@@ -118,8 +123,8 @@ class SweepCoefficients:
 class RiccatiLadder:
     """Every layer (k = 0..N+1) and closed-loop step (k = 0..N) of a sweep,
     stacked on a leading k axis: the only storage the sweep writes. Step
-    k's functions take ``(ladder, k)``, read layer k+1 and write step k
-    and layer k in place.
+    k's functions take ``(ladder, coeffs, k)``, read layer k+1 and write
+    step k and layer k in place.
 
     Layer stacks, player index i 0-based (player 1 -> 0): ``phat[k, i]``
     (N+2, 2, n, n) is the state coefficient; ``phat_lag[k, i, j]`` (N+2,
@@ -147,13 +152,13 @@ class RiccatiLadder:
     block.
 
     The constructor allocates every stack and writes the terminal layer
-    k = N+1: state coefficients equal the terminal weights, every lag
-    entry is zero and every aggregate equals the state coefficient. The
-    other slices are left uninitialized for the sweep to fill.
+    k = N+1: state coefficients equal the terminal weights ``coeffs.H``,
+    every lag entry is zero and every aggregate equals the state
+    coefficient. The other slices are left uninitialized for the sweep to
+    fill.
     """
 
-    def __init__(self, grid: Grid, coeffs: SweepCoefficients,
-                 H1: np.ndarray, H2: np.ndarray):
+    def __init__(self, grid: Grid, coeffs: SweepCoefficients):
         n, gap = coeffs.A.shape[0], grid.d1 - grid.d2
         layers, steps = (grid.N + 2, 2), (grid.N + 1,)
         self.grid = grid
@@ -170,7 +175,7 @@ class RiccatiLadder:
         self.u2_gain = np.empty(steps + (gap + 1, coeffs.B2.shape[1], n))
         self.zfactors = np.empty(steps + (max(gap - 2, 0), 2 * n, 2 * n))
         self.rcond = np.empty(steps + (gap + 1,))
-        self.phat[-1] = H1, H2
+        self.phat[-1] = coeffs.H
         self.phat_lag[-1] = 0.0
         self.ccheck_lag[-1] = 0.0
         self.agg[-1] = self.phat[-1][:, None]
@@ -344,7 +349,7 @@ def solve_estimate_chain(ladder: RiccatiLadder, coeffs: SweepCoefficients,
     ladder.u2_gain[k] = _column_blocks(u2, n)
 
 
-def riccati_step(ladder: RiccatiLadder, Q1: np.ndarray, Q2: np.ndarray,
+def riccati_step(ladder: RiccatiLadder, coeffs: SweepCoefficients,
                  k: int) -> None:
     """Write layer k of ``ladder`` from its layer k+1 and closed-loop step k.
 
@@ -355,8 +360,6 @@ def riccati_step(ladder: RiccatiLadder, Q1: np.ndarray, Q2: np.ndarray,
     n, d1, d2, gap = ladder.n, ladder.grid.d1, ladder.grid.d2, ladder.gap
     delta = ladder.grid.delta
     a_hat, a_bar = ladder.a_mat
-    q_mats = np.stack([np.asarray(Q1, dtype=float),
-                       np.asarray(Q2, dtype=float)])
     coef = ladder.coef[k]
     P_next = ladder.phat[k + 1]
     lag_next = ladder.phat_lag[k + 1]
@@ -369,7 +372,7 @@ def riccati_step(ladder: RiccatiLadder, Q1: np.ndarray, Q2: np.ndarray,
     phat[:] = (a_hat.T @ P_next @ a_hat
                + delta * (a_bar.T @ P_next @ a_bar)
                + a_hat.T @ (lag_next[:, d1] + cc_next[:, d2]) @ a_hat
-               + delta * q_mats)
+               + delta * coeffs.Q)
 
     # const-part tails sum(Mm[j], j >= m) + H + A_hat, m = 1..gap-1, used
     # by the coupled branch
@@ -400,9 +403,7 @@ def riccati_step(ladder: RiccatiLadder, Q1: np.ndarray, Q2: np.ndarray,
                      + ccheck_lag.sum(axis=1)[:, None])
 
 
-def backward_sweep(coeffs: SweepCoefficients, grid: Grid,
-                   Q1: np.ndarray, Q2: np.ndarray,
-                   H1: np.ndarray, H2: np.ndarray) -> RiccatiLadder:
+def backward_sweep(coeffs: SweepCoefficients, grid: Grid) -> RiccatiLadder:
     """Run the full recursion from the terminal layer down to k = 0.
 
     Layers with k < d1 are still produced, as provisional layers (see
@@ -411,11 +412,11 @@ def backward_sweep(coeffs: SweepCoefficients, grid: Grid,
     (:class:`NonFiniteLayer`), and layer 0, which no block reads, is
     checked once at the end.
     """
-    ladder = RiccatiLadder(grid, coeffs, H1, H2)
+    ladder = RiccatiLadder(grid, coeffs)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(grid.N, -1, -1):
             solve_estimate_chain(ladder, coeffs, k)
-            riccati_step(ladder, Q1, Q2, k)
+            riccati_step(ladder, coeffs, k)
     if not ladder.finite(0):
         raise NonFiniteLayer(0)
     return ladder
@@ -423,5 +424,4 @@ def backward_sweep(coeffs: SweepCoefficients, grid: Grid,
 
 def solve_ladder(spec: GameSpec, grid: Grid) -> RiccatiLadder:
     """Convenience wrapper: reduce the spec's coefficients and sweep."""
-    coeffs = SweepCoefficients.from_spec(spec)
-    return backward_sweep(coeffs, grid, spec.Q1, spec.Q2, spec.H1, spec.H2)
+    return backward_sweep(SweepCoefficients.from_spec(spec), grid)

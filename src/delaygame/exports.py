@@ -11,7 +11,6 @@ import numpy as np
 from .continuous_limit import RiccatiFields
 from .discrete_engine import RiccatiLadder, block_order
 from .gains import FeedbackLaw
-from .model import Grid
 from .simulator import CostEstimate, Trajectory
 
 
@@ -141,11 +140,11 @@ def export_gains_csv(law: FeedbackLaw, path) -> None:
                  _entry_table(_text(law.t_samples), parts))
 
 
-def export_trajectories_csv(traj: Trajectory, grid: Grid, path) -> None:
-    """One row per path and step k = 0..N+1; the controls and the
-    increment are blank at k = N+1. The text of one path is held at a
-    time."""
-    n = traj.x.shape[2]
+def export_trajectories_csv(traj: Trajectory, path) -> None:
+    """One row per path and step k = 0..N+1 of the trajectory's grid; the
+    controls and the increment are blank at k = N+1. The text of one path
+    is held at a time."""
+    grid, n = traj.grid, traj.x.shape[2]
     header = (["path_id", "k", "t"] + [f"x{i}" for i in range(n)]
               + [f"u1_{i}" for i in range(traj.u1.shape[2])]
               + [f"u2_{i}" for i in range(traj.u2.shape[2])] + ["dW"])

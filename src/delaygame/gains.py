@@ -16,7 +16,7 @@ import numpy as np
 from .continuous_limit import RiccatiFields, _absmax, _trapz
 from .discrete_engine import RCOND_MIN, _rcond
 from .errors import SingularGain
-from .model import GameSpec
+from .model import GameSpec, Grid
 from .reports import ResidualComponent, ResidualReport
 
 # The stationarity identity holds to round-off on every grid; trend checks
@@ -26,7 +26,10 @@ IDENTITY_TOL = 1e-10
 
 @dataclass
 class FeedbackLaw:
-    """Time-sampled equilibrium gains plus optional additive control offsets.
+    """Equilibrium gains sampled on ``grid``'s times, plus optional
+    additive control offsets. The sample times ``t_samples``, the kernel
+    lattice ``theta_kernel`` and the ``provisional`` mask are read from
+    the grid.
 
     ``k2_kernel[k, j]`` is the kernel density at (t_k, theta_j) on the lag
     gap lattice; consumers integrate it with trapezoidal weights.
@@ -35,8 +38,7 @@ class FeedbackLaw:
     larger delay are computed but flagged provisional.
     """
 
-    t_samples: np.ndarray          # (n_t,)
-    theta_kernel: np.ndarray       # (gap+1,)
+    grid: Grid
     rt1: np.ndarray                # (n_t, d1c, d1c)
     rt2: np.ndarray                # (n_t, d2c, d2c)
     o1: np.ndarray                 # (n_t, d1c, n)
@@ -44,7 +46,6 @@ class FeedbackLaw:
     k2_h1: np.ndarray              # (n_t, d2c, n)
     k2_kernel: np.ndarray          # (n_t, gap+1, d2c, n)
     k2_h2: np.ndarray              # (n_t, d2c, n)
-    provisional: np.ndarray        # (n_t,) bool
     rt1_asymmetry: float = 0.0
     rt2_rcond_min: float = 1.0
     rt1_rcond_min: float = 1.0
@@ -52,32 +53,43 @@ class FeedbackLaw:
     offset2: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        n_t = len(self.t_samples)
         if self.offset1 is None:
-            self.offset1 = np.zeros((n_t, self.k1.shape[1]))
+            self.offset1 = np.zeros((self.n_t, self.k1.shape[1]))
         if self.offset2 is None:
-            self.offset2 = np.zeros((n_t, self.k2_h2.shape[1]))
+            self.offset2 = np.zeros((self.n_t, self.k2_h2.shape[1]))
 
     @property
     def n_t(self) -> int:
-        return len(self.t_samples)
+        return self.grid.N + 2
+
+    @property
+    def t_samples(self) -> np.ndarray:
+        return self.grid.times()
+
+    @property
+    def theta_kernel(self) -> np.ndarray:
+        return self.grid.delta * np.arange(self.gap_points)
+
+    @property
+    def provisional(self) -> np.ndarray:
+        return np.arange(self.n_t) < self.grid.d1
 
     @property
     def gap_points(self) -> int:
         return self.k2_kernel.shape[1]
 
-    def kernel_weights(self, delta: float) -> np.ndarray:
+    def kernel_weights(self) -> np.ndarray:
         """Trapezoidal quadrature weights on the kernel lattice."""
-        w = np.full(self.gap_points, delta)
+        w = np.full(self.gap_points, self.grid.delta)
         w[0] *= 0.5
         w[-1] *= 0.5
         return w
 
 
-def effective_gains(law: FeedbackLaw, delta: float):
+def effective_gains(law: FeedbackLaw):
     """Total state gains when every estimate collapses to the state itself:
     player 2's coarse-lag, kernel and fine-lag parts aggregate."""
-    w = law.kernel_weights(delta)
+    w = law.kernel_weights()
     k2 = law.k2_h1 + law.k2_h2 + np.tensordot(law.k2_kernel, w, axes=(1, 0))
     return law.k1, k2
 
@@ -126,13 +138,10 @@ def assemble_gains(fields: RiccatiFields, spec: GameSpec) -> FeedbackLaw:
           + cross12 @ neg_inv2 @ o2)
     k1 = -np.linalg.solve(rt1, o1)
     return FeedbackLaw(
-        t_samples=fields.t.copy(),
-        theta_kernel=grid.delta * np.arange(gap + 1),
-        rt1=rt1, rt2=rt2, o1=o1, k1=k1,
+        grid=grid, rt1=rt1, rt2=rt2, o1=o1, k1=k1,
         k2_h1=neg_inv2 @ cross21 @ k1,
         k2_kernel=neg_inv2[:, None] @ (B2.T @ kernel),
         k2_h2=neg_inv2 @ h2,
-        provisional=fields.provisional.copy(),
         rt1_asymmetry=float(np.max(np.abs(rt1 - rt1.swapaxes(1, 2)),
                                    initial=0.0)),
         rt2_rcond_min=float(np.min(rc2, initial=1.0)),
@@ -153,7 +162,7 @@ def stationarity_identity_check(law: FeedbackLaw, fields: RiccatiFields,
     B1, B1b = spec.B1, spec.B1bar
     B2, B2b = spec.B2, spec.B2bar
     P1, P2 = fields.P
-    _, k2_sum = effective_gains(law, fields.delta)
+    _, k2_sum = effective_gains(law)
     res1 = ((spec.R1 + B1b.T @ P1 @ B1b) @ law.k1
             + B1.T @ fields.shat[0] + B1b.T @ P1 @ spec.Abar
             + B1b.T @ P1 @ B2b @ k2_sum)
@@ -169,9 +178,9 @@ def stationarity_identity_check(law: FeedbackLaw, fields: RiccatiFields,
     return ResidualReport(
         name="gain-stationarity",
         components=[
-            ResidualComponent("player1", law.t_samples.copy(),
+            ResidualComponent("player1", law.t_samples,
                               _absmax(res1) / scale1),
-            ResidualComponent("player2", law.t_samples.copy(),
+            ResidualComponent("player2", law.t_samples,
                               _absmax(res2).max(axis=1) / scale2),
         ],
         tolerance=IDENTITY_TOL,

@@ -199,8 +199,7 @@ class GainStepper:
     control for the base and player-1 slots only.
     """
 
-    def __init__(self, law: FeedbackLaw, spec: GameSpec, grid: Grid,
-                 deviations=()):
+    def __init__(self, law: FeedbackLaw, spec: GameSpec, deviations=()):
         players = np.array([player for player, _ in deviations], dtype=int)
         if np.any((players != 1) & (players != 2)):
             raise ValueError("player must be 1 or 2")
@@ -213,11 +212,11 @@ class GainStepper:
         self.slots = len(laws)
         self.u2_slots = 1 + int(np.sum(players == 2))
         self.spec = spec
-        self.grid = grid
-        self.gap = grid.d1 - grid.d2
+        self.grid = law.grid
+        self.gap = self.grid.d1 - self.grid.d2
         # player 2's gain terms by window level: coarse lag, kernel, fine lag
         self.term_levels = np.r_[0, np.arange(self.gap + 1), self.gap]
-        weights = law.kernel_weights(grid.delta)
+        weights = law.kernel_weights()
         u2_laws = laws[:self.u2_slots]
         self.k1 = np.stack([lw.k1 for lw in laws], axis=1)
         self.offset1 = np.stack([lw.offset1 for lw in laws], axis=1)[..., None]
@@ -322,7 +321,7 @@ def _run(stepper, x0: np.ndarray, seed: int, n_paths: int,
                       diff=diff, windows=windows)
 
 
-def simulate_path_ladder(ladder: RiccatiLadder, grid: Grid, x0, seed: int,
+def simulate_path_ladder(ladder: RiccatiLadder, x0, seed: int,
                          n_paths: int = 1,
                          record_windows: bool = False) -> Trajectory:
     """Simulate the explicit closed-loop recursion; controls are the ones
@@ -331,12 +330,12 @@ def simulate_path_ladder(ladder: RiccatiLadder, grid: Grid, x0, seed: int,
                 seed, n_paths, record_windows)
 
 
-def simulate_path_gains(law: FeedbackLaw, spec: GameSpec, grid: Grid,
-                        x0=None, seed: int = 0, n_paths: int = 1,
+def simulate_path_gains(law: FeedbackLaw, spec: GameSpec, seed: int = 0,
+                        n_paths: int = 1,
                         record_windows: bool = False) -> Trajectory:
-    """Euler simulation of the controlled equation under the feedback law."""
-    x0 = spec.x0 if x0 is None else np.asarray(x0, dtype=float)
-    return _run(GainStepper(law, spec, grid), x0, seed, n_paths,
+    """Euler simulation of the controlled equation under the feedback law,
+    from the spec's initial state."""
+    return _run(GainStepper(law, spec), spec.x0, seed, n_paths,
                 record_windows)
 
 
@@ -405,13 +404,13 @@ def paired_costs(stepper: GainStepper, spec: GameSpec, n_paths: int,
 
 
 def paired_deviation_costs(base_law: FeedbackLaw, deviations,
-                           spec: GameSpec, grid: Grid, n_paths: int,
+                           spec: GameSpec, n_paths: int,
                            seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Each deviating player's per-path costs (D, P) under the base pair and
     under its ``(player, dev_law)`` deviation, from one paired rollout on
     one noise draw, so each margin's standard error comes from paired
     differences."""
-    return paired_costs(GainStepper(base_law, spec, grid, deviations),
+    return paired_costs(GainStepper(base_law, spec, deviations),
                         spec, n_paths, seed)
 
 

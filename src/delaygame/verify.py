@@ -110,7 +110,7 @@ def _projection_report(name: str, rows, grid: Grid,
     ])
 
 
-def fbsde_residual_test(ladder: RiccatiLadder, spec: GameSpec, grid: Grid,
+def fbsde_residual_test(ladder: RiccatiLadder, spec: GameSpec,
                         n_paths: int, seed: int) -> ResidualReport:
     """Martingale projections of the backward-equation residual.
 
@@ -122,6 +122,7 @@ def fbsde_residual_test(ladder: RiccatiLadder, spec: GameSpec, grid: Grid,
     separately and do not gate. Both players' residuals are projected
     together.
     """
+    grid = ladder.grid
     cm = costate_matrices(ladder)
     a_t, abar_t = ladder.a_mat[0].T, spec.Abar.T
     q_mats = np.stack([spec.Q1, spec.Q2])
@@ -129,7 +130,7 @@ def fbsde_residual_test(ladder: RiccatiLadder, spec: GameSpec, grid: Grid,
     p_prev = None
     for k, win, _, _, win_next, _, dw_k in rollout(
             LadderStepper(ladder), spec.x0,
-            simulator.increment_rows(ladder.grid, n_paths, seed)):
+            simulator.increment_rows(grid, n_paths, seed)):
         win = win[0]
         p_k = (cm[k] @ win_next[0].reshape(-1, n_paths)).reshape(
             2, -1, n_paths)
@@ -161,7 +162,7 @@ def _stationarity_row(ladder: RiccatiLadder, spec: GameSpec, cm: np.ndarray,
 
 
 def stationarity_residual_test(ladder: RiccatiLadder, law: FeedbackLaw | None,
-                               spec: GameSpec, grid: Grid, n_paths: int,
+                               spec: GameSpec, n_paths: int,
                                seed: int) -> ResidualReport:
     """Projections of each player's first-order-condition residual.
 
@@ -171,13 +172,13 @@ def stationarity_residual_test(ladder: RiccatiLadder, law: FeedbackLaw | None,
     controls follow the feedback law; otherwise the ladder's implied
     controls are used.
     """
-    stepper = (GainStepper(law, spec, grid) if law is not None
+    stepper = (GainStepper(law, spec) if law is not None
                else LadderStepper(ladder))
     cm = costate_matrices(ladder)
     rows = [_stationarity_row(ladder, spec, cm, step)
             for step in rollout(stepper, spec.x0,
-                                draw_increments(grid, n_paths, seed))]
-    return _projection_report("stationarity-projection", rows, grid,
+                                draw_increments(ladder.grid, n_paths, seed))]
+    return _projection_report("stationarity-projection", rows, ladder.grid,
                               STATIONARITY_BAND_C)
 
 
@@ -201,16 +202,14 @@ def implied_law(ladder: RiccatiLadder, spec: GameSpec) -> FeedbackLaw:
     grid, gap, n = ladder.grid, ladder.gap, ladder.n
     n_t, d1c, d2c = grid.N + 2, spec.d1c, spec.d2c
     law = FeedbackLaw(
-        t_samples=grid.times(),
-        theta_kernel=grid.delta * np.arange(gap + 1),
+        grid=grid,
         rt1=np.broadcast_to(spec.R1, (n_t, d1c, d1c)).copy(),
         rt2=np.broadcast_to(spec.R2, (n_t, d2c, d2c)).copy(),
         o1=np.zeros((n_t, d1c, n)), k1=np.zeros((n_t, d1c, n)),
         k2_h1=np.zeros((n_t, d2c, n)), k2_h2=np.zeros((n_t, d2c, n)),
         k2_kernel=np.zeros((n_t, gap + 1, d2c, n)),
-        provisional=np.arange(n_t) < grid.d1,
     )
-    weights = law.kernel_weights(grid.delta)
+    weights = law.kernel_weights()
     law.k1[:-1] = ladder.u1_gain
     law.o1[:-1] = -spec.R1 @ ladder.u1_gain
     law.k2_h1[:-1] = ladder.u2_gain[:, 0]
@@ -238,8 +237,8 @@ def _verdicts(deviations, own_base, own_dev) -> list[DeviationVerdict]:
             in zip(deviations, own_base, own_dev)]
 
 
-def nash_deviation_test(law: FeedbackLaw, spec: GameSpec, grid: Grid,
-                        n_paths: int, deviations=None,
+def nash_deviation_test(law: FeedbackLaw, spec: GameSpec, n_paths: int,
+                        deviations=None,
                         seed: int = 0) -> list[DeviationVerdict]:
     """Monte Carlo deviation margins with common random numbers.
 
@@ -250,11 +249,11 @@ def nash_deviation_test(law: FeedbackLaw, spec: GameSpec, grid: Grid,
     if deviations is None:
         deviations = DEVIATION_FAMILY
     return _verdicts(deviations, *paired_deviation_costs(
-        law, _deviation_laws(law, deviations), spec, grid, n_paths, seed))
+        law, _deviation_laws(law, deviations), spec, n_paths, seed))
 
 
 def paired_law_checks(ladder: RiccatiLadder, law: FeedbackLaw,
-                      spec: GameSpec, grid: Grid, n_paths: int, seed: int):
+                      spec: GameSpec, n_paths: int, seed: int):
     """``stationarity_residual_test(ladder, law, ...)`` and
     ``nash_deviation_test`` on the same seed from one paired rollout: the
     stationarity rows read the base slot, the own costs every slot."""
@@ -264,10 +263,9 @@ def paired_law_checks(ladder: RiccatiLadder, law: FeedbackLaw,
     def observe(*step):
         rows.append(_stationarity_row(ladder, spec, cm, step))
 
-    stepper = GainStepper(law, spec, grid,
-                          _deviation_laws(law, DEVIATION_FAMILY))
+    stepper = GainStepper(law, spec, _deviation_laws(law, DEVIATION_FAMILY))
     own = paired_costs(stepper, spec, n_paths, seed, observe)
-    return (_projection_report("stationarity-projection", rows, grid,
+    return (_projection_report("stationarity-projection", rows, ladder.grid,
                                STATIONARITY_BAND_C),
             _verdicts(DEVIATION_FAMILY, *own))
 
@@ -373,7 +371,7 @@ def no_delay_oracle(spec: GameSpec, deltas) -> ResidualReport:
         grid = build_grid(tiny, delta)
         ladder = solve_ladder(tiny, grid)
         law = assemble_gains(extract_fields(ladder), tiny)
-        k1_eff, k2_eff = effective_gains(law, grid.delta)
+        k1_eff, k2_eff = effective_gains(law)
         t, K1c, K2c = classical_game_gains(spec, grid.N + 1)
         gaps.append(max(float(np.max(np.abs(k1_eff - K1c))),
                         float(np.max(np.abs(k2_eff - K2c)))))
@@ -410,10 +408,10 @@ def zero_layer(ladder: RiccatiLadder, k: int) -> None:
 
 
 def cross_representation_gap(ladder: RiccatiLadder, law: FeedbackLaw,
-                             spec: GameSpec, grid: Grid, n_paths: int,
+                             spec: GameSpec, n_paths: int,
                              seed: int) -> float:
     """Max path-wise state gap between the two closed-loop simulators
     under common noise."""
-    tl = simulate_path_ladder(ladder, grid, spec.x0, seed=seed, n_paths=n_paths)
-    tg = simulate_path_gains(law, spec, grid, seed=seed, n_paths=n_paths)
+    tl = simulate_path_ladder(ladder, spec.x0, seed=seed, n_paths=n_paths)
+    tg = simulate_path_gains(law, spec, seed=seed, n_paths=n_paths)
     return float(np.max(np.abs(tl.x - tg.x)))

@@ -333,7 +333,7 @@ def reference_ladder_window_step(ladder, k, win, dw_k):
 def reference_u2_levels(law, grid, k, win):
     """E[u2 | level l] for l = 0..gap under the feedback law."""
     gap = grid.d1 - grid.d2
-    weights = law.kernel_weights(grid.delta)
+    weights = law.kernel_weights()
     terms = ([(0, law.k2_h1[k])]
              + [(j, w * law.k2_kernel[k, j]) for j, w in enumerate(weights)]
              + [(gap, law.k2_h2[k])])
@@ -558,8 +558,8 @@ def reference_gains_csv(law, path):
                      rows)
 
 
-def reference_trajectories_csv(traj, grid, path):
-    n = traj.x.shape[2]
+def reference_trajectories_csv(traj, path):
+    grid, n = traj.grid, traj.x.shape[2]
     d1c = traj.u1.shape[2]
     d2c = traj.u2.shape[2]
     header = (["path_id", "k", "t"]
@@ -648,7 +648,7 @@ def reference_identity_residuals(law, fields, spec):
     """Per-sample stationarity residuals of both players, each relative to
     its control-weight scale."""
     B1, B1b, B2, B2b = spec.B1, spec.B1bar, spec.B2, spec.B2bar
-    w = law.kernel_weights(fields.delta)
+    w = law.kernel_weights()
     scale1 = max(float(np.max(np.abs(spec.R1))), 1.0)
     scale2 = max(float(np.max(np.abs(spec.R2))), 1.0)
     r1_v, r2_v = np.zeros(law.n_t), np.zeros(law.n_t)

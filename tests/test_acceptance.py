@@ -51,7 +51,7 @@ def test_criterion_01_zero_cost_annihilation():
     ladder = solve_ladder(spec, grid)
     fields = extract_fields(ladder)
     law = assemble_gains(fields, spec)
-    traj = simulate_path_gains(law, spec, grid, seed=SEED, n_paths=64)
+    traj = simulate_path_gains(law, spec, seed=SEED, n_paths=64)
     est = estimate_costs(traj, spec)
     elapsed = time.perf_counter() - start
 
@@ -148,7 +148,7 @@ def test_criterion_04_fbsde_martingale_residual(golden_ladders):
     stats = {}
     for m in (0, 1):
         grid, ladder = ladders[m]
-        rep = vfy.fbsde_residual_test(ladder, spec, grid, n_paths=PATHS,
+        rep = vfy.fbsde_residual_test(ladder, spec, n_paths=PATHS,
                                       seed=SEED)
         raw = rep.component("projection_raw")
         stats[m] = (rep, float(np.mean(raw.value)))
@@ -173,8 +173,7 @@ def test_criterion_05_continuous_residual_trends(golden_ladders):
     ode, semi = [], []
     for m in range(4):
         grid, ladder = ladders[m]
-        rep = continuous_residuals(extract_fields(ladder), coeffs,
-                                   spec.Q1, spec.Q2)
+        rep = continuous_residuals(extract_fields(ladder), coeffs)
         ode.append(rep.component("riccati_ode").max)
         semi.append(rep.component("semigroup_check").max)
     monotone = all(b < a for a, b in zip(ode, ode[1:])) and \
@@ -183,8 +182,7 @@ def test_criterion_05_continuous_residual_trends(golden_ladders):
     drift_free = replace(spec, A=np.zeros((1, 1)))
     grid0 = build_grid(drift_free, GOLDEN_DELTA)
     rep0 = continuous_residuals(extract_fields(solve_ladder(drift_free, grid0)),
-                                SweepCoefficients.from_spec(drift_free),
-                                drift_free.Q1, drift_free.Q2)
+                                SweepCoefficients.from_spec(drift_free))
     semi0 = rep0.component("semigroup_check").max
     ok = monotone and semi0 <= 1e-8
     _report(5, ok,
@@ -200,11 +198,11 @@ def test_criterion_06_stationarity_projections(golden_ladders):
     spec, ladders = golden_ladders
     grid, ladder = ladders[0]
     law = assemble_gains(extract_fields(ladder), spec)
-    rep = vfy.stationarity_residual_test(ladder, law, spec, grid,
-                                         n_paths=PATHS, seed=SEED)
+    rep = vfy.stationarity_residual_test(ladder, law, spec, n_paths=PATHS,
+                                         seed=SEED)
     band = vfy.STATIONARITY_BAND_C * grid.delta
     mutated = perturb_control(law, 1, "gain_scale", 1.1)
-    rep_mut = vfy.stationarity_residual_test(ladder, mutated, spec, grid,
+    rep_mut = vfy.stationarity_residual_test(ladder, mutated, spec,
                                              n_paths=PATHS, seed=SEED)
     net = rep.component("projection_net").max
     net_mut = rep_mut.component("projection_net").max
@@ -222,7 +220,7 @@ def test_criterion_07_nash_deviation(golden_ladders):
     grid, ladder = ladders[0]
     start = time.perf_counter()
     law = assemble_gains(extract_fields(ladder), spec)
-    verdicts = vfy.nash_deviation_test(law, spec, grid, n_paths=PATHS,
+    verdicts = vfy.nash_deviation_test(law, spec, n_paths=PATHS,
                                        seed=SEED)
     elapsed = time.perf_counter() - start
     assert len(verdicts) == 10
@@ -265,9 +263,9 @@ def _ladder_and_assembled_gap(spec, delta):
     simulator under the assembled law, with common noise."""
     grid = build_grid(spec, delta)
     ladder = solve_ladder(spec, grid)
-    tl = simulate_path_ladder(ladder, grid, spec.x0, seed=SEED, n_paths=256)
+    tl = simulate_path_ladder(ladder, spec.x0, seed=SEED, n_paths=256)
     tg = simulate_path_gains(assemble_gains(extract_fields(ladder), spec),
-                             spec, grid, seed=SEED, n_paths=256)
+                             spec, seed=SEED, n_paths=256)
     return grid, ladder, tl, float(np.max(np.abs(tl.x - tg.x)))
 
 
@@ -282,7 +280,7 @@ def test_criterion_09_cross_representation():
     # the README section "Verification methodology and known limits".
     spec = golden_scalar_spec()
     grid, ladder, tl, assembled = _ladder_and_assembled_gap(spec, 1e-3)
-    ti = simulate_path_gains(vfy.implied_law(ladder, spec), spec, grid,
+    ti = simulate_path_gains(vfy.implied_law(ladder, spec), spec,
                              seed=SEED, n_paths=256)
     implied = [float(np.max(np.abs(getattr(tl, a) - getattr(ti, a))))
                for a in ("x", "u1", "u2")]

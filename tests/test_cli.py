@@ -68,14 +68,16 @@ class TestSolve:
         assert code == 1
 
     @pytest.mark.parametrize("case", ["missing-key", "invalid-json",
-                                      "nan-entry"])
+                                      "nan-entry", "two-violations"])
     def test_bad_problem_file_exit_2(self, wide_problem, tmp_path, capsys,
                                      case):
         data = json.loads(wide_problem.read_text())
         missing = {k: v for k, v in data.items() if k != "Q1"}
         text = {"missing-key": json.dumps(missing),
                 "invalid-json": "{not json",
-                "nan-entry": json.dumps(dict(data, A=[[float("nan")]]))}[case]
+                "nan-entry": json.dumps(dict(data, A=[[float("nan")]])),
+                "two-violations": json.dumps(dict(data, Q1=[[-1.0]],
+                                                  R1=[[-1.0]]))}[case]
         path = tmp_path / "bad.json"
         path.write_text(text)
         code = main(["solve", "--problem", str(path),
@@ -102,11 +104,23 @@ class TestSolve:
         assert main(["simulate", "--problem", str(wide_problem),
                      "--paths", "0", "--out", str(tmp_path / "o")]) == 1
 
+    # the last five ask for sizes that cannot be represented, so they fail
+    # before anything is allocated
     @pytest.mark.parametrize("argv", [
         "solve --out {out}",
         "simulate --problem {problem} --paths abc --out {out}",
-        "solve --problem {problem} --seed 1 --out {out}"],
-        ids=["problem-missing", "paths-not-int", "flag-not-read"])
+        "solve --problem {problem} --seed 1 --out {out}",
+        "simulate --problem {problem} --paths 100000000000000000000 "
+        "--out {out}",
+        "verify --problem {problem} --paths 100000000000000000000 "
+        "--out {out}",
+        "solve --problem {problem} --delta 1e-30 --out {out}",
+        "solve --problem {problem} --delta 1e-320 --out {out}",
+        "convergence --problem {problem} --halvings 1100 --out {out}"],
+        ids=["problem-missing", "paths-not-int", "flag-not-read",
+             "simulate-paths-too-many", "verify-paths-too-many",
+             "delta-too-fine", "delta-step-count-overflow",
+             "halvings-too-many"])
     def test_usage_error_one_line(self, wide_problem, tmp_path, capsys,
                                   argv):
         code = main([a.format(problem=wide_problem, out=tmp_path / "o")
@@ -153,6 +167,20 @@ class TestSolve:
         assert code == 1
         assert err == ("error: out of memory: Unable to allocate 1.42 PiB "
                        "for an array\n")
+
+    def test_other_value_error_keeps_traceback(self, wide_problem, tmp_path,
+                                               monkeypatch):
+        # only numpy's refusals of an oversized shape are usage errors; any
+        # other ValueError is a fault of the program and propagates
+        from delaygame import cli
+
+        def broken(*args):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(cli, "backward_sweep", broken)
+        with pytest.raises(ValueError, match="broadcast"):
+            main(["solve", "--problem", str(wide_problem),
+                  "--delta", "0.05", "--out", str(tmp_path / "o")])
 
 
 class TestSimulate:
@@ -393,6 +421,23 @@ class TestConvergence:
         deltas = [r["delta"] for r in rows if "riccati_ode" in r]
         assert deltas == [0.05, 0.025]
         assert rows[1]["riccati_ode"] < rows[0]["riccati_ode"]
+
+    @pytest.mark.parametrize("a", [1000.0, -3000.0])
+    def test_overflowed_value_exit_3(self, tmp_path, capsys, a):
+        # the no-delay oracle's Riccati pair overflows (to inf, or nan for
+        # the negative drift): one line, no numpy warnings and no report
+        from dataclasses import replace
+        zero = np.zeros((1, 1))
+        path = tmp_path / "fast.json"
+        save_problem(replace(golden_scalar_spec(), A=np.full((1, 1), a),
+                             Abar=zero, B1bar=zero, B2bar=zero), path)
+        out = tmp_path / "c"
+        code = main(["convergence", "--problem", str(path),
+                     "--halvings", "1", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "convergence: non-finite value in no_delay_gain_gap (overflow)"]
+        assert not out.exists()
 
     def test_no_delay_trend_on_increment_free_problem(self, tmp_path):
         from dataclasses import replace

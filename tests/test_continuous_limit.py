@@ -140,8 +140,7 @@ class TestContinuousResiduals:
     def test_zero_cost_residuals_vanish(self, zero_cost):
         spec, grid, ladder = zero_cost
         coeffs = SweepCoefficients.from_spec(spec)
-        rep = continuous_residuals(extract_fields(ladder), coeffs,
-                                   spec.Q1, spec.Q2)
+        rep = continuous_residuals(extract_fields(ladder), coeffs)
         assert rep.max == 0.0
 
     def test_residual_halving_trend(self):
@@ -157,7 +156,7 @@ class TestContinuousResiduals:
         for m in (0, 1, 2):
             grid = build_grid(spec, 0.005 / 2 ** m)
             rep = continuous_residuals(extract_fields(solve_ladder(spec, grid)),
-                                       coeffs, spec.Q1, spec.Q2)
+                                       coeffs)
             for n in names:
                 series[n].append(rep.component(n).max)
         for n in names:
@@ -172,7 +171,7 @@ class TestContinuousResiduals:
         grid = build_grid(spec0, 0.05)
         coeffs = SweepCoefficients.from_spec(spec0)
         rep = continuous_residuals(extract_fields(solve_ladder(spec0, grid)),
-                                   coeffs, spec0.Q1, spec0.Q2)
+                                   coeffs)
         assert rep.component("semigroup_check").max <= 1e-8
 
     def test_second_kernel_constant_when_drift_free(self):
@@ -190,7 +189,7 @@ class TestContinuousResiduals:
     def test_report_component_lookup(self, wide_fields):
         spec, grid, ladder, fields = wide_fields
         coeffs = SweepCoefficients.from_spec(spec)
-        rep = continuous_residuals(fields, coeffs, spec.Q1, spec.Q2)
+        rep = continuous_residuals(fields, coeffs)
         with pytest.raises(KeyError):
             rep.component("nonexistent")
         assert len(rep.components) == 6
@@ -209,7 +208,7 @@ class TestMatchesReferenceLoops:
     def test_transport(self, make_spec, delta):
         spec, grid, fields = swept(make_spec, delta)
         coeffs = SweepCoefficients.from_spec(spec)
-        rep = continuous_residuals(fields, coeffs, spec.Q1, spec.Q2)
+        rep = continuous_residuals(fields, coeffs)
         coupled, free = oracles.reference_transport_residuals(fields, coeffs)
         for name, ref in (("transport_hat_coupled", coupled),
                           ("transport_hat_free", free)):

@@ -64,7 +64,7 @@ class TestAssembleBlocks:
                         H1=1.0, H2=1.0, h1=0.2, h2=0.1, T=1.0, x0=[1.0])
         grid = Grid(N=9, delta=0.1, d1=2, d2=1)
         coeffs = SweepCoefficients.from_spec(spec)
-        ladder = RiccatiLadder(grid, coeffs, spec.H1, spec.H2)
+        ladder = RiccatiLadder(grid, coeffs)
         levels, g_block = assemble_blocks(ladder, coeffs, grid.N)
         np.testing.assert_allclose(levels[0],
                                    [[1.2, 2.0], [0.2, 3.0]])
@@ -79,7 +79,7 @@ class TestAssembleBlocks:
         spec = wide_delay_spec()
         grid = Grid(N=9, delta=0.0, d1=2, d2=1)
         coeffs = SweepCoefficients.from_spec(spec)
-        ladder = RiccatiLadder(grid, coeffs, spec.H1, spec.H2)
+        ladder = RiccatiLadder(grid, coeffs)
         levels, _ = assemble_blocks(ladder, coeffs, grid.N)
         P1, P2 = ladder.phat[grid.N + 1]
         np.testing.assert_allclose(
@@ -100,7 +100,7 @@ class TestAssembleBlocks:
                         H1=-1.0, H2=0.0, h1=0.2, h2=0.1, T=1.0, x0=[1.0])
         grid = Grid(N=9, delta=0.1, d1=2, d2=1)
         coeffs = SweepCoefficients.from_spec(spec)
-        ladder = RiccatiLadder(grid, coeffs, spec.H1, spec.H2)
+        ladder = RiccatiLadder(grid, coeffs)
         return ladder, coeffs, grid
 
     def test_singular_block_raises(self):
@@ -370,14 +370,14 @@ class TestSweepInvariants:
         k = {"terminal": grid.N, "interior": grid.N - grid.d1,
              "base": 0}[at]
         coeffs = SweepCoefficients.from_spec(spec)
-        ladder = RiccatiLadder(grid, coeffs, spec.H1, spec.H2)
+        ladder = RiccatiLadder(grid, coeffs)
         steps = ("coef", "u1_gain", "u2_gain", "zfactors", "rcond")
         for f in LAYER_FIELDS + steps:
             getattr(ladder, f)[:] = np.nan
         for f in LAYER_FIELDS:
             getattr(ladder, f)[k + 1] = getattr(solved, f)[k + 1]
         solve_estimate_chain(ladder, coeffs, k)
-        riccati_step(ladder, spec.Q1, spec.Q2, k)
+        riccati_step(ladder, coeffs, k)
         for f, written in ([(f, (k, k + 1)) for f in LAYER_FIELDS]
                            + [(f, (k,)) for f in steps]):
             got, ref = getattr(ladder, f), getattr(solved, f)

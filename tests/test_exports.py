@@ -16,7 +16,7 @@ def _artifacts(spec, delta, seed, n_paths):
     ladder = solve_ladder(spec, grid)
     fields = extract_fields(ladder)
     law = assemble_gains(fields, spec)
-    traj = simulate_path_gains(law, spec, grid, seed=seed, n_paths=n_paths)
+    traj = simulate_path_gains(law, spec, seed=seed, n_paths=n_paths)
     return grid, ladder, fields, law, traj
 
 
@@ -40,7 +40,7 @@ CASES = {
                   lambda a: (a[3],)),
     "trajectories.csv": (exports.export_trajectories_csv,
                          reference_trajectories_csv,
-                         lambda a: (a[4], a[0])),
+                         lambda a: (a[4],)),
 }
 
 
@@ -65,12 +65,12 @@ def test_csv_bytes_match_reference(artifacts, tmp_path, problem, name):
 def test_trajectory_text_held_one_path_at_a_time(artifacts, tmp_path):
     # the text of every row (about 9 times the arrays) is never held at once
     grid, _, _, law, _ = artifacts["matrix"]
-    traj = simulate_path_gains(law, matrix_spec(), grid, seed=7, n_paths=2000)
+    traj = simulate_path_gains(law, matrix_spec(), seed=7, n_paths=2000)
     arrays = sum(a.nbytes for a in (traj.x, traj.u1, traj.u2, traj.dw,
                                     traj.diff))
     tracemalloc.start()
     try:
-        exports.export_trajectories_csv(traj, grid, tmp_path / "t.csv")
+        exports.export_trajectories_csv(traj, tmp_path / "t.csv")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

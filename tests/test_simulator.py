@@ -28,29 +28,29 @@ def wide_case():
 class TestDeterminism:
     def test_ladder_bitwise_repeatable(self, wide_case):
         spec, grid, ladder, law = wide_case
-        a = simulate_path_ladder(ladder, grid, spec.x0, seed=9, n_paths=8)
-        b = simulate_path_ladder(ladder, grid, spec.x0, seed=9, n_paths=8)
+        a = simulate_path_ladder(ladder, spec.x0, seed=9, n_paths=8)
+        b = simulate_path_ladder(ladder, spec.x0, seed=9, n_paths=8)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.u2, b.u2)
         assert np.array_equal(a.dw, b.dw)
 
     def test_gains_bitwise_repeatable(self, wide_case):
         spec, grid, ladder, law = wide_case
-        a = simulate_path_gains(law, spec, grid, seed=9, n_paths=8)
-        b = simulate_path_gains(law, spec, grid, seed=9, n_paths=8)
+        a = simulate_path_gains(law, spec, seed=9, n_paths=8)
+        b = simulate_path_gains(law, spec, seed=9, n_paths=8)
         assert np.array_equal(a.x, b.x)
 
     def test_different_seeds_differ(self, wide_case):
         spec, grid, ladder, law = wide_case
-        a = simulate_path_ladder(ladder, grid, spec.x0, seed=9, n_paths=8)
-        b = simulate_path_ladder(ladder, grid, spec.x0, seed=10, n_paths=8)
+        a = simulate_path_ladder(ladder, spec.x0, seed=9, n_paths=8)
+        b = simulate_path_ladder(ladder, spec.x0, seed=10, n_paths=8)
         assert not np.array_equal(a.x, b.x)
 
 
 class TestUncontrolledReductions:
     def test_zero_cost_is_uncontrolled_sde(self, zero_cost):
         spec, grid, ladder = zero_cost
-        traj = simulate_path_ladder(ladder, grid, spec.x0, seed=3, n_paths=6)
+        traj = simulate_path_ladder(ladder, spec.x0, seed=3, n_paths=6)
         assert np.all(traj.u1 == 0.0)
         assert np.all(traj.u2 == 0.0)
         # reproduce the Euler recursion by hand
@@ -66,7 +66,7 @@ class TestUncontrolledReductions:
         spec = replace(zero_cost_spec(), Abar=np.zeros((1, 1)))
         grid = build_grid(spec, 0.05)
         ladder = solve_ladder(spec, grid)
-        traj = simulate_path_ladder(ladder, grid, spec.x0, seed=3, n_paths=2)
+        traj = simulate_path_ladder(ladder, spec.x0, seed=3, n_paths=2)
         expected = (1 + grid.delta * spec.A[0, 0]) ** (grid.N + 1)
         assert traj.x[-1][0, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -77,14 +77,14 @@ class TestUncontrolledReductions:
         grid = build_grid(spec, 0.05)
         ladder = solve_ladder(spec, grid)
         law = assemble_gains(extract_fields(ladder), spec)
-        traj = simulate_path_gains(law, spec, grid, seed=4, n_paths=5)
+        traj = simulate_path_gains(law, spec, seed=4, n_paths=5)
         assert np.all(traj.u2 == 0.0)
 
 
 class TestWindow:
     def test_window_top_entry_is_state(self, wide_case):
         spec, grid, ladder, law = wide_case
-        traj = simulate_path_ladder(ladder, grid, spec.x0, seed=5,
+        traj = simulate_path_ladder(ladder, spec.x0, seed=5,
                                     n_paths=4, record_windows=True)
         for k in (0, 3, grid.N + 1):
             np.testing.assert_array_equal(traj.windows[k][grid.d1],
@@ -130,20 +130,20 @@ class TestWindow:
                                                              dw_k)
             np.testing.assert_array_equal(new[0].swapaxes(-1, -2), ref_new)
             np.testing.assert_array_equal(diff[0].T, ref_diff)
-            _, u2_lv = GainStepper(law, spec, grid).u_levels(k, stacked)
+            _, u2_lv = GainStepper(law, spec).u_levels(k, stacked)
             np.testing.assert_array_equal(
                 u2_lv[0].swapaxes(-1, -2),
                 reference_u2_levels(law, grid, k, win))
 
     def test_warmup_window_holds_initial_state(self, wide_case):
         spec, grid, ladder, law = wide_case
-        traj = simulate_path_ladder(ladder, grid, spec.x0, seed=5,
+        traj = simulate_path_ladder(ladder, spec.x0, seed=5,
                                     n_paths=4, record_windows=True)
         assert np.all(traj.windows[0] == spec.x0[0])
 
     def test_mean_propagation(self, wide_case):
         spec, grid, ladder, law = wide_case
-        traj = simulate_path_ladder(ladder, grid, spec.x0, seed=1,
+        traj = simulate_path_ladder(ladder, spec.x0, seed=1,
                                     n_paths=20000)
         ref = mean_recursion(ladder, spec.x0)
         emp = traj.x.mean(axis=1)
@@ -154,7 +154,7 @@ class TestWindow:
     def test_estimation_error_orthogonality(self, wide_case):
         # the residual x_k - E_j[x_k] decorrelates from level-j variables
         spec, grid, ladder, law = wide_case
-        traj = simulate_path_ladder(ladder, grid, spec.x0, seed=2,
+        traj = simulate_path_ladder(ladder, spec.x0, seed=2,
                                     n_paths=10000, record_windows=True)
         k = grid.N
         for idx in (0, grid.d1 - 1):
@@ -172,7 +172,7 @@ class TestWindow:
         # controls must not read window entries finer than the player's
         # information lag: corrupt those entries and expect identical u
         spec, grid, ladder, law = wide_case
-        stepper = GainStepper(law, spec, grid)
+        stepper = GainStepper(law, spec)
         win = initial_window(spec.x0, 4, grid.d1)
         rng = np.random.default_rng(0)
         win += rng.normal(size=win.shape)
@@ -193,7 +193,7 @@ class TestCosts:
     def test_zero_cost_is_zero(self, zero_cost):
         spec, grid, ladder = zero_cost
         est = estimate_costs(simulate_path_ladder(
-            ladder, grid, spec.x0, seed=7, n_paths=50), spec)
+            ladder, spec.x0, seed=7, n_paths=50), spec)
         assert est.j1 == 0.0 and est.j2 == 0.0
 
     def test_deterministic_terminal_cost(self):
@@ -206,37 +206,37 @@ class TestCosts:
         ladder = solve_ladder(spec, grid)
         law = assemble_gains(extract_fields(ladder), spec)
         est = estimate_costs(simulate_path_gains(
-            law, spec, grid, seed=3, n_paths=64), spec)
+            law, spec, seed=3, n_paths=64), spec)
         # the controlled equilibrium can only reduce the terminal cost
         assert est.j1 <= 0.5 * 0.25 + 1e-9
 
     def test_single_path_has_no_se(self, wide_case):
         spec, grid, ladder, law = wide_case
         est = estimate_costs(simulate_path_gains(
-            law, spec, grid, seed=3, n_paths=1), spec)
+            law, spec, seed=3, n_paths=1), spec)
         assert est.j1_se is None and est.j2_se is None
 
     def test_common_seed_costs_repeatable(self, wide_case):
         spec, grid, ladder, law = wide_case
         a = estimate_costs(simulate_path_gains(
-            law, spec, grid, seed=11, n_paths=500), spec)
+            law, spec, seed=11, n_paths=500), spec)
         b = estimate_costs(simulate_path_gains(
-            law, spec, grid, seed=11, n_paths=500), spec)
+            law, spec, seed=11, n_paths=500), spec)
         assert (a.j1, a.j2) == (b.j1, b.j2)
 
     def test_controls_enter_cost(self, wide_case):
         spec, grid, ladder, law = wide_case
         c1, c2 = path_costs(simulate_path_gains(
-            law, spec, grid, seed=5, n_paths=400), spec)
+            law, spec, seed=5, n_paths=400), spec)
         shifted = perturb_control(law, 1, "constant_shift", 0.5)
         d1, d2 = path_costs(simulate_path_gains(
-            shifted, spec, grid, seed=5, n_paths=400), spec)
+            shifted, spec, seed=5, n_paths=400), spec)
         assert np.mean(d1) > np.mean(c1)
 
     def test_costs_match_stepwise_sum(self, matrix_case):
         # reference: left-endpoint rectangle rule accumulated step by step
         spec, grid, ladder = matrix_case
-        traj = simulate_path_ladder(ladder, grid, spec.x0, seed=6, n_paths=40)
+        traj = simulate_path_ladder(ladder, spec.x0, seed=6, n_paths=40)
 
         def quad(v, M):
             return np.einsum("pi,ij,pj->p", v, M, v)
@@ -262,7 +262,7 @@ class TestCosts:
         ladder = solve_ladder(spec, grid)
         law = assemble_gains(extract_fields(ladder), spec)
         est = estimate_costs(simulate_path_gains(
-            law, spec, grid, seed=2026, n_paths=10000), spec)
+            law, spec, seed=2026, n_paths=10000), spec)
         assert est.j1_se < 0.02 * est.j1
         assert est.j2_se < 0.02 * est.j2
         assert est.j1 == pytest.approx(0.3758, abs=0.003)
@@ -276,17 +276,17 @@ class TestPerturbations:
             mag = 1.0 if kind == "gain_scale" else 0.0
             dev = perturb_control(law, 2, kind, mag)
             a = path_costs(simulate_path_gains(
-                law, spec, grid, seed=3, n_paths=100), spec)
+                law, spec, seed=3, n_paths=100), spec)
             b = path_costs(simulate_path_gains(
-                dev, spec, grid, seed=3, n_paths=100), spec)
+                dev, spec, seed=3, n_paths=100), spec)
             np.testing.assert_array_equal(a[0], b[0])
             np.testing.assert_array_equal(a[1], b[1])
 
     def test_constant_shift_adds_offset(self, wide_case):
         spec, grid, ladder, law = wide_case
         dev = perturb_control(law, 1, "constant_shift", 0.25)
-        base = simulate_path_gains(law, spec, grid, seed=2, n_paths=3)
-        moved = simulate_path_gains(dev, spec, grid, seed=2, n_paths=3)
+        base = simulate_path_gains(law, spec, seed=2, n_paths=3)
+        moved = simulate_path_gains(dev, spec, seed=2, n_paths=3)
         np.testing.assert_allclose(moved.u1[0], base.u1[0] + 0.25)
 
     def test_gain_scale_scales_only_target_player(self, wide_case):
@@ -324,7 +324,7 @@ class TestPairedDeviation:
     def test_zero_deviation_margin_is_zero(self, wide_case):
         spec, grid, ladder, law = wide_case
         (base,), (dev,) = paired_deviation_costs(law, [(1, law)], spec,
-                                                 grid, 200, 9)
+                                                 200, 9)
         np.testing.assert_array_equal(base, dev)
 
     def test_opponent_path_frozen(self, wide_case):
@@ -332,10 +332,10 @@ class TestPairedDeviation:
         # must match the base run exactly (same noise), while the
         # deviating player's own control moves
         spec, grid, ladder, law = wide_case
-        base = simulate_path_gains(law, spec, grid, seed=13, n_paths=5)
+        base = simulate_path_gains(law, spec, seed=13, n_paths=5)
         for player in (1, 2):
             dev_law = perturb_control(law, player, "constant_shift", 0.4)
-            stepper = GainStepper(law, spec, grid, [(player, dev_law)])
+            stepper = GainStepper(law, spec, [(player, dev_law)])
             (slot,) = stepper.dev_slots
             for k, _, u1, u2, _, _, _ in rollout(
                     stepper, spec.x0, draw_increments(grid, 5, 13)):
@@ -360,7 +360,7 @@ class TestPairedDeviation:
         (law, step, ..., P, n), the base law first, then the deviations in
         family order."""
         devs = _deviation_laws(law, DEVIATION_FAMILY)
-        stepper = GainStepper(law, spec, grid, devs)
+        stepper = GainStepper(law, spec, devs)
         order = np.r_[0, stepper.dev_slots]
         rec = {"win": [], "u1": [], "u2": [], "diff": []}
         for _, win, u1, u2, win_next, diff, _ in rollout(
@@ -403,7 +403,7 @@ class TestPairedDeviation:
         spec, grid, ladder, law = wide_case
         dev_law = perturb_control(law, 2, "constant_shift", 0.4)
         (base,), (dev,) = paired_deviation_costs(law, [(2, dev_law)], spec,
-                                                 grid, 200, 9)
+                                                 200, 9)
         assert float(np.mean(dev - base)) > 0.0
 
 
@@ -415,9 +415,9 @@ class TestCrossRepresentation:
             grid = build_grid(spec, dt)
             ladder = solve_ladder(spec, grid)
             law = assemble_gains(extract_fields(ladder), spec)
-            tl = simulate_path_ladder(ladder, grid, spec.x0, seed=11,
+            tl = simulate_path_ladder(ladder, spec.x0, seed=11,
                                       n_paths=32)
-            tg = simulate_path_gains(law, spec, grid, seed=11, n_paths=32)
+            tg = simulate_path_gains(law, spec, seed=11, n_paths=32)
             gaps.append(float(np.max(np.abs(tl.x - tg.x))))
         assert gaps[1] < 0.75 * gaps[0]
         assert gaps[2] < 0.75 * gaps[1]
@@ -425,8 +425,8 @@ class TestCrossRepresentation:
     def test_ladder_and_gain_costs_close(self, wide_case):
         spec, grid, ladder, law = wide_case
         a = estimate_costs(simulate_path_ladder(
-            ladder, grid, spec.x0, seed=3, n_paths=2000), spec)
+            ladder, spec.x0, seed=3, n_paths=2000), spec)
         b = estimate_costs(simulate_path_gains(
-            law, spec, grid, seed=3, n_paths=2000), spec)
+            law, spec, seed=3, n_paths=2000), spec)
         assert abs(a.j1 - b.j1) < 0.05
         assert abs(a.j2 - b.j2) < 0.05

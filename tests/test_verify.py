@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, reject, settings
 
-from delaygame import (GameSpec, Grid, MissingWindow, assemble_gains,
-                       build_grid, extract_fields, perturb_control,
-                       simulate_path_ladder, solve_ladder)
+from delaygame import (GameSpec, Grid, MissingWindow, SingularGamma,
+                       assemble_gains, build_grid, extract_fields,
+                       perturb_control, simulate_path_ladder, solve_ladder)
 from delaygame import simulate_path_gains
 from delaygame import verify as vfy
-from conftest import golden_scalar_spec, wide_delay_spec, zero_cost_spec
+from conftest import (RANDOM_DELTA, RANDOM_SPECS, golden_scalar_spec,
+                      wide_delay_spec, zero_cost_spec)
 from oracles import (reference_pathwise_costate, reference_projection_stats,
                      reference_test_variables)
 
@@ -24,7 +26,7 @@ def wide_case():
 class TestCostateReconstruct:
     def test_requires_windows(self, wide_case):
         spec, grid, ladder, law = wide_case
-        traj = simulate_path_ladder(ladder, grid, spec.x0, seed=1, n_paths=3)
+        traj = simulate_path_ladder(ladder, spec.x0, seed=1, n_paths=3)
         with pytest.raises(MissingWindow):
             vfy.costate_reconstruct(ladder, traj)
 
@@ -32,7 +34,7 @@ class TestCostateReconstruct:
         # at the last step the costate is the terminal weight applied to
         # the terminal state, exactly
         spec, grid, ladder, law = wide_case
-        traj = simulate_path_ladder(ladder, grid, spec.x0, seed=1,
+        traj = simulate_path_ladder(ladder, spec.x0, seed=1,
                                     n_paths=16, record_windows=True)
         p, q = vfy.costate_reconstruct(ladder, traj)
         for i, H in enumerate((spec.H1, spec.H2)):
@@ -41,7 +43,7 @@ class TestCostateReconstruct:
 
     def test_zero_cost_costates_vanish(self, zero_cost):
         spec, grid, ladder = zero_cost
-        traj = simulate_path_ladder(ladder, grid, spec.x0, seed=1,
+        traj = simulate_path_ladder(ladder, spec.x0, seed=1,
                                     n_paths=4, record_windows=True)
         p, q = vfy.costate_reconstruct(ladder, traj)
         assert np.all(p == 0.0)
@@ -51,7 +53,7 @@ class TestCostateReconstruct:
         # independent straight-line evaluation of the layered formula on
         # the recorded windows
         spec, grid, ladder, law = wide_case
-        traj = simulate_path_ladder(ladder, grid, spec.x0, seed=6,
+        traj = simulate_path_ladder(ladder, spec.x0, seed=6,
                                     n_paths=5, record_windows=True)
         p, q = vfy.costate_reconstruct(ladder, traj)
         k = grid.N // 2
@@ -70,13 +72,13 @@ class TestCostateReconstruct:
 class TestFbsdeResidual:
     def test_zero_cost_exact(self, zero_cost):
         spec, grid, ladder = zero_cost
-        rep = vfy.fbsde_residual_test(ladder, spec, grid, n_paths=200, seed=1)
+        rep = vfy.fbsde_residual_test(ladder, spec, n_paths=200, seed=1)
         assert rep.component("projection_raw").max <= 1e-14
         assert rep.passed
 
     def test_golden_within_band(self, golden):
         spec, grid, ladder = golden
-        rep = vfy.fbsde_residual_test(ladder, spec, grid, n_paths=4000,
+        rep = vfy.fbsde_residual_test(ladder, spec, n_paths=4000,
                                       seed=2)
         assert rep.passed
         assert rep.component("projection_net").max <= \
@@ -86,7 +88,7 @@ class TestFbsdeResidual:
         spec, grid, _ = golden
         ladder = solve_ladder(spec, grid)
         vfy.zero_layer(ladder, grid.N // 2)
-        rep = vfy.fbsde_residual_test(ladder, spec, grid, n_paths=4000,
+        rep = vfy.fbsde_residual_test(ladder, spec, n_paths=4000,
                                       seed=2)
         assert not rep.passed
         assert rep.component("projection_net").max >= \
@@ -94,7 +96,7 @@ class TestFbsdeResidual:
 
     def test_provisional_reported_separately(self, golden):
         spec, grid, ladder = golden
-        rep = vfy.fbsde_residual_test(ladder, spec, grid, n_paths=500, seed=3)
+        rep = vfy.fbsde_residual_test(ladder, spec, n_paths=500, seed=3)
         prov = rep.component("projection_provisional")
         assert not prov.gating
         assert np.all(prov.coord < grid.d1)
@@ -103,28 +105,28 @@ class TestFbsdeResidual:
 class TestStationarityResidual:
     def test_zero_cost_exact(self, zero_cost):
         spec, grid, ladder = zero_cost
-        rep = vfy.stationarity_residual_test(ladder, None, spec, grid,
-                                             n_paths=200, seed=1)
+        rep = vfy.stationarity_residual_test(ladder, None, spec, n_paths=200,
+                                             seed=1)
         assert rep.component("projection_raw").max <= 1e-14
 
     def test_ladder_mode_within_band(self, golden):
         spec, grid, ladder = golden
-        rep = vfy.stationarity_residual_test(ladder, None, spec, grid,
+        rep = vfy.stationarity_residual_test(ladder, None, spec,
                                              n_paths=4000, seed=2)
         assert rep.passed
 
     def test_law_mode_within_band(self, golden):
         spec, grid, ladder = golden
         law = assemble_gains(extract_fields(ladder), spec)
-        rep = vfy.stationarity_residual_test(ladder, law, spec, grid,
-                                             n_paths=4000, seed=2)
+        rep = vfy.stationarity_residual_test(ladder, law, spec, n_paths=4000,
+                                             seed=2)
         assert rep.passed
 
     def test_gain_mutation_detected(self, golden):
         spec, grid, ladder = golden
         law = assemble_gains(extract_fields(ladder), spec)
         mutated = perturb_control(law, 1, "gain_scale", 1.1)
-        rep = vfy.stationarity_residual_test(ladder, mutated, spec, grid,
+        rep = vfy.stationarity_residual_test(ladder, mutated, spec,
                                              n_paths=4000, seed=2)
         band = vfy.STATIONARITY_BAND_C * grid.delta
         assert rep.component("projection_net").max >= 5.0 * band
@@ -193,7 +195,7 @@ class TestPathsLastProjections:
     @CASES
     def test_costate_matches_reference(self, case, request):
         spec, grid, ladder = _case(case, request)
-        traj = simulate_path_ladder(ladder, grid, spec.x0, seed=6,
+        traj = simulate_path_ladder(ladder, spec.x0, seed=6,
                                     n_paths=200, record_windows=True)
         p, _ = vfy.costate_reconstruct(ladder, traj)
         ref = reference_pathwise_costate(ladder, np.arange(grid.N + 1),
@@ -203,9 +205,9 @@ class TestPathsLastProjections:
     @CASES
     def test_fbsde_rows_match_reference(self, case, request):
         spec, grid, ladder = _case(case, request)
-        traj = simulate_path_ladder(ladder, grid, spec.x0, seed=2,
+        traj = simulate_path_ladder(ladder, spec.x0, seed=2,
                                     n_paths=1000, record_windows=True)
-        rep = vfy.fbsde_residual_test(ladder, spec, grid, 1000, 2)
+        rep = vfy.fbsde_residual_test(ladder, spec, 1000, 2)
         self._assert_rows(rep, _reference_rows(ladder, spec, grid, traj,
                                                "fbsde"), grid)
 
@@ -215,13 +217,13 @@ class TestPathsLastProjections:
         spec, grid, ladder = _case(case, request)
         if mode == "law":
             law = assemble_gains(extract_fields(ladder), spec)
-            traj = simulate_path_gains(law, spec, grid, seed=2, n_paths=1000,
+            traj = simulate_path_gains(law, spec, seed=2, n_paths=1000,
                                        record_windows=True)
         else:
             law = None
-            traj = simulate_path_ladder(ladder, grid, spec.x0, seed=2,
+            traj = simulate_path_ladder(ladder, spec.x0, seed=2,
                                         n_paths=1000, record_windows=True)
-        rep = vfy.stationarity_residual_test(ladder, law, spec, grid, 1000, 2)
+        rep = vfy.stationarity_residual_test(ladder, law, spec, 1000, 2)
         self._assert_rows(rep, _reference_rows(ladder, spec, grid, traj,
                                                "stationarity"), grid)
 
@@ -239,7 +241,7 @@ class TestNashDeviation:
     def test_default_family_passes_on_golden(self, golden):
         spec, grid, ladder = golden
         law = assemble_gains(extract_fields(ladder), spec)
-        verdicts = vfy.nash_deviation_test(law, spec, grid, n_paths=3000,
+        verdicts = vfy.nash_deviation_test(law, spec, n_paths=3000,
                                            seed=5)
         assert len(verdicts) == 10
         assert all(v.passed for v in verdicts), \
@@ -250,8 +252,8 @@ class TestNashDeviation:
         spec, grid, ladder = golden
         law = assemble_gains(extract_fields(ladder), spec)
         devs = [(1, "constant_shift", 0.1), (2, "gain_scale", 1.1)]
-        a = vfy.nash_deviation_test(law, spec, grid, 3000, devs, seed=5)
-        b = vfy.nash_deviation_test(law, spec, grid, 3000, devs, seed=505)
+        a = vfy.nash_deviation_test(law, spec, 3000, devs, seed=5)
+        b = vfy.nash_deviation_test(law, spec, 3000, devs, seed=505)
         for va, vb in zip(a, b):
             tol = 3.0 * (va.combined_se + vb.combined_se) \
                 + 3.0 * abs(va.se_base) * 2
@@ -267,7 +269,7 @@ class TestNashDeviation:
             extract_fields(solve_ladder(wrong_spec, grid)), wrong_spec)
         hybrid = replace(law, k1=wrong_law.k1.copy())
         (base,), (dev,) = vfy.paired_deviation_costs(law, [(1, hybrid)], spec,
-                                                     grid, 3000, 5)
+                                                     3000, 5)
         margin = float(np.mean(dev - base))
         se = float(np.std(dev - base, ddof=1) / np.sqrt(3000))
         assert margin > 5.0 * se
@@ -283,12 +285,12 @@ class TestNashDeviation:
         original = simulator.increment_rows
         monkeypatch.setattr(simulator, "increment_rows",
                             lambda *a: draws.append(a) or original(*a))
-        batched = vfy.nash_deviation_test(law, spec, grid, 400, seed=8)
+        batched = vfy.nash_deviation_test(law, spec, 400, seed=8)
         assert len(batched) == 10 and len(draws) == 1
         devs = [(player, kind, mag) for player in (1, 2)
                 for kind, mag in vfy.DEFAULT_DEVIATIONS]
         for dev, v in zip(devs, batched):
-            (alone,) = vfy.nash_deviation_test(law, spec, grid, 400, [dev],
+            (alone,) = vfy.nash_deviation_test(law, spec, 400, [dev],
                                                seed=8)
             assert alone == v
 
@@ -296,7 +298,7 @@ class TestNashDeviation:
         spec, grid, ladder = golden
         law = assemble_gains(extract_fields(ladder), spec)
         verdicts = vfy.nash_deviation_test(
-            law, spec, grid, 500, [(1, "constant_shift", 0.0)], seed=3)
+            law, spec, 500, [(1, "constant_shift", 0.0)], seed=3)
         assert verdicts[0].margin == 0.0
         assert verdicts[0].passed
 
@@ -306,13 +308,13 @@ class TestPairedLawChecks:
         # the one paired pass gives the stand-alone stationarity projection
         # and deviation verdicts exactly
         spec, grid, ladder, law = wide_case
-        rep, verdicts = vfy.paired_law_checks(ladder, law, spec, grid, 400, 8)
-        alone = vfy.stationarity_residual_test(ladder, law, spec, grid, 400, 8)
+        rep, verdicts = vfy.paired_law_checks(ladder, law, spec, 400, 8)
+        alone = vfy.stationarity_residual_test(ladder, law, spec, 400, 8)
         for a, b in zip(rep.components, alone.components):
             assert a.name == b.name
             np.testing.assert_array_equal(a.coord, b.coord)
             np.testing.assert_array_equal(a.value, b.value)
-        assert verdicts == vfy.nash_deviation_test(law, spec, grid, 400, seed=8)
+        assert verdicts == vfy.nash_deviation_test(law, spec, 400, seed=8)
 
 
 class TestMatrixDeviationCase:
@@ -329,7 +331,7 @@ class TestMatrixDeviationCase:
         # a deviation line here
         spec, grid, ladder = matrix_case
         verdicts = vfy.nash_deviation_test(vfy.implied_law(ladder, spec),
-                                           spec, grid, 1000, seed=5)
+                                           spec, 1000, seed=5)
         assert len(verdicts) == 10
         assert all(v.passed for v in verdicts), \
             [str(v) for v in verdicts if not v.passed]
@@ -342,8 +344,8 @@ class TestMatrixDeviationCase:
         # cost beyond the -3 se bound (recorded verdict: FAIL)
         spec, grid, ladder = matrix_case
         law = assemble_gains(extract_fields(ladder), spec)
-        v = self._gain_scale_p1(vfy.nash_deviation_test(law, spec, grid,
-                                                        1000, seed=5))
+        v = self._gain_scale_p1(vfy.nash_deviation_test(law, spec, 1000,
+                                                        seed=5))
         assert v.margin == pytest.approx(-1.048e-3, rel=1e-3)
         assert -3.0 * v.combined_se == pytest.approx(-4.58e-4, rel=1e-3)
         assert not v.passed
@@ -354,11 +356,28 @@ class TestImpliedLaw:
         spec, grid, ladder, law = wide_case
         from delaygame import simulate_path_gains
         disc = vfy.implied_law(ladder, spec)
-        tl = simulate_path_ladder(ladder, grid, spec.x0, seed=21, n_paths=6)
-        tg = simulate_path_gains(disc, spec, grid, seed=21, n_paths=6)
+        tl = simulate_path_ladder(ladder, spec.x0, seed=21, n_paths=6)
+        tg = simulate_path_gains(disc, spec, seed=21, n_paths=6)
         np.testing.assert_allclose(tg.x, tl.x, atol=1e-12)
         np.testing.assert_allclose(tg.u1, tl.u1, atol=1e-12)
         np.testing.assert_allclose(tg.u2, tl.u2, atol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(spec=RANDOM_SPECS)
+    def test_random_specs_reproduce_ladder_paths(self, spec):
+        # each quantity to 1e-10 of its largest magnitude on random
+        # well-posed games; a spec with a singular block is not drawn
+        try:
+            ladder = solve_ladder(spec, build_grid(spec, RANDOM_DELTA))
+        except SingularGamma:
+            reject()
+        tl = simulate_path_ladder(ladder, spec.x0, seed=4, n_paths=16)
+        tg = simulate_path_gains(vfy.implied_law(ladder, spec), spec,
+                                 seed=4, n_paths=16)
+        for name in ("x", "u1", "u2"):
+            ref = getattr(tl, name)
+            gap = np.max(np.abs(getattr(tg, name) - ref))
+            assert gap <= 1e-10 * np.max(np.abs(ref)), name
 
 
 class TestReductionOracles:
