@@ -35,7 +35,7 @@ def main():
         ladder = solve_ladder(spec, grid)
         law = assemble_gains(extract_fields(ladder), spec)
         fb = vfy.fbsde_residual_test(ladder, spec, 10_000, seed=2)
-        st = vfy.stationarity_residual_test(ladder, law, spec, 10_000, seed=2)
+        st = vfy.paired_law_checks(ladder, law, spec, 10_000, seed=2)[0]
         tl = simulate_path_ladder(ladder, spec.x0, seed=11, n_paths=64)
         tg = simulate_path_gains(law, spec, seed=11, n_paths=64)
         ti = simulate_path_gains(vfy.implied_law(ladder, spec), spec,
@@ -58,8 +58,7 @@ def main():
     ladder = solve_ladder(spec, grid)
     law = assemble_gains(extract_fields(ladder), spec)
     mutated = perturb_control(law, 1, "gain_scale", 1.1)
-    st_mut = vfy.stationarity_residual_test(ladder, mutated, spec, 10_000,
-                                            seed=2)
+    st_mut = vfy.paired_law_checks(ladder, mutated, spec, 10_000, seed=2)[0]
     band = vfy.STATIONARITY_BAND_C * grid.delta
     print(f"10% gain mutation: stationarity net "
           f"{st_mut.component('projection_net').max:.4f} "

@@ -15,6 +15,7 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .discrete_engine import SweepCoefficients, backward_sweep
 from .errors import (DelayGameError, IncommensurateDelays, NonFiniteLayer,
                      SingularGamma)
 from .gains import IDENTITY_TOL, assemble_gains, stationarity_identity_check
-from .model import build_grid, load_problem, validate
+from .model import build_grid, grid_counts, load_problem, validate
 from .simulator import estimate_costs, simulate_path_gains
 from . import verify as vfy
 
@@ -92,6 +93,45 @@ def _positive(args) -> str | None:
     return None
 
 
+def _oversized(args, spec, delta_target: float) -> str | None:
+    """The one-line error for the first array of the command that numpy
+    could not index (more than intp-max bytes), naming the flag that sizes
+    it, or None; worked out from the flags alone, before anything is
+    allocated. The arrays are the ladder's largest stack, phat_lag (N+2,
+    2, d1+1, n, n), on the base grid and on the finest re-solve
+    (delta / 2^halvings), the paired pass's windows (1+D, d1+1, n, P) in
+    ``verify`` and the trajectory block (N+2, P, max(n, d1c, d2c)) in
+    ``simulate``."""
+    limit = np.iinfo(np.intp).max
+    given, n = vars(args), spec.n
+    # capped, as a larger count overflows all the same and a huge int
+    # cannot be converted to a float
+    paths = min(given.get("paths", 1), limit)
+
+    def ladder(target):
+        steps, d1, _ = grid_counts(spec, target)
+        return (steps + 1) * 2 * (d1 + 1) * n * n
+
+    steps, d1, _ = grid_counts(spec, delta_target)
+    sizes = [("--delta", repr(delta_target), "ladder", ladder(delta_target))]
+    if "halvings" in given:
+        sizes.append(("--halvings", args.halvings, "finest re-solve's ladder",
+                      ladder(math.ldexp(spec.T / steps, -args.halvings))))
+    if args.command == "verify":
+        sizes.append(("--paths", args.paths, "paired pass's windows",
+                      (1 + len(vfy.DEVIATION_FAMILY)) * (d1 + 1) * n * paths))
+    if args.command == "simulate":
+        sizes.append(("--paths", args.paths, "trajectory block",
+                      (steps + 1) * paths * max(n, spec.d1c, spec.d2c)))
+    for flag, value, what, elements in sizes:
+        nbytes = 8.0 * elements
+        if not nbytes <= limit:
+            return (f"error: too large to allocate: {flag} {value} makes "
+                    f"the {what} {nbytes:.3g} bytes, more than numpy can "
+                    f"index ({limit})")
+    return None
+
+
 def _load(args):
     """Parse + validate + solve; shared front half of every command."""
     try:
@@ -104,6 +144,10 @@ def _load(args):
         print("validation: " + "; ".join(report.violations), file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
     delta_target = args.delta if args.delta is not None else spec.h2 / 2
+    oversized = _oversized(args, spec, delta_target)
+    if oversized:
+        print(oversized, file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     grid = build_grid(spec, delta_target)
     coeffs = SweepCoefficients.from_spec(spec)
     return spec, coeffs, backward_sweep(coeffs, grid)
@@ -354,15 +398,6 @@ def main(argv=None) -> int:
         # e.g. a --delta so fine that the grid's arrays cannot be allocated
         print(f"error: out of memory: {str(exc) or 'allocation failed'}",
               file=sys.stderr)
-        return EXIT_USAGE
-    except (OverflowError, ValueError) as exc:
-        # numpy refuses a shape whose size overflows before allocating it,
-        # Python a step count beyond the float range; any other ValueError
-        # is a fault of the program and keeps its traceback
-        if isinstance(exc, ValueError) and not str(exc).startswith(
-                ("Maximum allowed dimension exceeded", "array is too big")):
-            raise
-        print(f"error: too large to allocate: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SingularGamma, NonFiniteLayer) as exc:
         print(f"backward sweep: {exc}", file=sys.stderr)

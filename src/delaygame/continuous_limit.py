@@ -61,14 +61,6 @@ class RiccatiFields:
     def theta2(self) -> np.ndarray:
         return self.grid.delta * np.arange(self.grid.d2 + 1)
 
-    def kernel1_integral(self, i: int, lo_index: int = 0) -> np.ndarray:
-        """Trapezoidal integral of the first kernel over theta >= lo_index*delta."""
-        seg = self.phat[i, :, lo_index:]
-        return _trapz(seg, dx=self.delta, axis=1)
-
-    def kernel2_integral(self, i: int) -> np.ndarray:
-        return _trapz(self.ccheck[i], dx=self.delta, axis=1)
-
 
 def extract_fields(ladder: RiccatiLadder) -> RiccatiFields:
     """Sample the fields from a finished ladder (1/delta kernel rescale)."""

@@ -48,7 +48,3 @@ class SingularGain(DelayGameError):
         super().__init__(
             f"singular effective weight {which!r} at t={t:.6g} (rcond={rcond:.3e})"
         )
-
-
-class MissingWindow(DelayGameError):
-    """A trajectory lacks the recorded estimate windows needed downstream."""

@@ -218,25 +218,41 @@ def _float_gcd(values, floor: float) -> float:
     return g
 
 
-def build_grid(spec: GameSpec, delta_target: float) -> Grid:
-    """Finest grid with delta <= delta_target dividing h1, h2, and T.
+def grid_counts(spec: GameSpec, delta_target: float):
+    """``(N+1, d1, d2)`` of ``build_grid(spec, delta_target)`` as floats,
+    worked out without raising on a tiny or zero ``delta_target``: a count
+    that overflows is inf. So a caller can size its arrays before it
+    builds the grid.
 
     Raises :class:`IncommensurateDelays` when no step length >= 1e-6*T
-    works; the caller must round the delays first.
+    divides h1, h2 and T.
     """
-    if delta_target <= 0:
-        raise ValueError("delta_target must be positive")
     floor = 1e-6 * spec.T
     g = _float_gcd([spec.T, spec.h1, spec.h2], floor=floor)
     if g <= 0.0:
         raise IncommensurateDelays(
             f"no common step >= {floor:.3e} divides h1={spec.h1!r}, "
             f"h2={spec.h2!r}, T={spec.T!r}")
-    m = max(1, math.ceil(g / delta_target * (1.0 - 1e-10)))
-    n_sub = int(round(spec.T / (g / m)))
+    with np.errstate(divide="ignore", over="ignore"):
+        m = np.maximum(1.0, np.ceil(g / np.float64(delta_target)
+                                    * (1.0 - 1e-10)))
+        n_sub = np.rint(spec.T / (g / m))
+        delta = spec.T / n_sub
+        return (float(n_sub), float(np.rint(spec.h1 / delta)),
+                float(np.rint(spec.h2 / delta)))
+
+
+def build_grid(spec: GameSpec, delta_target: float) -> Grid:
+    """Coarsest grid whose step divides h1, h2 and T and is at most
+    ``delta_target``: the fewest steps that reach the target.
+
+    Raises :class:`IncommensurateDelays` when no step length >= 1e-6*T
+    works; the caller must round the delays first.
+    """
+    if delta_target <= 0:
+        raise ValueError("delta_target must be positive")
+    n_sub, d1, d2 = (int(c) for c in grid_counts(spec, delta_target))
     delta = spec.T / n_sub
-    d1 = int(round(spec.h1 / delta))
-    d2 = int(round(spec.h2 / delta))
     for d, h, name in ((d1, spec.h1, "h1"), (d2, spec.h2, "h2")):
         if d == 0 or abs(d * delta - h) > 1e-12 * max(h, 1.0):
             raise IncommensurateDelays(

@@ -40,10 +40,7 @@ class Trajectory:
     """Batch of simulated paths on a common grid.
 
     ``x[k]`` is the state at step k (shape (paths, n)); ``u1``/``u2`` and
-    the increments ``dw`` cover steps 0..N; ``diff[k]`` records the
-    increment coefficient of the state update (needed to reconstruct the
-    second costate component). ``windows[k]`` holds the estimate window at
-    step k when recording was requested.
+    the increments ``dw`` cover steps 0..N.
     """
 
     grid: Grid
@@ -52,8 +49,6 @@ class Trajectory:
     u1: np.ndarray                   # (N+1, P, d1c)
     u2: np.ndarray                   # (N+1, P, d2c)
     dw: np.ndarray                   # (N+1, P)
-    diff: np.ndarray                 # (N+1, P, n)
-    windows: np.ndarray | None = None  # (N+2, d1+1, P, n)
 
     @property
     def n_paths(self) -> int:
@@ -295,62 +290,35 @@ def rollout(stepper, x0: np.ndarray, dw):
         del u1, u2, diff    # not held while the next step is computed
 
 
-def _run(stepper, x0: np.ndarray, seed: int, n_paths: int,
-         record_windows: bool) -> Trajectory:
+def _run(stepper, x0: np.ndarray, seed: int, n_paths: int) -> Trajectory:
     grid = stepper.grid
     dw = draw_increments(grid, n_paths, seed)
     n_steps = grid.N + 1
     x = np.empty((n_steps + 1, n_paths, len(x0)))
-    diff = np.empty((n_steps, n_paths, len(x0)))
-    windows = (np.empty((n_steps + 1, grid.d1 + 1, n_paths, len(x0)))
-               if record_windows else None)
-    for k, *arrays, _ in rollout(stepper, x0, dw):
+    for k, win, u1, u2, win_next, _, _ in rollout(stepper, x0, dw):
         # the base slot, as views in the paths-first layout
-        win, u1, u2, win_next, diff_k = (a[0].swapaxes(-1, -2)
-                                         for a in arrays)
+        u1, u2 = u1[0].T, u2[0].T
         if k == 0:
             u1s = np.empty((n_steps,) + u1.shape)
             u2s = np.empty((n_steps,) + u2.shape)
-        x[k], u1s[k], u2s[k], diff[k] = win[grid.d1], u1, u2, diff_k
-        if windows is not None:
-            windows[k] = win
-    x[n_steps] = win_next[grid.d1]
-    if windows is not None:
-        windows[n_steps] = win_next
-    return Trajectory(grid=grid, seed=seed, x=x, u1=u1s, u2=u2s, dw=dw,
-                      diff=diff, windows=windows)
+        x[k], u1s[k], u2s[k] = win[0, grid.d1].T, u1, u2
+    x[n_steps] = win_next[0, grid.d1].T
+    return Trajectory(grid=grid, seed=seed, x=x, u1=u1s, u2=u2s, dw=dw)
 
 
 def simulate_path_ladder(ladder: RiccatiLadder, x0, seed: int,
-                         n_paths: int = 1,
-                         record_windows: bool = False) -> Trajectory:
+                         n_paths: int = 1) -> Trajectory:
     """Simulate the explicit closed-loop recursion; controls are the ones
     the recursion implies, read back through the window gains."""
     return _run(LadderStepper(ladder), np.asarray(x0, dtype=float),
-                seed, n_paths, record_windows)
+                seed, n_paths)
 
 
 def simulate_path_gains(law: FeedbackLaw, spec: GameSpec, seed: int = 0,
-                        n_paths: int = 1,
-                        record_windows: bool = False) -> Trajectory:
+                        n_paths: int = 1) -> Trajectory:
     """Euler simulation of the controlled equation under the feedback law,
     from the spec's initial state."""
-    return _run(GainStepper(law, spec), spec.x0, seed, n_paths,
-                record_windows)
-
-
-def mean_recursion(ladder: RiccatiLadder, x0) -> np.ndarray:
-    """Deterministic mean propagation: the increment-free parts of the
-    closed-loop coefficients applied to the running mean."""
-    x0 = np.asarray(x0, dtype=float)
-    const = ladder.coef[:, :, 0]
-    totals = (ladder.a_mat[0] + const[:, 0] + const[:, 1:-1].sum(axis=1)
-              + const[:, -1])
-    out = np.empty((len(totals) + 1, len(x0)))
-    out[0] = x0
-    for k, total in enumerate(totals):
-        out[k + 1] = total @ out[k]
-    return out
+    return _run(GainStepper(law, spec), spec.x0, seed, n_paths)
 
 
 def _quad(v: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -424,17 +392,20 @@ class CostEstimate:
     seed: int
 
 
+def mean_se(samples: np.ndarray) -> tuple[float, float | None]:
+    """Monte Carlo mean of per-path samples (P,) and its standard error,
+    None below two paths."""
+    n_paths = len(samples)
+    return float(np.mean(samples)), (
+        float(np.std(samples, ddof=1) / np.sqrt(n_paths))
+        if n_paths >= 2 else None)
+
+
 def estimate_costs(traj: Trajectory, spec: GameSpec) -> CostEstimate:
     """Monte Carlo mean and standard error of both players' costs."""
-    n_paths = traj.n_paths
-
-    def mean_se(c):
-        return float(np.mean(c)), (float(np.std(c, ddof=1) / np.sqrt(n_paths))
-                                   if n_paths >= 2 else None)
-
     (j1, j1_se), (j2, j2_se) = map(mean_se, path_costs(traj, spec))
     return CostEstimate(j1=j1, j1_se=j1_se, j2=j2, j2_se=j2_se,
-                        n_paths=n_paths, seed=traj.seed)
+                        n_paths=traj.n_paths, seed=traj.seed)
 
 
 PERTURBATION_KINDS = ("constant_shift", "gain_scale", "time_bump")

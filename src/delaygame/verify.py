@@ -5,9 +5,9 @@ a residual that should vanish under conditioning at level s is paired
 with test variables measurable at level s (the constant and the window
 entries the solution actually uses); the identity holds iff every
 projection vanishes up to Monte Carlo noise plus a step-size-calibrated
-systematic allowance. Reduction oracles (single player with one delay,
-classical no-delay coupled game) are implemented here from first
-principles, independent of the production sweep.
+systematic allowance. The no-delay reduction oracle (the classical
+coupled game, by RK4) is implemented here from first principles,
+independent of the production sweep.
 """
 
 from __future__ import annotations
@@ -17,14 +17,13 @@ from dataclasses import replace as dc_replace
 import numpy as np
 
 from .discrete_engine import LAYER_FIELDS, RiccatiLadder, solve_ladder
-from .errors import MissingWindow
 from .gains import FeedbackLaw, assemble_gains, effective_gains
 from .continuous_limit import extract_fields
 from .model import GameSpec, Grid, build_grid
 from .reports import DeviationVerdict, ResidualComponent, ResidualReport
 from . import simulator
-from .simulator import (GainStepper, LadderStepper, Trajectory,
-                        draw_increments, paired_costs, paired_deviation_costs,
+from .simulator import (GainStepper, LadderStepper, draw_increments,
+                        mean_se, paired_costs, paired_deviation_costs,
                         perturb_control, rollout, simulate_path_gains,
                         simulate_path_ladder)
 
@@ -53,23 +52,6 @@ def costate_matrices(ladder: RiccatiLadder) -> np.ndarray:
     cm[..., gap:, :] += ladder.ccheck_lag[1:].swapaxes(-3, -2)
     cm[..., -1, :] += ladder.phat[1:]
     return cm.reshape(len(cm), 2 * n, -1)
-
-
-def costate_reconstruct(ladder: RiccatiLadder, trajectory: Trajectory):
-    """Costate pair along recorded paths.
-
-    ``p[i, k]`` evaluates the explicit layered formula on the recorded
-    estimate windows; ``q[i, k]`` applies the next layer's state
-    coefficient to the recorded increment coefficient of the state update.
-    """
-    if trajectory.windows is None:
-        raise MissingWindow("trajectory was simulated without window recording")
-    win = trajectory.windows[1:].swapaxes(-1, -2)      # (N+1, d1+1, n, P)
-    steps, n_paths = len(win), win.shape[-1]
-    p = costate_matrices(ladder) @ win.reshape(steps, -1, n_paths)
-    q = trajectory.diff[:, None] @ ladder.phat[1:].swapaxes(-1, -2)
-    return (p.reshape(steps, 2, -1, n_paths).transpose(1, 0, 3, 2),
-            q.swapaxes(0, 1))
 
 
 def _projection_stats(res: np.ndarray, rows: np.ndarray):
@@ -161,22 +143,19 @@ def _stationarity_row(ladder: RiccatiLadder, spec: GameSpec, cm: np.ndarray,
     return (k, *np.max(stats, axis=0))
 
 
-def stationarity_residual_test(ladder: RiccatiLadder, law: FeedbackLaw | None,
+def stationarity_residual_test(ladder: RiccatiLadder, law: FeedbackLaw,
                                spec: GameSpec, n_paths: int,
                                seed: int) -> ResidualReport:
     """Projections of each player's first-order-condition residual.
 
     ``R_i u_i + B_i' p_i + B_ibar' q_i`` is projected on the player's own
     admissible test variables (constant plus window entries at or coarser
-    than that player's information lag). With ``law`` given, the path and
-    controls follow the feedback law; otherwise the ladder's implied
-    controls are used.
+    than that player's information lag), along paths and controls that
+    follow the feedback law.
     """
-    stepper = (GainStepper(law, spec) if law is not None
-               else LadderStepper(ladder))
     cm = costate_matrices(ladder)
     rows = [_stationarity_row(ladder, spec, cm, step)
-            for step in rollout(stepper, spec.x0,
+            for step in rollout(GainStepper(law, spec), spec.x0,
                                 draw_increments(ladder.grid, n_paths, seed))]
     return _projection_report("stationarity-projection", rows, ladder.grid,
                               STATIONARITY_BAND_C)
@@ -228,9 +207,6 @@ def _deviation_laws(law: FeedbackLaw, deviations):
 
 
 def _verdicts(deviations, own_base, own_dev) -> list[DeviationVerdict]:
-    def mean_se(c):
-        return float(np.mean(c)), float(np.std(c, ddof=1) / np.sqrt(len(c)))
-
     return [DeviationVerdict(player, f"{kind} {mag:+g}", *mean_se(base),
                              *mean_se(dev), *mean_se(dev - base))
             for (player, kind, mag), base, dev
@@ -271,58 +247,9 @@ def paired_law_checks(ladder: RiccatiLadder, law: FeedbackLaw,
 
 
 # ---------------------------------------------------------------------------
-# reduction oracles, implemented independently of the production sweep
+# the no-delay reduction oracle, implemented independently of the
+# production sweep
 # ---------------------------------------------------------------------------
-
-def one_delay_sweep(A, Abar, B, Bbar, Q, R, H, delta: float, d: int,
-                    N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Single-controller, single-delay backward recursion (no second lag
-    family), written straight from the one-delay system: the state layers
-    P (N+2, n, n) and the lag layers (N+2, d+1, n, n), index k = 0..N+1."""
-    A, Abar, B, Bbar, Q, R, H = (np.atleast_2d(np.asarray(m, dtype=float))
-                                 for m in (A, Abar, B, Bbar, Q, R, H))
-    n = A.shape[0]
-    Ri = np.linalg.inv(R)
-    b11 = -B @ Ri @ B.T
-    b21 = -B @ Ri @ Bbar.T
-    bb11 = -Bbar @ Ri @ B.T
-    bb21 = -Bbar @ Ri @ Bbar.T
-    a_hat = np.eye(n) + delta * A
-
-    P, lag = [None] * (N + 2), [None] * (N + 2)
-    P[N + 1], lag[N + 1] = H.copy(), np.zeros((d + 1, n, n))
-    for k in range(N, -1, -1):
-        Pn = P[k + 1]
-        Sn = Pn + lag[k + 1].sum(axis=0)
-        gam = np.block([
-            [np.eye(n) - delta * b11 @ Sn, -b21 @ Pn],
-            [-delta * bb11 @ Sn, np.eye(n) - bb21 @ Pn]])
-        w0 = np.linalg.inv(gam) @ np.vstack([a_hat, delta * Abar])
-        m_c = delta * b11 @ Sn @ w0[:n] + b21 @ Pn @ w0[n:]
-        m_n = bb11 @ Sn @ w0[:n] + bb21 @ Pn @ w0[n:] / delta
-        Pk = (a_hat.T @ Pn @ a_hat + delta * Abar.T @ Pn @ Abar
-              + a_hat.T @ lag[k + 1][d] @ a_hat + delta * Q)
-        lk = np.zeros((d + 1, n, n))
-        lk[0] = a_hat.T @ Sn @ m_c + delta * Abar.T @ Pn @ m_n
-        for m in range(1, d + 1):
-            lk[m] = a_hat.T @ lag[k + 1][m - 1] @ a_hat
-        P[k], lag[k] = Pk, lk
-    return np.array(P), np.array(lag)
-
-
-def single_player_reduction_gap(ladder: RiccatiLadder, spec: GameSpec) -> float:
-    """Max difference between player-1 layers of a degenerate two-player
-    sweep (second player costless and uncontrolled) and the one-delay
-    oracle on the same data."""
-    grid = ladder.grid
-    P, lag = one_delay_sweep(spec.A, spec.Abar, spec.B1, spec.B1bar,
-                             spec.Q1, spec.R1, spec.H1,
-                             grid.delta, grid.d1, grid.N)
-    return max(float(np.max(np.abs(ladder.phat[:, 0] - P))),
-               float(np.max(np.abs(ladder.phat_lag[:, 0] - lag))),
-               float(np.max(np.abs(ladder.phat[:, 1]))),
-               float(np.max(np.abs(ladder.ccheck_lag))))
-
 
 def classical_game_gains(spec: GameSpec, n_steps: int):
     """Open-loop coupled Riccati pair of the no-delay LQ game, by RK4.

@@ -17,12 +17,20 @@ projection statistics work on paths-first arrays, one player at a time,
 as a check on the paths-last projection tests. The reference gain assembly,
 stationarity identity, closure conditioning and transport residuals at the
 end walk the time samples (and lag offsets) one at a time, as a check on
-the batched post-sweep expressions.
+the batched post-sweep expressions. The reduction oracles after them (the
+one-delay single-player sweep, the deterministic mean recursion and the
+kernel integrals of the fields) are checks that no command runs.
+``record_windows`` is not an oracle: it reads the estimate windows off the
+production rollout for the tests that check them.
 """
 
 import csv
 
 import numpy as np
+
+from delaygame.simulator import draw_increments, rollout
+
+_trapz = getattr(np, "trapezoid", getattr(np, "trapz", None))
 
 
 def lift(P):
@@ -435,6 +443,22 @@ def reference_paired_rollout(law, deviations, spec, grid, dw):
 # by term, and projection statistics reduced over the leading path axis
 # ---------------------------------------------------------------------------
 
+def record_windows(stepper, x0, n_paths, seed):
+    """The base slot of one ``simulator.rollout`` on the (paths, seed)
+    increments of ``draw_increments``, paths-first: the estimate windows
+    (N+2, d1+1, P, n) and the increment coefficients of the state update
+    (N+1, P, n)."""
+    grid = stepper.grid
+    windows = np.empty((grid.N + 2, grid.d1 + 1, n_paths, len(x0)))
+    diff = np.empty((grid.N + 1, n_paths, len(x0)))
+    for k, win, _, _, win_next, diff_k, _ in rollout(
+            stepper, x0, draw_increments(grid, n_paths, seed)):
+        windows[k] = win[0].swapaxes(-1, -2)
+        diff[k] = diff_k[0].T
+    windows[-1] = win_next[0].swapaxes(-1, -2)
+    return windows, diff
+
+
 def reference_pathwise_costate(ladder, k, win_next):
     """p at step k from the layer-(k+1) formula and the paths-first
     step-(k+1) window (d1+1, P, n): (2, P, n). With an index array ``k``
@@ -713,3 +737,81 @@ def reference_transport_residuals(fields, c):
             else:
                 free = np.maximum(free, np.abs(dt_term - rhs).max(axis=(1, 2)))
     return (coupled if gap > 1 else np.zeros(0)), free
+
+
+# ---------------------------------------------------------------------------
+# reduction oracles and field quadratures that no command runs
+# ---------------------------------------------------------------------------
+
+def mean_recursion(ladder, x0) -> np.ndarray:
+    """Deterministic mean propagation: the increment-free parts of the
+    closed-loop coefficients applied to the running mean."""
+    x0 = np.asarray(x0, dtype=float)
+    const = ladder.coef[:, :, 0]
+    totals = (ladder.a_mat[0] + const[:, 0] + const[:, 1:-1].sum(axis=1)
+              + const[:, -1])
+    out = np.empty((len(totals) + 1, len(x0)))
+    out[0] = x0
+    for k, total in enumerate(totals):
+        out[k + 1] = total @ out[k]
+    return out
+
+
+def one_delay_sweep(A, Abar, B, Bbar, Q, R, H, delta: float, d: int,
+                    N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Single-controller, single-delay backward recursion (no second lag
+    family), written straight from the one-delay system: the state layers
+    P (N+2, n, n) and the lag layers (N+2, d+1, n, n), index k = 0..N+1."""
+    A, Abar, B, Bbar, Q, R, H = (np.atleast_2d(np.asarray(m, dtype=float))
+                                 for m in (A, Abar, B, Bbar, Q, R, H))
+    n = A.shape[0]
+    Ri = np.linalg.inv(R)
+    b11 = -B @ Ri @ B.T
+    b21 = -B @ Ri @ Bbar.T
+    bb11 = -Bbar @ Ri @ B.T
+    bb21 = -Bbar @ Ri @ Bbar.T
+    a_hat = np.eye(n) + delta * A
+
+    P, lag = [None] * (N + 2), [None] * (N + 2)
+    P[N + 1], lag[N + 1] = H.copy(), np.zeros((d + 1, n, n))
+    for k in range(N, -1, -1):
+        Pn = P[k + 1]
+        Sn = Pn + lag[k + 1].sum(axis=0)
+        gam = np.block([
+            [np.eye(n) - delta * b11 @ Sn, -b21 @ Pn],
+            [-delta * bb11 @ Sn, np.eye(n) - bb21 @ Pn]])
+        w0 = np.linalg.inv(gam) @ np.vstack([a_hat, delta * Abar])
+        m_c = delta * b11 @ Sn @ w0[:n] + b21 @ Pn @ w0[n:]
+        m_n = bb11 @ Sn @ w0[:n] + bb21 @ Pn @ w0[n:] / delta
+        Pk = (a_hat.T @ Pn @ a_hat + delta * Abar.T @ Pn @ Abar
+              + a_hat.T @ lag[k + 1][d] @ a_hat + delta * Q)
+        lk = np.zeros((d + 1, n, n))
+        lk[0] = a_hat.T @ Sn @ m_c + delta * Abar.T @ Pn @ m_n
+        for m in range(1, d + 1):
+            lk[m] = a_hat.T @ lag[k + 1][m - 1] @ a_hat
+        P[k], lag[k] = Pk, lk
+    return np.array(P), np.array(lag)
+
+
+def single_player_reduction_gap(ladder, spec) -> float:
+    """Max difference between player-1 layers of a degenerate two-player
+    sweep (second player costless and uncontrolled) and the one-delay
+    oracle on the same data."""
+    grid = ladder.grid
+    P, lag = one_delay_sweep(spec.A, spec.Abar, spec.B1, spec.B1bar,
+                             spec.Q1, spec.R1, spec.H1,
+                             grid.delta, grid.d1, grid.N)
+    return max(float(np.max(np.abs(ladder.phat[:, 0] - P))),
+               float(np.max(np.abs(ladder.phat_lag[:, 0] - lag))),
+               float(np.max(np.abs(ladder.phat[:, 1]))),
+               float(np.max(np.abs(ladder.ccheck_lag))))
+
+
+def kernel1_integral(fields, i: int, lo_index: int = 0) -> np.ndarray:
+    """Trapezoidal integral of the first kernel over theta >= lo_index*delta."""
+    seg = fields.phat[i, :, lo_index:]
+    return _trapz(seg, dx=fields.delta, axis=1)
+
+
+def kernel2_integral(fields, i: int) -> np.ndarray:
+    return _trapz(fields.ccheck[i], dx=fields.delta, axis=1)

@@ -19,7 +19,7 @@ from delaygame import (GameSpec, assemble_gains, build_grid,
 from delaygame.discrete_engine import SweepCoefficients
 from delaygame import verify as vfy
 from conftest import golden_scalar_spec, matrix_spec
-from oracles import oracle_sweep
+from oracles import oracle_sweep, single_player_reduction_gap
 
 GOLDEN_DELTA = 0.005          # N = 199, d1 = 4, d2 = 2 on the golden spec
 PATHS = 10_000
@@ -240,8 +240,8 @@ def test_criterion_08_reduction_oracles():
                       B2bar=0.0, Q1=1.0, Q2=0.0, R1=1.0, R2=1.0,
                       H1=0.5, H2=0.0, h1=0.02, h2=0.01, T=1.0, x0=[1.0])
     grid = build_grid(single, GOLDEN_DELTA)
-    gap_one_delay = vfy.single_player_reduction_gap(solve_ladder(single, grid),
-                                                    single)
+    gap_one_delay = single_player_reduction_gap(solve_ladder(single, grid),
+                                                single)
 
     classical = GameSpec(A=0.2, Abar=0.0, B1=1.0, B1bar=0.0, B2=0.8,
                          B2bar=0.0, Q1=1.0, Q2=0.8, R1=1.0, R2=1.2,

@@ -104,8 +104,8 @@ class TestSolve:
         assert main(["simulate", "--problem", str(wide_problem),
                      "--paths", "0", "--out", str(tmp_path / "o")]) == 1
 
-    # the last five ask for sizes that cannot be represented, so they fail
-    # before anything is allocated
+    # the last seven ask for arrays larger than numpy can index, so the
+    # size check ends them before anything is allocated or printed
     @pytest.mark.parametrize("argv", [
         "solve --out {out}",
         "simulate --problem {problem} --paths abc --out {out}",
@@ -116,18 +116,22 @@ class TestSolve:
         "--out {out}",
         "solve --problem {problem} --delta 1e-30 --out {out}",
         "solve --problem {problem} --delta 1e-320 --out {out}",
-        "convergence --problem {problem} --halvings 1100 --out {out}"],
+        "convergence --problem {problem} --halvings 1100 --out {out}",
+        "verify --problem {problem} --halvings 62 --out {out}",
+        "convergence --problem {problem} --halvings 62 --out {out}"],
         ids=["problem-missing", "paths-not-int", "flag-not-read",
              "simulate-paths-too-many", "verify-paths-too-many",
              "delta-too-fine", "delta-step-count-overflow",
-             "halvings-too-many"])
+             "halvings-too-many", "verify-halvings-62",
+             "convergence-halvings-62"])
     def test_usage_error_one_line(self, wide_problem, tmp_path, capsys,
                                   argv):
         code = main([a.format(problem=wide_problem, out=tmp_path / "o")
                      for a in argv.split()])
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert code == 1
         assert len(err.splitlines()) == 1 and "error:" in err
+        assert out == ""
 
     def test_nan_delta_exit_1(self, wide_problem, tmp_path, capsys):
         code = main(["solve", "--problem", str(wide_problem),
@@ -170,8 +174,8 @@ class TestSolve:
 
     def test_other_value_error_keeps_traceback(self, wide_problem, tmp_path,
                                                monkeypatch):
-        # only numpy's refusals of an oversized shape are usage errors; any
-        # other ValueError is a fault of the program and propagates
+        # oversized shapes are refused before the sweep, so a ValueError
+        # is a fault of the program and propagates
         from delaygame import cli
 
         def broken(*args):

@@ -66,8 +66,7 @@ def test_trajectory_text_held_one_path_at_a_time(artifacts, tmp_path):
     # the text of every row (about 9 times the arrays) is never held at once
     grid, _, _, law, _ = artifacts["matrix"]
     traj = simulate_path_gains(law, matrix_spec(), seed=7, n_paths=2000)
-    arrays = sum(a.nbytes for a in (traj.x, traj.u1, traj.u2, traj.dw,
-                                    traj.diff))
+    arrays = sum(a.nbytes for a in (traj.x, traj.u1, traj.u2, traj.dw))
     tracemalloc.start()
     try:
         exports.export_trajectories_csv(traj, tmp_path / "t.csv")

@@ -3,8 +3,8 @@ import pytest
 from dataclasses import replace
 
 from delaygame import (GameSpec, assemble_gains, build_grid,
-                       estimate_costs, extract_fields, mean_recursion,
-                       path_costs, perturb_control, simulate_path_gains,
+                       estimate_costs, extract_fields, path_costs,
+                       perturb_control, simulate_path_gains,
                        simulate_path_ladder, solve_ladder)
 from delaygame.simulator import (GainStepper, LadderStepper,
                                  draw_increments, increment_rows,
@@ -12,7 +12,8 @@ from delaygame.simulator import (GainStepper, LadderStepper,
                                  paired_deviation_costs, rollout)
 from delaygame.verify import DEVIATION_FAMILY, _deviation_laws
 from conftest import wide_delay_spec, zero_cost_spec
-from oracles import (reference_ladder_window_step, reference_paired_rollout,
+from oracles import (mean_recursion, record_windows,
+                     reference_ladder_window_step, reference_paired_rollout,
                      reference_u2_levels)
 
 
@@ -84,11 +85,10 @@ class TestUncontrolledReductions:
 class TestWindow:
     def test_window_top_entry_is_state(self, wide_case):
         spec, grid, ladder, law = wide_case
-        traj = simulate_path_ladder(ladder, spec.x0, seed=5,
-                                    n_paths=4, record_windows=True)
+        traj = simulate_path_ladder(ladder, spec.x0, seed=5, n_paths=4)
+        windows, _ = record_windows(LadderStepper(ladder), spec.x0, 4, 5)
         for k in (0, 3, grid.N + 1):
-            np.testing.assert_array_equal(traj.windows[k][grid.d1],
-                                          traj.x[k])
+            np.testing.assert_array_equal(windows[k][grid.d1], traj.x[k])
 
     @pytest.mark.parametrize("levels", [1, 2, 3, 9])
     def test_level_sums_match_termwise_expectation(self, levels):
@@ -137,9 +137,8 @@ class TestWindow:
 
     def test_warmup_window_holds_initial_state(self, wide_case):
         spec, grid, ladder, law = wide_case
-        traj = simulate_path_ladder(ladder, spec.x0, seed=5,
-                                    n_paths=4, record_windows=True)
-        assert np.all(traj.windows[0] == spec.x0[0])
+        windows, _ = record_windows(LadderStepper(ladder), spec.x0, 4, 5)
+        assert np.all(windows[0] == spec.x0[0])
 
     def test_mean_propagation(self, wide_case):
         spec, grid, ladder, law = wide_case
@@ -154,11 +153,11 @@ class TestWindow:
     def test_estimation_error_orthogonality(self, wide_case):
         # the residual x_k - E_j[x_k] decorrelates from level-j variables
         spec, grid, ladder, law = wide_case
-        traj = simulate_path_ladder(ladder, spec.x0, seed=2,
-                                    n_paths=10000, record_windows=True)
+        traj = simulate_path_ladder(ladder, spec.x0, seed=2, n_paths=10000)
+        windows, _ = record_windows(LadderStepper(ladder), spec.x0, 10000, 2)
         k = grid.N
         for idx in (0, grid.d1 - 1):
-            est = traj.windows[k][idx]
+            est = windows[k][idx]
             resid = (traj.x[k] - est).ravel()
             for z in (est.ravel(), est.ravel() ** 2):
                 sd = resid.std() * z.std()

@@ -3,15 +3,17 @@ import pytest
 from dataclasses import replace
 from hypothesis import given, reject, settings
 
-from delaygame import (GameSpec, Grid, MissingWindow, SingularGamma,
-                       assemble_gains, build_grid, extract_fields,
-                       perturb_control, simulate_path_ladder, solve_ladder)
+from delaygame import (GameSpec, Grid, SingularGamma, assemble_gains,
+                       build_grid, extract_fields, perturb_control,
+                       simulate_path_ladder, solve_ladder)
 from delaygame import simulate_path_gains
 from delaygame import verify as vfy
+from delaygame.simulator import GainStepper, LadderStepper
 from conftest import (RANDOM_DELTA, RANDOM_SPECS, golden_scalar_spec,
                       wide_delay_spec, zero_cost_spec)
-from oracles import (reference_pathwise_costate, reference_projection_stats,
-                     reference_test_variables)
+from oracles import (record_windows, reference_pathwise_costate,
+                     reference_projection_stats, reference_test_variables,
+                     single_player_reduction_gap)
 
 
 @pytest.fixture(scope="module")
@@ -23,29 +25,36 @@ def wide_case():
     return spec, grid, ladder, law
 
 
-class TestCostateReconstruct:
-    def test_requires_windows(self, wide_case):
-        spec, grid, ladder, law = wide_case
-        traj = simulate_path_ladder(ladder, spec.x0, seed=1, n_paths=3)
-        with pytest.raises(MissingWindow):
-            vfy.costate_reconstruct(ladder, traj)
+def _costates(ladder, windows, diff):
+    """The costate pair along recorded paths: ``p[i, k]`` applies
+    ``verify.costate_matrices`` to the step-(k+1) windows, ``q[i, k]`` the
+    next layer's state coefficient to the increment coefficient of the
+    state update; each (2, N+1, P, n), from paths-first ``windows`` (N+2,
+    d1+1, P, n) and ``diff`` (N+1, P, n)."""
+    win = windows[1:].swapaxes(-1, -2)      # (N+1, d1+1, n, P)
+    steps, n_paths = len(win), win.shape[-1]
+    p = vfy.costate_matrices(ladder) @ win.reshape(steps, -1, n_paths)
+    q = diff[:, None] @ ladder.phat[1:].swapaxes(-1, -2)
+    return (p.reshape(steps, 2, -1, n_paths).transpose(1, 0, 3, 2),
+            q.swapaxes(0, 1))
 
+
+class TestCostateReconstruct:
     def test_terminal_identity(self, wide_case):
         # at the last step the costate is the terminal weight applied to
         # the terminal state, exactly
         spec, grid, ladder, law = wide_case
-        traj = simulate_path_ladder(ladder, spec.x0, seed=1,
-                                    n_paths=16, record_windows=True)
-        p, q = vfy.costate_reconstruct(ladder, traj)
+        traj = simulate_path_ladder(ladder, spec.x0, seed=1, n_paths=16)
+        p, q = _costates(ladder, *record_windows(LadderStepper(ladder),
+                                                 spec.x0, 16, 1))
         for i, H in enumerate((spec.H1, spec.H2)):
             np.testing.assert_allclose(p[i, grid.N], traj.x[grid.N + 1] @ H.T,
                                        atol=1e-12)
 
     def test_zero_cost_costates_vanish(self, zero_cost):
         spec, grid, ladder = zero_cost
-        traj = simulate_path_ladder(ladder, spec.x0, seed=1,
-                                    n_paths=4, record_windows=True)
-        p, q = vfy.costate_reconstruct(ladder, traj)
+        p, q = _costates(ladder, *record_windows(LadderStepper(ladder),
+                                                 spec.x0, 4, 1))
         assert np.all(p == 0.0)
         assert np.all(q == 0.0)
 
@@ -53,18 +62,18 @@ class TestCostateReconstruct:
         # independent straight-line evaluation of the layered formula on
         # the recorded windows
         spec, grid, ladder, law = wide_case
-        traj = simulate_path_ladder(ladder, spec.x0, seed=6,
-                                    n_paths=5, record_windows=True)
-        p, q = vfy.costate_reconstruct(ladder, traj)
+        traj = simulate_path_ladder(ladder, spec.x0, seed=6, n_paths=5)
+        windows, diff = record_windows(LadderStepper(ladder), spec.x0, 5, 6)
+        p, q = _costates(ladder, windows, diff)
         k = grid.N // 2
         gap = grid.d1 - grid.d2
         for i in range(2):
             ref = traj.x[k + 1] @ ladder.phat[k + 1][i].T
             for j in range(grid.d1 + 1):
-                ref = ref + (traj.windows[k + 1][j]
+                ref = ref + (windows[k + 1][j]
                              @ ladder.phat_lag[k + 1][i][j].T)
             for j in range(grid.d2 + 1):
-                ref = ref + (traj.windows[k + 1][gap + j]
+                ref = ref + (windows[k + 1][gap + j]
                              @ ladder.ccheck_lag[k + 1][i][j].T)
             np.testing.assert_allclose(p[i, k], ref, atol=1e-13)
 
@@ -103,16 +112,18 @@ class TestFbsdeResidual:
 
 
 class TestStationarityResidual:
+    # the ladder's own controls, through the implied law that reproduces
+    # the ladder stepper's paths
     def test_zero_cost_exact(self, zero_cost):
         spec, grid, ladder = zero_cost
-        rep = vfy.stationarity_residual_test(ladder, None, spec, n_paths=200,
-                                             seed=1)
+        rep = vfy.stationarity_residual_test(
+            ladder, vfy.implied_law(ladder, spec), spec, n_paths=200, seed=1)
         assert rep.component("projection_raw").max <= 1e-14
 
     def test_ladder_mode_within_band(self, golden):
         spec, grid, ladder = golden
-        rep = vfy.stationarity_residual_test(ladder, None, spec,
-                                             n_paths=4000, seed=2)
+        rep = vfy.stationarity_residual_test(
+            ladder, vfy.implied_law(ladder, spec), spec, n_paths=4000, seed=2)
         assert rep.passed
 
     def test_law_mode_within_band(self, golden):
@@ -140,16 +151,18 @@ def _case(name, request):
     return request.getfixturevalue(name)
 
 
-def _reference_rows(ladder, spec, grid, traj, kind):
+def _reference_rows(ladder, spec, grid, traj, stepper, kind):
     """Per-step ``(k, raw, se, net)`` of the backward-equation ("fbsde") or
-    first-order-condition projections, from a recorded paths-first batch,
-    one player at a time."""
+    first-order-condition projections, from a paths-first batch and the
+    windows and increment coefficients that ``stepper`` records on its
+    paths, one player at a time."""
+    windows, diff = record_windows(stepper, spec.x0, traj.n_paths, traj.seed)
     p = reference_pathwise_costate(ladder, np.arange(grid.N + 1),
-                                   traj.windows[1:])
+                                   windows[1:])
     a_c = ladder.a_mat[0]
     rows = []
     for k in range(grid.N + 1):
-        win = traj.windows[k]
+        win = windows[k]
         if kind == "fbsde":
             if k == 0:
                 continue
@@ -162,7 +175,7 @@ def _reference_rows(ladder, spec, grid, traj, kind):
         else:
             stats = [reference_projection_stats(
                 u[k] @ r + p[k, i] @ b
-                + (traj.diff[k] @ ladder.phat[k + 1, i].T) @ bbar,
+                + (diff[k] @ ladder.phat[k + 1, i].T) @ bbar,
                 reference_test_variables(win, up_to))
                 for i, (u, r, b, bbar, up_to) in enumerate((
                     (traj.u1, spec.R1, spec.B1, spec.B1bar, 1),
@@ -195,37 +208,32 @@ class TestPathsLastProjections:
     @CASES
     def test_costate_matches_reference(self, case, request):
         spec, grid, ladder = _case(case, request)
-        traj = simulate_path_ladder(ladder, spec.x0, seed=6,
-                                    n_paths=200, record_windows=True)
-        p, _ = vfy.costate_reconstruct(ladder, traj)
+        windows, diff = record_windows(LadderStepper(ladder), spec.x0, 200, 6)
+        p, _ = _costates(ladder, windows, diff)
         ref = reference_pathwise_costate(ladder, np.arange(grid.N + 1),
-                                         traj.windows[1:]).swapaxes(0, 1)
+                                         windows[1:]).swapaxes(0, 1)
         assert np.all(np.abs(p - ref) <= 1e-12 * np.max(np.abs(ref)))
 
     @CASES
     def test_fbsde_rows_match_reference(self, case, request):
         spec, grid, ladder = _case(case, request)
-        traj = simulate_path_ladder(ladder, spec.x0, seed=2,
-                                    n_paths=1000, record_windows=True)
+        traj = simulate_path_ladder(ladder, spec.x0, seed=2, n_paths=1000)
         rep = vfy.fbsde_residual_test(ladder, spec, 1000, 2)
-        self._assert_rows(rep, _reference_rows(ladder, spec, grid, traj,
-                                               "fbsde"), grid)
+        self._assert_rows(rep, _reference_rows(
+            ladder, spec, grid, traj, LadderStepper(ladder), "fbsde"), grid)
 
     @CASES
     @pytest.mark.parametrize("mode", ["ladder", "law"])
     def test_stationarity_rows_match_reference(self, case, mode, request):
+        # "ladder" runs the ladder's controls through its implied law
         spec, grid, ladder = _case(case, request)
-        if mode == "law":
-            law = assemble_gains(extract_fields(ladder), spec)
-            traj = simulate_path_gains(law, spec, seed=2, n_paths=1000,
-                                       record_windows=True)
-        else:
-            law = None
-            traj = simulate_path_ladder(ladder, spec.x0, seed=2,
-                                        n_paths=1000, record_windows=True)
+        law = (assemble_gains(extract_fields(ladder), spec) if mode == "law"
+               else vfy.implied_law(ladder, spec))
+        traj = simulate_path_gains(law, spec, seed=2, n_paths=1000)
         rep = vfy.stationarity_residual_test(ladder, law, spec, 1000, 2)
-        self._assert_rows(rep, _reference_rows(ladder, spec, grid, traj,
-                                               "stationarity"), grid)
+        self._assert_rows(rep, _reference_rows(
+            ladder, spec, grid, traj, GainStepper(law, spec),
+            "stationarity"), grid)
 
     def test_constant_residual_has_zero_se(self):
         # the two-pass standard error of a residual constant on the paths
@@ -387,7 +395,7 @@ class TestReductionOracles:
                         H1=0.5, H2=0.0, h1=0.2, h2=0.1, T=1.0, x0=[1.0])
         grid = build_grid(spec, 0.05)
         ladder = solve_ladder(spec, grid)
-        assert vfy.single_player_reduction_gap(ladder, spec) <= 1e-10
+        assert single_player_reduction_gap(ladder, spec) <= 1e-10
 
     def test_single_player_matrix_case(self):
         rng = np.random.default_rng(5)
@@ -403,7 +411,7 @@ class TestReductionOracles:
                         x0=[1.0, 0.0])
         grid = build_grid(spec, 0.05)
         ladder = solve_ladder(spec, grid)
-        assert vfy.single_player_reduction_gap(ladder, spec) <= 1e-10
+        assert single_player_reduction_gap(ladder, spec) <= 1e-10
 
     def test_classical_oracle_degenerates_to_lqr(self):
         # with the second player removed, the coupled system is the
