@@ -6,10 +6,10 @@ problem file, 3 non-finite numbers in a sweep or a simulation (a
 singular block or an overflowed layer in a backward sweep, an overflowed
 cost in ``simulate``, a non-finite statistic or bound in ``verify`` or
 value in ``convergence``, which then write no report), 4 verification
-failure. All randomness flows from the single --seed: every Monte Carlo
-pass generates its increments from it, one step at a time
-(``simulator.increment_rows``), as a block or streamed, so runs are
-reproducible byte for byte.
+failure. Only a run that exits 0 or 4 prints on stdout. All randomness
+flows from the single --seed: every Monte Carlo pass generates its
+increments from it, one step at a time (``simulator.increment_rows``),
+as a block or streamed, so runs are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -207,10 +207,10 @@ def cmd_simulate(args) -> int:
 
 
 def _trend_ratio(values) -> float:
-    worst = 0.0
-    for a, b in zip(values, values[1:]):
-        worst = max(worst, b / a if a > 0 else (0.0 if b == 0 else np.inf))
-    return worst
+    """Worst ratio of a value to the one before it (0.0 for fewer than
+    two); a NaN value gives NaN, which ``verify`` ends on."""
+    return float(np.max([b / a if a > 0 else (0.0 if b == 0 else np.inf)
+                         for a, b in zip(values, values[1:])], initial=0.0))
 
 
 def _halvings(spec, coeffs, ladder, halvings: int, zero_at=None):
@@ -235,12 +235,14 @@ def cmd_verify(args) -> int:
         vfy.zero_layer(ladder, args.debug_zero_layer)
     fields = extract_fields(ladder)
     law = assemble_gains(fields, spec)
-    records = []
+    records, lines = [], []
 
     def add(name, statistic, bound, ok, skipped=None):
-        """Record one check; ``skipped`` gives the reason a check compared
+        """Record one check, whose verdict ``ok`` compares ``statistic``
+        with ``bound``; ``skipped`` gives the reason a check compared
         nothing (it then counts as a pass with statistic 0). A non-finite
-        statistic or bound ends the command before any report is written."""
+        statistic or bound ends the command before any report is written
+        or any line printed."""
         if skipped:
             statistic, ok = 0.0, True
         if not np.isfinite((statistic, bound)).all():
@@ -252,7 +254,8 @@ def cmd_verify(args) -> int:
                         "evaluated": skipped is None})
         verdict = (f"not evaluated ({skipped})" if skipped
                    else "pass" if ok else "FAIL")
-        print(f"{name}: stat={statistic:.4e} bound={bound:.4e} {verdict}")
+        lines.append(f"{name}: stat={statistic:.4e} bound={bound:.4e} "
+                     f"{verdict}")
 
     term_gap = max(float(np.max(np.abs(ladder.phat[-1] - [spec.H1, spec.H2]))),
                    float(np.max(np.abs(ladder.phat_lag[-1]))),
@@ -270,25 +273,29 @@ def cmd_verify(args) -> int:
                       beyond_horizon(ladder.ccheck_lag)))
     add("lag_truncation", trunc, 0.0, trunc == 0.0)
 
-    ident = stationarity_identity_check(law, fields, spec)
-    add("gain_stationarity_identity", ident.max, ident.tolerance, ident.passed)
+    ident = stationarity_identity_check(law, fields, spec).max
+    add("gain_stationarity_identity", ident, IDENTITY_TOL,
+        ident <= IDENTITY_TOL)
 
     # an overflow on the paths shows as a non-finite statistic
     with np.errstate(over="ignore", invalid="ignore"):
         rep = vfy.fbsde_residual_test(ladder, spec, args.paths, args.seed)
-        add("fbsde_martingale_projection",
-            rep.component("projection_net").max,
-            vfy.FBSDE_BAND_C * grid.delta, rep.passed)
+        net = rep.component("projection_net").max
+        bound = vfy.FBSDE_BAND_C * grid.delta
+        add("fbsde_martingale_projection", net, bound, net <= bound)
 
         rep, verdicts = vfy.paired_law_checks(ladder, law, spec, args.paths,
                                               args.seed)
-        add("stationarity_projection", rep.component("projection_net").max,
-            vfy.STATIONARITY_BAND_C * grid.delta, rep.passed)
+        net = rep.component("projection_net").max
+        bound = vfy.STATIONARITY_BAND_C * grid.delta
+        add("stationarity_projection", net, bound, net <= bound)
 
+        # one-sided: a deviation must not beat the equilibrium beyond noise
         for v in verdicts:
+            bound = -3.0 * v.combined_se
             add(f"nash_deviation_p{v.player}_"
                 f"{v.description.replace(' ', '_')}",
-                v.margin, -3.0 * v.combined_se, v.passed)
+                v.margin, bound, v.margin >= bound)
 
         cross = vfy.cross_representation_gap(ladder, law, spec,
                                              min(args.paths, 256), args.seed)
@@ -316,13 +323,14 @@ def cmd_verify(args) -> int:
         # a ratio of round-off noise shows no trend
         skipped = (why if len(series) < 2
                    else f"every residual <= {IDENTITY_TOL:g}"
-                   if max(series) <= IDENTITY_TOL else None)
+                   if np.max(series) <= IDENTITY_TOL else None)
         ratio = _trend_ratio(series)
         add(name, ratio, bound, ratio <= bound, skipped=skipped)
 
     args.out.mkdir(parents=True, exist_ok=True)
     exports.export_verification_report(records, args.out / "verify_report.json")
     ok = all(r["pass"] for r in records)
+    print("\n".join(lines))
     print("verification: " + ("all tests passed" if ok else "FAILURES present"))
     return 0 if ok else EXIT_VERIFY
 

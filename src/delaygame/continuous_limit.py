@@ -120,8 +120,8 @@ def continuous_residuals(fields: RiccatiFields,
     semigroup identity of the second kernel (matrix exponential by
     scaling and squaring). The terminal sample is excluded from the
     boundary checks: the kernels jump to zero at the horizon. Every
-    component is the worst over both players; the report has no
-    tolerance and does not gate.
+    component is the worst over both players. ``verify`` reads only the
+    step-halving trends of the ODE and semigroup components.
     """
     grid = fields.grid
     d1, d2 = grid.d1, grid.d2

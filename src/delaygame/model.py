@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,23 +114,14 @@ class Grid:
 
 
 @dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
 class ValidationReport:
-    checks: tuple[CheckResult, ...] = field(default_factory=tuple)
+    """One ``"check: detail"`` line per violated standing assumption."""
+
+    violations: tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def violations(self) -> list[str]:
-        return [f"{c.name}: {c.detail}" for c in self.checks if not c.passed]
+        return not self.violations
 
 
 def _sym_gap(M: np.ndarray) -> float:
@@ -143,13 +134,8 @@ def _min_eig(M: np.ndarray) -> float:
 
 def validate(spec: GameSpec) -> ValidationReport:
     """Check every standing assumption; failures carry eigenvalue evidence."""
-    checks: list[CheckResult] = []
-
-    def add(name: str, passed: bool, detail: str):
-        checks.append(CheckResult(name, bool(passed), detail))
-
+    violations: list[str] = []
     n = spec.n
-    shape_ok = True
     expected = {
         "A": (n, n), "Abar": (n, n),
         "B1": (n, spec.d1c), "B1bar": (n, spec.d1c),
@@ -161,41 +147,41 @@ def validate(spec: GameSpec) -> ValidationReport:
            for k, v in expected.items() if getattr(spec, k).shape != v]
     if spec.x0.shape != (n,):
         bad.append(f"x0 is {spec.x0.shape}, expected ({n},)")
-    shape_ok = not bad
-    add("dimensions", shape_ok, "consistent" if shape_ok else "; ".join(bad))
-    if not shape_ok:
-        return ValidationReport(tuple(checks))
+    if bad:
+        return ValidationReport(("dimensions: " + "; ".join(bad),))
 
     nonfinite = [k for k in (*expected, "x0", "h1", "h2", "T")
                  if not np.all(np.isfinite(getattr(spec, k)))]
-    add("finite entries", not nonfinite,
-        f"non-finite entries in {', '.join(nonfinite)}")
     if nonfinite:
-        return ValidationReport(tuple(checks))
+        return ValidationReport((f"finite entries: non-finite entries in "
+                                 f"{', '.join(nonfinite)}",))
 
-    add("delay ordering", 0.0 < spec.h2 < spec.h1 < spec.T,
-        f"need 0 < h2 < h1 < T; delays must satisfy h2 < h1 "
-        f"(h1={spec.h1:.6g}, h2={spec.h2:.6g}, T={spec.T:.6g})")
+    if not 0.0 < spec.h2 < spec.h1 < spec.T:
+        violations.append(
+            f"delay ordering: need 0 < h2 < h1 < T; delays must satisfy "
+            f"h2 < h1 (h1={spec.h1:.6g}, h2={spec.h2:.6g}, T={spec.T:.6g})")
 
     for name in ("Q1", "Q2", "H1", "H2"):
         M = getattr(spec, name)
         gap = _sym_gap(M)
         lam = _min_eig(M)
-        add(f"{name} symmetric psd",
-            gap <= SYM_TOL * max(1.0, float(np.max(np.abs(M)))) and lam >= PSD_EIG_TOL,
-            f"{name} not positive semi-definite "
-            f"(symmetry gap {gap:.3e}, smallest eigenvalue {lam:.3e})")
+        if not (gap <= SYM_TOL * max(1.0, float(np.max(np.abs(M))))
+                and lam >= PSD_EIG_TOL):
+            violations.append(
+                f"{name} symmetric psd: {name} not positive semi-definite "
+                f"(symmetry gap {gap:.3e}, smallest eigenvalue {lam:.3e})")
 
     for name in ("R1", "R2"):
         M = getattr(spec, name)
         gap = _sym_gap(M)
         lam = _min_eig(M)
-        add(f"{name} symmetric pd",
-            gap <= SYM_TOL * max(1.0, float(np.max(np.abs(M)))) and lam > 0.0,
-            f"{name} not positive definite "
-            f"(symmetry gap {gap:.3e}, smallest eigenvalue {lam:.3e})")
+        if not (gap <= SYM_TOL * max(1.0, float(np.max(np.abs(M))))
+                and lam > 0.0):
+            violations.append(
+                f"{name} symmetric pd: {name} not positive definite "
+                f"(symmetry gap {gap:.3e}, smallest eigenvalue {lam:.3e})")
 
-    return ValidationReport(tuple(checks))
+    return ValidationReport(tuple(violations))
 
 
 def _float_gcd(values, floor: float) -> float:

@@ -1,4 +1,8 @@
-"""Report containers shared by the residual tests and deviation checks."""
+"""Report containers shared by the residual tests and deviation checks.
+
+They hold numbers only: every verdict is a comparison of one of these
+numbers with a bound, made where the bound is stated (``cli.cmd_verify``).
+"""
 
 from __future__ import annotations
 
@@ -14,8 +18,6 @@ class ResidualComponent:
     name: str
     coord: np.ndarray
     value: np.ndarray
-    band: np.ndarray | None = None   # per-sample allowance, when statistical
-    gating: bool = True              # diagnostics set False and never gate
 
     @property
     def max(self) -> float:
@@ -24,15 +26,10 @@ class ResidualComponent:
 
 @dataclass
 class ResidualReport:
-    """Named residual components with one overall tolerance.
-
-    Passes iff the worst component maximum (net of any per-sample
-    statistical band) is within tolerance.
-    """
+    """Named residual components."""
 
     name: str
     components: list[ResidualComponent] = field(default_factory=list)
-    tolerance: float | None = None
 
     def component(self, name: str) -> ResidualComponent:
         for c in self.components:
@@ -42,30 +39,17 @@ class ResidualReport:
 
     @property
     def max(self) -> float:
-        return max((c.max for c in self.components), default=0.0)
-
-    @property
-    def excess(self) -> float:
-        """Worst gating residual after subtracting per-sample bands."""
-        worst = 0.0
-        for c in self.components:
-            if not c.gating:
-                continue
-            slack = c.value - (c.band if c.band is not None else 0.0)
-            # a NaN residual propagates, so it never passes
-            worst = float(np.max(slack, initial=worst))
-        return worst
-
-    @property
-    def passed(self) -> bool:
-        if self.tolerance is None:
-            return True
-        return self.excess <= self.tolerance
+        """Worst component maximum (0.0 when there are none); a NaN
+        anywhere propagates."""
+        return (float(np.max([c.max for c in self.components]))
+                if self.components else 0.0)
 
 
 @dataclass
 class DeviationVerdict:
-    """Outcome of one unilateral control deviation under common noise."""
+    """Cost estimates of one unilateral control deviation under common
+    noise: ``margin`` is the deviating player's cost increase and
+    ``combined_se`` its paired standard error."""
 
     player: int
     description: str
@@ -75,13 +59,3 @@ class DeviationVerdict:
     se_dev: float
     margin: float
     combined_se: float
-
-    @property
-    def passed(self) -> bool:
-        # one-sided: a deviation must not beat the equilibrium beyond noise
-        return self.margin >= -3.0 * self.combined_se
-
-    def __str__(self) -> str:
-        return (f"player {self.player} {self.description}: "
-                f"margin={self.margin:+.5g} (3se={3 * self.combined_se:.3g}) "
-                f"{'pass' if self.passed else 'FAIL'}")

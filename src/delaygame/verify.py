@@ -27,12 +27,12 @@ from .simulator import (GainStepper, LadderStepper, draw_increments,
                         perturb_control, rollout, simulate_path_gains,
                         simulate_path_ladder)
 
-# Projection bands are C*delta + 3*se; C calibrated once on the golden
-# scalar instance by a step-halving pair (see tests/test_acceptance.py):
-# measured net/delta was 0.005 for the backward-equation projections and
-# 2.32..2.38 for the law-mode stationarity projections, and a corrupted
-# ladder or a 10% gain mutation overshoots these bands by far more than
-# the required factors.
+# A projection's net statistic |mean| - 3*se is compared with C*delta; C
+# calibrated once on the golden scalar instance by a step-halving pair (see
+# tests/test_acceptance.py): measured net/delta was 0.005 for the
+# backward-equation projections and 2.32..2.38 for the law-mode
+# stationarity projections, and a corrupted ladder or a 10% gain mutation
+# overshoots C*delta by far more than the required factors.
 FBSDE_BAND_C = 0.05
 STATIONARITY_BAND_C = 3.0
 # Path-wise gap between the two closed-loop representations, per unit step
@@ -73,22 +73,20 @@ def _projection_stats(res: np.ndarray, rows: np.ndarray):
         float(np.max(mean - 3.0 * se))
 
 
-def _projection_report(name: str, rows, grid: Grid,
-                       band_c: float) -> ResidualReport:
-    """Per-step ``(k, raw, se, net)`` projection rows as a report; steps
-    below d1 are provisional and do not gate."""
+def _projection_report(name: str, rows, grid: Grid) -> ResidualReport:
+    """Per-step ``(k, raw, se, net)`` projection rows as a report. The
+    verdict reads ``projection_net``, the positive part of each step's
+    net statistic; the provisional steps below d1 are reported apart
+    (``projection_provisional``) and are in no other component."""
     ks, raws, ses, nets = np.asarray(rows).T
     prov = ks < grid.d1
-    gate = ~prov
-    band = np.full(nets[gate].shape, band_c * grid.delta)
-    return ResidualReport(name=name, tolerance=0.0, components=[
-        ResidualComponent("projection_net", ks[gate],
-                          np.maximum(nets[gate], 0.0), band=band),
-        ResidualComponent("projection_raw", ks[gate], raws[gate],
-                          gating=False),
-        ResidualComponent("projection_se", ks[gate], ses[gate], gating=False),
-        ResidualComponent("projection_provisional", ks[prov], raws[prov],
-                          gating=False),
+    past = ~prov
+    return ResidualReport(name=name, components=[
+        ResidualComponent("projection_net", ks[past],
+                          np.maximum(nets[past], 0.0)),
+        ResidualComponent("projection_raw", ks[past], raws[past]),
+        ResidualComponent("projection_se", ks[past], ses[past]),
+        ResidualComponent("projection_provisional", ks[prov], raws[prov]),
     ])
 
 
@@ -99,10 +97,10 @@ def fbsde_residual_test(ladder: RiccatiLadder, spec: GameSpec,
     Along simulated closed-loop paths, the residual
     ``p_{k-1} - A_k' p_k - delta*Q x_k`` must be orthogonal to every
     variable measurable one step back; it is projected on the constant
-    and the step-k window components. Pass band per sample:
-    ``FBSDE_BAND_C * delta + 3 * se``. Steps below d1 are reported
-    separately and do not gate. Both players' residuals are projected
-    together.
+    and the step-k window components. ``verify`` compares the worst net
+    statistic, ``|mean| - 3 se``, with ``FBSDE_BAND_C * delta``. Steps
+    below d1 are reported separately and enter no verdict. Both players'
+    residuals are projected together.
     """
     grid = ladder.grid
     cm = costate_matrices(ladder)
@@ -122,7 +120,7 @@ def fbsde_residual_test(ladder: RiccatiLadder, spec: GameSpec,
             rows.append((k, *_projection_stats(
                 res.reshape(-1, n_paths), win.reshape(-1, n_paths))))
         p_prev = p_k
-    return _projection_report("fbsde-martingale", rows, grid, FBSDE_BAND_C)
+    return _projection_report("fbsde-martingale", rows, grid)
 
 
 def _stationarity_row(ladder: RiccatiLadder, spec: GameSpec, cm: np.ndarray,
@@ -157,8 +155,7 @@ def stationarity_residual_test(ladder: RiccatiLadder, law: FeedbackLaw,
     rows = [_stationarity_row(ladder, spec, cm, step)
             for step in rollout(GainStepper(law, spec), spec.x0,
                                 draw_increments(ladder.grid, n_paths, seed))]
-    return _projection_report("stationarity-projection", rows, ladder.grid,
-                              STATIONARITY_BAND_C)
+    return _projection_report("stationarity-projection", rows, ladder.grid)
 
 
 DEFAULT_DEVIATIONS = (
@@ -241,8 +238,7 @@ def paired_law_checks(ladder: RiccatiLadder, law: FeedbackLaw,
 
     stepper = GainStepper(law, spec, _deviation_laws(law, DEVIATION_FAMILY))
     own = paired_costs(stepper, spec, n_paths, seed, observe)
-    return (_projection_report("stationarity-projection", rows, ladder.grid,
-                               STATIONARITY_BAND_C),
+    return (_projection_report("stationarity-projection", rows, ladder.grid),
             _verdicts(DEVIATION_FAMILY, *own))
 
 

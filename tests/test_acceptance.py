@@ -151,12 +151,14 @@ def test_criterion_04_fbsde_martingale_residual(golden_ladders):
         rep = vfy.fbsde_residual_test(ladder, spec, n_paths=PATHS,
                                       seed=SEED)
         raw = rep.component("projection_raw")
-        stats[m] = (rep, float(np.mean(raw.value)))
+        within = (rep.component("projection_net").max
+                  <= vfy.FBSDE_BAND_C * grid.delta)
+        stats[m] = (within, float(np.mean(raw.value)))
     elapsed = time.perf_counter() - start
-    rep0, raw0 = stats[0]
-    rep1, raw1 = stats[1]
+    within0, raw0 = stats[0]
+    within1, raw1 = stats[1]
     ratio = raw1 / raw0
-    in_band = rep0.passed and rep1.passed
+    in_band = within0 and within1
     ok = in_band and 0.4 <= ratio <= 0.8 and elapsed < 60.0
     _report(4, ok,
             f"net projections within {vfy.FBSDE_BAND_C}*delta + 3se at all "
@@ -206,12 +208,12 @@ def test_criterion_06_stationarity_projections(golden_ladders):
                                              n_paths=PATHS, seed=SEED)
     net = rep.component("projection_net").max
     net_mut = rep_mut.component("projection_net").max
-    ok = rep.passed and net_mut >= 5.0 * band
+    ok = net <= band and net_mut >= 5.0 * band
     _report(6, ok,
             f"equilibrium net projections {net:.2e} within band {band:.2e}; "
             f"10% gain mutation reaches {net_mut:.2e} "
             f"({net_mut / band:.1f}x band, needs >= 5x)")
-    assert rep.passed
+    assert net <= band
     assert net_mut >= 5.0 * band
 
 
@@ -224,14 +226,14 @@ def test_criterion_07_nash_deviation(golden_ladders):
                                        seed=SEED)
     elapsed = time.perf_counter() - start
     assert len(verdicts) == 10
-    all_pass = all(v.passed for v in verdicts)
+    all_pass = all(v.margin >= -3.0 * v.combined_se for v in verdicts)
     worst = min(v.margin + 3.0 * v.combined_se for v in verdicts)
     ok = all_pass and elapsed < 300.0
     _report(7, ok,
             f"10 unilateral deviations, {PATHS} common-noise paths: all "
             f"margins >= -3se (worst slack {worst:+.2e}); {elapsed:.1f}s")
     for v in verdicts:
-        assert v.passed, str(v)
+        assert v.margin >= -3.0 * v.combined_se, v
     assert elapsed < 300.0
 
 

@@ -262,9 +262,45 @@ class TestVerify:
         code = main(["verify", "--problem", str(path), "--paths", "200",
                      "--halvings", "1", "--out", str(out)])
         assert code == 3
-        (line,) = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
         assert line.startswith("verification: non-finite statistic in ")
+        assert captured.out == ""
         assert not (out / "verify_report.json").exists()
+
+    def test_out_of_memory_in_paired_pass_exit_1(self, wide_problem,
+                                                 tmp_path, capsys,
+                                                 monkeypatch):
+        # a --paths that numpy can index but memory cannot hold fails in
+        # the paired pass, after three checks have run: none of their
+        # lines may reach stdout
+        from delaygame import verify
+
+        def allocate(*args):
+            raise MemoryError("Unable to allocate 21.3 PiB for an array")
+
+        monkeypatch.setattr(verify, "paired_law_checks", allocate)
+        out = tmp_path / "v"
+        code = main(["verify", "--problem", str(wide_problem),
+                     "--delta", "0.05", "--paths", "200", "--halvings", "0",
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ("error: out of memory: Unable to allocate "
+                                "21.3 PiB for an array\n")
+        assert captured.out == ""
+        assert not (out / "verify_report.json").exists()
+
+    @staticmethod
+    def _assert_verdicts_compare(report):
+        """Every record's pass is the comparison of its own statistic and
+        bound: a deviation margin must not fall below its bound, every
+        other statistic must not exceed it."""
+        for r in report["tests"]:
+            if r["name"].startswith("nash_deviation_"):
+                assert r["pass"] == (r["statistic"] >= r["bound"]), r
+            else:
+                assert r["pass"] == (r["statistic"] <= r["bound"]), r
 
     def test_zero_cost_all_pass(self, zero_problem, tmp_path):
         out = tmp_path / "v"
@@ -285,6 +321,7 @@ class TestVerify:
         assert code == 0
         report = json.loads((out / "verify_report.json").read_text())
         assert report["passed"]
+        self._assert_verdicts_compare(report)
         names = {r["name"] for r in report["tests"]}
         assert "fbsde_martingale_projection" in names
         assert any(n.startswith("nash_deviation") for n in names)
@@ -396,6 +433,14 @@ class TestVerify:
                       "not evaluated (every residual <= 1e-10)" in line) \
             == trends
 
+    @pytest.mark.parametrize("series", [[1.0, np.nan], [1.0, 0.5, np.nan]])
+    def test_nan_residual_in_trend_is_not_hidden(self, series):
+        # a NaN anywhere in a halving series must reach the non-finite
+        # exit: neither the ratio nor the round-off test may drop it
+        from delaygame.cli import IDENTITY_TOL, _trend_ratio
+        assert not np.isfinite(_trend_ratio(series))
+        assert not np.max(series) <= IDENTITY_TOL
+
     def test_roundoff_trends_keep_mutation_failing(self, tmp_path):
         code, report = self._verify_drift_free(
             tmp_path, "--halvings", "1", "--debug-zero-layer", "50")
@@ -412,6 +457,7 @@ class TestVerify:
         assert code == 4
         report = json.loads((out / "verify_report.json").read_text())
         assert not report["passed"]
+        self._assert_verdicts_compare(report)
 
 
 class TestConvergence:
