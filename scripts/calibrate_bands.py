@@ -34,8 +34,10 @@ def main():
         grid = build_grid(spec, dt)
         ladder = solve_ladder(spec, grid)
         law = assemble_gains(extract_fields(ladder), spec)
-        fb = vfy.fbsde_residual_test(ladder, spec, 10_000, seed=2)
-        st = vfy.paired_law_checks(ladder, law, spec, 10_000, seed=2)[0]
+        fb = vfy.projection_net(
+            vfy.fbsde_residual_test(ladder, spec, 10_000, seed=2), grid)
+        st = vfy.projection_net(
+            vfy.paired_law_checks(ladder, law, spec, 10_000, seed=2)[0], grid)
         tl = simulate_path_ladder(ladder, spec.x0, seed=11, n_paths=64)
         tg = simulate_path_gains(law, spec, seed=11, n_paths=64)
         ti = simulate_path_gains(vfy.implied_law(ladder, spec), spec,
@@ -44,10 +46,8 @@ def main():
         implied = max(float(np.max(np.abs(getattr(tl, a) - getattr(ti, a))))
                       for a in ("x", "u1", "u2"))
         print(f"delta={grid.delta}:")
-        print(f"  backward-eq net/delta   "
-              f"{fb.component('projection_net').max / grid.delta:8.4f}")
-        print(f"  stationarity net/delta  "
-              f"{st.component('projection_net').max / grid.delta:8.4f}")
+        print(f"  backward-eq net/delta   {fb / grid.delta:8.4f}")
+        print(f"  stationarity net/delta  {st / grid.delta:8.4f}")
         print(f"  cross-rep gap/delta     {cross / grid.delta:8.4f}")
         print(f"  implied-law path gap    {implied:8.1e}")
         if cross_prev is not None:
@@ -58,18 +58,18 @@ def main():
     ladder = solve_ladder(spec, grid)
     law = assemble_gains(extract_fields(ladder), spec)
     mutated = perturb_control(law, 1, "gain_scale", 1.1)
-    st_mut = vfy.paired_law_checks(ladder, mutated, spec, 10_000, seed=2)[0]
+    st_mut = vfy.projection_net(
+        vfy.paired_law_checks(ladder, mutated, spec, 10_000, seed=2)[0], grid)
     band = vfy.STATIONARITY_BAND_C * grid.delta
-    print(f"10% gain mutation: stationarity net "
-          f"{st_mut.component('projection_net').max:.4f} "
-          f"= {st_mut.component('projection_net').max / band:.1f}x band")
+    print(f"10% gain mutation: stationarity net {st_mut:.4f} "
+          f"= {st_mut / band:.1f}x band")
     corrupted = solve_ladder(spec, grid)
     vfy.zero_layer(corrupted, grid.N // 2)
-    fb_mut = vfy.fbsde_residual_test(corrupted, spec, 10_000, seed=2)
+    fb_mut = vfy.projection_net(
+        vfy.fbsde_residual_test(corrupted, spec, 10_000, seed=2), grid)
     band = vfy.FBSDE_BAND_C * grid.delta
-    print(f"zeroed-layer mutation: backward-eq net "
-          f"{fb_mut.component('projection_net').max:.4f} "
-          f"= {fb_mut.component('projection_net').max / band:.0f}x band")
+    print(f"zeroed-layer mutation: backward-eq net {fb_mut:.4f} "
+          f"= {fb_mut / band:.0f}x band")
 
 
 if __name__ == "__main__":

@@ -14,22 +14,19 @@ from .discrete_engine import (RiccatiLadder, SweepCoefficients,
 from .continuous_limit import (RiccatiFields, continuous_residuals,
                                extract_fields, invertibility_rcond)
 from .gains import FeedbackLaw, assemble_gains, stationarity_identity_check
-from .reports import DeviationVerdict, ResidualComponent, ResidualReport
 from .simulator import (CostEstimate, Trajectory, estimate_costs,
                         path_costs, perturb_control, simulate_path_gains,
                         simulate_path_ladder)
 
 __all__ = [
-    "CostEstimate", "DelayGameError", "DeviationVerdict", "FeedbackLaw",
-    "GameSpec", "Grid", "IncommensurateDelays", "NonFiniteLayer",
-    "ResidualComponent", "ResidualReport", "RiccatiFields", "RiccatiLadder",
+    "CostEstimate", "DelayGameError", "FeedbackLaw", "GameSpec", "Grid",
+    "IncommensurateDelays", "NonFiniteLayer", "RiccatiFields", "RiccatiLadder",
     "SingularGain", "SingularGamma", "SingularWeight", "SweepCoefficients",
-    "Trajectory",
-    "ValidationReport", "assemble_blocks", "assemble_gains",
-    "backward_sweep", "build_grid", "continuous_residuals",
-    "estimate_costs", "expectation_of_product", "extract_fields",
-    "invertibility_rcond", "load_problem", "path_costs",
-    "perturb_control", "riccati_step", "save_problem",
-    "simulate_path_gains", "simulate_path_ladder", "solve_estimate_chain",
-    "solve_ladder", "stationarity_identity_check", "validate",
+    "Trajectory", "ValidationReport", "assemble_blocks", "assemble_gains",
+    "backward_sweep", "build_grid", "continuous_residuals", "estimate_costs",
+    "expectation_of_product", "extract_fields", "invertibility_rcond",
+    "load_problem", "path_costs", "perturb_control", "riccati_step",
+    "save_problem", "simulate_path_gains", "simulate_path_ladder",
+    "solve_estimate_chain", "solve_ladder", "stationarity_identity_check",
+    "validate",
 ]

@@ -273,20 +273,20 @@ def cmd_verify(args) -> int:
                       beyond_horizon(ladder.ccheck_lag)))
     add("lag_truncation", trunc, 0.0, trunc == 0.0)
 
-    ident = stationarity_identity_check(law, fields, spec).max
+    ident = float(np.max(stationarity_identity_check(law, fields, spec)))
     add("gain_stationarity_identity", ident, IDENTITY_TOL,
         ident <= IDENTITY_TOL)
 
     # an overflow on the paths shows as a non-finite statistic
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = vfy.fbsde_residual_test(ladder, spec, args.paths, args.seed)
-        net = rep.component("projection_net").max
+        rows = vfy.fbsde_residual_test(ladder, spec, args.paths, args.seed)
+        net = vfy.projection_net(rows, grid)
         bound = vfy.FBSDE_BAND_C * grid.delta
         add("fbsde_martingale_projection", net, bound, net <= bound)
 
-        rep, verdicts = vfy.paired_law_checks(ladder, law, spec, args.paths,
-                                              args.seed)
-        net = rep.component("projection_net").max
+        rows, verdicts = vfy.paired_law_checks(ladder, law, spec, args.paths,
+                                               args.seed)
+        net = vfy.projection_net(rows, grid)
         bound = vfy.STATIONARITY_BAND_C * grid.delta
         add("stationarity_projection", net, bound, net <= bound)
 
@@ -309,12 +309,11 @@ def cmd_verify(args) -> int:
         ladders.append(lad)
         cr = continuous_residuals(fields if lad is ladder
                                   else extract_fields(lad), coeffs)
-        ode_series.append(cr.component("riccati_ode").max)
-        semi_series.append(cr.component("semigroup_check").max)
+        ode_series.append(float(np.max(cr["riccati_ode"])))
+        semi_series.append(float(np.max(cr["semigroup_check"])))
     # only ladders with active level-coupling factors enter the z trend
     # (the lag gap, hence the factor count, changes with the step length)
-    zrep = vfy.z_factor_convergence(ladders)
-    zdist = [v for v in zrep.component("identity_distance").value if v > 0.0]
+    zdist = [v for v in vfy.z_factor_convergence(ladders) if v > 0.0]
     for name, series, bound, why in (
             ("riccati_ode_trend", ode_series, 0.95, "needs --halvings >= 1"),
             ("semigroup_trend", semi_series, 0.95, "needs --halvings >= 1"),
@@ -346,8 +345,8 @@ def cmd_convergence(args) -> int:
             f = extract_fields(lad)
             cr = continuous_residuals(f, coeffs)
             row = {"delta": g.delta,
-                   "riccati_ode": cr.component("riccati_ode").max,
-                   "semigroup": cr.component("semigroup_check").max,
+                   "riccati_ode": float(np.max(cr["riccati_ode"])),
+                   "semigroup": float(np.max(cr["semigroup_check"])),
                    "z_distance": vfy.z_factor_distances(lad)}
             if prev_fields is not None:
                 # compare state coefficients on the coarser sample set
@@ -360,8 +359,7 @@ def cmd_convergence(args) -> int:
             records.append(row)
             lines.append("  ".join(f"{k}={v:.5g}" for k, v in row.items()))
         if not any(np.any(m) for m in (spec.Abar, spec.B1bar, spec.B2bar)):
-            rep = vfy.no_delay_oracle(spec, deltas)
-            for dt, gapv in zip(deltas, rep.component("gain_gap").value):
+            for dt, gapv in zip(deltas, vfy.no_delay_oracle(spec, deltas)):
                 lines.append(
                     f"no-delay gain gap at delta={dt:.5g}: {gapv:.5g}")
                 records.append({"delta": dt,

@@ -20,7 +20,6 @@ except AttributeError:  # numpy < 2
 
 from .discrete_engine import RiccatiLadder, SweepCoefficients, _rcond
 from .model import Grid
-from .reports import ResidualComponent, ResidualReport
 
 
 @dataclass
@@ -111,7 +110,7 @@ def invertibility_rcond(fields: RiccatiFields, coeffs: SweepCoefficients):
 
 
 def continuous_residuals(fields: RiccatiFields,
-                         coeffs: SweepCoefficients) -> ResidualReport:
+                         coeffs: SweepCoefficients) -> dict[str, np.ndarray]:
     """Residuals of the limiting equation system on the extracted fields.
 
     Components: the backward ODE of the state coefficient (first-order
@@ -119,9 +118,10 @@ def continuous_residuals(fields: RiccatiFields,
     transport equation on its coupled and free branches, and the
     semigroup identity of the second kernel (matrix exponential by
     scaling and squaring). The terminal sample is excluded from the
-    boundary checks: the kernels jump to zero at the horizon. Every
-    component is the worst over both players. ``verify`` reads only the
-    step-halving trends of the ODE and semigroup components.
+    boundary checks: the kernels jump to zero at the horizon. Returns
+    each component's residuals by name, every one the worst over both
+    players. ``verify`` reads only the step-halving trends of the ODE and
+    semigroup components.
     """
     grid = fields.grid
     d1, d2 = grid.d1, grid.d2
@@ -129,8 +129,7 @@ def continuous_residuals(fields: RiccatiFields,
     delta = grid.delta
     A, Abar = coeffs.A, coeffs.Abar
     eye = np.eye(fields.n)
-    t = fields.t
-    n_t = len(t)
+    n_t = grid.N + 2
     P, phat, shat = fields.P, fields.phat, fields.shat
 
     # backward ODE of the state coefficient
@@ -179,22 +178,16 @@ def continuous_residuals(fields: RiccatiFields,
         rhs[:, :, c] + (shat[:, nxt] @ ker_drift)[:, :, None] @ ker
         + (Abar.T @ P[:, nxt] @ ker_diff)[:, :, None] @ ker
         + prev[:, :, c] @ h_drift[:, None]))
-    tc_t, tc_v = ((t[:-1], coupled.max(axis=(0, 2))) if gap > 1
-                  else (np.zeros(0), np.zeros(0)))
+    tc_v = coupled.max(axis=(0, 2)) if gap > 1 else np.zeros(0)
 
     # semigroup identity of the second kernel
-    sg_t, sg_v = [], []
+    sg_v = []
     for j in range(1, d2 + 1):
         exp_a = _expm(A * (j * delta))
         ref = exp_a.T @ fields.ccheck[:, j:, 0] @ exp_a
-        sg_t.append(t[:n_t - j])
         sg_v.append(_absmax(fields.ccheck[:, :n_t - j, j] - ref).max(axis=0))
 
-    return ResidualReport(name="continuous-system", components=[
-        ResidualComponent(name, ts, vs) for name, ts, vs in (
-            ("riccati_ode", t[1:], ode_v),
-            ("boundary_hat", t[sl], bh_v),
-            ("boundary_check", t[sl], bc_v),
-            ("transport_hat_coupled", tc_t, tc_v),
-            ("transport_hat_free", t[:-1], tf_v),
-            ("semigroup_check", np.concatenate(sg_t), np.concatenate(sg_v)))])
+    return {"riccati_ode": ode_v, "boundary_hat": bh_v,
+            "boundary_check": bc_v, "transport_hat_coupled": tc_v,
+            "transport_hat_free": tf_v,
+            "semigroup_check": np.concatenate(sg_v)}

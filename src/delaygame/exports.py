@@ -92,8 +92,10 @@ def export_ladder_csv(ladder: RiccatiLadder, path) -> None:
                               step_parts))
 
 
-def export_ladder_metadata(ladder: RiccatiLadder, path, problem_path=None,
-                           extra=None) -> None:
+def export_ladder_metadata(ladder: RiccatiLadder, path, problem_path,
+                           extra: dict) -> None:
+    """The grid, where solvability is weakest, the problem file's path and
+    hash, then the entries of ``extra``."""
     grid = ladder.grid
     # where along the grid solvability is weakest: each step's worst block
     levels, names = zip(*block_order(ladder.gap))
@@ -106,12 +108,10 @@ def export_ladder_metadata(ladder: RiccatiLadder, path, problem_path=None,
         "rcond_min": ladder.rcond_min,
         "rcond_profile": profile,
         "provisional_below": grid.d1,
+        "problem": {"path": str(problem_path),
+                    "hash": problem_hash(problem_path)},
+        **extra,
     }
-    if problem_path is not None:
-        meta["problem"] = {"path": str(problem_path),
-                           "hash": problem_hash(problem_path)}
-    if extra:
-        meta.update(extra)
     write_json(path, meta)
 
 

@@ -17,7 +17,6 @@ from .continuous_limit import RiccatiFields, _absmax, _trapz
 from .discrete_engine import RCOND_MIN, _rcond
 from .errors import SingularGain
 from .model import GameSpec, Grid
-from .reports import ResidualComponent, ResidualReport
 
 # The stationarity identity holds to round-off on every grid, so its
 # residual is compared with this; trend checks whose residuals all sit at
@@ -151,14 +150,15 @@ def assemble_gains(fields: RiccatiFields, spec: GameSpec) -> FeedbackLaw:
 
 
 def stationarity_identity_check(law: FeedbackLaw, fields: RiccatiFields,
-                                spec: GameSpec) -> ResidualReport:
+                                spec: GameSpec) -> np.ndarray:
     """Coefficient-matching residuals of the two stationarity displays.
 
     Substitutes the assembled gains back into both players' first-order
     conditions, treating each estimate symbol (coarse lag, kernel lattice
     points, fine lag) as free, and matches coefficient matrices. Residuals
-    are relative to the control-weight scale; ``verify`` compares the
-    report's max with ``IDENTITY_TOL``.
+    are relative to the control-weight scale. Returns each player's
+    residual per sample, (2, N+2); ``verify`` compares their max with
+    ``IDENTITY_TOL``.
     """
     B1, B1b = spec.B1, spec.B1bar
     B2, B2b = spec.B2, spec.B2bar
@@ -176,12 +176,5 @@ def stationarity_identity_check(law: FeedbackLaw, fields: RiccatiFields,
          + B2b.T @ P2 @ spec.Abar)[:, None]], axis=1)
     scale1 = max(float(np.max(np.abs(spec.R1))), 1.0)
     scale2 = max(float(np.max(np.abs(spec.R2))), 1.0)
-    return ResidualReport(
-        name="gain-stationarity",
-        components=[
-            ResidualComponent("player1", law.t_samples,
-                              _absmax(res1) / scale1),
-            ResidualComponent("player2", law.t_samples,
-                              _absmax(res2).max(axis=1) / scale2),
-        ],
-    )
+    return np.stack([_absmax(res1) / scale1,
+                     _absmax(res2).max(axis=1) / scale2])

@@ -12,7 +12,7 @@ independent of the production sweep.
 
 from __future__ import annotations
 
-from dataclasses import replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .discrete_engine import LAYER_FIELDS, RiccatiLadder, solve_ladder
 from .gains import FeedbackLaw, assemble_gains, effective_gains
 from .continuous_limit import extract_fields
 from .model import GameSpec, Grid, build_grid
-from .reports import DeviationVerdict, ResidualComponent, ResidualReport
 from . import simulator
 from .simulator import (GainStepper, LadderStepper, draw_increments,
                         mean_se, paired_costs, paired_deviation_costs,
@@ -38,6 +37,22 @@ STATIONARITY_BAND_C = 3.0
 # Path-wise gap between the two closed-loop representations, per unit step
 # (measured ~2.0 per unit step on the golden instance).
 CROSS_REP_C = 4.0
+
+
+@dataclass
+class DeviationVerdict:
+    """Cost estimates of one unilateral control deviation under common
+    noise: ``margin`` is the deviating player's cost increase and
+    ``combined_se`` its paired standard error."""
+
+    player: int
+    description: str
+    j_base: float
+    se_base: float
+    j_dev: float
+    se_dev: float
+    margin: float
+    combined_se: float
 
 
 def costate_matrices(ladder: RiccatiLadder) -> np.ndarray:
@@ -73,34 +88,26 @@ def _projection_stats(res: np.ndarray, rows: np.ndarray):
         float(np.max(mean - 3.0 * se))
 
 
-def _projection_report(name: str, rows, grid: Grid) -> ResidualReport:
-    """Per-step ``(k, raw, se, net)`` projection rows as a report. The
-    verdict reads ``projection_net``, the positive part of each step's
-    net statistic; the provisional steps below d1 are reported apart
-    (``projection_provisional``) and are in no other component."""
-    ks, raws, ses, nets = np.asarray(rows).T
-    prov = ks < grid.d1
-    past = ~prov
-    return ResidualReport(name=name, components=[
-        ResidualComponent("projection_net", ks[past],
-                          np.maximum(nets[past], 0.0)),
-        ResidualComponent("projection_raw", ks[past], raws[past]),
-        ResidualComponent("projection_se", ks[past], ses[past]),
-        ResidualComponent("projection_provisional", ks[prov], raws[prov]),
-    ])
+def projection_net(rows: np.ndarray, grid: Grid) -> float:
+    """The verdict statistic of per-step ``(k, raw, se, net)`` projection
+    rows: the worst positive part of the net statistic over the steps at
+    or past d1 (0.0 when there are none); a NaN there propagates."""
+    ks, nets = rows[:, 0], rows[:, 3]
+    return float(np.max(np.maximum(nets[ks >= grid.d1], 0.0), initial=0.0))
 
 
 def fbsde_residual_test(ladder: RiccatiLadder, spec: GameSpec,
-                        n_paths: int, seed: int) -> ResidualReport:
+                        n_paths: int, seed: int) -> np.ndarray:
     """Martingale projections of the backward-equation residual.
 
     Along simulated closed-loop paths, the residual
     ``p_{k-1} - A_k' p_k - delta*Q x_k`` must be orthogonal to every
     variable measurable one step back; it is projected on the constant
-    and the step-k window components. ``verify`` compares the worst net
-    statistic, ``|mean| - 3 se``, with ``FBSDE_BAND_C * delta``. Steps
-    below d1 are reported separately and enter no verdict. Both players'
-    residuals are projected together.
+    and the step-k window components. Returns one row ``(k, raw, se,
+    net)`` per step k >= 1, with net = ``|mean| - 3 se``; ``verify``
+    compares ``projection_net`` of the rows, which reads no step below
+    d1, with ``FBSDE_BAND_C * delta``. Both players' residuals are
+    projected together.
     """
     grid = ladder.grid
     cm = costate_matrices(ladder)
@@ -120,7 +127,7 @@ def fbsde_residual_test(ladder: RiccatiLadder, spec: GameSpec,
             rows.append((k, *_projection_stats(
                 res.reshape(-1, n_paths), win.reshape(-1, n_paths))))
         p_prev = p_k
-    return _projection_report("fbsde-martingale", rows, grid)
+    return np.array(rows)
 
 
 def _stationarity_row(ladder: RiccatiLadder, spec: GameSpec, cm: np.ndarray,
@@ -143,19 +150,19 @@ def _stationarity_row(ladder: RiccatiLadder, spec: GameSpec, cm: np.ndarray,
 
 def stationarity_residual_test(ladder: RiccatiLadder, law: FeedbackLaw,
                                spec: GameSpec, n_paths: int,
-                               seed: int) -> ResidualReport:
+                               seed: int) -> np.ndarray:
     """Projections of each player's first-order-condition residual.
 
     ``R_i u_i + B_i' p_i + B_ibar' q_i`` is projected on the player's own
     admissible test variables (constant plus window entries at or coarser
     than that player's information lag), along paths and controls that
-    follow the feedback law.
+    follow the feedback law; one row ``(k, raw, se, net)`` per step.
     """
     cm = costate_matrices(ladder)
-    rows = [_stationarity_row(ladder, spec, cm, step)
-            for step in rollout(GainStepper(law, spec), spec.x0,
-                                draw_increments(ladder.grid, n_paths, seed))]
-    return _projection_report("stationarity-projection", rows, ladder.grid)
+    return np.array([_stationarity_row(ladder, spec, cm, step)
+                     for step in rollout(GainStepper(law, spec), spec.x0,
+                                         draw_increments(ladder.grid, n_paths,
+                                                         seed))])
 
 
 DEFAULT_DEVIATIONS = (
@@ -238,8 +245,7 @@ def paired_law_checks(ladder: RiccatiLadder, law: FeedbackLaw,
 
     stepper = GainStepper(law, spec, _deviation_laws(law, DEVIATION_FAMILY))
     own = paired_costs(stepper, spec, n_paths, seed, observe)
-    return (_projection_report("stationarity-projection", rows, ladder.grid),
-            _verdicts(DEVIATION_FAMILY, *own))
+    return np.array(rows), _verdicts(DEVIATION_FAMILY, *own)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +290,7 @@ def classical_game_gains(spec: GameSpec, n_steps: int):
     return t, K1, K2
 
 
-def no_delay_oracle(spec: GameSpec, deltas) -> ResidualReport:
+def no_delay_oracle(spec: GameSpec, deltas) -> np.ndarray:
     """Gap between tiny-delay equilibrium gains and the classical no-delay
     coupled-game gains, per resolution (delays shrink with the step:
     h1 = 2*delta, h2 = delta)."""
@@ -298,11 +304,7 @@ def no_delay_oracle(spec: GameSpec, deltas) -> ResidualReport:
         t, K1c, K2c = classical_game_gains(spec, grid.N + 1)
         gaps.append(max(float(np.max(np.abs(k1_eff - K1c))),
                         float(np.max(np.abs(k2_eff - K2c)))))
-    return ResidualReport(
-        name="no-delay-reduction",
-        components=[ResidualComponent("gain_gap", np.asarray(deltas, dtype=float),
-                                      np.asarray(gaps))],
-    )
+    return np.array(gaps)
 
 
 def z_factor_distances(ladder: RiccatiLadder) -> float:
@@ -312,15 +314,9 @@ def z_factor_distances(ladder: RiccatiLadder) -> float:
     return float(np.max(np.abs(z - np.eye(z.shape[-1])), initial=0.0))
 
 
-def z_factor_convergence(ladders) -> ResidualReport:
+def z_factor_convergence(ladders) -> np.ndarray:
     """Identity distances of the level-coupling factors per resolution."""
-    deltas = [lad.grid.delta for lad in ladders]
-    dists = [z_factor_distances(lad) for lad in ladders]
-    return ResidualReport(
-        name="z-factor-convergence",
-        components=[ResidualComponent("identity_distance",
-                                      np.asarray(deltas), np.asarray(dists))],
-    )
+    return np.array([z_factor_distances(lad) for lad in ladders])
 
 
 def zero_layer(ladder: RiccatiLadder, k: int) -> None:

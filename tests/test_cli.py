@@ -539,6 +539,17 @@ def test_benchmark_hooks_resolve():
     assert not missing
 
 
+def test_readme_library_sketch_runs(monkeypatch):
+    # the fenced block under "## Library sketch" runs as written, from the
+    # repository root (it reads the golden problem by relative path)
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library sketch\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    monkeypatch.chdir(root)
+    exec(compile(code, "README.md (Library sketch)", "exec"), {})
+
+
 def test_commands_run_without_scipy(tmp_path):
     # numpy is the only runtime dependency: every command runs with any
     # import of scipy failing

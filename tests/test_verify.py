@@ -81,36 +81,60 @@ class TestCostateReconstruct:
 class TestFbsdeResidual:
     def test_zero_cost_exact(self, zero_cost):
         spec, grid, ladder = zero_cost
-        rep = vfy.fbsde_residual_test(ladder, spec, n_paths=200, seed=1)
-        assert rep.component("projection_raw").max <= 1e-14
-        assert rep.component("projection_net").max <= \
+        rows = vfy.fbsde_residual_test(ladder, spec, n_paths=200, seed=1)
+        assert np.max(rows[rows[:, 0] >= grid.d1, 1], initial=0.0) <= 1e-14
+        assert vfy.projection_net(rows, grid) <= \
             vfy.FBSDE_BAND_C * grid.delta
 
     def test_golden_within_band(self, golden):
         spec, grid, ladder = golden
-        rep = vfy.fbsde_residual_test(ladder, spec, n_paths=4000,
-                                      seed=2)
-        assert rep.component("projection_net").max <= \
+        rows = vfy.fbsde_residual_test(ladder, spec, n_paths=4000,
+                                       seed=2)
+        assert vfy.projection_net(rows, grid) <= \
             vfy.FBSDE_BAND_C * grid.delta
 
     def test_mutated_ladder_detected(self, golden):
         spec, grid, _ = golden
         ladder = solve_ladder(spec, grid)
         vfy.zero_layer(ladder, grid.N // 2)
-        rep = vfy.fbsde_residual_test(ladder, spec, n_paths=4000,
-                                      seed=2)
-        assert not rep.component("projection_net").max <= \
-            vfy.FBSDE_BAND_C * grid.delta
-        assert rep.component("projection_net").max >= \
-            10.0 * vfy.FBSDE_BAND_C * grid.delta
+        net = vfy.projection_net(
+            vfy.fbsde_residual_test(ladder, spec, n_paths=4000, seed=2), grid)
+        assert not net <= vfy.FBSDE_BAND_C * grid.delta
+        assert net >= 10.0 * vfy.FBSDE_BAND_C * grid.delta
 
     def test_provisional_reported_separately(self, golden):
         spec, grid, ladder = golden
-        rep = vfy.fbsde_residual_test(ladder, spec, n_paths=500, seed=3)
-        prov = rep.component("projection_provisional")
-        # only projection_net enters the verdict, and it has no such step
-        assert np.all(rep.component("projection_net").coord >= grid.d1)
-        assert np.all(prov.coord < grid.d1)
+        rows = vfy.fbsde_residual_test(ladder, spec, n_paths=500, seed=3)
+        # one row per step k = 1..N; only projection_net enters the
+        # verdict, and it reads no step below d1
+        np.testing.assert_array_equal(rows[:, 0], np.arange(1, grid.N + 1))
+        prov = rows[:, 0] < grid.d1
+        assert np.any(prov)
+        rows[prov, 3] = np.inf
+        assert vfy.projection_net(rows, grid) == \
+            vfy.projection_net(rows[~prov], grid)
+
+
+class TestProjectionNet:
+    GRID = Grid(N=9, delta=0.1, d1=4, d2=2)
+
+    def test_projection_net_keeps_a_later_nan(self):
+        # the projection verdicts compare this statistic: a NaN in any
+        # step the verdict reads, not only the first, must reach it
+        rows = np.array([(k, 0.1, 0.01, 0.05 * k) for k in range(1, 10)])
+        assert vfy.projection_net(rows, self.GRID) == 0.05 * 9
+        nan_past_d1 = rows.copy()
+        nan_past_d1[7, 3] = np.nan                       # k = 8
+        assert np.isnan(vfy.projection_net(nan_past_d1, self.GRID))
+        assert not (vfy.projection_net(nan_past_d1, self.GRID) <= 1.0)
+        # a NaN only in a provisional step does not
+        nan_provisional = rows.copy()
+        nan_provisional[1, 3] = np.nan                   # k = 2
+        assert vfy.projection_net(nan_provisional, self.GRID) == 0.05 * 9
+        # rows that are all provisional give 0.0, as does a negative net
+        assert vfy.projection_net(nan_provisional[:3], self.GRID) == 0.0
+        rows[:, 3] = -1.0
+        assert vfy.projection_net(rows, self.GRID) == 0.0
 
 
 class TestStationarityResidual:
@@ -118,33 +142,33 @@ class TestStationarityResidual:
     # the ladder stepper's paths
     def test_zero_cost_exact(self, zero_cost):
         spec, grid, ladder = zero_cost
-        rep = vfy.stationarity_residual_test(
+        rows = vfy.stationarity_residual_test(
             ladder, vfy.implied_law(ladder, spec), spec, n_paths=200, seed=1)
-        assert rep.component("projection_raw").max <= 1e-14
+        assert np.max(rows[rows[:, 0] >= grid.d1, 1], initial=0.0) <= 1e-14
 
     def test_ladder_mode_within_band(self, golden):
         spec, grid, ladder = golden
-        rep = vfy.stationarity_residual_test(
+        rows = vfy.stationarity_residual_test(
             ladder, vfy.implied_law(ladder, spec), spec, n_paths=4000, seed=2)
-        assert rep.component("projection_net").max <= \
+        assert vfy.projection_net(rows, grid) <= \
             vfy.STATIONARITY_BAND_C * grid.delta
 
     def test_law_mode_within_band(self, golden):
         spec, grid, ladder = golden
         law = assemble_gains(extract_fields(ladder), spec)
-        rep = vfy.stationarity_residual_test(ladder, law, spec, n_paths=4000,
-                                             seed=2)
-        assert rep.component("projection_net").max <= \
+        rows = vfy.stationarity_residual_test(ladder, law, spec,
+                                              n_paths=4000, seed=2)
+        assert vfy.projection_net(rows, grid) <= \
             vfy.STATIONARITY_BAND_C * grid.delta
 
     def test_gain_mutation_detected(self, golden):
         spec, grid, ladder = golden
         law = assemble_gains(extract_fields(ladder), spec)
         mutated = perturb_control(law, 1, "gain_scale", 1.1)
-        rep = vfy.stationarity_residual_test(ladder, mutated, spec,
-                                             n_paths=4000, seed=2)
+        rows = vfy.stationarity_residual_test(ladder, mutated, spec,
+                                              n_paths=4000, seed=2)
         band = vfy.STATIONARITY_BAND_C * grid.delta
-        assert rep.component("projection_net").max >= 5.0 * band
+        assert vfy.projection_net(rows, grid) >= 5.0 * band
 
 
 def _case(name, request):
@@ -196,18 +220,19 @@ class TestPathsLastProjections:
                                     ["golden", "wide_case", "matrix_case"])
 
     @staticmethod
-    def _assert_rows(rep, rows, grid):
-        ks, raws, ses, nets = rows
+    def _assert_rows(rows, ref, grid):
+        # the raw statistic on every step; the standard error and the
+        # net statistic's positive part on the steps the verdict reads
+        ks, raws, ses, nets = ref
+        np.testing.assert_array_equal(rows[:, 0], ks)
         gate = ks >= grid.d1
         scale = max(np.max(raws), np.max(ses))
-        for name, mask, ref in (
-                ("projection_raw", gate, raws[gate]),
-                ("projection_se", gate, ses[gate]),
-                ("projection_net", gate, np.maximum(nets[gate], 0.0)),
-                ("projection_provisional", ~gate, raws[~gate])):
-            comp = rep.component(name)
-            np.testing.assert_array_equal(comp.coord, ks[mask])
-            assert np.all(np.abs(comp.value - ref) <= 1e-12 * scale), name
+        for name, got, want in (
+                ("raw", rows[:, 1], raws),
+                ("se", rows[gate, 2], ses[gate]),
+                ("net", np.maximum(rows[gate, 3], 0.0),
+                 np.maximum(nets[gate], 0.0))):
+            assert np.all(np.abs(got - want) <= 1e-12 * scale), name
 
     @CASES
     def test_costate_matches_reference(self, case, request):
@@ -222,8 +247,8 @@ class TestPathsLastProjections:
     def test_fbsde_rows_match_reference(self, case, request):
         spec, grid, ladder = _case(case, request)
         traj = simulate_path_ladder(ladder, spec.x0, seed=2, n_paths=1000)
-        rep = vfy.fbsde_residual_test(ladder, spec, 1000, 2)
-        self._assert_rows(rep, _reference_rows(
+        rows = vfy.fbsde_residual_test(ladder, spec, 1000, 2)
+        self._assert_rows(rows, _reference_rows(
             ladder, spec, grid, traj, LadderStepper(ladder), "fbsde"), grid)
 
     @CASES
@@ -234,8 +259,8 @@ class TestPathsLastProjections:
         law = (assemble_gains(extract_fields(ladder), spec) if mode == "law"
                else vfy.implied_law(ladder, spec))
         traj = simulate_path_gains(law, spec, seed=2, n_paths=1000)
-        rep = vfy.stationarity_residual_test(ladder, law, spec, 1000, 2)
-        self._assert_rows(rep, _reference_rows(
+        rows = vfy.stationarity_residual_test(ladder, law, spec, 1000, 2)
+        self._assert_rows(rows, _reference_rows(
             ladder, spec, grid, traj, GainStepper(law, spec),
             "stationarity"), grid)
 
@@ -321,12 +346,9 @@ class TestPairedLawChecks:
         # the one paired pass gives the stand-alone stationarity projection
         # and deviation verdicts exactly
         spec, grid, ladder, law = wide_case
-        rep, verdicts = vfy.paired_law_checks(ladder, law, spec, 400, 8)
+        rows, verdicts = vfy.paired_law_checks(ladder, law, spec, 400, 8)
         alone = vfy.stationarity_residual_test(ladder, law, spec, 400, 8)
-        for a, b in zip(rep.components, alone.components):
-            assert a.name == b.name
-            np.testing.assert_array_equal(a.coord, b.coord)
-            np.testing.assert_array_equal(a.value, b.value)
+        np.testing.assert_array_equal(rows, alone)
         assert verdicts == vfy.nash_deviation_test(law, spec, 400, seed=8)
 
 
@@ -442,16 +464,15 @@ class TestReductionOracles:
         spec = GameSpec(A=0.2, Abar=0.0, B1=1.0, B1bar=0.0, B2=0.8,
                         B2bar=0.0, Q1=1.0, Q2=0.8, R1=1.0, R2=1.2,
                         H1=0.5, H2=0.7, h1=0.2, h2=0.1, T=1.0, x0=[1.0])
-        rep = vfy.no_delay_oracle(spec, deltas=(0.05, 0.025, 0.0125))
-        gaps = rep.component("gain_gap").value
+        gaps = vfy.no_delay_oracle(spec, deltas=(0.05, 0.025, 0.0125))
         assert gaps[1] < gaps[0]
         assert gaps[2] < gaps[1]
 
     def test_no_delay_gap_zero_cost(self):
         spec = replace(zero_cost_spec(), Abar=np.zeros((1, 1)),
                        B1bar=np.zeros((1, 1)), B2bar=np.zeros((1, 1)))
-        rep = vfy.no_delay_oracle(spec, deltas=(0.05, 0.025))
-        assert np.all(rep.component("gain_gap").value <= 1e-12)
+        gaps = vfy.no_delay_oracle(spec, deltas=(0.05, 0.025))
+        assert np.all(gaps <= 1e-12)
 
 
 class TestZFactors:
@@ -476,7 +497,6 @@ class TestZFactors:
             grid = build_grid(tiny, delta)
             assert grid.d1 - grid.d2 == 3
             ladders.append(solve_ladder(tiny, grid))
-        rep = vfy.z_factor_convergence(ladders)
-        d0, d1_ = rep.component("identity_distance").value
+        d0, d1_ = vfy.z_factor_convergence(ladders)
         assert d0 > 0.0
         assert d1_ <= 0.7 * d0
