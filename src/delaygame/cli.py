@@ -214,15 +214,21 @@ def _trend_ratio(values) -> float:
 
 
 def _halvings(spec, coeffs, ladder, halvings: int, zero_at=None):
-    """The solved ladder, then a re-solve at each halved step; with
-    ``zero_at`` each re-solve is corrupted like the first ladder."""
-    yield ladder
-    for j in range(1, halvings + 1):
-        g = build_grid(spec, ladder.grid.delta / 2 ** j)
-        lad = backward_sweep(coeffs, g)
-        if zero_at is not None:
-            vfy.zero_layer(lad, min(zero_at, g.N + 1))
-        yield lad
+    """The step-halving study: the solved ladder, then a re-solve at each
+    halved step, each as (ladder, fields, largest backward-ODE residual,
+    largest semigroup residual); with ``zero_at`` each re-solve is
+    corrupted like the first ladder."""
+    base_delta = ladder.grid.delta
+    for j in range(halvings + 1):
+        if j:
+            ladder = backward_sweep(coeffs,
+                                    build_grid(spec, base_delta / 2 ** j))
+            if zero_at is not None:
+                vfy.zero_layer(ladder, min(zero_at, ladder.grid.N + 1))
+        fields = extract_fields(ladder)
+        cr = continuous_residuals(fields, coeffs)
+        yield (ladder, fields, float(np.max(cr["riccati_ode"])),
+               float(np.max(cr["semigroup_check"])))
 
 
 def cmd_verify(args) -> int:
@@ -233,7 +239,10 @@ def cmd_verify(args) -> int:
             print("--debug-zero-layer out of range", file=sys.stderr)
             return EXIT_USAGE
         vfy.zero_layer(ladder, args.debug_zero_layer)
-    fields = extract_fields(ladder)
+    # the step-halving study opens on the base grid, whose fields give the law
+    study = _halvings(spec, coeffs, ladder, args.halvings,
+                      args.debug_zero_layer)
+    _, fields, ode, semi = next(study)
     law = assemble_gains(fields, spec)
     records, lines = [], []
 
@@ -303,14 +312,11 @@ def cmd_verify(args) -> int:
         add("cross_representation", cross, bound, cross <= bound)
 
     # step-halving trends for the deterministic residuals
-    ode_series, semi_series, ladders = [], [], []
-    for lad in _halvings(spec, coeffs, ladder, args.halvings,
-                         args.debug_zero_layer):
+    ladders, ode_series, semi_series = [ladder], [ode], [semi]
+    for lad, _, ode, semi in study:
         ladders.append(lad)
-        cr = continuous_residuals(fields if lad is ladder
-                                  else extract_fields(lad), coeffs)
-        ode_series.append(float(np.max(cr["riccati_ode"])))
-        semi_series.append(float(np.max(cr["semigroup_check"])))
+        ode_series.append(ode)
+        semi_series.append(semi)
     # only ladders with active level-coupling factors enter the z trend
     # (the lag gap, hence the factor count, changes with the step length)
     zdist = [v for v in vfy.z_factor_convergence(ladders) if v > 0.0]
@@ -340,13 +346,10 @@ def cmd_convergence(args) -> int:
     lines, records, prev_fields = [], [], None
     # an overflow shows as a non-finite value, checked before any export
     with np.errstate(over="ignore", invalid="ignore"):
-        for lad in _halvings(spec, coeffs, ladder, args.halvings):
+        for lad, f, ode, semi in _halvings(spec, coeffs, ladder,
+                                           args.halvings):
             g = lad.grid
-            f = extract_fields(lad)
-            cr = continuous_residuals(f, coeffs)
-            row = {"delta": g.delta,
-                   "riccati_ode": float(np.max(cr["riccati_ode"])),
-                   "semigroup": float(np.max(cr["semigroup_check"])),
+            row = {"delta": g.delta, "riccati_ode": ode, "semigroup": semi,
                    "z_distance": vfy.z_factor_distances(lad)}
             if prev_fields is not None:
                 # compare state coefficients on the coarser sample set

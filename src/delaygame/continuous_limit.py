@@ -1,10 +1,10 @@
 """Continuous-time coefficient fields extracted from discrete ladders.
 
 The lag-family entries rescale by 1/delta into kernel samples on the
-lag-offset lattice; the state coefficients carry over directly. Residual
-checks compare the extracted fields against the limiting equation system:
-the backward matrix ODE, the two boundary identities, the two-branch
-transport equation, and the semigroup form of the second kernel.
+lag-offset lattice; the state coefficients carry over directly. The
+residual checks compare the extracted fields against two equations of the
+limiting system: the backward matrix ODE and the semigroup form of the
+second kernel.
 """
 
 from __future__ import annotations
@@ -111,74 +111,25 @@ def invertibility_rcond(fields: RiccatiFields, coeffs: SweepCoefficients):
 
 def continuous_residuals(fields: RiccatiFields,
                          coeffs: SweepCoefficients) -> dict[str, np.ndarray]:
-    """Residuals of the limiting equation system on the extracted fields.
-
-    Components: the backward ODE of the state coefficient (first-order
-    backward difference in time), both theta = 0 boundary identities, the
-    transport equation on its coupled and free branches, and the
-    semigroup identity of the second kernel (matrix exponential by
-    scaling and squaring). The terminal sample is excluded from the
-    boundary checks: the kernels jump to zero at the horizon. Returns
-    each component's residuals by name, every one the worst over both
-    players. ``verify`` reads only the step-halving trends of the ODE and
-    semigroup components.
+    """The two residuals of the limiting equation system that the commands
+    report, on the extracted fields: the backward ODE of the state
+    coefficient (first-order backward difference in time) and the
+    semigroup identity of the second kernel (matrix exponential by scaling
+    and squaring). Returns each by name, every sample the worst over both
+    players; ``verify`` and ``convergence`` read their step-halving trends.
     """
     grid = fields.grid
     d1, d2 = grid.d1, grid.d2
-    gap = d1 - d2
     delta = grid.delta
     A, Abar = coeffs.A, coeffs.Abar
-    eye = np.eye(fields.n)
     n_t = grid.N + 2
-    P, phat, shat = fields.P, fields.phat, fields.shat
+    P, phat = fields.P, fields.phat
 
     # backward ODE of the state coefficient
     Pk = P[:, 1:]
     rhs = (A.T @ Pk + Pk @ A + Abar.T @ Pk @ Abar + coeffs.Q[:, None]
            + phat[:, 1:, d1] + fields.ccheck[:, 1:, d2])
     ode_v = _absmax((P[:, :-1] - Pk) / delta - rhs).max(axis=0)
-
-    inv2_all = np.linalg.inv(eye - coeffs.Bbar22 @ P[1])
-
-    # theta = 0 boundary identities (terminal sample excluded)
-    sl = slice(0, n_t - 1)
-    P1, P2 = P[0, sl], P[1, sl]
-    inv2 = inv2_all[sl]
-    S1, S2c = shat[0, sl], fields.scheck[1, sl]
-    mix = (np.linalg.inv(eye - coeffs.Bbar21 @ P1 - coeffs.Bbar22 @ P2)
-           @ (coeffs.Bbar11 @ S1 + coeffs.Bbar12 @ shat[1, sl] + Abar))
-    Si, Sic, Pi = shat[:, sl], fields.scheck[:, sl], P[:, sl]
-    rhs_h = ((Si @ coeffs.B11 + Abar.T @ Pi @ coeffs.Bbar11) @ S1
-             + (Si @ coeffs.B21 + Abar.T @ Pi @ coeffs.Bbar21) @ P1 @ mix
-             + (Si @ coeffs.B22 + Abar.T @ Pi @ coeffs.Bbar22) @ P2 @ inv2
-             @ (coeffs.Bbar11 @ S1 + coeffs.Bbar21 @ P1 @ mix))
-    bh_v = _absmax(phat[:, sl, 0] - rhs_h).max(axis=0)
-    rhs_c = ((Sic @ coeffs.B12 + Abar.T @ Pi @ coeffs.Bbar12) @ S2c
-             + (Sic @ coeffs.B22 + Abar.T @ Pi @ coeffs.Bbar22) @ P2 @ inv2
-             @ (coeffs.Bbar12 @ S2c + Abar))
-    bc_v = _absmax(fields.ccheck[:, sl, 0] - rhs_c).max(axis=0)
-
-    # transport equation along fixed forward argument s = t + theta, on
-    # lag offsets 1..d1 (axis 2), the first gap-1 of them on the coupled
-    # branch; all per-sample factors evaluated one step forward in time
-    nxt = slice(1, n_t)
-    P2n, inv2n = P[1, nxt], inv2_all[nxt]
-    S2cn = fields.scheck[1, nxt]
-    ker_drift = coeffs.B12 + coeffs.B22 @ P2n @ inv2n @ coeffs.Bbar12
-    ker_diff = coeffs.Bbar12 + coeffs.Bbar22 @ P2n @ inv2n @ coeffs.Bbar12
-    h_drift = (coeffs.B12 @ S2cn
-               + coeffs.B22 @ P2n @ inv2n @ (coeffs.Bbar12 @ S2cn + Abar))
-    prev = phat[:, nxt, :d1]
-    dt_term = (phat[:, :-1, 1:] - prev) / delta
-    rhs = A.T @ prev + prev @ A
-    tf_v = _absmax(dt_term[:, :, gap - 1:] - rhs[:, :, gap - 1:]).max(axis=(0, 2))
-    c = slice(0, gap - 1)
-    ker = phat[1, nxt, c]
-    coupled = _absmax(dt_term[:, :, c] - (
-        rhs[:, :, c] + (shat[:, nxt] @ ker_drift)[:, :, None] @ ker
-        + (Abar.T @ P[:, nxt] @ ker_diff)[:, :, None] @ ker
-        + prev[:, :, c] @ h_drift[:, None]))
-    tc_v = coupled.max(axis=(0, 2)) if gap > 1 else np.zeros(0)
 
     # semigroup identity of the second kernel
     sg_v = []
@@ -187,7 +138,4 @@ def continuous_residuals(fields: RiccatiFields,
         ref = exp_a.T @ fields.ccheck[:, j:, 0] @ exp_a
         sg_v.append(_absmax(fields.ccheck[:, :n_t - j, j] - ref).max(axis=0))
 
-    return {"riccati_ode": ode_v, "boundary_hat": bh_v,
-            "boundary_check": bc_v, "transport_hat_coupled": tc_v,
-            "transport_hat_free": tf_v,
-            "semigroup_check": np.concatenate(sg_v)}
+    return {"riccati_ode": ode_v, "semigroup_check": np.concatenate(sg_v)}

@@ -15,11 +15,13 @@ writers format one row at a time through the csv module, as a
 byte-level check on the vectorized exporters. The reference costate and
 projection statistics work on paths-first arrays, one player at a time,
 as a check on the paths-last projection tests. The reference gain assembly,
-stationarity identity, closure conditioning and transport residuals at the
+stationarity identity, closure conditioning, backward-ODE and semigroup
+residuals (with scipy's matrix exponential) and transport residuals at the
 end walk the time samples (and lag offsets) one at a time, as a check on
-the batched post-sweep expressions. The reduction oracles after them (the
-one-delay single-player sweep, the deterministic mean recursion and the
-kernel integrals of the fields) are checks that no command runs.
+the batched post-sweep expressions. The boundary identities among them,
+batched, and the transport residuals are checks that no command runs, as
+are the reduction oracles after them (the one-delay single-player sweep,
+the deterministic mean recursion and the kernel integrals of the fields).
 ``record_windows`` is not an oracle: it reads the estimate windows off the
 production rollout for the tests that check them.
 """
@@ -27,6 +29,7 @@ production rollout for the tests that check them.
 import csv
 
 import numpy as np
+import scipy.linalg
 
 from delaygame.simulator import draw_increments, rollout
 
@@ -704,6 +707,60 @@ def reference_closure_rcond(fields, c):
         out["joint"][k] = _ref_rcond(eye - c.Bbar21 @ P1 - c.Bbar22 @ P2)
         out["second"][k] = _ref_rcond(eye - c.Bbar22 @ P2)
     return out
+
+
+def reference_ode_semigroup_residuals(fields, c):
+    """The backward-ODE and semigroup residuals, one time sample, lag
+    offset and player at a time, with scipy's matrix exponential; each
+    sample the worst over both players, the semigroup samples ordered by
+    lag offset, then by time."""
+    grid = fields.grid
+    d1, d2, delta = grid.d1, grid.d2, grid.delta
+    A, Abar = c.A, c.Abar
+    n_t = len(fields.t)
+    ode = np.zeros(n_t - 1)
+    for k in range(n_t - 1):
+        for i in range(2):
+            Pn = fields.P[i, k + 1]
+            rhs = (A.T @ Pn + Pn @ A + Abar.T @ Pn @ Abar + c.Q[i]
+                   + fields.phat[i, k + 1, d1] + fields.ccheck[i, k + 1, d2])
+            res = (fields.P[i, k] - Pn) / delta - rhs
+            ode[k] = max(ode[k], np.max(np.abs(res)))
+    semi = []
+    for j in range(1, d2 + 1):
+        E = scipy.linalg.expm(A * (j * delta))
+        for k in range(n_t - j):
+            semi.append(max(
+                np.max(np.abs(fields.ccheck[i, k, j]
+                              - E.T @ fields.ccheck[i, k + j, 0] @ E))
+                for i in range(2)))
+    return ode, np.array(semi)
+
+
+def reference_boundary_residuals(fields, c):
+    """The two theta = 0 boundary identities (first kernel, second
+    kernel), batched over the samples with the terminal one excluded, as
+    the kernels jump to zero at the horizon; each sample the worst over
+    both players."""
+    Abar = c.Abar
+    eye = np.eye(fields.n)
+    P, phat, shat = fields.P, fields.phat, fields.shat
+    sl = slice(0, len(fields.t) - 1)
+    P1, P2 = P[0, sl], P[1, sl]
+    inv2 = np.linalg.inv(eye - c.Bbar22 @ P2)
+    S1, S2c = shat[0, sl], fields.scheck[1, sl]
+    mix = (np.linalg.inv(eye - c.Bbar21 @ P1 - c.Bbar22 @ P2)
+           @ (c.Bbar11 @ S1 + c.Bbar12 @ shat[1, sl] + Abar))
+    Si, Sic, Pi = shat[:, sl], fields.scheck[:, sl], P[:, sl]
+    rhs_h = ((Si @ c.B11 + Abar.T @ Pi @ c.Bbar11) @ S1
+             + (Si @ c.B21 + Abar.T @ Pi @ c.Bbar21) @ P1 @ mix
+             + (Si @ c.B22 + Abar.T @ Pi @ c.Bbar22) @ P2 @ inv2
+             @ (c.Bbar11 @ S1 + c.Bbar21 @ P1 @ mix))
+    rhs_c = ((Sic @ c.B12 + Abar.T @ Pi @ c.Bbar12) @ S2c
+             + (Sic @ c.B22 + Abar.T @ Pi @ c.Bbar22) @ P2 @ inv2
+             @ (c.Bbar12 @ S2c + Abar))
+    return (np.abs(phat[:, sl, 0] - rhs_h).max(axis=(0, 2, 3)),
+            np.abs(fields.ccheck[:, sl, 0] - rhs_c).max(axis=(0, 2, 3)))
 
 
 def reference_transport_residuals(fields, c):

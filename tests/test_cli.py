@@ -507,6 +507,30 @@ class TestConvergence:
         assert gaps[1] < gaps[0]
 
 
+def test_verify_and_convergence_read_one_study(tmp_path):
+    # verify's trend statistics are the halving ratios of the columns that
+    # convergence writes, bit for bit: both commands read one study
+    from delaygame.cli import _trend_ratio
+    path = tmp_path / "golden.json"
+    save_problem(golden_scalar_spec(), path)
+    flags = ["--problem", str(path), "--delta", "0.005", "--halvings", "2"]
+    assert main(["verify", *flags, "--paths", "200",
+                 "--out", str(tmp_path / "v")]) == 0
+    assert main(["convergence", *flags, "--out", str(tmp_path / "c")]) == 0
+    stats = {r["name"]: r["statistic"] for r in json.loads(
+        (tmp_path / "v" / "verify_report.json").read_text())["tests"]}
+    rows = [r for r in json.loads(
+        (tmp_path / "c" / "convergence.json").read_text())
+        if "riccati_ode" in r]
+    assert len(rows) == 3
+    column = {key: [r[key] for r in rows]
+              for key in ("riccati_ode", "semigroup", "z_distance")}
+    assert stats["riccati_ode_trend"] == _trend_ratio(column["riccati_ode"])
+    assert stats["semigroup_trend"] == _trend_ratio(column["semigroup"])
+    assert stats["z_factor_convergence"] == _trend_ratio(
+        [v for v in column["z_distance"] if v > 0.0])
+
+
 def test_benchmark_hooks_resolve():
     # perfbench/spans.py patches these names before every traced run,
     # perfbench/worker.py calls the two cli loaders and
