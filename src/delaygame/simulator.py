@@ -353,20 +353,25 @@ def paired_costs(stepper: GainStepper, spec: GameSpec, n_paths: int,
     increments, streamed row by row, calling ``observe`` with every step;
     per deviation (D, P), the deviating player's own cost under the base
     pair and under its deviation. Running costs are summed in time order,
-    as in ``path_costs``."""
+    as in ``path_costs``. Only the costs returned are summed: both
+    players' on the base slot, player 2's on its deviation slots
+    ``1..u2_slots-1`` and player 1's on the slots after them."""
     weights = ((spec.Q1, spec.R1, spec.H1), (spec.Q2, spec.R2, spec.H2))
+    s2 = stepper.u2_slots
+    own_slots = ((0, slice(1)), (0, slice(s2, None)), (1, slice(s2)))
     sums = np.zeros((2, stepper.slots, n_paths))     # player, slot
     d1, delta = stepper.grid.d1, stepper.grid.delta
     for step in rollout(stepper, spec.x0,
                         increment_rows(stepper.grid, n_paths, seed)):
         _, win, *u, win_next, _, _ = step
-        for i, (q, r, _) in enumerate(weights):
-            sums[i] += delta * (_quad(win[:, d1], q) + _quad(u[i], r))
+        for i, s in own_slots:
+            q, r, _ = weights[i]
+            sums[i, s] += delta * (_quad(win[s, d1], q) + _quad(u[i][s], r))
         if observe is not None:
             observe(*step)
         del step, win, u    # not held while the next step is computed
-    for i, (_, _, h) in enumerate(weights):
-        sums[i] += _quad(win_next[:, d1], h)
+    for i, s in own_slots:
+        sums[i, s] += _quad(win_next[s, d1], weights[i][2])
     own = stepper.players - 1
     return 0.5 * sums[own, 0], 0.5 * sums[own, stepper.dev_slots]
 

@@ -21,7 +21,7 @@ from .gains import FeedbackLaw, assemble_gains, effective_gains
 from .continuous_limit import extract_fields
 from .model import GameSpec, Grid, build_grid
 from . import simulator
-from .simulator import (GainStepper, LadderStepper, draw_increments,
+from .simulator import (GainStepper, LadderStepper, _apply, draw_increments,
                         mean_se, paired_costs, paired_deviation_costs,
                         perturb_control, rollout, simulate_path_gains,
                         simulate_path_ladder)
@@ -122,8 +122,8 @@ def fbsde_residual_test(ladder: RiccatiLadder, spec: GameSpec,
         p_k = (cm[k] @ win_next[0].reshape(-1, n_paths)).reshape(
             2, -1, n_paths)
         if p_prev is not None:
-            res = (p_prev - (a_t @ p_k + dw_k * (abar_t @ p_k))
-                   - grid.delta * (q_mats @ win[grid.d1]))
+            res = (p_prev - (_apply(a_t, p_k) + dw_k * _apply(abar_t, p_k))
+                   - grid.delta * _apply(q_mats, win[grid.d1]))
             rows.append((k, *_projection_stats(
                 res.reshape(-1, n_paths), win.reshape(-1, n_paths))))
         p_prev = p_k
@@ -138,9 +138,10 @@ def _stationarity_row(ladder: RiccatiLadder, spec: GameSpec, cm: np.ndarray,
     k, win, u1, u2, win_next, diff = step[0], *(a[0] for a in step[1:-1])
     n_paths = win.shape[-1]
     p_k = (cm[k] @ win_next.reshape(-1, n_paths)).reshape(2, -1, n_paths)
-    q_k = ladder.phat[k + 1] @ diff
+    q_k = _apply(ladder.phat[k + 1], diff)
     stats = [_projection_stats(
-        r_mat.T @ u + b_mat.T @ p_k[i] + bbar_mat.T @ q_k[i],
+        _apply(r_mat.T, u) + _apply(b_mat.T, p_k[i])
+        + _apply(bbar_mat.T, q_k[i]),
         win[:z_upto + 1].reshape(-1, n_paths))
         for i, (u, r_mat, b_mat, bbar_mat, z_upto) in enumerate((
             (u1, spec.R1, spec.B1, spec.B1bar, 1),

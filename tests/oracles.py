@@ -10,7 +10,9 @@ compare the two implementations. The reference window steps sum one
 term at a time in a fixed order (state term first, then the levels
 upward), on paths-first windows and one law at a time (the opponent's
 control levels of a deviation copied from the base law), as an exact
-check on the slot-stacked, paths-last steppers. The reference CSV
+check on the slot-stacked, paths-last steppers; the reference paired
+costs sum both players' costs on every slot, as an exact check on the
+paired pass, which sums only the costs it returns. The reference CSV
 writers format one row at a time through the csv module, as a
 byte-level check on the vectorized exporters. The reference costate and
 projection statistics work on paths-first arrays, one player at a time,
@@ -31,7 +33,8 @@ import csv
 import numpy as np
 import scipy.linalg
 
-from delaygame.simulator import draw_increments, rollout
+from delaygame.simulator import (_quad, draw_increments, increment_rows,
+                                 rollout)
 
 _trapz = getattr(np, "trapezoid", getattr(np, "trapz", None))
 
@@ -439,6 +442,25 @@ def reference_paired_rollout(law, deviations, spec, grid, dw):
     rec["own_base"] = 0.5 * costs[0, own]
     rec["own_dev"] = 0.5 * costs[np.arange(1, n_laws), own]
     return rec
+
+
+def reference_paired_costs(stepper, spec, n_paths, seed):
+    """The all-slot loop that ``simulator.paired_costs`` restricts to the
+    costs it returns: both players' costs summed on every slot of the
+    stacked rollout on the (paths, seed) increments, then each deviating
+    player's own cost picked out under the base pair and under its
+    deviation, (D, P) each."""
+    weights = ((spec.Q1, spec.R1, spec.H1), (spec.Q2, spec.R2, spec.H2))
+    sums = np.zeros((2, stepper.slots, n_paths))
+    d1, delta = stepper.grid.d1, stepper.grid.delta
+    for _, win, *u, win_next, _, _ in rollout(
+            stepper, spec.x0, increment_rows(stepper.grid, n_paths, seed)):
+        for i, (q, r, _) in enumerate(weights):
+            sums[i] += delta * (_quad(win[:, d1], q) + _quad(u[i], r))
+    for i, (_, _, h) in enumerate(weights):
+        sums[i] += _quad(win_next[:, d1], h)
+    own = stepper.players - 1
+    return 0.5 * sums[own, 0], 0.5 * sums[own, stepper.dev_slots]
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,15 @@ from delaygame import (GameSpec, assemble_gains, build_grid,
                        estimate_costs, extract_fields, path_costs,
                        perturb_control, simulate_path_gains,
                        simulate_path_ladder, solve_ladder)
-from delaygame.simulator import (GainStepper, LadderStepper,
+from delaygame.simulator import (GainStepper, LadderStepper, _apply,
                                  draw_increments, increment_rows,
                                  initial_window, level_sums, paired_costs,
                                  paired_deviation_costs, rollout)
 from delaygame.verify import DEVIATION_FAMILY, _deviation_laws
 from conftest import wide_delay_spec, zero_cost_spec
 from oracles import (mean_recursion, record_windows,
-                     reference_ladder_window_step, reference_paired_rollout,
-                     reference_u2_levels)
+                     reference_ladder_window_step, reference_paired_costs,
+                     reference_paired_rollout, reference_u2_levels)
 
 
 @pytest.fixture(scope="module")
@@ -398,12 +398,47 @@ class TestPairedDeviation:
             assert np.all(np.abs(rec[name] - ref[name]) <= 1e-12 * scale), \
                 name
 
+    @pytest.mark.parametrize("case", ["golden", "matrix_case"])
+    def test_own_costs_equal_all_slot_sums(self, case, request):
+        # the paired pass sums each player's costs only on the slots whose
+        # own cost it returns; summing both players on every slot picks
+        # out the same bits, for the scalar and the n = 2 problem
+        spec, grid, ladder = request.getfixturevalue(case)
+        law = assemble_gains(extract_fields(ladder), spec)
+        stepper = GainStepper(law, spec,
+                              _deviation_laws(law, DEVIATION_FAMILY))
+        got = paired_costs(stepper, spec, 64, 4)
+        ref = reference_paired_costs(stepper, spec, 64, 4)
+        for name, g, r in zip(("own_base", "own_dev"), got, ref):
+            np.testing.assert_array_equal(g, r, err_msg=name)
+
     def test_deviated_state_differs(self, wide_case):
         spec, grid, ladder, law = wide_case
         dev_law = perturb_control(law, 2, "constant_shift", 0.4)
         (base,), (dev,) = paired_deviation_costs(law, [(2, dev_law)], spec,
                                                  200, 9)
         assert float(np.mean(dev - base)) > 0.0
+
+
+class TestApply:
+    """``_apply`` on the operand shapes the steppers and projections pass
+    it: elementwise with inner dimension 1, exactly the matmul's bits."""
+
+    @pytest.mark.parametrize("m_shape,x_shape", [
+        ((1, 1), (2, 1, 50)), ((2, 1, 1), (1, 50)), ((1, 1), (1, 50))],
+        ids=["matrix-on-stack", "stack-on-matrix", "matrix-on-matrix"])
+    def test_inner_dimension_one_is_the_matmul(self, m_shape, x_shape):
+        rng = np.random.default_rng(3)
+        m, x = rng.normal(size=m_shape), rng.normal(size=x_shape)
+        np.testing.assert_array_equal(_apply(m, x), m @ x)
+
+    def test_inner_dimension_two_is_the_matmul(self):
+        rng = np.random.default_rng(4)
+        m, x = rng.normal(size=(2, 3, 2)), rng.normal(size=(2, 50))
+        np.testing.assert_array_equal(_apply(m, x), np.matmul(m, x))
+        out = np.empty((2, 3, 50))
+        assert _apply(m, x, out=out) is out
+        np.testing.assert_array_equal(out, np.matmul(m, x))
 
 
 class TestCrossRepresentation:
