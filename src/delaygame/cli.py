@@ -6,10 +6,12 @@ problem file, 3 non-finite numbers in a sweep or a simulation (a
 singular block or an overflowed layer in a backward sweep, an overflowed
 cost in ``simulate``, a non-finite statistic or bound in ``verify`` or
 value in ``convergence``, which then write no report), 4 verification
-failure. Only a run that exits 0 or 4 prints on stdout. All randomness
-flows from the single --seed: every Monte Carlo pass generates its
-increments from it, one step at a time (``simulator.increment_rows``),
-as a block or streamed, so runs are reproducible byte for byte.
+failure. An ``--out`` that cannot be written is also exit 1, and the
+artifacts written before the failing one remain. Only a run that exits
+0 or 4 prints on stdout. All randomness flows from the single --seed:
+every Monte Carlo pass generates its increments from it, one step at a
+time (``simulator.increment_rows``), as a block or streamed, so runs are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -407,6 +409,11 @@ def main(argv=None) -> int:
         # e.g. a --delta so fine that the grid's arrays cannot be allocated
         print(f"error: out of memory: {str(exc) or 'allocation failed'}",
               file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        # an --out that cannot be created or written; every command
+        # prints only after its last artifact is written
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SingularGamma, NonFiniteLayer) as exc:
         print(f"backward sweep: {exc}", file=sys.stderr)

@@ -25,6 +25,7 @@ All expectations over the increment use exactly the first two moments
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,7 +150,10 @@ class RiccatiLadder:
     level k-d1-1+l). ``zfactors`` (N+1, max(gap-2, 0), 2n, 2n) are the
     level-coupling operators that tend to the identity as delta -> 0, and
     ``rcond`` (N+1, gap+1) the reciprocal condition number of each level's
-    block.
+    block. Two more constants of the sweep are formed once: ``rhs_fixed``
+    (2n, 2n), the state and kernel-coupling columns [a_mat[0], delta B12;
+    delta a_mat[1], delta Bbar12] of every level's right-hand side, and
+    ``delta_q`` (2, n, n), delta times the running weights ``coeffs.Q``.
 
     The constructor allocates every stack and writes the terminal layer
     k = N+1: state coefficients equal the terminal weights ``coeffs.H``,
@@ -164,6 +168,10 @@ class RiccatiLadder:
         self.grid = grid
         self.a_mat = np.stack([np.eye(n) + grid.delta * coeffs.A,
                                coeffs.Abar])
+        self.rhs_fixed = np.block(
+            [[self.a_mat[0], grid.delta * coeffs.B12],
+             [grid.delta * self.a_mat[1], grid.delta * coeffs.Bbar12]])
+        self.delta_q = grid.delta * coeffs.Q
         self.phat = np.empty(layers + (n, n))
         self.phat_lag = np.empty(layers + (grid.d1 + 1, n, n))
         self.ccheck_lag = np.empty(layers + (grid.d2 + 1, n, n))
@@ -208,51 +216,73 @@ def _rcond(M: np.ndarray):
         return np.where(np.isfinite(c) & (c != 0.0), 1.0 / c, 0.0)[()]
 
 
+class StepProducts(NamedTuple):
+    """The products of the reduced control maps with layer k+1's matrices
+    that step k reads, each formed once: with player 1's coarsest
+    aggregate ``S1 = shat[k+1, 0]``, the state coefficients ``P1, P2 =
+    phat[k+1]`` and player 2's aggregates ``S2 = agg[k+1, 1]`` (gap, n,
+    n), whose products are stacks over S^1..S^gap."""
+
+    b11_s1: np.ndarray
+    bbar11_s1: np.ndarray
+    b21_p1: np.ndarray
+    bbar21_p1: np.ndarray
+    b22_p2: np.ndarray
+    bbar22_p2: np.ndarray
+    b12_s2: np.ndarray
+    bbar12_s2: np.ndarray
+
+
 def assemble_blocks(ladder: RiccatiLadder, coeffs: SweepCoefficients,
-                    k: int) -> tuple[np.ndarray, np.ndarray]:
+                    k: int) -> tuple[np.ndarray, np.ndarray, StepProducts]:
     """The block families of step k, built from layer k+1's aggregates:
     ``levels`` (gap+1, 2n, 2n), the block of information level m at
     index m (gamma_hat at 0, gamma_m{m} at 0 < m < gap, gamma_check at
-    gap), and the coarse-level coupling ``g_block`` (2n, 2n). Writes each
-    level's reciprocal condition number to ``ladder.rcond[k]``.
+    gap), the coarse-level coupling ``g_block`` (2n, 2n) and the
+    products they are built from. Writes each level's reciprocal
+    condition number to ``ladder.rcond[k]``.
 
     Raises :class:`SingularGamma` when any block is numerically singular,
     i.e. the explicit-solution hypothesis fails at this step/resolution,
     and :class:`NonFiniteLayer` instead when layer k+1 holds an inf or nan
     entry (the recursion overflowed before this step).
     """
-    n, delta = ladder.n, ladder.grid.delta
+    n, gap, delta = ladder.n, ladder.gap, ladder.grid.delta
     eye = np.eye(n)
-    S1h, S2h = ladder.shat[k + 1]
+    S1 = ladder.shat[k + 1, 0]
     P1, P2 = ladder.phat[k + 1]
-    # player 2's aggregates S^1..S^gap, one per finer level
     S2 = ladder.agg[k + 1, 1]
-    gap = len(S2)
+    pr = StepProducts(
+        b11_s1=coeffs.B11 @ S1, bbar11_s1=coeffs.Bbar11 @ S1,
+        b21_p1=coeffs.B21 @ P1, bbar21_p1=coeffs.Bbar21 @ P1,
+        b22_p2=coeffs.B22 @ P2, bbar22_p2=coeffs.Bbar22 @ P2,
+        b12_s2=coeffs.B12 @ S2, bbar12_s2=coeffs.Bbar12 @ S2)
 
     # level 0 holds gamma_hat, level m the block gamma_m{m}, level gap
     # gamma_check; the finer levels differ only in their S^2 aggregate
     levels = np.empty((gap + 1, 2 * n, 2 * n))
-    levels[0, :n, :n] = eye - delta * (coeffs.B11 @ S1h + coeffs.B12 @ S2h)
-    levels[0, :n, n:] = -(coeffs.B21 @ P1 + coeffs.B22 @ P2)
-    levels[0, n:, :n] = -delta * (coeffs.Bbar11 @ S1h + coeffs.Bbar12 @ S2h)
-    levels[0, n:, n:] = eye - coeffs.Bbar21 @ P1 - coeffs.Bbar22 @ P2
-    levels[1:, :n, :n] = eye - delta * (coeffs.B12 @ S2)
-    levels[1:, :n, n:] = -(coeffs.B22 @ P2)
-    levels[1:, n:, :n] = -delta * (coeffs.Bbar12 @ S2)
-    levels[1:, n:, n:] = eye - coeffs.Bbar22 @ P2
+    levels[0, :n, :n] = eye - delta * (pr.b11_s1 + pr.b12_s2[0])
+    levels[0, :n, n:] = -(pr.b21_p1 + pr.b22_p2)
+    levels[0, n:, :n] = -delta * (pr.bbar11_s1 + pr.bbar12_s2[0])
+    levels[0, n:, n:] = eye - pr.bbar21_p1 - pr.bbar22_p2
+    levels[1:, :n, :n] = eye - delta * pr.b12_s2
+    levels[1:, :n, n:] = -pr.b22_p2
+    levels[1:, n:, :n] = -delta * pr.bbar12_s2
+    levels[1:, n:, n:] = eye - pr.bbar22_p2
     g_block = np.empty((2 * n, 2 * n))
-    g_block[:n, :n] = delta * (coeffs.B11 @ S1h)
-    g_block[:n, n:] = coeffs.B21 @ P1
-    g_block[n:, :n] = delta * (coeffs.Bbar11 @ S1h)
-    g_block[n:, n:] = coeffs.Bbar21 @ P1
+    g_block[:n, :n] = delta * pr.b11_s1
+    g_block[:n, n:] = pr.b21_p1
+    g_block[n:, :n] = delta * pr.bbar11_s1
+    g_block[n:, n:] = pr.bbar21_p1
 
     rc = ladder.rcond[k] = _rcond(levels)
-    for m, which in block_order(gap):
-        if rc[m] < RCOND_MIN:
-            if not ladder.finite(k + 1):
-                raise NonFiniteLayer(k + 1)
-            raise SingularGamma(k, which, rc[m])
-    return levels, g_block
+    if rc.min() < RCOND_MIN:
+        if not ladder.finite(k + 1):
+            raise NonFiniteLayer(k + 1)
+        m, which = next((m, which) for m, which in block_order(gap)
+                        if rc[m] < RCOND_MIN)
+        raise SingularGamma(k, which, rc[m])
+    return levels, g_block, pr
 
 
 def _row_apply(top: np.ndarray, bot: np.ndarray, W: np.ndarray, n: int) -> np.ndarray:
@@ -281,7 +311,7 @@ def solve_estimate_chain(ladder: RiccatiLadder, coeffs: SweepCoefficients,
     level's estimate pairs are substituted back into the state update.
     """
     n, gap, delta = ladder.n, ladder.gap, ladder.grid.delta
-    levels, g_block = assemble_blocks(ladder, coeffs, k)
+    levels, g_block, pr = assemble_blocks(ladder, coeffs, k)
     S1h = ladder.shat[k + 1, 0]
     P1, P2 = ladder.phat[k + 1]
     S2c = ladder.scheck[k + 1, 1]
@@ -293,12 +323,7 @@ def solve_estimate_chain(ladder: RiccatiLadder, coeffs: SweepCoefficients,
     # coupling [delta B12; delta Bbar12] and the coarse-level coupling.
     # One LAPACK gesv per level in one call; b is broadcast to 3-D because
     # numpy < 2 reads a 2-D b as a vector stack.
-    rhs = np.empty((2 * n, 4 * n))
-    rhs[:n, :n] = ladder.a_mat[0]
-    rhs[n:, :n] = delta * ladder.a_mat[1]
-    rhs[:n, n:2 * n] = delta * coeffs.B12
-    rhs[n:, n:2 * n] = delta * coeffs.Bbar12
-    rhs[:, 2 * n:] = g_block
+    rhs = np.concatenate((ladder.rhs_fixed, g_block), axis=1)
     sol = np.linalg.solve(levels,
                           np.broadcast_to(rhs, (gap + 1,) + rhs.shape))
     C, Y, Z = sol[..., :n], sol[..., n:2 * n], sol[..., 2 * n:]
@@ -328,15 +353,11 @@ def solve_estimate_chain(ladder: RiccatiLadder, coeffs: SweepCoefficients,
     # state-update coefficients, affine in the increment, for every
     # source level l at once (column block l)
     const = (delta * (coeffs.B12 @ R)
-             + _row_apply(delta * (coeffs.B12 @ S2c), coeffs.B22 @ P2,
-                          Wc, n))
+             + _row_apply(delta * pr.b12_s2[-1], pr.b22_p2, Wc, n))
     noise = (coeffs.Bbar12 @ R
-             + _row_apply(coeffs.Bbar12 @ S2c, coeffs.Bbar22 @ P2 / delta,
-                          Wc, n))
-    const[:, :n] += _row_apply(delta * (coeffs.B11 @ S1h),
-                               coeffs.B21 @ P1, W00, n)
-    noise[:, :n] += _row_apply(coeffs.Bbar11 @ S1h,
-                               coeffs.Bbar21 @ P1 / delta, W00, n)
+             + _row_apply(pr.bbar12_s2[-1], pr.bbar22_p2 / delta, Wc, n))
+    const[:, :n] += _row_apply(delta * pr.b11_s1, pr.b21_p1, W00, n)
+    noise[:, :n] += _row_apply(pr.bbar11_s1, pr.bbar21_p1 / delta, W00, n)
     ladder.coef[k, :, 0] = _column_blocks(const, n)
     ladder.coef[k, :, 1] = _column_blocks(noise, n)
 
@@ -369,10 +390,11 @@ def riccati_step(ladder: RiccatiLadder, coeffs: SweepCoefficients,
     ccheck_lag = ladder.ccheck_lag[k]
 
     # every expression below carries the leading player axis
+    abar_p = a_bar.T @ P_next
     phat[:] = (a_hat.T @ P_next @ a_hat
-               + delta * (a_bar.T @ P_next @ a_bar)
+               + delta * (abar_p @ a_bar)
                + a_hat.T @ (lag_next[:, d1] + cc_next[:, d2]) @ a_hat
-               + delta * coeffs.Q)
+               + ladder.delta_q)
 
     # const-part tails sum(Mm[j], j >= m) + H + A_hat, m = 1..gap-1, used
     # by the coupled branch
@@ -385,7 +407,7 @@ def riccati_step(ladder: RiccatiLadder, coeffs: SweepCoefficients,
     left = np.empty((2, gap + 1, 2, n, n))
     left[:, 1:, 0] = a_hat.T @ ladder.agg[k + 1]
     left[:, 0, 0] = left[:, 1, 0]
-    left[:, :, 1] = (a_bar.T @ P_next)[:, None]
+    left[:, :, 1] = abar_p[:, None]
     products = expectation_of_product(left, coef, delta)
     phat_lag[:, 0] = products[:, 0]
     # coupled branch, batched over offsets m = 1..gap-1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -25,14 +26,14 @@ def _text(values) -> list[str]:
 
 
 def _write_table(path, header, *tables) -> None:
-    """One CSV file from a header and tables of rows of field text, the
-    rows of every table in order. Each row is its fields joined by commas
-    and ended by CRLF, as the csv module writes it: no field needs quoting,
+    """One CSV file from a header and tables given as iterables of row
+    text, every table in order. Each row is its fields joined by commas and
+    ended by CRLF, as the csv module writes it: no field needs quoting,
     each being a number, an index, a fixed label or empty."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        for rows in tables:
-            fh.writelines(",".join(row) + "\r\n" for row in rows)
+        for chunks in tables:
+            fh.writelines(chunks)
 
 
 def write_json(path, data) -> None:
@@ -44,23 +45,25 @@ def write_json(path, data) -> None:
 
 
 def _entry_table(lead, parts):
-    """Rows of a table with one row per matrix entry, outer index first.
+    """The text of a table with one row per matrix entry, one string per
+    outer index, so that only one outer index's text is held at a time.
 
     ``lead`` holds the text of the leading column, one per outer index a;
     ``parts`` lists ``(labels, stack)`` with ``stack`` of shape (len(lead),
     r, c). For every a, each part contributes its rows (a, *labels, row,
     col, value) in row-major entry order.
     """
-    template, blocks = [], []
+    prefixes, blocks = [], []
     for labels, stack in parts:
         r, c = stack.shape[1:]
-        template += [(*map(str, labels), str(i), str(j))
-                     for i in range(r) for j in range(c)]
+        head = "".join(f",{label}" for label in labels)
+        prefixes += [f"{head},{i},{j}," for i in range(r) for j in range(c)]
         blocks.append(stack.reshape(len(lead), -1))
-    m, values = len(template), _text(np.concatenate(blocks, axis=1))
-    for n, a in enumerate(lead):
-        for entry, value in zip(template, values[n * m:(n + 1) * m]):
-            yield (a, *entry, value)
+    for a, values in zip(lead, np.concatenate(blocks, axis=1)):
+        # every row after the first opens with the line end of the one
+        # before it and then the outer index
+        yield (a + ("\r\n" + a).join(map(add, prefixes, _text(values)))
+               + "\r\n")
 
 
 def export_ladder_csv(ladder: RiccatiLadder, path) -> None:
@@ -152,15 +155,15 @@ def export_trajectories_csv(traj: Trajectory, path) -> None:
     block[:, 1] = [str(k) for k in range(grid.N + 2)]
     block[:, 2] = _text(grid.times())
 
-    def rows():
+    def paths():
         for p in range(traj.n_paths):
             block[:, 0] = str(p)
             block[:, 3:3 + n].flat = _text(traj.x[:, p])
             block[:-1, 3 + n:].flat = _text(np.concatenate(
                 (traj.u1[:, p], traj.u2[:, p], traj.dw[:, p, None]), axis=1))
-            yield from block.tolist()
+            yield "\r\n".join(map(",".join, block.tolist())) + "\r\n"
 
-    _write_table(path, header, rows())
+    _write_table(path, header, paths())
 
 
 def export_cost_report(est: CostEstimate, path) -> None:

@@ -507,6 +507,35 @@ class TestConvergence:
         assert gaps[1] < gaps[0]
 
 
+@pytest.mark.parametrize("case", ["out_is_file", "out_below_file",
+                                  "metadata_is_directory"])
+def test_unwritable_out_exit_1(wide_problem, tmp_path, capsys, case):
+    # an --out that cannot be written fails after the work is done: one
+    # stderr line and exit 1, not a traceback; the artifacts written
+    # before the failing one remain
+    out, command = tmp_path / "out", "solve"
+    if case == "out_is_file":
+        out.write_text("")
+    elif case == "out_below_file":
+        (tmp_path / "file").write_text("")
+        out, command = tmp_path / "file" / "sub", "verify"
+    else:
+        (out / "metadata.json").mkdir(parents=True)
+    argv = [command, "--problem", str(wide_problem), "--delta", "0.05",
+            "--out", str(out)]
+    if command == "verify":
+        argv += ["--paths", "50", "--halvings", "0"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: cannot write output: ")
+    assert captured.out == ""
+    if case == "metadata_is_directory":
+        for name in ("ladder.csv", "fields.csv", "gains.csv"):
+            assert (out / name).stat().st_size > 0
+
+
 def test_verify_and_convergence_read_one_study(tmp_path):
     # verify's trend statistics are the halving ratios of the columns that
     # convergence writes, bit for bit: both commands read one study

@@ -48,7 +48,7 @@ class TestAssembleBlocks:
     def test_zero_layers_give_identity_blocks(self, zero_cost):
         spec, grid, ladder = zero_cost
         coeffs = SweepCoefficients.from_spec(spec)
-        levels, g_block = assemble_blocks(ladder, coeffs, grid.N)
+        levels, g_block, _ = assemble_blocks(ladder, coeffs, grid.N)
         eye = np.eye(2 * ladder.n)
         np.testing.assert_array_equal(levels[0], eye)
         np.testing.assert_array_equal(levels[-1], eye)
@@ -65,7 +65,7 @@ class TestAssembleBlocks:
         grid = Grid(N=9, delta=0.1, d1=2, d2=1)
         coeffs = SweepCoefficients.from_spec(spec)
         ladder = RiccatiLadder(grid, coeffs)
-        levels, g_block = assemble_blocks(ladder, coeffs, grid.N)
+        levels, g_block, _ = assemble_blocks(ladder, coeffs, grid.N)
         np.testing.assert_allclose(levels[0],
                                    [[1.2, 2.0], [0.2, 3.0]])
         np.testing.assert_allclose(levels[-1],
@@ -80,7 +80,7 @@ class TestAssembleBlocks:
         grid = Grid(N=9, delta=0.0, d1=2, d2=1)
         coeffs = SweepCoefficients.from_spec(spec)
         ladder = RiccatiLadder(grid, coeffs)
-        levels, _ = assemble_blocks(ladder, coeffs, grid.N)
+        levels, _, _ = assemble_blocks(ladder, coeffs, grid.N)
         P1, P2 = ladder.phat[grid.N + 1]
         np.testing.assert_allclose(
             levels[0],
@@ -109,6 +109,44 @@ class TestAssembleBlocks:
             assemble_blocks(ladder, coeffs, grid.N)
         assert err.value.k == grid.N
         assert err.value.which == "gamma_hat"
+
+    @pytest.mark.parametrize("case", ["golden", "matrix_case"])
+    def test_products_and_constants_equal_direct_forms(self, case, request):
+        # the chain reads the products assemble_blocks returns and the
+        # constants the ladder keeps instead of forming them again: each
+        # must equal its direct form bit for bit, and each product stacked
+        # over player 2's aggregates must equal the product with each one
+        # (S^1 enters gamma_hat, S^gap the state update)
+        spec, grid, ladder = request.getfixturevalue(case)
+        coeffs = SweepCoefficients.from_spec(spec)
+        n, delta, k = ladder.n, grid.delta, grid.N - grid.d1
+        S1 = ladder.shat[k + 1, 0]
+        P1, P2 = ladder.phat[k + 1]
+        S2 = ladder.agg[k + 1, 1]
+        _, _, products = assemble_blocks(ladder, coeffs, k)
+        direct = {"b11_s1": coeffs.B11 @ S1, "bbar11_s1": coeffs.Bbar11 @ S1,
+                  "b21_p1": coeffs.B21 @ P1, "bbar21_p1": coeffs.Bbar21 @ P1,
+                  "b22_p2": coeffs.B22 @ P2, "bbar22_p2": coeffs.Bbar22 @ P2,
+                  "b12_s2": coeffs.B12 @ S2, "bbar12_s2": coeffs.Bbar12 @ S2}
+        assert products._fields == tuple(direct)
+        for name, want in direct.items():
+            np.testing.assert_array_equal(getattr(products, name), want)
+        assert len(S2) == ladder.gap >= 2
+        for m, S in enumerate(S2):
+            np.testing.assert_array_equal(products.b12_s2[m], coeffs.B12 @ S)
+            np.testing.assert_array_equal(products.bbar12_s2[m],
+                                          coeffs.Bbar12 @ S)
+
+        rhs_fixed = np.empty((2 * n, 2 * n))
+        rhs_fixed[:n, :n] = ladder.a_mat[0]
+        rhs_fixed[n:, :n] = delta * ladder.a_mat[1]
+        rhs_fixed[:n, n:] = delta * coeffs.B12
+        rhs_fixed[n:, n:] = delta * coeffs.Bbar12
+        np.testing.assert_array_equal(ladder.a_mat[0],
+                                      np.eye(n) + delta * coeffs.A)
+        np.testing.assert_array_equal(ladder.a_mat[1], coeffs.Abar)
+        np.testing.assert_array_equal(ladder.rhs_fixed, rhs_fixed)
+        np.testing.assert_array_equal(ladder.delta_q, delta * coeffs.Q)
 
 
 GOLDEN_DELTA = 0.1

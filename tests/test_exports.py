@@ -76,6 +76,22 @@ def test_trajectory_text_held_one_path_at_a_time(artifacts, tmp_path):
     assert peak < arrays
 
 
+def test_ladder_text_held_one_outer_index_at_a_time(tmp_path):
+    # ladder.csv on golden at delta 0.00125 is 2.7 MB of text, built one
+    # layer index at a time (peak 0.5 MB); holding a table's text as one
+    # string peaked at 4.3 MB, holding its value text at 5.7 MB
+    spec = golden_scalar_spec()
+    ladder = solve_ladder(spec, build_grid(spec, 0.00125))
+    path = tmp_path / "ladder.csv"
+    tracemalloc.start()
+    try:
+        exports.export_ladder_csv(ladder, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 2
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_write_json_rejects_non_finite(tmp_path, value):
     # strict JSON: a non-finite number raises instead of being written
