@@ -17,12 +17,24 @@ count and processor count of that context, and the per-layer metrics
 that are known to misread. The file is written to the root of the
 checkout; the script exits 1 if any run is not correct and 2 if run.py
 fails or prints no result.
+
+With ``--against REV [--pairs N]`` the file also holds a ``"paired"``
+object: REV is extracted with ``git archive`` into ``.bench_work/``, and
+each workload runs N untraced pairs, one run of each tree on the same
+seed (seeds 101 on, which no other run uses), the tree that goes first
+alternating from pair to pair. Per end-to-end metric it records both
+sides' values, the pairs the change wins (a lower value), the median
+paired difference (change minus REV) and REV's quartile distance. Both
+trees' ``src/`` lose their ``__pycache__`` first, so neither side's
+``setup_s`` reads cached bytecode. The script exits 2 if ``perfbench/``
+differs between the two trees: the workloads would differ too.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -32,6 +44,7 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("solve-fine", "verify-mc", "simulate-matrix")
 UNTRACED_SEEDS = (1, 2, 3)
 TRACED_SEED = 0
+PAIRED_SEED0 = 101
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
 # per-layer metrics that perfbench/spans.py does not measure as named
 KNOWN_MISCOUNTS = {
@@ -44,6 +57,10 @@ KNOWN_MISCOUNTS = {
     "discrete_engine.lu_solve_calls": "reads 0: the sweep solves with "
                                       "numpy.linalg.solve, spans.py counts "
                                       "scipy.linalg.lu_solve",
+    "discrete_engine.cond_calls": "reads 0: each sweep step's one "
+                                  "numpy.linalg.solve also gives the blocks' "
+                                  "condition numbers, spans.py counts "
+                                  "numpy.linalg.cond",
     "simulator.rollouts": "undercounts: only draw_increments calls are "
                           "counted, not the rollouts that stream "
                           "increment_rows (paired pass, backward-equation "
@@ -70,13 +87,20 @@ def _outcome(seed: int, result: dict) -> dict:
             "attempted": result["attempted"], "failed": result["failed"]}
 
 
+def _runs(runs) -> list[dict]:
+    """Each ``(seed, stdout)`` run's outcome and end-to-end metrics."""
+    rows = []
+    for seed, stdout in runs:
+        _, result = parse_run(stdout)
+        rows.append(dict(_outcome(seed, result), **{
+            name: result["metrics"][name]["value"] for name in END_TO_END}))
+    return rows
+
+
 def workload_entry(untraced, traced) -> dict:
     """One workload's entry from its untraced runs, a list of ``(seed,
     stdout)``, and its traced run, one ``(seed, stdout)``."""
-    parsed = [(seed, *parse_run(stdout)) for seed, stdout in untraced]
-    runs = [dict(_outcome(seed, result), **{
-        name: result["metrics"][name]["value"] for name in END_TO_END})
-        for seed, _, result in parsed]
+    runs = _runs(untraced)
     seed, stdout = traced
     _, result = parse_run(stdout)
     return {
@@ -84,8 +108,27 @@ def workload_entry(untraced, traced) -> dict:
         "medians": {name: statistics.median(r[name] for r in runs)
                     for name in END_TO_END},
         "traced": dict(_outcome(seed, result), metrics=result["metrics"]),
-        "context": parsed[0][1],
+        "context": parse_run(untraced[0][1])[0],
     }
+
+
+def paired_entry(parent, change) -> dict:
+    """One workload's paired entry from each side's runs, two lists of
+    ``(seed, stdout)`` in pair order. Every metric is lower-is-better."""
+    runs = {"parent": _runs(parent), "change": _runs(change)}
+    entry = {"runs": runs}
+    for name in END_TO_END:
+        before = [r[name] for r in runs["parent"]]
+        after = [r[name] for r in runs["change"]]
+        q1, _, q3 = (statistics.quantiles(before, n=4, method="inclusive")
+                     if len(before) > 1 else before * 3)
+        entry[name] = {"parent": before, "change": after,
+                       "pairs": len(before),
+                       "wins": sum(b < a for a, b in zip(before, after)),
+                       "median_diff": statistics.median(
+                           b - a for a, b in zip(before, after)),
+                       "parent_iqr": q3 - q1}
+    return entry
 
 
 def bench_report(entries: dict, commit: str | None, seconds: float) -> dict:
@@ -97,18 +140,55 @@ def bench_report(entries: dict, commit: str | None, seconds: float) -> dict:
 
 
 def all_correct(report: dict) -> bool:
-    return all(run["correct"] is True
-               for entry in report["workloads"].values()
-               for run in (*entry["runs"], entry["traced"]))
+    runs = [run for entry in report["workloads"].values()
+            for run in (*entry["runs"], entry["traced"])]
+    for entry in report.get("paired", {}).get("workloads", {}).values():
+        runs += entry["runs"]["parent"] + entry["runs"]["change"]
+    return all(run["correct"] is True for run in runs)
 
 
-def _run(workload: str, seed: int, seconds: float, trace: int) -> str:
+def _run(workload: str, seed: int, seconds: float, trace: int,
+         root: Path = ROOT) -> str:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", repr(seconds),
          "--trace", str(trace)],
-        cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True)
+        cwd=root, stdout=subprocess.PIPE, text=True, check=True)
     return proc.stdout
+
+
+def extract(rev: str) -> tuple[str, Path]:
+    """REV's commit hash and its tree, extracted under .bench_work/.
+    Raises ValueError if REV is no commit or its perfbench/ differs."""
+    proc = subprocess.run(["git", "rev-parse", "--verify", "--quiet",
+                           rev + "^{commit}"], cwd=ROOT,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise ValueError(f"{rev!r} is not a commit")
+    commit = proc.stdout.strip()
+    if subprocess.run(["git", "diff", "--quiet", commit, "--", "perfbench"],
+                      cwd=ROOT).returncode != 0:
+        raise ValueError(f"perfbench/ differs from {rev}'s: the workloads "
+                         f"would differ")
+    tree = ROOT / ".bench_work" / "against"
+    shutil.rmtree(tree, ignore_errors=True)
+    tree.mkdir(parents=True)
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT,
+                             stdout=subprocess.PIPE, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+    return commit, tree
+
+
+def paired_runs(workload: str, pairs: int, seconds: float,
+                tree: Path) -> dict:
+    """N alternating untraced pairs of one workload: REV's tree and this
+    checkout on the same seed, REV first in even pairs."""
+    runs = {ROOT: [], tree: []}
+    for i in range(pairs):
+        seed = PAIRED_SEED0 + i
+        for root in ((tree, ROOT) if i % 2 == 0 else (ROOT, tree)):
+            runs[root].append((seed, _run(workload, seed, seconds, 0, root)))
+    return paired_entry(runs[tree], runs[ROOT])
 
 
 def _commit() -> str | None:
@@ -125,9 +205,20 @@ def main(argv=None) -> int:
                         help="writes BENCH_<pr>.json (default 0)")
     parser.add_argument("--seconds", type=float, default=10.0,
                         help="run.py's --seconds for every run (default 10)")
+    parser.add_argument("--against", metavar="REV",
+                        help="also run paired runs against this commit")
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="pairs per workload with --against (default 10)")
     args = parser.parse_args(argv)
-    entries = {}
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    entries, paired = {}, {}
     try:
+        if args.against is not None:
+            against, tree = extract(args.against)
+            for root in (ROOT, tree):
+                for cache in list((root / "src").rglob("__pycache__")):
+                    shutil.rmtree(cache)
         for workload in WORKLOADS:
             untraced = [(seed, _run(workload, seed, args.seconds, 0))
                         for seed in UNTRACED_SEEDS]
@@ -136,10 +227,22 @@ def main(argv=None) -> int:
             entries[workload] = workload_entry(untraced, traced)
             print(f"{workload}: median wall_s "
                   f"{entries[workload]['medians']['wall_s']:.3f} s")
+            if args.against is not None:
+                paired[workload] = paired_runs(workload, args.pairs,
+                                               args.seconds, tree)
+                wall = paired[workload]["wall_s"]
+                print(f"{workload}: wall_s lower in {wall['wins']} of "
+                      f"{wall['pairs']} pairs, median paired difference "
+                      f"{wall['median_diff']:+.3f} s")
     except (subprocess.CalledProcessError, KeyError, ValueError) as exc:
         print(f"bench: {exc}", file=sys.stderr)
         return 2
     report = bench_report(entries, _commit(), args.seconds)
+    if args.against is not None:
+        report["paired"] = {"against": against, "pairs": args.pairs,
+                            "seeds": [PAIRED_SEED0 + i
+                                      for i in range(args.pairs)],
+                            "workloads": paired}
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")

@@ -25,8 +25,6 @@ All expectations over the increment use exactly the first two moments
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import NonFiniteLayer, SingularGamma, SingularWeight
@@ -144,34 +142,61 @@ class RiccatiLadder:
     with every coefficient affine in the increment, stored as (const,
     noise) pairs: ``a_mat`` (2, n, n) is I + delta*A, Abar at every k, and
     ``coef`` (N+1, gap+1, 2, n, n) holds M at source level l = 0, Mm at
-    0 < l < gap (zero once k + l > N) and H at l = gap. ``u1_gain`` (N+1,
-    d1c, n) and ``u2_gain`` (N+1, gap+1, d2c, n) recover the implied
-    controls as gains on the estimate window (``u2_gain[k, l]`` acts on
-    level k-d1-1+l). ``zfactors`` (N+1, max(gap-2, 0), 2n, 2n) are the
-    level-coupling operators that tend to the identity as delta -> 0, and
-    ``rcond`` (N+1, gap+1) the reciprocal condition number of each level's
-    block. Two more constants of the sweep are formed once: ``rhs_fixed``
-    (2n, 2n), the state and kernel-coupling columns [a_mat[0], delta B12;
-    delta a_mat[1], delta Bbar12] of every level's right-hand side, and
-    ``delta_q`` (2, n, n), delta times the running weights ``coeffs.Q``.
+    0 < l < gap (zero once k + l > N) and H at l = gap. ``w_hat`` (N+1,
+    2n, n) and ``w_check`` (N+1, 2n, (gap+1)n) are the solved estimate
+    pairs of the coarsest and the finest level (column block l for source
+    level l), and ``coupling`` (N+1, n, (gap+1)n) is what the levels
+    between feed into the finest. From them ``backward_sweep`` reads the
+    implied controls out after its loop, as gains on the estimate window:
+    ``u1_gain`` (N+1, d1c, n) and ``u2_gain`` (N+1, gap+1, d2c, n)
+    (``u2_gain[k, l]`` acts on level k-d1-1+l). ``zfactors`` (N+1,
+    max(gap-2, 0), 2n, 2n) are the level-coupling operators that tend to
+    the identity as delta -> 0, and ``rcond`` (N+1, gap+1) the reciprocal
+    condition number of each level's block.
 
-    The constructor allocates every stack and writes the terminal layer
-    k = N+1: state coefficients equal the terminal weights ``coeffs.H``,
-    every lag entry is zero and every aggregate equals the state
-    coefficient. The other slices are left uninitialized for the sweep to
-    fill.
+    The constructor allocates every stack, writes the terminal layer
+    k = N+1 (state coefficients ``coeffs.H``, lag entries zero, every
+    aggregate equal to the state coefficient) and forms what every step
+    shares: ``delta_q`` = delta ``coeffs.Q``, the reduced control maps as
+    (increment-free, increment) pairs ``maps11``, ``maps2`` and
+    ``maps12``, and ``rhs`` (gap+1, 2n, 6n), every level's right-hand side:
+    one buffer [rhs_fixed | g_block | I_2n], with ``rhs_fixed`` = [a_mat[0],
+    delta B12; delta a_mat[1], delta Bbar12] and ``g_block`` written by
+    ``assemble_blocks`` at each step.
     """
 
     def __init__(self, grid: Grid, coeffs: SweepCoefficients):
-        n, gap = coeffs.A.shape[0], grid.d1 - grid.d2
+        n, gap, delta = coeffs.A.shape[0], grid.d1 - grid.d2, grid.delta
         layers, steps = (grid.N + 2, 2), (grid.N + 1,)
-        self.grid = grid
-        self.a_mat = np.stack([np.eye(n) + grid.delta * coeffs.A,
-                               coeffs.Abar])
-        self.rhs_fixed = np.block(
-            [[self.a_mat[0], grid.delta * coeffs.B12],
-             [grid.delta * self.a_mat[1], grid.delta * coeffs.Bbar12]])
-        self.delta_q = grid.delta * coeffs.Q
+        self.grid, self.n, self.gap = grid, n, gap
+        self.a_mat = np.stack([np.eye(n) + delta * coeffs.A, coeffs.Abar])
+        self.a_t = self.a_mat.swapaxes(1, 2)
+        self.delta_q = delta * coeffs.Q
+        self.maps11 = np.stack([coeffs.B11, coeffs.Bbar11])
+        self.maps2 = np.stack([[coeffs.B21, coeffs.Bbar21],
+                               [coeffs.B22, coeffs.Bbar22]])
+        self.maps12 = np.stack([coeffs.B12, coeffs.Bbar12])
+        # (delta, 1) scales and (1, delta) divides a pair's two halves
+        self.scale = np.array([delta, 1.0])[:, None, None]
+        self.divisor = self.scale[::-1]
+        # the identity's block columns as pairs, off-diagonal -0.0 so that
+        # -0.0 - y is -y bit for bit, signed zeros included
+        self.eye_cols = np.full((2, 2, n, n), -0.0)
+        self.eye_cols[0, 0] = self.eye_cols[1, 1] = np.eye(n)
+        self.eye2 = np.eye(2 * n)
+        rhs = np.zeros((2, n, 3, 2, n))
+        self.g_pairs = rhs[:, :, 1]
+        rhs = rhs.reshape(2 * n, 6 * n)
+        rhs[:, :2 * n] = np.block([[self.a_mat[0], delta * coeffs.B12],
+                                   [delta * self.a_mat[1],
+                                    delta * coeffs.Bbar12]])
+        rhs[:, 4 * n:] = self.eye2
+        self.rhs_fixed, self.g_block = rhs[:, :2 * n], rhs[:, 2 * n:4 * n]
+        # numpy < 2 reads a 2-D b as a vector stack, so b is 3-D
+        self.rhs = np.broadcast_to(rhs, (gap + 1,) + rhs.shape)
+        self.left = np.empty((2, gap + 1, 2, n, n))
+        # the aggregate S^max(l, 1) that level l's lag-entry product reads
+        self.level_agg = np.maximum(np.arange(gap + 1) - 1, 0)
         self.phat = np.empty(layers + (n, n))
         self.phat_lag = np.empty(layers + (grid.d1 + 1, n, n))
         self.ccheck_lag = np.empty(layers + (grid.d2 + 1, n, n))
@@ -179,6 +204,9 @@ class RiccatiLadder:
         self.shat, self.scheck = self.agg[:, :, 0], self.agg[:, :, -1]
         self.shat.flags.writeable = self.scheck.flags.writeable = False
         self.coef = np.empty(steps + (gap + 1, 2, n, n))
+        self.w_hat = np.empty(steps + (2 * n, n))
+        self.w_check = np.empty(steps + (2 * n, (gap + 1) * n))
+        self.coupling = np.empty(steps + (n, (gap + 1) * n))
         self.u1_gain = np.empty(steps + (coeffs.B1.shape[1], n))
         self.u2_gain = np.empty(steps + (gap + 1, coeffs.B2.shape[1], n))
         self.zfactors = np.empty(steps + (max(gap - 2, 0), 2 * n, 2 * n))
@@ -187,14 +215,6 @@ class RiccatiLadder:
         self.phat_lag[-1] = 0.0
         self.ccheck_lag[-1] = 0.0
         self.agg[-1] = self.phat[-1][:, None]
-
-    @property
-    def n(self) -> int:
-        return self.a_mat.shape[-1]
-
-    @property
-    def gap(self) -> int:
-        return self.grid.d1 - self.grid.d2
 
     def finite(self, k: int) -> bool:
         """Whether every entry of layer k is finite."""
@@ -216,158 +236,128 @@ def _rcond(M: np.ndarray):
         return np.where(np.isfinite(c) & (c != 0.0), 1.0 / c, 0.0)[()]
 
 
-class StepProducts(NamedTuple):
-    """The products of the reduced control maps with layer k+1's matrices
-    that step k reads, each formed once: with player 1's coarsest
-    aggregate ``S1 = shat[k+1, 0]``, the state coefficients ``P1, P2 =
-    phat[k+1]`` and player 2's aggregates ``S2 = agg[k+1, 1]`` (gap, n,
-    n), whose products are stacks over S^1..S^gap."""
-
-    b11_s1: np.ndarray
-    bbar11_s1: np.ndarray
-    b21_p1: np.ndarray
-    bbar21_p1: np.ndarray
-    b22_p2: np.ndarray
-    bbar22_p2: np.ndarray
-    b12_s2: np.ndarray
-    bbar12_s2: np.ndarray
+def _norm1(M: np.ndarray) -> np.ndarray:
+    """The 1-norm of each matrix in a stack, as ``np.linalg.norm`` forms it."""
+    return np.maximum.reduce(np.add.reduce(np.abs(M), axis=-2), axis=-1)
 
 
 def assemble_blocks(ladder: RiccatiLadder, coeffs: SweepCoefficients,
-                    k: int) -> tuple[np.ndarray, np.ndarray, StepProducts]:
+                    k: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     """The block families of step k, built from layer k+1's aggregates:
     ``levels`` (gap+1, 2n, 2n), the block of information level m at
     index m (gamma_hat at 0, gamma_m{m} at 0 < m < gap, gamma_check at
-    gap), the coarse-level coupling ``g_block`` (2n, 2n) and the
-    products they are built from. Writes each level's reciprocal
-    condition number to ``ladder.rcond[k]``.
-
-    Raises :class:`SingularGamma` when any block is numerically singular,
-    i.e. the explicit-solution hypothesis fails at this step/resolution,
-    and :class:`NonFiniteLayer` instead when layer k+1 holds an inf or nan
-    entry (the recursion overflowed before this step).
+    gap), the coarse-level coupling ``g_block`` (2n, 2n), which is
+    written into ``ladder.rhs``, and the products they are built from,
+    each formed once as an (increment-free, increment) pair: with player
+    1's coarsest aggregate ``S1 = shat[k+1, 0]``, the state coefficients
+    ``P1, P2 = phat[k+1]`` and player 2's aggregates ``S2 = agg[k+1, 1]``,
+    ``b11`` = [B11; Bbar11] S1, ``b21`` = [B21; Bbar21] P1, ``b22`` =
+    [B22; Bbar22] P2 and ``b12`` (gap, 2, n, n), [B12; Bbar12] S^m at
+    index m-1. The blocks are not checked here: ``solve_estimate_chain``
+    gates them on the condition numbers its one solve gives.
     """
     n, gap, delta = ladder.n, ladder.gap, ladder.grid.delta
-    eye = np.eye(n)
-    S1 = ladder.shat[k + 1, 0]
-    P1, P2 = ladder.phat[k + 1]
-    S2 = ladder.agg[k + 1, 1]
-    pr = StepProducts(
-        b11_s1=coeffs.B11 @ S1, bbar11_s1=coeffs.Bbar11 @ S1,
-        b21_p1=coeffs.B21 @ P1, bbar21_p1=coeffs.Bbar21 @ P1,
-        b22_p2=coeffs.B22 @ P2, bbar22_p2=coeffs.Bbar22 @ P2,
-        b12_s2=coeffs.B12 @ S2, bbar12_s2=coeffs.Bbar12 @ S2)
+    b11 = ladder.maps11 @ ladder.shat[k + 1, 0]
+    b21, b22 = ladder.maps2 @ ladder.phat[k + 1, :, None]
+    b12 = ladder.maps12 @ ladder.agg[k + 1, 1, :, None]
 
-    # level 0 holds gamma_hat, level m the block gamma_m{m}, level gap
-    # gamma_check; the finer levels differ only in their S^2 aggregate
-    levels = np.empty((gap + 1, 2 * n, 2 * n))
-    levels[0, :n, :n] = eye - delta * (pr.b11_s1 + pr.b12_s2[0])
-    levels[0, :n, n:] = -(pr.b21_p1 + pr.b22_p2)
-    levels[0, n:, :n] = -delta * (pr.bbar11_s1 + pr.bbar12_s2[0])
-    levels[0, n:, n:] = eye - pr.bbar21_p1 - pr.bbar22_p2
-    levels[1:, :n, :n] = eye - delta * pr.b12_s2
-    levels[1:, :n, n:] = -pr.b22_p2
-    levels[1:, n:, :n] = -delta * pr.bbar12_s2
-    levels[1:, n:, n:] = eye - pr.bbar22_p2
-    g_block = np.empty((2 * n, 2 * n))
-    g_block[:n, :n] = delta * pr.b11_s1
-    g_block[:n, n:] = pr.b21_p1
-    g_block[n:, :n] = delta * pr.bbar11_s1
-    g_block[n:, n:] = pr.bbar21_p1
-
-    rc = ladder.rcond[k] = _rcond(levels)
-    if rc.min() < RCOND_MIN:
-        if not ladder.finite(k + 1):
-            raise NonFiniteLayer(k + 1)
-        m, which = next((m, which) for m, which in block_order(gap)
-                        if rc[m] < RCOND_MIN)
-        raise SingularGamma(k, which, rc[m])
-    return levels, g_block, pr
+    # levels[m, i, :, j] is block (i, j) of level m: level 0 holds
+    # gamma_hat, level m the block gamma_m{m}, level gap gamma_check; the
+    # finer levels differ only in their S^2 aggregate
+    levels = np.empty((gap + 1, 2, n, 2, n))
+    left, right = ladder.eye_cols
+    levels[0, :, :, 0] = left - delta * (b11 + b12[0])
+    levels[0, 0, :, 1] = -(b21[0] + b22[0])
+    levels[0, 1, :, 1] = right[1] - b21[1] - b22[1]
+    levels[1:, :, :, 0] = left - delta * b12
+    levels[1:, :, :, 1] = right - b22
+    ladder.g_pairs[:, :, 0] = delta * b11
+    ladder.g_pairs[:, :, 1] = b21
+    return (levels.reshape(gap + 1, 2 * n, 2 * n), ladder.g_block,
+            (b11, b21, b22, b12))
 
 
-def _row_apply(top: np.ndarray, bot: np.ndarray, W: np.ndarray, n: int) -> np.ndarray:
-    """Apply the 1x2 block row [top, bot] to a stacked (2n, c) column."""
-    return top @ W[:n] + bot @ W[n:]
-
-
-def _column_blocks(X: np.ndarray, n: int) -> np.ndarray:
-    """View of the (r, c*n) array X as its c column blocks, shape (c, r, n)."""
-    return X.reshape(len(X), -1, n).swapaxes(0, 1)
+def _singular(ladder: RiccatiLadder, levels: np.ndarray, k: int):
+    """The error of step k when its blocks fail the gate: the first block,
+    in ``block_order``, below ``RCOND_MIN`` by ``_rcond``, unless layer
+    k+1 overflowed."""
+    if not ladder.finite(k + 1):
+        return NonFiniteLayer(k + 1)
+    rc = _rcond(levels)
+    m, which = next((m, which) for m, which in block_order(ladder.gap)
+                    if rc[m] < RCOND_MIN)
+    return SingularGamma(k, which, rc[m])
 
 
 def solve_estimate_chain(ladder: RiccatiLadder, coeffs: SweepCoefficients,
                          k: int) -> None:
     """Back-substitution chain writing the closed-loop step k of ``ladder``
-    (``coef``, ``u1_gain``, ``u2_gain``, ``zfactors``, and ``rcond`` through
-    ``assemble_blocks``) from its layer k+1.
+    (``coef``, the estimate pairs, ``zfactors`` and ``rcond``) from its
+    layer k+1.
 
     Each information level's estimate pair is linear in its right-hand
     side, so one batched solve over the level blocks (``gamma_hat``, the
     ``gamma_m{m}``, ``gamma_check``) gives every level m its response C_m
     to the state column, Y_m to the kernel coupling of already-solved
-    levels and Z_m to the coarse-level coupling. The coupling that the
-    solved levels feed into finer ones then follows as a scan of gap-1
-    n-by-n product steps, coarsest level first; the coarsest and the last
-    level's estimate pairs are substituted back into the state update.
+    levels, Z_m to the coarse-level coupling, and its block's inverse,
+    from which the blocks' 1-norm condition numbers follow as
+    ``np.linalg.cond(levels, 1)`` computes them. Before any solution is
+    used, :class:`SingularGamma` is raised when a block is numerically
+    singular (the explicit-solution hypothesis fails at this step and
+    resolution), :class:`NonFiniteLayer` when layer k+1 overflowed. The
+    coupling that the solved levels feed into finer ones then follows as
+    a scan of gap-1 n-by-n product steps, coarsest level first; the
+    coarsest and the last level's estimate pairs are substituted back
+    into the state update.
     """
     n, gap, delta = ladder.n, ladder.gap, ladder.grid.delta
-    levels, g_block, pr = assemble_blocks(ladder, coeffs, k)
-    S1h = ladder.shat[k + 1, 0]
-    P1, P2 = ladder.phat[k + 1]
-    S2c = ladder.scheck[k + 1, 1]
+    levels, _, (b11, b21, b22, b12) = assemble_blocks(ladder, coeffs, k)
+    try:
+        sol = np.linalg.solve(levels, ladder.rhs)
+    except np.linalg.LinAlgError:     # an exactly zero pivot
+        raise _singular(ladder, levels, k) from None
+    rc = ladder.rcond[k] = 1.0 / (_norm1(levels) * _norm1(sol[..., 4 * n:]))
+    if not np.minimum.reduce(rc) >= RCOND_MIN:
+        raise _singular(ladder, levels, k)
+    C, Y, Z = sol[..., :n], sol[..., n:2 * n], sol[..., 2 * n:4 * n]
+    W00 = C[0]
     # lag entries of player 2 at the next layer, offsets 0..gap-2, that
     # enter both the kernel couplings and the mid-level state terms
     lag2 = ladder.phat_lag[k + 1, 1, :gap - 1]
 
-    # right-hand sides shared by every level: the state column, the kernel
-    # coupling [delta B12; delta Bbar12] and the coarse-level coupling.
-    # One LAPACK gesv per level in one call; b is broadcast to 3-D because
-    # numpy < 2 reads a 2-D b as a vector stack.
-    rhs = np.concatenate((ladder.rhs_fixed, g_block), axis=1)
-    sol = np.linalg.solve(levels,
-                          np.broadcast_to(rhs, (gap + 1,) + rhs.shape))
-    C, Y, Z = sol[..., :n], sol[..., n:2 * n], sol[..., 2 * n:]
-    W00 = C[0]
-
     # The level-m estimate pair depends on the level-l estimate of the
     # previous state through Y_m R (plus Z_m W00 on l = 0) for l < m and
     # C_m for l = m, where R = sum_{0 < j < m} lag2[j-1] @ W_j[:n] is the
-    # coupling of the levels solved so far (column block l).
-    top = lag2 @ sol[1:gap, :n]
+    # coupling of the levels solved so far (column block l); R is still
+    # zero at m = 1, so that product is skipped
+    top = lag2 @ sol[1:gap, :n, :4 * n]
     T = top[..., n:2 * n]
     E = top[..., 2 * n:] @ W00
-    R = np.zeros((n, (gap + 1) * n))
-    for m in range(1, gap):
-        R += T[m - 1] @ R
-        R[:, :n] += E[m - 1]
-        R[:, m * n:(m + 1) * n] = top[m - 1, :, :n]
-    Wc = Y[gap] @ R
+    R = ladder.coupling[k]
+    R[:] = 0.0
+    R_blocks = R.reshape(n, gap + 1, n)
+    for m, (Tm, Em, Fm) in enumerate(zip(T, E, top[..., :n]), start=1):
+        if m > 1:
+            R += Tm @ R
+        R_blocks[:, 0] += Em
+        R_blocks[:, m] = Fm
+    ladder.w_hat[k] = W00
+    Wc = np.matmul(Y[gap], R, out=ladder.w_check[k])
     Wc[:, :n] += Z[gap] @ W00
     Wc[:, gap * n:] = C[gap]
     # level-coupling operators of levels 2..gap-1
     zfactors = ladder.zfactors[k]
-    zfactors[:] = np.eye(2 * n)
+    zfactors[:] = ladder.eye2
     zfactors[:, :n, :n] += T[1:]
     zfactors[:, n:, :n] += lag2[1:] @ Y[2:gap, n:]
 
-    # state-update coefficients, affine in the increment, for every
-    # source level l at once (column block l)
-    const = (delta * (coeffs.B12 @ R)
-             + _row_apply(delta * pr.b12_s2[-1], pr.b22_p2, Wc, n))
-    noise = (coeffs.Bbar12 @ R
-             + _row_apply(pr.bbar12_s2[-1], pr.bbar22_p2 / delta, Wc, n))
-    const[:, :n] += _row_apply(delta * pr.b11_s1, pr.b21_p1, W00, n)
-    noise[:, :n] += _row_apply(pr.bbar11_s1, pr.bbar21_p1 / delta, W00, n)
-    ladder.coef[k, :, 0] = _column_blocks(const, n)
-    ladder.coef[k, :, 1] = _column_blocks(noise, n)
-
-    # controls implied by the solved estimate pairs, as window gains
-    ladder.u1_gain[k] = -coeffs.R1inv @ (
-        coeffs.B1.T @ (S1h @ W00[:n])
-        + coeffs.B1bar.T @ (P1 @ W00[n:]) / delta)
-    u2 = -coeffs.R2inv @ (coeffs.B2.T @ (S2c @ Wc[:n] + R)
-                          + coeffs.B2bar.T @ (P2 @ Wc[n:] / delta))
-    ladder.u2_gain[k] = _column_blocks(u2, n)
+    # state-update coefficients, affine in the increment, as (const,
+    # noise) pairs for every source level l at once (column block l)
+    scale, divisor = ladder.scale, ladder.divisor
+    pair = (scale * (ladder.maps12 @ R)
+            + ((scale * b12[-1]) @ Wc[:n] + (b22 / divisor) @ Wc[n:]))
+    pair[..., :n] += (scale * b11) @ W00[:n] + (b21 / divisor) @ W00[n:]
+    ladder.coef[k] = pair.reshape(2, n, gap + 1, n).transpose(2, 0, 1, 3)
 
 
 def riccati_step(ladder: RiccatiLadder, coeffs: SweepCoefficients,
@@ -381,6 +371,7 @@ def riccati_step(ladder: RiccatiLadder, coeffs: SweepCoefficients,
     n, d1, d2, gap = ladder.n, ladder.grid.d1, ladder.grid.d2, ladder.gap
     delta = ladder.grid.delta
     a_hat, a_bar = ladder.a_mat
+    a_hat_t, a_bar_t = ladder.a_t
     coef = ladder.coef[k]
     P_next = ladder.phat[k + 1]
     lag_next = ladder.phat_lag[k + 1]
@@ -390,39 +381,53 @@ def riccati_step(ladder: RiccatiLadder, coeffs: SweepCoefficients,
     ccheck_lag = ladder.ccheck_lag[k]
 
     # every expression below carries the leading player axis
-    abar_p = a_bar.T @ P_next
-    phat[:] = (a_hat.T @ P_next @ a_hat
+    abar_p = a_bar_t @ P_next
+    phat[:] = (a_hat_t @ P_next @ a_hat
                + delta * (abar_p @ a_bar)
-               + a_hat.T @ (lag_next[:, d1] + cc_next[:, d2]) @ a_hat
+               + a_hat_t @ (lag_next[:, d1] + cc_next[:, d2]) @ a_hat
                + ladder.delta_q)
 
     # const-part tails sum(Mm[j], j >= m) + H + A_hat, m = 1..gap-1, used
     # by the coupled branch
     tails = (a_hat + coef[gap, 0]
-             + np.cumsum(coef[gap - 1:0:-1, 0], axis=0)[::-1])
+             + np.add.accumulate(coef[gap - 1:0:-1, 0], axis=0)[::-1])
 
     # the left factors a_hat' S + dw a_bar' P_next of the three lag-entry
     # products, one (const, noise) pair per aggregate S: S^1 for the
     # coarsest product, then S^1..S^gap
-    left = np.empty((2, gap + 1, 2, n, n))
-    left[:, 1:, 0] = a_hat.T @ ladder.agg[k + 1]
-    left[:, 0, 0] = left[:, 1, 0]
+    left = ladder.left
+    left[:, :, 0] = a_hat_t @ ladder.agg[k + 1][:, ladder.level_agg]
     left[:, :, 1] = abar_p[:, None]
     products = expectation_of_product(left, coef, delta)
     phat_lag[:, 0] = products[:, 0]
     # coupled branch, batched over offsets m = 1..gap-1
     phat_lag[:, 1:gap] = (products[:, 1:gap]
-                          + a_hat.T @ lag_next[:, :gap - 1] @ tails)
+                          + a_hat_t @ lag_next[:, :gap - 1] @ tails)
     # free-branch transport of both lag families, batched over offsets
-    phat_lag[:, gap:] = a_hat.T @ lag_next[:, gap - 1:d1] @ a_hat
+    phat_lag[:, gap:] = a_hat_t @ lag_next[:, gap - 1:d1] @ a_hat
     ccheck_lag[:, 0] = products[:, gap]
-    ccheck_lag[:, 1:] = a_hat.T @ cc_next[:, :d2] @ a_hat
+    ccheck_lag[:, 1:] = a_hat_t @ cc_next[:, :d2] @ a_hat
 
     # aggregates from suffix sums of the first lag family: index m-1 holds
     # S^m = phat + sum(phat_lag[m-1:]) + sum(ccheck_lag)
-    suffix = np.cumsum(phat_lag[:, ::-1], axis=1)[:, ::-1]
+    suffix = np.add.accumulate(phat_lag[:, ::-1], axis=1)[:, ::-1]
     ladder.agg[k] = (phat[:, None] + suffix[:, :gap]
-                     + ccheck_lag.sum(axis=1)[:, None])
+                     + np.add.reduce(ccheck_lag, axis=1)[:, None])
+
+
+def implied_gains(ladder: RiccatiLadder, coeffs: SweepCoefficients) -> None:
+    """Write ``u1_gain`` and ``u2_gain`` of every step at once from the
+    estimate pairs the chain stored and the layers one step ahead."""
+    n, gap, delta = ladder.n, ladder.gap, ladder.grid.delta
+    W00, Wc = ladder.w_hat, ladder.w_check
+    P1, P2 = ladder.phat[1:, 0], ladder.phat[1:, 1]
+    ladder.u1_gain[:] = -coeffs.R1inv @ (
+        coeffs.B1.T @ (ladder.shat[1:, 0] @ W00[:, :n])
+        + coeffs.B1bar.T @ (P1 @ W00[:, n:]) / delta)
+    u2 = -coeffs.R2inv @ (
+        coeffs.B2.T @ (ladder.scheck[1:, 1] @ Wc[:, :n] + ladder.coupling)
+        + coeffs.B2bar.T @ (P2 @ Wc[:, n:] / delta))
+    ladder.u2_gain[:] = u2.reshape(len(u2), -1, gap + 1, n).swapaxes(1, 2)
 
 
 def backward_sweep(coeffs: SweepCoefficients, grid: Grid) -> RiccatiLadder:
@@ -439,6 +444,7 @@ def backward_sweep(coeffs: SweepCoefficients, grid: Grid) -> RiccatiLadder:
         for k in range(grid.N, -1, -1):
             solve_estimate_chain(ladder, coeffs, k)
             riccati_step(ladder, coeffs, k)
+        implied_gains(ladder, coeffs)
     if not ladder.finite(0):
         raise NonFiniteLayer(0)
     return ladder

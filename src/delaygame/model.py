@@ -156,10 +156,15 @@ def validate(spec: GameSpec) -> ValidationReport:
         return ValidationReport((f"finite entries: non-finite entries in "
                                  f"{', '.join(nonfinite)}",))
 
-    if not 0.0 < spec.h2 < spec.h1 < spec.T:
+    failed = [rule for rule, holds in (("h2 > 0", spec.h2 > 0.0),
+                                       ("h2 < h1", spec.h2 < spec.h1),
+                                       ("h1 < T", spec.h1 < spec.T))
+              if not holds]
+    if failed:
         violations.append(
             f"delay ordering: need 0 < h2 < h1 < T; delays must satisfy "
-            f"h2 < h1 (h1={spec.h1:.6g}, h2={spec.h2:.6g}, T={spec.T:.6g})")
+            f"{' and '.join(failed)} (h1={spec.h1:.6g}, h2={spec.h2:.6g}, "
+            f"T={spec.T:.6g})")
 
     for name in ("Q1", "Q2", "H1", "H2"):
         M = getattr(spec, name)
@@ -253,17 +258,25 @@ _PROBLEM_MATRIX_KEYS = ("A", "Abar", "B1", "B1bar", "B2", "B2bar",
                         "Q1", "Q2", "R1", "R2", "H1", "H2")
 
 
+def _holds_bool(value) -> bool:
+    return isinstance(value, bool) or (isinstance(value, list)
+                                       and any(map(_holds_bool, value)))
+
+
 def load_problem(path) -> GameSpec:
     """Read a problem file: JSON with row-major nested arrays and scalars."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    missing = [k for k in (*_PROBLEM_MATRIX_KEYS, "h1", "h2", "T", "x0")
-               if k not in data]
+    keys = (*_PROBLEM_MATRIX_KEYS, "h1", "h2", "T", "x0")
+    missing = [k for k in keys if k not in data]
     if missing:
         raise ValueError(f"problem file {path} missing keys: {missing}")
-    kwargs = {k: data[k] for k in _PROBLEM_MATRIX_KEYS}
-    return GameSpec(**kwargs, h1=data["h1"], h2=data["h2"], T=data["T"],
-                    x0=data["x0"])
+    # json reads true as a bool, which numpy would take for 1.0
+    booleans = [k for k in keys if _holds_bool(data[k])]
+    if booleans:
+        raise ValueError(f"problem file {path} has booleans, not numbers, "
+                         f"in keys: {booleans}")
+    return GameSpec(**{k: data[k] for k in keys})
 
 
 def save_problem(spec: GameSpec, path) -> None:

@@ -56,7 +56,8 @@ def test_report_top_level_and_correctness():
     assert report["commit"] == "abc123" and report["seconds"] == 10.0
     assert report["src_lines"] == 2485 and report["nproc"] == 2
     assert {"cli.self_s", "discrete_engine.lu_factor_calls",
-            "discrete_engine.lu_solve_calls", "simulator.rollouts",
+            "discrete_engine.lu_solve_calls", "discrete_engine.cond_calls",
+            "simulator.rollouts",
             "simulator.path_steps", "verify.stationarity_s",
             "verify.deviation_s"} <= set(report["known_miscounts"])
     assert bench.all_correct(report)
@@ -71,3 +72,37 @@ def test_parse_run_reads_the_last_two_lines():
     assert context["seed"] == 2 and result["metrics"]["wall_s"]["value"] == 1.3
     with pytest.raises(ValueError):
         bench.parse_run('{"correct": true}\n')
+
+
+def test_paired_entry_wins_differences_and_quartiles():
+    # five pairs: the change is lower in wall_s in four, and its setup_s
+    # ties once (a tie is no win)
+    parent = [(101 + i, run_output(101 + i, wall))
+              for i, wall in enumerate([1.0, 1.2, 1.1, 1.4, 1.3])]
+    change = [(101 + i, run_output(101 + i, wall))
+              for i, wall in enumerate([0.8, 1.3, 0.9, 1.0, 1.2])]
+    e = bench.paired_entry(parent, change)
+    wall = e["wall_s"]
+    assert wall["parent"] == [1.0, 1.2, 1.1, 1.4, 1.3]
+    assert wall["change"] == [0.8, 1.3, 0.9, 1.0, 1.2]
+    assert wall["pairs"] == 5 and wall["wins"] == 4
+    # paired differences -0.2, +0.1, -0.2, -0.4, -0.1: median -0.2
+    assert wall["median_diff"] == pytest.approx(-0.2)
+    # the parent's inclusive quartiles are 1.1 and 1.3
+    assert wall["parent_iqr"] == pytest.approx(0.2)
+    # run_output gives both sides the same setup_s and peak_rss_mb per seed
+    assert e["setup_s"]["wins"] == 0 and e["setup_s"]["median_diff"] == 0.0
+    assert [r["seed"] for r in e["runs"]["change"]] == [101, 102, 103, 104,
+                                                        105]
+
+
+def test_paired_single_pair_and_correctness():
+    one = bench.paired_entry([(101, run_output(101, 1.0))],
+                             [(101, run_output(101, 1.0, correct=False))])
+    assert one["wall_s"]["pairs"] == 1 and one["wall_s"]["wins"] == 0
+    assert one["wall_s"]["parent_iqr"] == 0.0
+    report = bench.bench_report({"verify-mc": entry()}, "abc123", 1.0)
+    assert bench.all_correct(report)
+    report["paired"] = {"against": "def456", "pairs": 1, "seeds": [101],
+                        "workloads": {"verify-mc": one}}
+    assert not bench.all_correct(report)

@@ -155,6 +155,44 @@ class TestSolve:
         assert err.splitlines() == [
             "backward sweep: non-finite entry in layer k=199 (overflow)"]
 
+    @pytest.mark.parametrize("key,value,line", [
+        ("A", 1e3, "backward sweep: singular block 'gamma_check' at step "
+                   "k=190 (rcond=5.333e-13)"),
+        ("H1", 1e200, "backward sweep: singular block 'gamma_hat' at step "
+                      "k=199 (rcond=0.000e+00)")],
+        ids=["near-singular", "no-finite-inverse"])
+    def test_singular_block_exit_3(self, tmp_path, capsys, key, value, line):
+        # the sweep's gate reads the condition numbers of its one solve:
+        # a block below RCOND_MIN, and one whose inverse overflows, are
+        # each named with the step and the number np.linalg.cond gives
+        from dataclasses import replace
+        path = tmp_path / "singular.json"
+        save_problem(replace(golden_scalar_spec(),
+                             **{key: np.full((1, 1), value)}), path)
+        code = main(["solve", "--problem", str(path),
+                     "--out", str(tmp_path / "o")])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.splitlines() == [line]
+
+    @pytest.mark.parametrize("key,value,extra", [
+        ("T", True, {}), ("h1", True, {"T": 2.0}), ("A", [[True]], {}),
+        ("x0", [True], {})], ids=["T", "h1", "A", "x0"])
+    def test_boolean_entry_exit_2(self, tmp_path, capsys, key, value, extra):
+        # json's true is not a number: numpy would read it as 1.0
+        path = tmp_path / "boolean.json"
+        save_problem(golden_scalar_spec(), path)
+        data = dict(json.loads(path.read_text()), **extra)
+        data[key] = value
+        path.write_text(json.dumps(data))
+        code = main(["solve", "--problem", str(path),
+                     "--out", str(tmp_path / "o")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("cannot load problem: ")
+        assert err.endswith(f"in keys: [{key!r}]\n")
+        assert len(err.splitlines()) == 1
+
     def test_out_of_memory_exit_1(self, wide_problem, tmp_path, capsys,
                                   monkeypatch):
         # a --delta like 1e-9 asks numpy for petabytes; stand in for that

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from delaygame import (GameSpec, Grid, SingularGamma, SweepCoefficients,
                        assemble_blocks, build_grid, expectation_of_product,
                        solve_ladder)
-from delaygame.discrete_engine import (LAYER_FIELDS, RiccatiLadder,
+from delaygame import discrete_engine
+from delaygame.discrete_engine import (LAYER_FIELDS, RiccatiLadder, _rcond,
                                       riccati_step, solve_estimate_chain)
 from conftest import RANDOM_DELTA, RANDOM_SPECS, matrix_spec, wide_delay_spec
 from oracles import oracle_chain_sweep, oracle_sweep
@@ -104,11 +105,61 @@ class TestAssembleBlocks:
         return ladder, coeffs, grid
 
     def test_singular_block_raises(self):
+        # the gate runs on the chain's one solve, before any result of it
+        # is used
         ladder, coeffs, grid = self._singular_terminal()
         with pytest.raises(SingularGamma) as err:
-            assemble_blocks(ladder, coeffs, grid.N)
+            solve_estimate_chain(ladder, coeffs, grid.N)
         assert err.value.k == grid.N
         assert err.value.which == "gamma_hat"
+
+    def test_exactly_singular_block_named(self, monkeypatch):
+        # an exactly zero pivot makes the solve raise LinAlgError: the
+        # chain still names the block, from np.linalg.cond's numbers
+        ladder, coeffs, grid = self._singular_terminal()
+        k = grid.N
+        levels = assemble_blocks(ladder, coeffs, k)[0]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(levels, ladder.rhs)
+        assert list(_rcond(levels) == 0.0) == [True] + [False] * ladder.gap
+        with pytest.raises(SingularGamma) as err:
+            solve_estimate_chain(ladder, coeffs, k)
+        assert (err.value.k, err.value.which, err.value.rcond) == (
+            k, "gamma_hat", 0.0)
+        # the same for a finer block alone: zero gamma_check's first row
+        real = assemble_blocks
+
+        def zero_row(ladder, coeffs, k):
+            levels, g_block, products = real(ladder, coeffs, k)
+            levels[-1, 0] = 0.0
+            return levels, g_block, products
+        monkeypatch.setattr(discrete_engine, "assemble_blocks", zero_row)
+        ladder, coeffs, grid = TestAssembleBlocks._regular_terminal()
+        with pytest.raises(SingularGamma) as err:
+            solve_estimate_chain(ladder, coeffs, grid.N)
+        assert (err.value.k, err.value.which, err.value.rcond) == (
+            grid.N, "gamma_check", 0.0)
+
+    @staticmethod
+    def _regular_terminal():
+        spec = wide_delay_spec()
+        grid = Grid(N=9, delta=0.1, d1=2, d2=1)
+        coeffs = SweepCoefficients.from_spec(spec)
+        return RiccatiLadder(grid, coeffs), coeffs, grid
+
+    @pytest.mark.parametrize("case", ["golden", "matrix_case"])
+    def test_rcond_equals_cond(self, case, request):
+        # the condition numbers the chain takes from its one solve are
+        # the reciprocals of np.linalg.cond(levels, 1), bit for bit, at
+        # every step
+        spec, grid, solved = request.getfixturevalue(case)
+        coeffs = SweepCoefficients.from_spec(spec)
+        ladder = RiccatiLadder(grid, coeffs)
+        for f in LAYER_FIELDS:
+            getattr(ladder, f)[:] = getattr(solved, f)
+        for k in range(grid.N + 1):
+            want = _rcond(assemble_blocks(ladder, coeffs, k)[0])
+            np.testing.assert_array_equal(solved.rcond[k], want)
 
     @pytest.mark.parametrize("case", ["golden", "matrix_case"])
     def test_products_and_constants_equal_direct_forms(self, case, request):
@@ -123,19 +174,29 @@ class TestAssembleBlocks:
         S1 = ladder.shat[k + 1, 0]
         P1, P2 = ladder.phat[k + 1]
         S2 = ladder.agg[k + 1, 1]
-        _, _, products = assemble_blocks(ladder, coeffs, k)
-        direct = {"b11_s1": coeffs.B11 @ S1, "bbar11_s1": coeffs.Bbar11 @ S1,
-                  "b21_p1": coeffs.B21 @ P1, "bbar21_p1": coeffs.Bbar21 @ P1,
-                  "b22_p2": coeffs.B22 @ P2, "bbar22_p2": coeffs.Bbar22 @ P2,
-                  "b12_s2": coeffs.B12 @ S2, "bbar12_s2": coeffs.Bbar12 @ S2}
-        assert products._fields == tuple(direct)
-        for name, want in direct.items():
-            np.testing.assert_array_equal(getattr(products, name), want)
+        _, g_block, (b11, b21, b22, b12) = assemble_blocks(ladder, coeffs, k)
+        # each product is an (increment-free, increment) pair whose halves
+        # are the products with the unpaired maps
+        direct = {"b11": (coeffs.B11 @ S1, coeffs.Bbar11 @ S1),
+                  "b21": (coeffs.B21 @ P1, coeffs.Bbar21 @ P1),
+                  "b22": (coeffs.B22 @ P2, coeffs.Bbar22 @ P2)}
+        for name, got in zip(direct, (b11, b21, b22)):
+            assert got.shape == (2, n, n), name
+            for half, want in zip(got, direct[name]):
+                np.testing.assert_array_equal(half, want)
+        assert b12.shape == (ladder.gap, 2, n, n)
         assert len(S2) == ladder.gap >= 2
         for m, S in enumerate(S2):
-            np.testing.assert_array_equal(products.b12_s2[m], coeffs.B12 @ S)
-            np.testing.assert_array_equal(products.bbar12_s2[m],
-                                          coeffs.Bbar12 @ S)
+            np.testing.assert_array_equal(b12[m, 0], coeffs.B12 @ S)
+            np.testing.assert_array_equal(b12[m, 1], coeffs.Bbar12 @ S)
+        # the step's coarse-level coupling is written into the one
+        # right-hand side buffer [rhs_fixed | g_block | I_2n]
+        assert np.shares_memory(g_block, ladder.rhs)
+        for m in range(ladder.gap + 1):
+            np.testing.assert_array_equal(ladder.rhs[m, :, 2 * n:4 * n],
+                                          g_block)
+            np.testing.assert_array_equal(ladder.rhs[m, :, 4 * n:],
+                                          np.eye(2 * n))
 
         rhs_fixed = np.empty((2 * n, 2 * n))
         rhs_fixed[:n, :n] = ladder.a_mat[0]
@@ -146,6 +207,10 @@ class TestAssembleBlocks:
                                       np.eye(n) + delta * coeffs.A)
         np.testing.assert_array_equal(ladder.a_mat[1], coeffs.Abar)
         np.testing.assert_array_equal(ladder.rhs_fixed, rhs_fixed)
+        np.testing.assert_array_equal(ladder.rhs[:, :, :2 * n],
+                                      np.broadcast_to(rhs_fixed,
+                                                      (ladder.gap + 1, 2 * n,
+                                                       2 * n)))
         np.testing.assert_array_equal(ladder.delta_q, delta * coeffs.Q)
 
 
@@ -353,8 +418,8 @@ class TestChainAgainstReference:
 
     def test_one_solve_per_step(self, monkeypatch):
         # one batched factor-and-solve call for every information level
-        # and all their right-hand sides, and one conditioning call for
-        # all blocks
+        # and all their right-hand sides, which also gives the blocks'
+        # condition numbers: no conditioning call
         spec, grid = matrix_spec(), CHAIN_GRIDS[8]
         ladder = solve_ladder(spec, grid)
         calls = {"solve": 0, "lu_factor": 0, "lu_solve": 0, "cond": 0}
@@ -373,7 +438,7 @@ class TestChainAgainstReference:
         counted(np.linalg, "cond")
         k = grid.N - grid.d1
         solve_estimate_chain(ladder, SweepCoefficients.from_spec(spec), k)
-        assert calls == {"solve": 1, "lu_factor": 0, "lu_solve": 0, "cond": 1}
+        assert calls == {"solve": 1, "lu_factor": 0, "lu_solve": 0, "cond": 0}
 
 
 def _random_ladder(spec):
@@ -402,14 +467,15 @@ class TestSweepInvariants:
     @pytest.mark.parametrize("at", ["terminal", "interior", "base"])
     def test_steps_write_only_their_own_slices(self, matrix_case, at):
         # a ladder that is NaN except layer k+1, copied from a solved one:
-        # step k and layer k must come out bit for bit, and every other
+        # step k (with the estimate pairs the gains are read from after
+        # the loop) and layer k must come out bit for bit, and every other
         # slice must stay NaN (a write to the wrong k would show)
         spec, grid, solved = matrix_case
         k = {"terminal": grid.N, "interior": grid.N - grid.d1,
              "base": 0}[at]
         coeffs = SweepCoefficients.from_spec(spec)
         ladder = RiccatiLadder(grid, coeffs)
-        steps = ("coef", "u1_gain", "u2_gain", "zfactors", "rcond")
+        steps = ("coef", "w_hat", "w_check", "coupling", "zfactors", "rcond")
         for f in LAYER_FIELDS + steps:
             getattr(ladder, f)[:] = np.nan
         for f in LAYER_FIELDS:
@@ -423,6 +489,27 @@ class TestSweepInvariants:
                 np.testing.assert_array_equal(got[j], ref[j])
             others = np.delete(got, written, axis=0)
             assert np.isnan(others).all(), f
+
+    @pytest.mark.parametrize("case", ["golden", "matrix_case"])
+    def test_gains_equal_per_step_formula(self, case, request):
+        # backward_sweep reads the implied controls out after its loop,
+        # every step at once: each step's gains must equal the per-step
+        # formula on that step's estimate pairs, bit for bit
+        spec, grid, ladder = request.getfixturevalue(case)
+        c = SweepCoefficients.from_spec(spec)
+        n, delta = ladder.n, grid.delta
+        for k in range(grid.N + 1):
+            W00, Wc = ladder.w_hat[k], ladder.w_check[k]
+            P1, P2 = ladder.phat[k + 1]
+            u1 = -c.R1inv @ (c.B1.T @ (ladder.shat[k + 1, 0] @ W00[:n])
+                             + c.B1bar.T @ (P1 @ W00[n:]) / delta)
+            u2 = -c.R2inv @ (c.B2.T @ (ladder.scheck[k + 1, 1] @ Wc[:n]
+                                       + ladder.coupling[k])
+                             + c.B2bar.T @ (P2 @ Wc[n:] / delta))
+            np.testing.assert_array_equal(ladder.u1_gain[k], u1)
+            for l in range(ladder.gap + 1):
+                np.testing.assert_array_equal(ladder.u2_gain[k, l],
+                                              u2[:, l * n:(l + 1) * n])
 
     @settings(max_examples=25, deadline=None)
     @given(spec=RANDOM_SPECS)

@@ -41,6 +41,17 @@ class TestValidate:
     def test_delay_exceeding_horizon_fails(self):
         assert not validate(scalar_spec(h1=1.5)).passed
 
+    @pytest.mark.parametrize("overrides,rule", [
+        ({"T": -1.0}, "h1 < T"), ({"h2": 0.0}, "h2 > 0"),
+        ({"h1": 1.5}, "h1 < T")], ids=["negative-T", "zero-h2", "h1-past-T"])
+    def test_delay_ordering_names_failed_rule(self, overrides, rule):
+        # the message names the inequality that fails, not h2 < h1
+        report = validate(scalar_spec(**overrides))
+        [line] = [v for v in report.violations
+                  if v.startswith("delay ordering")]
+        assert f"delays must satisfy {rule} (" in line
+        assert "h2 < h1 (" not in line
+
     def test_indefinite_q_fails(self):
         report = validate(matrix_spec())
         assert report.passed
