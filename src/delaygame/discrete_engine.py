@@ -25,6 +25,7 @@ All expectations over the increment use exactly the first two moments
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import NonFiniteLayer, SingularGamma, SingularWeight
@@ -310,7 +311,7 @@ def solve_estimate_chain(ladder: RiccatiLadder, coeffs: SweepCoefficients,
     coarsest and the last level's estimate pairs are substituted back
     into the state update.
     """
-    n, gap, delta = ladder.n, ladder.gap, ladder.grid.delta
+    n, gap = ladder.n, ladder.gap
     levels, _, (b11, b21, b22, b12) = assemble_blocks(ladder, coeffs, k)
     try:
         sol = np.linalg.solve(levels, ladder.rhs)
@@ -368,7 +369,7 @@ def riccati_step(ladder: RiccatiLadder, coeffs: SweepCoefficients,
     layer reads offset m-1 at the next layer, with the coupled branch
     active only for 0 < m < d1-d2.
     """
-    n, d1, d2, gap = ladder.n, ladder.grid.d1, ladder.grid.d2, ladder.gap
+    d1, d2, gap = ladder.grid.d1, ladder.grid.d2, ladder.gap
     delta = ladder.grid.delta
     a_hat, a_bar = ladder.a_mat
     a_hat_t, a_bar_t = ladder.a_t

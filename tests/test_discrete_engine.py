@@ -134,18 +134,11 @@ class TestAssembleBlocks:
             levels[-1, 0] = 0.0
             return levels, g_block, products
         monkeypatch.setattr(discrete_engine, "assemble_blocks", zero_row)
-        ladder, coeffs, grid = TestAssembleBlocks._regular_terminal()
+        coeffs = SweepCoefficients.from_spec(wide_delay_spec())
         with pytest.raises(SingularGamma) as err:
-            solve_estimate_chain(ladder, coeffs, grid.N)
+            solve_estimate_chain(RiccatiLadder(grid, coeffs), coeffs, k)
         assert (err.value.k, err.value.which, err.value.rcond) == (
-            grid.N, "gamma_check", 0.0)
-
-    @staticmethod
-    def _regular_terminal():
-        spec = wide_delay_spec()
-        grid = Grid(N=9, delta=0.1, d1=2, d2=1)
-        coeffs = SweepCoefficients.from_spec(spec)
-        return RiccatiLadder(grid, coeffs), coeffs, grid
+            k, "gamma_check", 0.0)
 
     @pytest.mark.parametrize("case", ["golden", "matrix_case"])
     def test_rcond_equals_cond(self, case, request):
