@@ -42,8 +42,8 @@ class TestValidate:
         assert not validate(scalar_spec(h1=1.5)).passed
 
     @pytest.mark.parametrize("overrides,rule", [
-        ({"T": -1.0}, "h1 < T"), ({"h2": 0.0}, "h2 > 0"),
-        ({"h1": 1.5}, "h1 < T")], ids=["negative-T", "zero-h2", "h1-past-T"])
+        ({"T": -1.0}, "h1 < T"), ({"h2": 0.0}, "h2 > 0")],
+        ids=["negative-T", "zero-h2"])
     def test_delay_ordering_names_failed_rule(self, overrides, rule):
         # the message names the inequality that fails, not h2 < h1
         report = validate(scalar_spec(**overrides))
