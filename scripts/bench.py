@@ -24,10 +24,13 @@ each workload runs N untraced pairs, one run of each tree on the same
 seed (seeds 101 on, which no other run uses), the tree that goes first
 alternating from pair to pair. Per end-to-end metric it records both
 sides' values, the pairs the change wins (a lower value), the median
-paired difference (change minus REV) and REV's quartile distance. Both
-trees' ``src/`` lose their ``__pycache__`` first, so neither side's
-``setup_s`` reads cached bytecode. The script exits 2 if ``perfbench/``
-differs between the two trees: the workloads would differ too.
+paired difference (change minus REV), REV's quartile distance
+(``parent_iqr``) and the quartile distance of the paired differences
+(``diff_iqr``): a drift of the host's load during the series widens the
+first but not the second. Both trees' ``src/`` lose their
+``__pycache__`` first, so neither side's ``setup_s`` reads cached
+bytecode. The script exits 2 if ``perfbench/`` differs between the two
+trees: the workloads would differ too.
 """
 
 from __future__ import annotations
@@ -112,6 +115,14 @@ def workload_entry(untraced, traced) -> dict:
     }
 
 
+def _iqr(values) -> float:
+    """The distance between the inclusive quartiles (0.0 for one value)."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
 def paired_entry(parent, change) -> dict:
     """One workload's paired entry from each side's runs, two lists of
     ``(seed, stdout)`` in pair order. Every metric is lower-is-better."""
@@ -120,14 +131,12 @@ def paired_entry(parent, change) -> dict:
     for name in END_TO_END:
         before = [r[name] for r in runs["parent"]]
         after = [r[name] for r in runs["change"]]
-        q1, _, q3 = (statistics.quantiles(before, n=4, method="inclusive")
-                     if len(before) > 1 else before * 3)
+        diffs = [b - a for a, b in zip(before, after)]
         entry[name] = {"parent": before, "change": after,
                        "pairs": len(before),
-                       "wins": sum(b < a for a, b in zip(before, after)),
-                       "median_diff": statistics.median(
-                           b - a for a, b in zip(before, after)),
-                       "parent_iqr": q3 - q1}
+                       "wins": sum(d < 0 for d in diffs),
+                       "median_diff": statistics.median(diffs),
+                       "parent_iqr": _iqr(before), "diff_iqr": _iqr(diffs)}
     return entry
 
 
@@ -233,7 +242,9 @@ def main(argv=None) -> int:
                 wall = paired[workload]["wall_s"]
                 print(f"{workload}: wall_s lower in {wall['wins']} of "
                       f"{wall['pairs']} pairs, median paired difference "
-                      f"{wall['median_diff']:+.3f} s")
+                      f"{wall['median_diff']:+.3f} s (quartile distance: "
+                      f"parent {wall['parent_iqr']:.3f} s, differences "
+                      f"{wall['diff_iqr']:.3f} s)")
     except (subprocess.CalledProcessError, KeyError, ValueError) as exc:
         print(f"bench: {exc}", file=sys.stderr)
         return 2

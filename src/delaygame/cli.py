@@ -11,7 +11,10 @@ artifacts written before the failing one remain. Only a run that exits
 0 or 4 prints on stdout. All randomness flows from the single --seed:
 every Monte Carlo pass generates its increments from it, one step at a
 time (``simulator.increment_rows``), as a block or streamed, so runs are
-reproducible byte for byte.
+reproducible byte for byte. ``main`` owns the floating-point policy:
+every command runs with numpy's overflow and invalid-value warnings off,
+so an overflow, in the problem's coefficients or later, ends as the one
+stderr line of the check that finds the non-finite number.
 """
 
 from __future__ import annotations
@@ -187,11 +190,8 @@ def cmd_simulate(args) -> int:
     spec, _, ladder = _load(args)
     fields = extract_fields(ladder)
     law = assemble_gains(fields, spec)
-    # an overflow shows as a non-finite cost, checked before any export
-    with np.errstate(over="ignore", invalid="ignore"):
-        traj = simulate_path_gains(law, spec, seed=args.seed,
-                                   n_paths=args.paths)
-        est = estimate_costs(traj, spec)
+    traj = simulate_path_gains(law, spec, seed=args.seed, n_paths=args.paths)
+    est = estimate_costs(traj, spec)
     if not np.all(np.isfinite((est.j1, est.j2, est.j1_se or 0.0,
                                est.j2_se or 0.0))):
         print("simulation: non-finite cost (overflow)", file=sys.stderr)
@@ -288,30 +288,28 @@ def cmd_verify(args) -> int:
     add("gain_stationarity_identity", ident, IDENTITY_TOL,
         ident <= IDENTITY_TOL)
 
-    # an overflow on the paths shows as a non-finite statistic
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = vfy.fbsde_residual_test(ladder, spec, args.paths, args.seed)
-        net = vfy.projection_net(rows, grid)
-        bound = vfy.FBSDE_BAND_C * grid.delta
-        add("fbsde_martingale_projection", net, bound, net <= bound)
+    rows = vfy.fbsde_residual_test(ladder, spec, args.paths, args.seed)
+    net = vfy.projection_net(rows, grid)
+    bound = vfy.FBSDE_BAND_C * grid.delta
+    add("fbsde_martingale_projection", net, bound, net <= bound)
 
-        rows, verdicts = vfy.paired_law_checks(ladder, law, spec, args.paths,
-                                               args.seed)
-        net = vfy.projection_net(rows, grid)
-        bound = vfy.STATIONARITY_BAND_C * grid.delta
-        add("stationarity_projection", net, bound, net <= bound)
+    rows, verdicts = vfy.paired_law_checks(ladder, law, spec, args.paths,
+                                           args.seed)
+    net = vfy.projection_net(rows, grid)
+    bound = vfy.STATIONARITY_BAND_C * grid.delta
+    add("stationarity_projection", net, bound, net <= bound)
 
-        # one-sided: a deviation must not beat the equilibrium beyond noise
-        for v in verdicts:
-            bound = -3.0 * v.combined_se
-            add(f"nash_deviation_p{v.player}_"
-                f"{v.description.replace(' ', '_')}",
-                v.margin, bound, v.margin >= bound)
+    # one-sided: a deviation must not beat the equilibrium beyond noise
+    for v in verdicts:
+        bound = -3.0 * v.combined_se
+        add(f"nash_deviation_p{v.player}_"
+            f"{v.description.replace(' ', '_')}",
+            v.margin, bound, v.margin >= bound)
 
-        cross = vfy.cross_representation_gap(ladder, law, spec,
-                                             min(args.paths, 256), args.seed)
-        bound = vfy.CROSS_REP_C * grid.delta
-        add("cross_representation", cross, bound, cross <= bound)
+    cross = vfy.cross_representation_gap(ladder, law, spec,
+                                         min(args.paths, 256), args.seed)
+    bound = vfy.CROSS_REP_C * grid.delta
+    add("cross_representation", cross, bound, cross <= bound)
 
     # step-halving trends for the deterministic residuals
     ladders, ode_series, semi_series = [ladder], [ode], [semi]
@@ -346,31 +344,25 @@ def cmd_convergence(args) -> int:
     spec, coeffs, ladder = _load(args)
     deltas = [ladder.grid.delta / 2 ** j for j in range(args.halvings + 1)]
     lines, records, prev_fields = [], [], None
-    # an overflow shows as a non-finite value, checked before any export
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lad, f, ode, semi in _halvings(spec, coeffs, ladder,
-                                           args.halvings):
-            g = lad.grid
-            row = {"delta": g.delta, "riccati_ode": ode, "semigroup": semi,
-                   "z_distance": vfy.z_factor_distances(lad)}
-            if prev_fields is not None:
-                # compare state coefficients on the coarser sample set
-                stride = int(round(prev_fields.delta / g.delta))
-                diff = np.max(np.abs(
-                    f.P[:, ::stride][:, :prev_fields.P.shape[1]]
-                    - prev_fields.P))
-                row["state_coeff_diff_vs_coarser"] = float(diff)
-            prev_fields = f
-            records.append(row)
-            lines.append("  ".join(f"{k}={v:.5g}" for k, v in row.items()))
-        if not any(np.any(m) for m in (spec.Abar, spec.B1bar, spec.B2bar)):
-            for dt, gapv in zip(deltas, vfy.no_delay_oracle(spec, deltas)):
-                lines.append(
-                    f"no-delay gain gap at delta={dt:.5g}: {gapv:.5g}")
-                records.append({"delta": dt,
-                                "no_delay_gain_gap": float(gapv)})
-        else:
-            lines.append("no-delay reduction skipped (increment maps nonzero)")
+    for lad, f, ode, semi in _halvings(spec, coeffs, ladder, args.halvings):
+        g = lad.grid
+        row = {"delta": g.delta, "riccati_ode": ode, "semigroup": semi,
+               "z_distance": vfy.z_factor_distances(lad)}
+        if prev_fields is not None:
+            # compare state coefficients on the coarser sample set
+            stride = int(round(prev_fields.delta / g.delta))
+            diff = np.max(np.abs(f.P[:, ::stride][:, :prev_fields.P.shape[1]]
+                                 - prev_fields.P))
+            row["state_coeff_diff_vs_coarser"] = float(diff)
+        prev_fields = f
+        records.append(row)
+        lines.append("  ".join(f"{k}={v:.5g}" for k, v in row.items()))
+    if not any(np.any(m) for m in (spec.Abar, spec.B1bar, spec.B2bar)):
+        for dt, gapv in zip(deltas, vfy.no_delay_oracle(spec, deltas)):
+            lines.append(f"no-delay gain gap at delta={dt:.5g}: {gapv:.5g}")
+            records.append({"delta": dt, "no_delay_gain_gap": float(gapv)})
+    else:
+        lines.append("no-delay reduction skipped (increment maps nonzero)")
     bad = next((k for r in records for k, v in r.items()
                 if not np.isfinite(v)), None)
     if bad is not None:
@@ -402,7 +394,12 @@ def main(argv=None) -> int:
     handler = {"solve": cmd_solve, "simulate": cmd_simulate,
                "verify": cmd_verify, "convergence": cmd_convergence}
     try:
-        return handler[args.command](args)
+        # the floating-point policy of every command: an overflow is not
+        # warned about, as each command's own check (the sweep's gate,
+        # simulate's costs, verify's statistics, convergence's values)
+        # ends it on the non-finite number before anything is written
+        with np.errstate(over="ignore", invalid="ignore"):
+            return handler[args.command](args)
     except SystemExit as exc:
         return int(exc.code)
     except MemoryError as exc:

@@ -28,20 +28,17 @@ PSD_EIG_TOL = -1e-10
 SYM_TOL = 1e-10
 
 
-def _as_matrix(value, name: str) -> np.ndarray:
-    arr = np.atleast_2d(np.asarray(value, dtype=float))
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be a matrix, got ndim={arr.ndim}")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
+_PROBLEM_MATRIX_KEYS = ("A", "Abar", "B1", "B1bar", "B2", "B2bar",
+                        "Q1", "Q2", "R1", "R2", "H1", "H2")
 
 
-def _as_vector(value, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a vector, got ndim={arr.ndim}")
-    arr = arr.copy()
+def _as_array(value, name: str, ndim: int) -> np.ndarray:
+    """A read-only C-ordered float copy of ``value``, scalars and shorter
+    inputs padded to ``ndim`` (2 for a matrix, 1 for a vector)."""
+    arr = np.array(value, dtype=float, ndmin=ndim, order="C")
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be a {('vector', 'matrix')[ndim - 1]}"
+                         f", got ndim={arr.ndim}")
     arr.setflags(write=False)
     return arr
 
@@ -73,10 +70,9 @@ class GameSpec:
     x0: np.ndarray
 
     def __post_init__(self):
-        for name in ("A", "Abar", "B1", "B1bar", "B2", "B2bar",
-                     "Q1", "Q2", "R1", "R2", "H1", "H2"):
-            object.__setattr__(self, name, _as_matrix(getattr(self, name), name))
-        object.__setattr__(self, "x0", _as_vector(self.x0, "x0"))
+        for name in (*_PROBLEM_MATRIX_KEYS, "x0"):
+            object.__setattr__(self, name, _as_array(
+                getattr(self, name), name, 1 if name == "x0" else 2))
         object.__setattr__(self, "h1", float(self.h1))
         object.__setattr__(self, "h2", float(self.h2))
         object.__setattr__(self, "T", float(self.T))
@@ -124,14 +120,6 @@ class ValidationReport:
         return not self.violations
 
 
-def _sym_gap(M: np.ndarray) -> float:
-    return float(np.max(np.abs(M - M.T))) if M.size else 0.0
-
-
-def _min_eig(M: np.ndarray) -> float:
-    return float(np.min(np.linalg.eigvalsh(0.5 * (M + M.T))))
-
-
 def validate(spec: GameSpec) -> ValidationReport:
     """Check every standing assumption; failures carry eigenvalue evidence."""
     violations: list[str] = []
@@ -166,24 +154,20 @@ def validate(spec: GameSpec) -> ValidationReport:
             f"{' and '.join(failed)} (h1={spec.h1:.6g}, h2={spec.h2:.6g}, "
             f"T={spec.T:.6g})")
 
-    for name in ("Q1", "Q2", "H1", "H2"):
+    # Q and H must be semi-definite (to round-off), R definite
+    for name in ("Q1", "Q2", "H1", "H2", "R1", "R2"):
         M = getattr(spec, name)
-        gap = _sym_gap(M)
-        lam = _min_eig(M)
+        # the symmetric and skew parts from halves, which cannot overflow;
+        # halving and the doubling below are exact for normal entries
+        half = 0.5 * M
+        gap = 2.0 * float(np.max(np.abs(half - half.T), initial=0.0))
+        lam = float(np.min(np.linalg.eigvalsh(half + half.T)))
+        pd = name[0] == "R"
         if not (gap <= SYM_TOL * max(1.0, float(np.max(np.abs(M))))
-                and lam >= PSD_EIG_TOL):
+                and (lam > 0.0 if pd else lam >= PSD_EIG_TOL)):
+            kind, what = ("pd", "") if pd else ("psd", "semi-")
             violations.append(
-                f"{name} symmetric psd: {name} not positive semi-definite "
-                f"(symmetry gap {gap:.3e}, smallest eigenvalue {lam:.3e})")
-
-    for name in ("R1", "R2"):
-        M = getattr(spec, name)
-        gap = _sym_gap(M)
-        lam = _min_eig(M)
-        if not (gap <= SYM_TOL * max(1.0, float(np.max(np.abs(M))))
-                and lam > 0.0):
-            violations.append(
-                f"{name} symmetric pd: {name} not positive definite "
+                f"{name} symmetric {kind}: {name} not positive {what}definite "
                 f"(symmetry gap {gap:.3e}, smallest eigenvalue {lam:.3e})")
 
     return ValidationReport(tuple(violations))
@@ -252,10 +236,6 @@ def build_grid(spec: GameSpec, delta_target: float) -> Grid:
         raise IncommensurateDelays(
             f"lag counts violate 0 < d2 < d1 < N+1 (d1={d1}, d2={d2}, N+1={n_sub})")
     return Grid(N=n_sub - 1, delta=delta, d1=d1, d2=d2)
-
-
-_PROBLEM_MATRIX_KEYS = ("A", "Abar", "B1", "B1bar", "B2", "B2bar",
-                        "Q1", "Q2", "R1", "R2", "H1", "H2")
 
 
 def _holds_bool(value) -> bool:

@@ -88,19 +88,42 @@ def test_paired_entry_wins_differences_and_quartiles():
     assert wall["pairs"] == 5 and wall["wins"] == 4
     # paired differences -0.2, +0.1, -0.2, -0.4, -0.1: median -0.2
     assert wall["median_diff"] == pytest.approx(-0.2)
-    # the parent's inclusive quartiles are 1.1 and 1.3
+    # the parent's inclusive quartiles are 1.1 and 1.3, the differences'
+    # -0.2 and -0.1
     assert wall["parent_iqr"] == pytest.approx(0.2)
+    assert wall["diff_iqr"] == pytest.approx(0.1)
     # run_output gives both sides the same setup_s and peak_rss_mb per seed
     assert e["setup_s"]["wins"] == 0 and e["setup_s"]["median_diff"] == 0.0
     assert [r["seed"] for r in e["runs"]["change"]] == [101, 102, 103, 104,
                                                         105]
 
 
+def test_paired_drift_widens_parent_iqr_not_diff_iqr():
+    # the host slows down over the series: both sides drift together from
+    # 0.6 s to 0.3 s while the change stays 0.1 s faster, give or take
+    # 0.01 s. The parent's own spread hides the gain, the differences'
+    # spread does not
+    parent_walls = [0.60, 0.56, 0.52, 0.48, 0.44, 0.40, 0.36, 0.34, 0.32,
+                    0.30]
+    noise = [0.01, -0.01, 0.0, 0.005, -0.005, 0.01, -0.01, 0.0, 0.005,
+             -0.005]
+    parent = [(101 + i, run_output(101 + i, wall))
+              for i, wall in enumerate(parent_walls)]
+    change = [(101 + i, run_output(101 + i, wall - 0.1 + e))
+              for i, (wall, e) in enumerate(zip(parent_walls, noise))]
+    wall = bench.paired_entry(parent, change)["wall_s"]
+    assert wall["wins"] == 10
+    assert wall["median_diff"] == pytest.approx(-0.1)
+    assert wall["parent_iqr"] > abs(wall["median_diff"]) > wall["diff_iqr"]
+    assert wall["parent_iqr"] == pytest.approx(0.165)
+    assert wall["diff_iqr"] == pytest.approx(0.01)
+
+
 def test_paired_single_pair_and_correctness():
     one = bench.paired_entry([(101, run_output(101, 1.0))],
                              [(101, run_output(101, 1.0, correct=False))])
     assert one["wall_s"]["pairs"] == 1 and one["wall_s"]["wins"] == 0
-    assert one["wall_s"]["parent_iqr"] == 0.0
+    assert one["wall_s"]["parent_iqr"] == one["wall_s"]["diff_iqr"] == 0.0
     report = bench.bench_report({"verify-mc": entry()}, "abc123", 1.0)
     assert bench.all_correct(report)
     report["paired"] = {"against": "def456", "pairs": 1, "seeds": [101],

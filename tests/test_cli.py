@@ -159,12 +159,23 @@ class TestSolve:
         ("A", 1e3, "backward sweep: singular block 'gamma_check' at step "
                    "k=190 (rcond=5.333e-13)"),
         ("H1", 1e200, "backward sweep: singular block 'gamma_hat' at step "
-                      "k=199 (rcond=0.000e+00)")],
-        ids=["near-singular", "no-finite-inverse"])
+                      "k=199 (rcond=0.000e+00)"),
+        ("B1", 1e200, "backward sweep: singular block 'gamma_hat' at step "
+                      "k=199 (rcond=0.000e+00)"),
+        ("B2bar", 1e300, "backward sweep: singular block 'gamma_hat' at "
+                         "step k=199 (rcond=0.000e+00)"),
+        ("Q1", 1e308, "backward sweep: singular block 'gamma_hat' at step "
+                      "k=198 (rcond=0.000e+00)"),
+        ("H1", 1e308, "backward sweep: singular block 'gamma_hat' at step "
+                      "k=199 (rcond=6.338e-19)")],
+        ids=["near-singular", "no-finite-inverse", "B1-overflow",
+             "B2bar-overflow", "Q1-overflow", "H1-overflow"])
     def test_singular_block_exit_3(self, tmp_path, capsys, key, value, line):
         # the sweep's gate reads the condition numbers of its one solve:
         # a block below RCOND_MIN, and one whose inverse overflows, are
-        # each named with the step and the number np.linalg.cond gives
+        # each named with the step and the number np.linalg.cond gives.
+        # A control map that overflows the control products, or a weight
+        # near the float range, gives that one line and no numpy warning
         from dataclasses import replace
         path = tmp_path / "singular.json"
         save_problem(replace(golden_scalar_spec(),
@@ -174,6 +185,17 @@ class TestSolve:
         out, err = capsys.readouterr()
         assert code == 3 and out == ""
         assert err.splitlines() == [line]
+
+    def test_huge_weight_solves_silently(self, tmp_path, capsys):
+        # R1 = 1e308 is a valid weight: validation forms its symmetric
+        # part without overflow and the sweep meets no non-finite number
+        from dataclasses import replace
+        path = tmp_path / "huge_r1.json"
+        save_problem(replace(golden_scalar_spec(), R1=np.full((1, 1), 1e308)),
+                     path)
+        code = main(["solve", "--problem", str(path),
+                     "--out", str(tmp_path / "o")])
+        assert code == 0 and capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("key,value,extra", [
         ("T", True, {}), ("h1", True, {"T": 2.0}), ("A", [[True]], {}),

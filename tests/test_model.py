@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,21 @@ class TestValidate:
         report = validate(bad)
         assert not report.passed
         assert any("x0" in v for v in report.violations)
+
+    def test_huge_weight_validates_without_warning(self):
+        # the symmetric part is formed from halves: 0.5 * (M + M.T) would
+        # overflow at 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate(scalar_spec(R1=1e308))
+        assert report.passed, report.violations
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("A", [[[0.1]]], "A must be a matrix, got ndim=3"),
+        ("x0", [[1.0]], "x0 must be a vector, got ndim=2")])
+    def test_wrong_rank_rejected(self, key, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            scalar_spec(**{key: value})
 
     def test_semidefinite_accepted(self):
         # numerically semi-definite terminal weight must pass
