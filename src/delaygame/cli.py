@@ -154,12 +154,11 @@ def _load(args):
         print(oversized, file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     grid = build_grid(spec, delta_target)
-    coeffs = SweepCoefficients.from_spec(spec)
-    return spec, coeffs, backward_sweep(coeffs, grid)
+    return spec, backward_sweep(SweepCoefficients.from_spec(spec), grid)
 
 
 def cmd_solve(args) -> int:
-    spec, coeffs, ladder = _load(args)
+    spec, ladder = _load(args)
     fields = extract_fields(ladder)
     law = assemble_gains(fields, spec)
     out = args.out
@@ -167,7 +166,7 @@ def cmd_solve(args) -> int:
     exports.export_ladder_csv(ladder, out / "ladder.csv")
     exports.export_fields_csv(fields, out / "fields.csv")
     exports.export_gains_csv(law, out / "gains.csv")
-    rc = invertibility_rcond(fields, coeffs)
+    rc = invertibility_rcond(fields, ladder.coeffs)
     exports.export_ladder_metadata(
         ladder, out / "metadata.json", problem_path=args.problem,
         extra={"closure_rcond_min": {k: float(np.min(v))
@@ -187,7 +186,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec, _, ladder = _load(args)
+    spec, ladder = _load(args)
     fields = extract_fields(ladder)
     law = assemble_gains(fields, spec)
     traj = simulate_path_gains(law, spec, seed=args.seed, n_paths=args.paths)
@@ -215,26 +214,26 @@ def _trend_ratio(values) -> float:
                          for a, b in zip(values, values[1:])], initial=0.0))
 
 
-def _halvings(spec, coeffs, ladder, halvings: int, zero_at=None):
+def _halvings(spec, ladder, halvings: int, zero_at=None):
     """The step-halving study: the solved ladder, then a re-solve at each
-    halved step, each as (ladder, fields, largest backward-ODE residual,
-    largest semigroup residual); with ``zero_at`` each re-solve is
-    corrupted like the first ladder."""
+    halved step from the ladder's coefficients, each as (ladder, fields,
+    largest backward-ODE residual, largest semigroup residual); with
+    ``zero_at`` each re-solve is corrupted like the first ladder."""
     base_delta = ladder.grid.delta
     for j in range(halvings + 1):
         if j:
-            ladder = backward_sweep(coeffs,
+            ladder = backward_sweep(ladder.coeffs,
                                     build_grid(spec, base_delta / 2 ** j))
             if zero_at is not None:
                 vfy.zero_layer(ladder, min(zero_at, ladder.grid.N + 1))
         fields = extract_fields(ladder)
-        cr = continuous_residuals(fields, coeffs)
+        cr = continuous_residuals(fields, ladder.coeffs)
         yield (ladder, fields, float(np.max(cr["riccati_ode"])),
                float(np.max(cr["semigroup_check"])))
 
 
 def cmd_verify(args) -> int:
-    spec, coeffs, ladder = _load(args)
+    spec, ladder = _load(args)
     grid = ladder.grid
     if args.debug_zero_layer is not None:
         if not 0 <= args.debug_zero_layer <= grid.N + 1:
@@ -242,8 +241,7 @@ def cmd_verify(args) -> int:
             return EXIT_USAGE
         vfy.zero_layer(ladder, args.debug_zero_layer)
     # the step-halving study opens on the base grid, whose fields give the law
-    study = _halvings(spec, coeffs, ladder, args.halvings,
-                      args.debug_zero_layer)
+    study = _halvings(spec, ladder, args.halvings, args.debug_zero_layer)
     _, fields, ode, semi = next(study)
     law = assemble_gains(fields, spec)
     records, lines = [], []
@@ -341,10 +339,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    spec, coeffs, ladder = _load(args)
+    spec, ladder = _load(args)
     deltas = [ladder.grid.delta / 2 ** j for j in range(args.halvings + 1)]
     lines, records, prev_fields = [], [], None
-    for lad, f, ode, semi in _halvings(spec, coeffs, ladder, args.halvings):
+    for lad, f, ode, semi in _halvings(spec, ladder, args.halvings):
         g = lad.grid
         row = {"delta": g.delta, "riccati_ode": ode, "semigroup": semi,
                "z_distance": vfy.z_factor_distances(lad)}

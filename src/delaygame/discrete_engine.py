@@ -14,9 +14,10 @@ Working backward from the terminal weights, each step k
     with every coefficient affine in the Brownian increment, then
   * advances the layer matrices one step back.
 
-Step k's functions take ``(ladder, coeffs, k)``: they read layer k+1 of
-the one ``RiccatiLadder`` of the sweep straight from its stacks and write
-step k and layer k in place.
+Step k's functions take ``(ladder, k)``: they read layer k+1 of the one
+``RiccatiLadder`` of the sweep straight from its stacks and write step k
+and layer k in place. The ladder also keeps the coefficients it was
+built from.
 
 All expectations over the increment use exactly the first two moments
 (E[dw] = 0, E[dw^2] = delta); higher moments are deliberately dropped.
@@ -122,9 +123,9 @@ class SweepCoefficients:
 
 class RiccatiLadder:
     """Every layer (k = 0..N+1) and closed-loop step (k = 0..N) of a sweep,
-    stacked on a leading k axis: the only storage the sweep writes. Step
-    k's functions take ``(ladder, coeffs, k)``, read layer k+1 and write
-    step k and layer k in place.
+    stacked on a leading k axis: the only storage the sweep writes. It
+    keeps the ``coeffs`` it was built from. Step k's functions take
+    ``(ladder, k)``, read layer k+1 and write step k and layer k in place.
 
     Layer stacks, player index i 0-based (player 1 -> 0): ``phat[k, i]``
     (N+2, 2, n, n) is the state coefficient; ``phat_lag[k, i, j]`` (N+2,
@@ -161,15 +162,14 @@ class RiccatiLadder:
     shares: ``delta_q`` = delta ``coeffs.Q``, the reduced control maps as
     (increment-free, increment) pairs ``maps11``, ``maps2`` and
     ``maps12``, and ``rhs`` (gap+1, 2n, 6n), every level's right-hand side:
-    one buffer [rhs_fixed | g_block | I_2n], with ``rhs_fixed`` = [a_mat[0],
-    delta B12; delta a_mat[1], delta Bbar12] and ``g_block`` written by
-    ``assemble_blocks`` at each step.
+    one buffer [a_mat[0], delta B12; delta a_mat[1], delta Bbar12 | G | I_2n]
+    whose coarse-level coupling G ``assemble_blocks`` writes at each step.
     """
 
     def __init__(self, grid: Grid, coeffs: SweepCoefficients):
         n, gap, delta = coeffs.A.shape[0], grid.d1 - grid.d2, grid.delta
         layers, steps = (grid.N + 2, 2), (grid.N + 1,)
-        self.grid, self.n, self.gap = grid, n, gap
+        self.grid, self.coeffs, self.n, self.gap = grid, coeffs, n, gap
         self.a_mat = np.stack([np.eye(n) + delta * coeffs.A, coeffs.Abar])
         self.a_t = self.a_mat.swapaxes(1, 2)
         self.delta_q = delta * coeffs.Q
@@ -192,7 +192,6 @@ class RiccatiLadder:
                                    [delta * self.a_mat[1],
                                     delta * coeffs.Bbar12]])
         rhs[:, 4 * n:] = self.eye2
-        self.rhs_fixed, self.g_block = rhs[:, :2 * n], rhs[:, 2 * n:4 * n]
         # numpy < 2 reads a 2-D b as a vector stack, so b is 3-D
         self.rhs = np.broadcast_to(rhs, (gap + 1,) + rhs.shape)
         self.left = np.empty((2, gap + 1, 2, n, n))
@@ -242,20 +241,19 @@ def _norm1(M: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(np.add.reduce(np.abs(M), axis=-2), axis=-1)
 
 
-def assemble_blocks(ladder: RiccatiLadder, coeffs: SweepCoefficients,
-                    k: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+def assemble_blocks(ladder: RiccatiLadder, k: int) -> tuple[np.ndarray, tuple]:
     """The block families of step k, built from layer k+1's aggregates:
     ``levels`` (gap+1, 2n, 2n), the block of information level m at
     index m (gamma_hat at 0, gamma_m{m} at 0 < m < gap, gamma_check at
-    gap), the coarse-level coupling ``g_block`` (2n, 2n), which is
-    written into ``ladder.rhs``, and the products they are built from,
-    each formed once as an (increment-free, increment) pair: with player
-    1's coarsest aggregate ``S1 = shat[k+1, 0]``, the state coefficients
-    ``P1, P2 = phat[k+1]`` and player 2's aggregates ``S2 = agg[k+1, 1]``,
-    ``b11`` = [B11; Bbar11] S1, ``b21`` = [B21; Bbar21] P1, ``b22`` =
-    [B22; Bbar22] P2 and ``b12`` (gap, 2, n, n), [B12; Bbar12] S^m at
-    index m-1. The blocks are not checked here: ``solve_estimate_chain``
-    gates them on the condition numbers its one solve gives.
+    gap), and the products they are built from, each formed once as an
+    (increment-free, increment) pair: with player 1's coarsest aggregate
+    ``S1 = shat[k+1, 0]``, the state coefficients ``P1, P2 = phat[k+1]``
+    and player 2's aggregates ``S2 = agg[k+1, 1]``, ``b11`` = [B11;
+    Bbar11] S1, ``b21`` = [B21; Bbar21] P1, ``b22`` = [B22; Bbar22] P2
+    and ``b12`` (gap, 2, n, n), [B12; Bbar12] S^m at index m-1. The
+    coarse-level coupling is written into ``ladder.rhs``.
+    The blocks are not checked here: ``solve_estimate_chain`` gates them
+    on the condition numbers its one solve gives.
     """
     n, gap, delta = ladder.n, ladder.gap, ladder.grid.delta
     b11 = ladder.maps11 @ ladder.shat[k + 1, 0]
@@ -274,8 +272,7 @@ def assemble_blocks(ladder: RiccatiLadder, coeffs: SweepCoefficients,
     levels[1:, :, :, 1] = right - b22
     ladder.g_pairs[:, :, 0] = delta * b11
     ladder.g_pairs[:, :, 1] = b21
-    return (levels.reshape(gap + 1, 2 * n, 2 * n), ladder.g_block,
-            (b11, b21, b22, b12))
+    return levels.reshape(gap + 1, 2 * n, 2 * n), (b11, b21, b22, b12)
 
 
 def _singular(ladder: RiccatiLadder, levels: np.ndarray, k: int):
@@ -290,8 +287,7 @@ def _singular(ladder: RiccatiLadder, levels: np.ndarray, k: int):
     return SingularGamma(k, which, rc[m])
 
 
-def solve_estimate_chain(ladder: RiccatiLadder, coeffs: SweepCoefficients,
-                         k: int) -> None:
+def solve_estimate_chain(ladder: RiccatiLadder, k: int) -> None:
     """Back-substitution chain writing the closed-loop step k of ``ladder``
     (``coef``, the estimate pairs, ``zfactors`` and ``rcond``) from its
     layer k+1.
@@ -312,7 +308,7 @@ def solve_estimate_chain(ladder: RiccatiLadder, coeffs: SweepCoefficients,
     into the state update.
     """
     n, gap = ladder.n, ladder.gap
-    levels, _, (b11, b21, b22, b12) = assemble_blocks(ladder, coeffs, k)
+    levels, (b11, b21, b22, b12) = assemble_blocks(ladder, k)
     try:
         sol = np.linalg.solve(levels, ladder.rhs)
     except np.linalg.LinAlgError:     # an exactly zero pivot
@@ -361,8 +357,7 @@ def solve_estimate_chain(ladder: RiccatiLadder, coeffs: SweepCoefficients,
     ladder.coef[k] = pair.reshape(2, n, gap + 1, n).transpose(2, 0, 1, 3)
 
 
-def riccati_step(ladder: RiccatiLadder, coeffs: SweepCoefficients,
-                 k: int) -> None:
+def riccati_step(ladder: RiccatiLadder, k: int) -> None:
     """Write layer k of ``ladder`` from its layer k+1 and closed-loop step k.
 
     The lag families shift by one offset per step: offset m at the new
@@ -416,10 +411,11 @@ def riccati_step(ladder: RiccatiLadder, coeffs: SweepCoefficients,
                      + np.add.reduce(ccheck_lag, axis=1)[:, None])
 
 
-def implied_gains(ladder: RiccatiLadder, coeffs: SweepCoefficients) -> None:
+def implied_gains(ladder: RiccatiLadder) -> None:
     """Write ``u1_gain`` and ``u2_gain`` of every step at once from the
     estimate pairs the chain stored and the layers one step ahead."""
     n, gap, delta = ladder.n, ladder.gap, ladder.grid.delta
+    coeffs = ladder.coeffs
     W00, Wc = ladder.w_hat, ladder.w_check
     P1, P2 = ladder.phat[1:, 0], ladder.phat[1:, 1]
     ladder.u1_gain[:] = -coeffs.R1inv @ (
@@ -443,9 +439,9 @@ def backward_sweep(coeffs: SweepCoefficients, grid: Grid) -> RiccatiLadder:
     ladder = RiccatiLadder(grid, coeffs)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(grid.N, -1, -1):
-            solve_estimate_chain(ladder, coeffs, k)
-            riccati_step(ladder, coeffs, k)
-        implied_gains(ladder, coeffs)
+            solve_estimate_chain(ladder, k)
+            riccati_step(ladder, k)
+        implied_gains(ladder)
     if not ladder.finite(0):
         raise NonFiniteLayer(0)
     return ladder

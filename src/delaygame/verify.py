@@ -219,7 +219,7 @@ def _verdicts(deviations, own_base, own_dev) -> list[DeviationVerdict]:
 
 
 def nash_deviation_test(law: FeedbackLaw, spec: GameSpec, n_paths: int,
-                        deviations=None,
+                        deviations=DEVIATION_FAMILY,
                         seed: int = 0) -> list[DeviationVerdict]:
     """Monte Carlo deviation margins with common random numbers.
 
@@ -227,8 +227,6 @@ def nash_deviation_test(law: FeedbackLaw, spec: GameSpec, n_paths: int,
     its base realization (paired simulation on common noise), and the
     margin's standard error comes from the paired per-path differences.
     """
-    if deviations is None:
-        deviations = DEVIATION_FAMILY
     return _verdicts(deviations, *paired_deviation_costs(
         law, _deviation_laws(law, deviations), spec, n_paths, seed))
 

@@ -567,6 +567,25 @@ class TestConvergence:
         assert gaps[1] < gaps[0]
 
 
+@pytest.mark.parametrize("argv,code,usage", [
+    (["--help"], 0, "usage: delaygame [-h] {solve,simulate,verify,"),
+    (["solve", "--help"], 0, "usage: delaygame solve [-h] --problem"),
+    ([], 1, None)], ids=["help", "solve-help", "no-command"])
+def test_help_and_missing_command(capsys, argv, code, usage):
+    # help is printed on stdout with exit 0; a missing command is a usage
+    # error: exit 1 and one stderr line, without the usage text (argparse
+    # wraps the usage to the terminal's width, so whitespace is folded)
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if usage:
+        assert " ".join(out.split()).startswith(usage)
+        assert err == ""
+    else:
+        assert out == ""
+        assert err == ("delaygame: error: the following arguments are "
+                       "required: command\n")
+
+
 @pytest.mark.parametrize("case", ["out_is_file", "out_below_file",
                                   "metadata_is_directory"])
 def test_unwritable_out_exit_1(wide_problem, tmp_path, capsys, case):

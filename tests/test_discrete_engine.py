@@ -48,14 +48,15 @@ class TestExpectationOfProduct:
 class TestAssembleBlocks:
     def test_zero_layers_give_identity_blocks(self, zero_cost):
         spec, grid, ladder = zero_cost
-        coeffs = SweepCoefficients.from_spec(spec)
-        levels, g_block, _ = assemble_blocks(ladder, coeffs, grid.N)
-        eye = np.eye(2 * ladder.n)
+        n = ladder.n
+        levels, _ = assemble_blocks(ladder, grid.N)
+        eye = np.eye(2 * n)
         np.testing.assert_array_equal(levels[0], eye)
         np.testing.assert_array_equal(levels[-1], eye)
         for gm in levels[1:-1]:
             np.testing.assert_array_equal(gm, eye)
-        np.testing.assert_array_equal(g_block, np.zeros_like(eye))
+        np.testing.assert_array_equal(ladder.rhs[0, :, 2 * n:4 * n],
+                                      np.zeros_like(eye))
 
     def test_terminal_scalar_block_by_hand(self):
         # unit maps, H_i = 1: every aggregate is 1 and the reduced
@@ -64,14 +65,13 @@ class TestAssembleBlocks:
                         B2bar=1.0, Q1=1.0, Q2=1.0, R1=1.0, R2=1.0,
                         H1=1.0, H2=1.0, h1=0.2, h2=0.1, T=1.0, x0=[1.0])
         grid = Grid(N=9, delta=0.1, d1=2, d2=1)
-        coeffs = SweepCoefficients.from_spec(spec)
-        ladder = RiccatiLadder(grid, coeffs)
-        levels, g_block, _ = assemble_blocks(ladder, coeffs, grid.N)
+        ladder = RiccatiLadder(grid, SweepCoefficients.from_spec(spec))
+        levels, _ = assemble_blocks(ladder, grid.N)
         np.testing.assert_allclose(levels[0],
                                    [[1.2, 2.0], [0.2, 3.0]])
         np.testing.assert_allclose(levels[-1],
                                    [[1.1, 1.0], [0.1, 2.0]])
-        np.testing.assert_allclose(g_block,
+        np.testing.assert_allclose(ladder.rhs[0, :, 2:4],
                                    [[-0.1, -1.0], [-0.1, -1.0]])
 
     def test_delta_to_zero_limit(self):
@@ -81,7 +81,7 @@ class TestAssembleBlocks:
         grid = Grid(N=9, delta=0.0, d1=2, d2=1)
         coeffs = SweepCoefficients.from_spec(spec)
         ladder = RiccatiLadder(grid, coeffs)
-        levels, _, _ = assemble_blocks(ladder, coeffs, grid.N)
+        levels, _ = assemble_blocks(ladder, grid.N)
         P1, P2 = ladder.phat[grid.N + 1]
         np.testing.assert_allclose(
             levels[0],
@@ -100,43 +100,42 @@ class TestAssembleBlocks:
                         B2bar=0.0, Q1=1.0, Q2=1.0, R1=1.0, R2=1.0,
                         H1=-1.0, H2=0.0, h1=0.2, h2=0.1, T=1.0, x0=[1.0])
         grid = Grid(N=9, delta=0.1, d1=2, d2=1)
-        coeffs = SweepCoefficients.from_spec(spec)
-        ladder = RiccatiLadder(grid, coeffs)
-        return ladder, coeffs, grid
+        ladder = RiccatiLadder(grid, SweepCoefficients.from_spec(spec))
+        return ladder, grid
 
     def test_singular_block_raises(self):
         # the gate runs on the chain's one solve, before any result of it
         # is used
-        ladder, coeffs, grid = self._singular_terminal()
+        ladder, grid = self._singular_terminal()
         with pytest.raises(SingularGamma) as err:
-            solve_estimate_chain(ladder, coeffs, grid.N)
+            solve_estimate_chain(ladder, grid.N)
         assert err.value.k == grid.N
         assert err.value.which == "gamma_hat"
 
     def test_exactly_singular_block_named(self, monkeypatch):
         # an exactly zero pivot makes the solve raise LinAlgError: the
         # chain still names the block, from np.linalg.cond's numbers
-        ladder, coeffs, grid = self._singular_terminal()
+        ladder, grid = self._singular_terminal()
         k = grid.N
-        levels = assemble_blocks(ladder, coeffs, k)[0]
+        levels = assemble_blocks(ladder, k)[0]
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(levels, ladder.rhs)
         assert list(_rcond(levels) == 0.0) == [True] + [False] * ladder.gap
         with pytest.raises(SingularGamma) as err:
-            solve_estimate_chain(ladder, coeffs, k)
+            solve_estimate_chain(ladder, k)
         assert (err.value.k, err.value.which, err.value.rcond) == (
             k, "gamma_hat", 0.0)
         # the same for a finer block alone: zero gamma_check's first row
         real = assemble_blocks
 
-        def zero_row(ladder, coeffs, k):
-            levels, g_block, products = real(ladder, coeffs, k)
+        def zero_row(ladder, k):
+            levels, products = real(ladder, k)
             levels[-1, 0] = 0.0
-            return levels, g_block, products
+            return levels, products
         monkeypatch.setattr(discrete_engine, "assemble_blocks", zero_row)
         coeffs = SweepCoefficients.from_spec(wide_delay_spec())
         with pytest.raises(SingularGamma) as err:
-            solve_estimate_chain(RiccatiLadder(grid, coeffs), coeffs, k)
+            solve_estimate_chain(RiccatiLadder(grid, coeffs), k)
         assert (err.value.k, err.value.which, err.value.rcond) == (
             k, "gamma_check", 0.0)
 
@@ -146,12 +145,11 @@ class TestAssembleBlocks:
         # the reciprocals of np.linalg.cond(levels, 1), bit for bit, at
         # every step
         spec, grid, solved = request.getfixturevalue(case)
-        coeffs = SweepCoefficients.from_spec(spec)
-        ladder = RiccatiLadder(grid, coeffs)
+        ladder = RiccatiLadder(grid, SweepCoefficients.from_spec(spec))
         for f in LAYER_FIELDS:
             getattr(ladder, f)[:] = getattr(solved, f)
         for k in range(grid.N + 1):
-            want = _rcond(assemble_blocks(ladder, coeffs, k)[0])
+            want = _rcond(assemble_blocks(ladder, k)[0])
             np.testing.assert_array_equal(solved.rcond[k], want)
 
     @pytest.mark.parametrize("case", ["golden", "matrix_case"])
@@ -167,7 +165,7 @@ class TestAssembleBlocks:
         S1 = ladder.shat[k + 1, 0]
         P1, P2 = ladder.phat[k + 1]
         S2 = ladder.agg[k + 1, 1]
-        _, g_block, (b11, b21, b22, b12) = assemble_blocks(ladder, coeffs, k)
+        _, (b11, b21, b22, b12) = assemble_blocks(ladder, k)
         # each product is an (increment-free, increment) pair whose halves
         # are the products with the unpaired maps
         direct = {"b11": (coeffs.B11 @ S1, coeffs.Bbar11 @ S1),
@@ -182,9 +180,12 @@ class TestAssembleBlocks:
         for m, S in enumerate(S2):
             np.testing.assert_array_equal(b12[m, 0], coeffs.B12 @ S)
             np.testing.assert_array_equal(b12[m, 1], coeffs.Bbar12 @ S)
-        # the step's coarse-level coupling is written into the one
-        # right-hand side buffer [rhs_fixed | g_block | I_2n]
-        assert np.shares_memory(g_block, ladder.rhs)
+        # the step's coarse-level coupling G is written into the one
+        # right-hand side buffer [rhs_fixed | G | I_2n]
+        g_block = ladder.rhs[0, :, 2 * n:4 * n]
+        np.testing.assert_array_equal(
+            g_block, np.block([[delta * b11[0], b21[0]],
+                               [delta * b11[1], b21[1]]]))
         for m in range(ladder.gap + 1):
             np.testing.assert_array_equal(ladder.rhs[m, :, 2 * n:4 * n],
                                           g_block)
@@ -199,7 +200,7 @@ class TestAssembleBlocks:
         np.testing.assert_array_equal(ladder.a_mat[0],
                                       np.eye(n) + delta * coeffs.A)
         np.testing.assert_array_equal(ladder.a_mat[1], coeffs.Abar)
-        np.testing.assert_array_equal(ladder.rhs_fixed, rhs_fixed)
+        np.testing.assert_array_equal(ladder.rhs[0, :, :2 * n], rhs_fixed)
         np.testing.assert_array_equal(ladder.rhs[:, :, :2 * n],
                                       np.broadcast_to(rhs_fixed,
                                                       (ladder.gap + 1, 2 * n,
@@ -430,7 +431,7 @@ class TestChainAgainstReference:
         counted(scipy.linalg, "lu_solve")
         counted(np.linalg, "cond")
         k = grid.N - grid.d1
-        solve_estimate_chain(ladder, SweepCoefficients.from_spec(spec), k)
+        solve_estimate_chain(ladder, k)
         assert calls == {"solve": 1, "lu_factor": 0, "lu_solve": 0, "cond": 0}
 
 
@@ -468,13 +469,14 @@ class TestSweepInvariants:
              "base": 0}[at]
         coeffs = SweepCoefficients.from_spec(spec)
         ladder = RiccatiLadder(grid, coeffs)
+        assert ladder.coeffs is coeffs
         steps = ("coef", "w_hat", "w_check", "coupling", "zfactors", "rcond")
         for f in LAYER_FIELDS + steps:
             getattr(ladder, f)[:] = np.nan
         for f in LAYER_FIELDS:
             getattr(ladder, f)[k + 1] = getattr(solved, f)[k + 1]
-        solve_estimate_chain(ladder, coeffs, k)
-        riccati_step(ladder, coeffs, k)
+        solve_estimate_chain(ladder, k)
+        riccati_step(ladder, k)
         for f, written in ([(f, (k, k + 1)) for f in LAYER_FIELDS]
                            + [(f, (k,)) for f in steps]):
             got, ref = getattr(ladder, f), getattr(solved, f)
