@@ -51,9 +51,6 @@ PAIRED_SEED0 = 101
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
 # per-layer metrics that perfbench/spans.py does not measure as named
 KNOWN_MISCOUNTS = {
-    "cli.self_s": "holds verify's paired pass (stationarity projections "
-                  "and deviation costs): no span opens around "
-                  "verify.paired_law_checks",
     "discrete_engine.lu_factor_calls": "reads 0: the sweep solves with "
                                        "numpy.linalg.solve, spans.py counts "
                                        "scipy.linalg.lu_factor",
@@ -65,14 +62,16 @@ KNOWN_MISCOUNTS = {
                                   "condition numbers, spans.py counts "
                                   "numpy.linalg.cond",
     "simulator.rollouts": "undercounts: only draw_increments calls are "
-                          "counted, not the rollouts that stream "
-                          "increment_rows (paired pass, backward-equation "
-                          "projection)",
+                          "counted, not the passes that stream "
+                          "increment_rows (the backward-equation and "
+                          "stationarity projections, and each path block "
+                          "of the deviation pass)",
     "simulator.path_steps": "undercounts, as simulator.rollouts",
-    "verify.stationarity_s": "reads 0: verify runs the stationarity "
-                             "projections in the paired pass",
-    "verify.deviation_s": "reads 0: verify runs the deviation costs in the "
-                          "paired pass",
+    "simulator.path_steps_per_s": "reads low on verify-mc: "
+                                  "simulator.rollout_s holds the deviation "
+                                  "pass (the span around "
+                                  "verify.paired_deviation_costs), whose "
+                                  "streamed path steps are not counted",
 }
 
 

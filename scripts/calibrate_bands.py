@@ -37,7 +37,8 @@ def main():
         fb = vfy.projection_net(
             vfy.fbsde_residual_test(ladder, spec, 10_000, seed=2), grid)
         st = vfy.projection_net(
-            vfy.paired_law_checks(ladder, law, spec, 10_000, seed=2)[0], grid)
+            vfy.stationarity_residual_test(ladder, law, spec, 10_000, seed=2),
+            grid)
         tl = simulate_path_ladder(ladder, spec.x0, seed=11, n_paths=64)
         tg = simulate_path_gains(law, spec, seed=11, n_paths=64)
         ti = simulate_path_gains(vfy.implied_law(ladder, spec), spec,
@@ -59,7 +60,8 @@ def main():
     law = assemble_gains(extract_fields(ladder), spec)
     mutated = perturb_control(law, 1, "gain_scale", 1.1)
     st_mut = vfy.projection_net(
-        vfy.paired_law_checks(ladder, mutated, spec, 10_000, seed=2)[0], grid)
+        vfy.stationarity_residual_test(ladder, mutated, spec, 10_000, seed=2),
+        grid)
     band = vfy.STATIONARITY_BAND_C * grid.delta
     print(f"10% gain mutation: stationarity net {st_mut:.4f} "
           f"= {st_mut / band:.1f}x band")

@@ -104,9 +104,12 @@ def _oversized(args, spec, delta_target: float) -> str | None:
     it, or None; worked out from the flags alone, before anything is
     allocated. The arrays are the ladder's largest stack, phat_lag (N+2,
     2, d1+1, n, n), on the base grid and on the finest re-solve
-    (delta / 2^halvings), the paired pass's windows (1+D, d1+1, n, P) in
-    ``verify`` and the trajectory block (N+2, P, max(n, d1c, d2c)) in
-    ``simulate``."""
+    (delta / 2^halvings), the trajectory block (N+2, P, max(n, d1c, d2c))
+    in ``simulate`` and, in ``verify``, the largest array that grows with
+    the paths: the deviation costs (2, D, P) or a product of a projection
+    (residual rows, 1 + test-variable rows, P), of the backward equation
+    or of either player's first-order condition. The deviation pass's
+    stacked windows run in path blocks of bounded width."""
     limit = np.iinfo(np.intp).max
     given, n = vars(args), spec.n
     # capped, as a larger count overflows all the same and a huge int
@@ -117,14 +120,18 @@ def _oversized(args, spec, delta_target: float) -> str | None:
         steps, d1, _ = grid_counts(spec, target)
         return (steps + 1) * 2 * (d1 + 1) * n * n
 
-    steps, d1, _ = grid_counts(spec, delta_target)
+    steps, d1, d2 = grid_counts(spec, delta_target)
     sizes = [("--delta", repr(delta_target), "ladder", ladder(delta_target))]
     if "halvings" in given:
         sizes.append(("--halvings", args.halvings, "finest re-solve's ladder",
                       ladder(math.ldexp(spec.T / steps, -args.halvings))))
     if args.command == "verify":
-        sizes.append(("--paths", args.paths, "paired pass's windows",
-                      (1 + len(vfy.DEVIATION_FAMILY)) * (d1 + 1) * n * paths))
+        rows = max(2 * len(vfy.DEVIATION_FAMILY),
+                   2 * n * (1 + (d1 + 1) * n),
+                   spec.d1c * (1 + 2 * n),
+                   spec.d2c * (1 + (d1 - d2 + 2) * n))
+        sizes.append(("--paths", args.paths, "largest path-sized array",
+                      rows * paths))
     if args.command == "simulate":
         sizes.append(("--paths", args.paths, "trajectory block",
                       (steps + 1) * paths * max(n, spec.d1c, spec.d2c)))
@@ -152,6 +159,12 @@ def _load(args):
     oversized = _oversized(args, spec, delta_target)
     if oversized:
         print(oversized, file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    zero_at = vars(args).get("debug_zero_layer")
+    # layers 0..N+1, checked before the sweep so a usage error is quick
+    if zero_at is not None and not (
+            0 <= zero_at <= grid_counts(spec, delta_target)[0]):
+        print("--debug-zero-layer out of range", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     grid = build_grid(spec, delta_target)
     return spec, backward_sweep(SweepCoefficients.from_spec(spec), grid)
@@ -236,9 +249,6 @@ def cmd_verify(args) -> int:
     spec, ladder = _load(args)
     grid = ladder.grid
     if args.debug_zero_layer is not None:
-        if not 0 <= args.debug_zero_layer <= grid.N + 1:
-            print("--debug-zero-layer out of range", file=sys.stderr)
-            return EXIT_USAGE
         vfy.zero_layer(ladder, args.debug_zero_layer)
     # the step-halving study opens on the base grid, whose fields give the law
     study = _halvings(spec, ladder, args.halvings, args.debug_zero_layer)
@@ -291,14 +301,14 @@ def cmd_verify(args) -> int:
     bound = vfy.FBSDE_BAND_C * grid.delta
     add("fbsde_martingale_projection", net, bound, net <= bound)
 
-    rows, verdicts = vfy.paired_law_checks(ladder, law, spec, args.paths,
-                                           args.seed)
+    rows = vfy.stationarity_residual_test(ladder, law, spec, args.paths,
+                                          args.seed)
     net = vfy.projection_net(rows, grid)
     bound = vfy.STATIONARITY_BAND_C * grid.delta
     add("stationarity_projection", net, bound, net <= bound)
 
     # one-sided: a deviation must not beat the equilibrium beyond noise
-    for v in verdicts:
+    for v in vfy.nash_deviation_test(law, spec, args.paths, seed=args.seed):
         bound = -3.0 * v.combined_se
         add(f"nash_deviation_p{v.player}_"
             f"{v.description.replace(' ', '_')}",

@@ -34,6 +34,14 @@ from .discrete_engine import RiccatiLadder
 from .gains import FeedbackLaw
 from .model import GameSpec, Grid
 
+# Byte budget of one path block's stacked windows in ``paired_costs``, at
+# slots·(d1+1)·n·8 bytes per path: 3 blocks of 3,392 paths for the golden
+# problem at δ 0.005 and 10,000 paths. Block widths are multiples of 64
+# paths: those kept every per-path cost bit-identical to the one-block run
+# for n = 1, 2 and 3, where widths of 8, 250 or 1,000 paths moved n >= 2
+# costs by up to 7.7e-16 relative (the matmul kernels round differently).
+BLOCK_BYTES = 1_500_000
+
 
 @dataclass
 class Trajectory:
@@ -348,32 +356,43 @@ def path_costs(traj: Trajectory,
 
 
 def paired_costs(stepper: GainStepper, spec: GameSpec, n_paths: int,
-                 seed: int, observe=None) -> tuple[np.ndarray, np.ndarray]:
+                 seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Roll a gain stepper with deviations out on the (paths, seed)
-    increments, streamed row by row, calling ``observe`` with every step;
-    per deviation (D, P), the deviating player's own cost under the base
-    pair and under its deviation. Running costs are summed in time order,
-    as in ``path_costs``. Only the costs returned are summed: both
-    players' on the base slot, player 2's on its deviation slots
-    ``1..u2_slots-1`` and player 1's on the slots after them."""
+    increments; per deviation (D, P), the deviating player's own cost
+    under the base pair and under its deviation. Running costs are summed
+    in time order, as in ``path_costs``. Only the costs returned are
+    summed: both players' on the base slot, player 2's on its deviation
+    slots ``1..u2_slots-1`` and player 1's on the slots after them.
+
+    The paths run in blocks, one after another, each through the whole
+    horizon on its own columns of the one increment stream (regenerated
+    per block), so a stacked window holds at most ``BLOCK_BYTES``, or 64
+    paths if one path's window is larger.
+    """
     weights = ((spec.Q1, spec.R1, spec.H1), (spec.Q2, spec.R2, spec.H2))
-    s2 = stepper.u2_slots
+    s2, grid = stepper.u2_slots, stepper.grid
     own_slots = ((0, slice(1)), (0, slice(s2, None)), (1, slice(s2)))
-    sums = np.zeros((2, stepper.slots, n_paths))     # player, slot
-    d1, delta = stepper.grid.d1, stepper.grid.delta
-    for step in rollout(stepper, spec.x0,
-                        increment_rows(stepper.grid, n_paths, seed)):
-        _, win, *u, win_next, _, _ = step
-        for i, s in own_slots:
-            q, r, _ = weights[i]
-            sums[i, s] += delta * (_quad(win[s, d1], q) + _quad(u[i][s], r))
-        if observe is not None:
-            observe(*step)
-        del step, win, u    # not held while the next step is computed
-    for i, s in own_slots:
-        sums[i, s] += _quad(win_next[s, d1], weights[i][2])
     own = stepper.players - 1
-    return 0.5 * sums[own, 0], 0.5 * sums[own, stepper.dev_slots]
+    base, dev = np.empty((2, len(own), n_paths))
+    d1, delta = grid.d1, grid.delta
+    per_path = stepper.slots * (d1 + 1) * len(spec.x0) * 8
+    width = max(64, BLOCK_BYTES // per_path // 64 * 64)
+    for a in range(0, n_paths, width):
+        cols = slice(a, min(a + width, n_paths))
+        sums = np.zeros((2, stepper.slots, cols.stop - a))    # player, slot
+        for _, win, *u, win_next, _, _ in rollout(
+                stepper, spec.x0,
+                (row[cols] for row in increment_rows(grid, n_paths, seed))):
+            for i, s in own_slots:
+                q, r, _ = weights[i]
+                sums[i, s] += delta * (_quad(win[s, d1], q)
+                                       + _quad(u[i][s], r))
+            del win, u    # not held while the next step is computed
+        for i, s in own_slots:
+            sums[i, s] += _quad(win_next[s, d1], weights[i][2])
+        base[:, cols] = 0.5 * sums[own, 0]
+        dev[:, cols] = 0.5 * sums[own, stepper.dev_slots]
+    return base, dev
 
 
 def paired_deviation_costs(base_law: FeedbackLaw, deviations,

@@ -21,10 +21,11 @@ from .gains import FeedbackLaw, assemble_gains, effective_gains
 from .continuous_limit import extract_fields
 from .model import GameSpec, Grid, build_grid
 from . import simulator
-from .simulator import (GainStepper, LadderStepper, _apply, draw_increments,
-                        mean_se, paired_costs, paired_deviation_costs,
-                        perturb_control, rollout, simulate_path_gains,
-                        simulate_path_ladder)
+from .simulator import (GainStepper, LadderStepper, _apply, mean_se,
+                        paired_deviation_costs, perturb_control, rollout,
+                        simulate_path_gains, simulate_path_ladder)
+# unused here, but perfbench/spans.py patches this name to count draws
+from .simulator import draw_increments  # noqa: F401
 
 # A projection's net statistic |mean| - 3*se is compared with C*delta; C
 # calibrated once on the golden scalar instance by a step-halving pair (see
@@ -130,25 +131,6 @@ def fbsde_residual_test(ladder: RiccatiLadder, spec: GameSpec,
     return np.array(rows)
 
 
-def _stationarity_row(ladder: RiccatiLadder, spec: GameSpec, cm: np.ndarray,
-                      step):
-    """A rollout step's worst ``(k, raw, se, net)`` projection of both
-    players' first-order-condition residuals, read off its base slot;
-    ``cm`` is ``costate_matrices(ladder)``."""
-    k, win, u1, u2, win_next, diff = step[0], *(a[0] for a in step[1:-1])
-    n_paths = win.shape[-1]
-    p_k = (cm[k] @ win_next.reshape(-1, n_paths)).reshape(2, -1, n_paths)
-    q_k = _apply(ladder.phat[k + 1], diff)
-    stats = [_projection_stats(
-        _apply(r_mat.T, u) + _apply(b_mat.T, p_k[i])
-        + _apply(bbar_mat.T, q_k[i]),
-        win[:z_upto + 1].reshape(-1, n_paths))
-        for i, (u, r_mat, b_mat, bbar_mat, z_upto) in enumerate((
-            (u1, spec.R1, spec.B1, spec.B1bar, 1),
-            (u2, spec.R2, spec.B2, spec.B2bar, ladder.gap + 1)))]
-    return (k, *np.max(stats, axis=0))
-
-
 def stationarity_residual_test(ladder: RiccatiLadder, law: FeedbackLaw,
                                spec: GameSpec, n_paths: int,
                                seed: int) -> np.ndarray:
@@ -157,13 +139,26 @@ def stationarity_residual_test(ladder: RiccatiLadder, law: FeedbackLaw,
     ``R_i u_i + B_i' p_i + B_ibar' q_i`` is projected on the player's own
     admissible test variables (constant plus window entries at or coarser
     than that player's information lag), along paths and controls that
-    follow the feedback law; one row ``(k, raw, se, net)`` per step.
+    follow the feedback law, on streamed increments; one row ``(k, raw,
+    se, net)`` per step, the worst over both players.
     """
     cm = costate_matrices(ladder)
-    return np.array([_stationarity_row(ladder, spec, cm, step)
-                     for step in rollout(GainStepper(law, spec), spec.x0,
-                                         draw_increments(ladder.grid, n_paths,
-                                                         seed))])
+    rows = []
+    for k, *step in rollout(GainStepper(law, spec), spec.x0,
+                            simulator.increment_rows(ladder.grid, n_paths,
+                                                     seed)):
+        win, u1, u2, win_next, diff = (a[0] for a in step[:-1])
+        p_k = (cm[k] @ win_next.reshape(-1, n_paths)).reshape(2, -1, n_paths)
+        q_k = _apply(ladder.phat[k + 1], diff)
+        stats = [_projection_stats(
+            _apply(r_mat.T, u) + _apply(b_mat.T, p_k[i])
+            + _apply(bbar_mat.T, q_k[i]),
+            win[:z_upto + 1].reshape(-1, n_paths))
+            for i, (u, r_mat, b_mat, bbar_mat, z_upto) in enumerate((
+                (u1, spec.R1, spec.B1, spec.B1bar, 1),
+                (u2, spec.R2, spec.B2, spec.B2bar, ladder.gap + 1)))]
+        rows.append((k, *np.max(stats, axis=0)))
+    return np.array(rows)
 
 
 DEFAULT_DEVIATIONS = (
@@ -229,22 +224,6 @@ def nash_deviation_test(law: FeedbackLaw, spec: GameSpec, n_paths: int,
     """
     return _verdicts(deviations, *paired_deviation_costs(
         law, _deviation_laws(law, deviations), spec, n_paths, seed))
-
-
-def paired_law_checks(ladder: RiccatiLadder, law: FeedbackLaw,
-                      spec: GameSpec, n_paths: int, seed: int):
-    """``stationarity_residual_test(ladder, law, ...)`` and
-    ``nash_deviation_test`` on the same seed from one paired rollout: the
-    stationarity rows read the base slot, the own costs every slot."""
-    cm = costate_matrices(ladder)
-    rows = []
-
-    def observe(*step):
-        rows.append(_stationarity_row(ladder, spec, cm, step))
-
-    stepper = GainStepper(law, spec, _deviation_laws(law, DEVIATION_FAMILY))
-    own = paired_costs(stepper, spec, n_paths, seed, observe)
-    return np.array(rows), _verdicts(DEVIATION_FAMILY, *own)
 
 
 # ---------------------------------------------------------------------------

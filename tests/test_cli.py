@@ -332,14 +332,14 @@ class TestVerify:
                                                  tmp_path, capsys,
                                                  monkeypatch):
         # a --paths that numpy can index but memory cannot hold fails in
-        # the paired pass, after three checks have run: none of their
-        # lines may reach stdout
+        # the paired deviation pass, after five checks have run: none of
+        # their lines may reach stdout
         from delaygame import verify
 
-        def allocate(*args):
+        def allocate(*args, **kwargs):
             raise MemoryError("Unable to allocate 21.3 PiB for an array")
 
-        monkeypatch.setattr(verify, "paired_law_checks", allocate)
+        monkeypatch.setattr(verify, "nash_deviation_test", allocate)
         out = tmp_path / "v"
         code = main(["verify", "--problem", str(wide_problem),
                      "--delta", "0.05", "--paths", "200", "--halvings", "0",
@@ -413,12 +413,13 @@ class TestVerify:
 
     def test_one_rollout_per_stepper(self, wide_problem, tmp_path,
                                      monkeypatch):
-        # one paired pass serves the stationarity projection and the
-        # deviation costs, so the base law steps once over the (paths,
-        # seed) increments; the backward-equation projection generates them
-        # again for the ladder stepper, and the cross-representation check
-        # generates its own 256-path block for each simulator. Every
-        # increment, streamed or drawn as a block, comes from increment_rows
+        # the base law steps twice over the (paths, seed) increments: alone
+        # for the stationarity projection, and with its deviations in the
+        # paired pass, whose 300 paths fit one block; the backward-equation
+        # projection generates them again for the ladder stepper, and the
+        # cross-representation check generates its own 256-path block for
+        # each simulator. Every increment, streamed or drawn as a block,
+        # comes from increment_rows
         from delaygame import cli, simulator
         draws, laws, steps = [], [], []
         rows = simulator.increment_rows
@@ -438,8 +439,9 @@ class TestVerify:
               "--out", str(tmp_path / "v")])
         (law,) = laws
         n_steps = build_grid(wide_delay_spec(), 0.05).N + 1
-        assert sum(lw is law and p == 300 for lw, p in steps) == n_steps
-        assert sorted(draws) == [(256, 3), (256, 3), (300, 3), (300, 3)]
+        assert sum(lw is law and p == 300 for lw, p in steps) == 2 * n_steps
+        assert sorted(draws) == [(256, 3), (256, 3), (300, 3), (300, 3),
+                                 (300, 3)]
 
     @pytest.mark.parametrize("halvings,skipped", [
         (0, ["riccati_ode_trend", "semigroup_trend", "z_factor_convergence"]),
@@ -518,6 +520,32 @@ class TestVerify:
         report = json.loads((out / "verify_report.json").read_text())
         assert not report["passed"]
         self._assert_verdicts_compare(report)
+
+    @pytest.mark.parametrize("layer,in_range", [("-1", False), ("20", True),
+                                                 ("21", False)])
+    def test_zero_layer_range_checked_before_sweep(
+            self, wide_problem, tmp_path, capsys, monkeypatch, layer,
+            in_range):
+        # layers 0..N+1 can be zeroed (N = 19 on the wide problem at delta
+        # 0.05); any other is a usage error found before the backward sweep
+        from delaygame import cli
+        calls = []
+
+        def sweep(*args):
+            calls.append(args)
+            raise SystemExit(99)
+
+        monkeypatch.setattr(cli, "backward_sweep", sweep)
+        code = main(["verify", "--problem", str(wide_problem),
+                     "--delta", "0.05", "--debug-zero-layer", layer,
+                     "--out", str(tmp_path / "v")])
+        captured = capsys.readouterr()
+        if in_range:
+            assert code == 99 and len(calls) == 1
+        else:
+            assert code == 1 and calls == []
+            assert captured.err == "--debug-zero-layer out of range\n"
+        assert captured.out == ""
 
 
 class TestConvergence:

@@ -11,7 +11,8 @@ from delaygame.simulator import (GainStepper, LadderStepper, _apply,
                                  initial_window, level_sums, paired_costs,
                                  paired_deviation_costs, rollout)
 from delaygame.verify import DEVIATION_FAMILY, _deviation_laws
-from conftest import wide_delay_spec, zero_cost_spec
+from conftest import (RANDOM_DELTA, random_spec, wide_delay_spec,
+                      zero_cost_spec)
 from oracles import (mean_recursion, record_windows,
                      reference_ladder_window_step, reference_paired_costs,
                      reference_paired_rollout, reference_u2_levels)
@@ -411,6 +412,39 @@ class TestPairedDeviation:
         ref = reference_paired_costs(stepper, spec, 64, 4)
         for name, g, r in zip(("own_base", "own_dev"), got, ref):
             np.testing.assert_array_equal(g, r, err_msg=name)
+
+    @pytest.mark.parametrize("case", ["golden", "wide", "matrix_case",
+                                      "random_n3"])
+    def test_path_blocks_equal_one_block(self, case, request, monkeypatch):
+        # each block steps its own columns of the one increment stream
+        # through the whole horizon; 64-path blocks (the least width) give
+        # the one-block costs per path: bit for bit for n = 1, and within
+        # 1e-12 relative for n >= 2, where a BLAS may round a product of a
+        # narrower path block differently
+        from delaygame import simulator
+        if case == "random_n3":
+            spec = random_spec(5, n=3, d1c=2, d2c=2, d2=1, gap=2, tail=4)
+            grid = build_grid(spec, RANDOM_DELTA)
+            ladder = solve_ladder(spec, grid)
+        else:
+            spec, grid, ladder = request.getfixturevalue(case)
+        law = assemble_gains(extract_fields(ladder), spec)
+        stepper = GainStepper(law, spec,
+                              _deviation_laws(law, DEVIATION_FAMILY))
+        draws = []
+        rows = simulator.increment_rows
+        monkeypatch.setattr(simulator, "increment_rows",
+                            lambda *a: draws.append(a) or rows(*a))
+        monkeypatch.setattr(simulator, "BLOCK_BYTES", 2 ** 62)
+        whole = paired_costs(stepper, spec, 300, 4)
+        monkeypatch.setattr(simulator, "BLOCK_BYTES", 1)
+        blocks = paired_costs(stepper, spec, 300, 4)
+        assert len(draws) == 1 + 5       # 300 paths: 4 blocks of 64, and 44
+        for name, w, b in zip(("own_base", "own_dev"), whole, blocks):
+            if spec.n == 1:
+                np.testing.assert_array_equal(b, w, err_msg=name)
+            else:
+                assert np.all(np.abs(b - w) <= 1e-12 * np.abs(w)), name
 
     def test_deviated_state_differs(self, wide_case):
         spec, grid, ladder, law = wide_case

@@ -161,6 +161,20 @@ class TestStationarityResidual:
         assert vfy.projection_net(rows, grid) <= \
             vfy.STATIONARITY_BAND_C * grid.delta
 
+    def test_streams_its_increments(self, wide_case, monkeypatch):
+        # the one-slot pass reads one increment row per step and never
+        # draws the (N+1, P) block
+        from delaygame import simulator
+        spec, grid, ladder, law = wide_case
+
+        def block(*args):
+            raise AssertionError("drew the increment block")
+
+        monkeypatch.setattr(vfy, "draw_increments", block)
+        monkeypatch.setattr(simulator, "draw_increments", block)
+        rows = vfy.stationarity_residual_test(ladder, law, spec, 50, 3)
+        assert len(rows) == grid.N + 1
+
     def test_gain_mutation_detected(self, golden):
         spec, grid, ladder = golden
         law = assemble_gains(extract_fields(ladder), spec)
@@ -332,6 +346,30 @@ class TestNashDeviation:
                                                seed=8)
             assert alone == v
 
+    def test_peak_memory_bounded_by_path_blocks(self, wide_case,
+                                                monkeypatch):
+        # the stacked windows (11 slots, (d1+1)·n doubles each per path)
+        # run in path blocks of simulator.BLOCK_BYTES, so what grows with
+        # the paths is the (2, D, P) own costs, their differences and an
+        # increment row; a block's working set is a few windows
+        import tracemalloc
+        from delaygame import simulator
+        spec, grid, ladder, law = wide_case
+        n_paths = 16_000
+        draws = []
+        rows = simulator.increment_rows
+        monkeypatch.setattr(simulator, "increment_rows",
+                            lambda *a: draws.append(a) or rows(*a))
+        tracemalloc.start()
+        try:
+            vfy.nash_deviation_test(law, spec, n_paths, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_path = 8 * (2 * len(vfy.DEVIATION_FAMILY) + 2)
+        assert peak <= per_path * n_paths + 8 * simulator.BLOCK_BYTES
+        assert len(draws) >= 4
+
     def test_magnitude_zero_margin_zero(self, golden):
         spec, grid, ladder = golden
         law = assemble_gains(extract_fields(ladder), spec)
@@ -339,17 +377,6 @@ class TestNashDeviation:
             law, spec, 500, [(1, "constant_shift", 0.0)], seed=3)
         assert verdicts[0].margin == 0.0
         assert verdicts[0].margin >= -3.0 * verdicts[0].combined_se
-
-
-class TestPairedLawChecks:
-    def test_matches_stand_alone_checks(self, wide_case):
-        # the one paired pass gives the stand-alone stationarity projection
-        # and deviation verdicts exactly
-        spec, grid, ladder, law = wide_case
-        rows, verdicts = vfy.paired_law_checks(ladder, law, spec, 400, 8)
-        alone = vfy.stationarity_residual_test(ladder, law, spec, 400, 8)
-        np.testing.assert_array_equal(rows, alone)
-        assert verdicts == vfy.nash_deviation_test(law, spec, 400, seed=8)
 
 
 class TestMatrixDeviationCase:
