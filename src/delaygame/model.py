@@ -154,7 +154,9 @@ def validate(spec: GameSpec) -> ValidationReport:
             f"{' and '.join(failed)} (h1={spec.h1:.6g}, h2={spec.h2:.6g}, "
             f"T={spec.T:.6g})")
 
-    # Q and H must be semi-definite (to round-off), R definite
+    # Q and H must be semi-definite (to round-off), R definite and with the
+    # Cholesky factor the sweep takes: a rank-deficient weight's smallest
+    # eigenvalue can compute as a tiny positive number
     for name in ("Q1", "Q2", "H1", "H2", "R1", "R2"):
         M = getattr(spec, name)
         # the symmetric and skew parts from halves, which cannot overflow;
@@ -163,14 +165,24 @@ def validate(spec: GameSpec) -> ValidationReport:
         gap = 2.0 * float(np.max(np.abs(half - half.T), initial=0.0))
         lam = float(np.min(np.linalg.eigvalsh(half + half.T)))
         pd = name[0] == "R"
+        factored = not pd or _has_cholesky(M)
         if not (gap <= SYM_TOL * max(1.0, float(np.max(np.abs(M))))
-                and (lam > 0.0 if pd else lam >= PSD_EIG_TOL)):
+                and (lam > 0.0 if pd else lam >= PSD_EIG_TOL) and factored):
             kind, what = ("pd", "") if pd else ("psd", "semi-")
             violations.append(
                 f"{name} symmetric {kind}: {name} not positive {what}definite "
-                f"(symmetry gap {gap:.3e}, smallest eigenvalue {lam:.3e})")
+                f"(symmetry gap {gap:.3e}, smallest eigenvalue {lam:.3e}"
+                f"{'' if factored else ', no Cholesky factor'})")
 
     return ValidationReport(tuple(violations))
+
+
+def _has_cholesky(M: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _float_gcd(values, floor: float) -> float:
@@ -238,9 +250,9 @@ def build_grid(spec: GameSpec, delta_target: float) -> Grid:
     return Grid(N=n_sub - 1, delta=delta, d1=d1, d2=d2)
 
 
-def _holds_bool(value) -> bool:
-    return isinstance(value, bool) or (isinstance(value, list)
-                                       and any(map(_holds_bool, value)))
+def _holds_non_number(value) -> bool:
+    return isinstance(value, (bool, str)) or (
+        isinstance(value, list) and any(map(_holds_non_number, value)))
 
 
 def load_problem(path) -> GameSpec:
@@ -251,11 +263,12 @@ def load_problem(path) -> GameSpec:
     missing = [k for k in keys if k not in data]
     if missing:
         raise ValueError(f"problem file {path} missing keys: {missing}")
-    # json reads true as a bool, which numpy would take for 1.0
-    booleans = [k for k in keys if _holds_bool(data[k])]
-    if booleans:
-        raise ValueError(f"problem file {path} has booleans, not numbers, "
-                         f"in keys: {booleans}")
+    # json reads true as a bool and "0.5" as a string, which numpy would
+    # take for 1.0 and 0.5
+    non_numbers = [k for k in keys if _holds_non_number(data[k])]
+    if non_numbers:
+        raise ValueError(f"problem file {path} has booleans or strings, not "
+                         f"numbers, in keys: {non_numbers}")
     return GameSpec(**{k: data[k] for k in keys})
 
 

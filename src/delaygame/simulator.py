@@ -34,11 +34,11 @@ from .discrete_engine import RiccatiLadder
 from .gains import FeedbackLaw
 from .model import GameSpec, Grid
 
-# Byte budget of one path block's stacked windows in ``paired_costs``, at
-# slots·(d1+1)·n·8 bytes per path: 3 blocks of 3,392 paths for the golden
-# problem at δ 0.005 and 10,000 paths. Block widths are multiples of 64
-# paths: those kept every per-path cost bit-identical to the one-block run
-# for n = 1, 2 and 3, where widths of 8, 250 or 1,000 paths moved n >= 2
+# Byte budget of a path block's stacked windows in paired_deviation_costs,
+# at slots·(d1+1)·n·8 bytes per path: 3 blocks of 3,392 paths for the
+# golden problem at δ 0.005 and 10,000 paths. Block widths are multiples of
+# 64 paths: those kept every per-path cost bit-identical to the one-block
+# run for n = 1, 2 and 3, where widths of 8, 250 or 1,000 paths moved n >= 2
 # costs by up to 7.7e-16 relative (the matmul kernels round differently).
 BLOCK_BYTES = 1_500_000
 
@@ -355,20 +355,23 @@ def path_costs(traj: Trajectory,
             cost(spec.Q2, traj.u2, spec.R2, spec.H2))
 
 
-def paired_costs(stepper: GainStepper, spec: GameSpec, n_paths: int,
-                 seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Roll a gain stepper with deviations out on the (paths, seed)
-    increments; per deviation (D, P), the deviating player's own cost
-    under the base pair and under its deviation. Running costs are summed
-    in time order, as in ``path_costs``. Only the costs returned are
-    summed: both players' on the base slot, player 2's on its deviation
-    slots ``1..u2_slots-1`` and player 1's on the slots after them.
+def paired_deviation_costs(base_law: FeedbackLaw, deviations,
+                           spec: GameSpec, n_paths: int,
+                           seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each deviating player's per-path costs (D, P) under the base pair and
+    under its ``(player, dev_law)`` deviation, from one paired rollout of a
+    ``GainStepper`` on one noise draw, so each margin's standard error
+    comes from paired differences. Running costs are summed in time order,
+    as in ``path_costs``. Only the costs returned are summed: both players'
+    on the base slot, player 2's on its deviation slots ``1..u2_slots-1``
+    and player 1's on the slots after them.
 
     The paths run in blocks, one after another, each through the whole
     horizon on its own columns of the one increment stream (regenerated
     per block), so a stacked window holds at most ``BLOCK_BYTES``, or 64
     paths if one path's window is larger.
     """
+    stepper = GainStepper(base_law, spec, deviations)
     weights = ((spec.Q1, spec.R1, spec.H1), (spec.Q2, spec.R2, spec.H2))
     s2, grid = stepper.u2_slots, stepper.grid
     own_slots = ((0, slice(1)), (0, slice(s2, None)), (1, slice(s2)))
@@ -393,17 +396,6 @@ def paired_costs(stepper: GainStepper, spec: GameSpec, n_paths: int,
         base[:, cols] = 0.5 * sums[own, 0]
         dev[:, cols] = 0.5 * sums[own, stepper.dev_slots]
     return base, dev
-
-
-def paired_deviation_costs(base_law: FeedbackLaw, deviations,
-                           spec: GameSpec, n_paths: int,
-                           seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each deviating player's per-path costs (D, P) under the base pair and
-    under its ``(player, dev_law)`` deviation, from one paired rollout on
-    one noise draw, so each margin's standard error comes from paired
-    differences."""
-    return paired_costs(GainStepper(base_law, spec, deviations),
-                        spec, n_paths, seed)
 
 
 @dataclass(frozen=True)

@@ -201,18 +201,6 @@ def implied_law(ladder: RiccatiLadder, spec: GameSpec) -> FeedbackLaw:
     return law
 
 
-def _deviation_laws(law: FeedbackLaw, deviations):
-    return [(player, perturb_control(law, player, kind, mag))
-            for player, kind, mag in deviations]
-
-
-def _verdicts(deviations, own_base, own_dev) -> list[DeviationVerdict]:
-    return [DeviationVerdict(player, f"{kind} {mag:+g}", *mean_se(base),
-                             *mean_se(dev), *mean_se(dev - base))
-            for (player, kind, mag), base, dev
-            in zip(deviations, own_base, own_dev)]
-
-
 def nash_deviation_test(law: FeedbackLaw, spec: GameSpec, n_paths: int,
                         deviations=DEVIATION_FAMILY,
                         seed: int = 0) -> list[DeviationVerdict]:
@@ -222,8 +210,13 @@ def nash_deviation_test(law: FeedbackLaw, spec: GameSpec, n_paths: int,
     its base realization (paired simulation on common noise), and the
     margin's standard error comes from the paired per-path differences.
     """
-    return _verdicts(deviations, *paired_deviation_costs(
-        law, _deviation_laws(law, deviations), spec, n_paths, seed))
+    own_base, own_dev = paired_deviation_costs(
+        law, [(player, perturb_control(law, player, kind, mag))
+              for player, kind, mag in deviations], spec, n_paths, seed)
+    return [DeviationVerdict(player, f"{kind} {mag:+g}", *mean_se(base),
+                             *mean_se(dev), *mean_se(dev - base))
+            for (player, kind, mag), base, dev
+            in zip(deviations, own_base, own_dev)]
 
 
 # ---------------------------------------------------------------------------

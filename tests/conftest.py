@@ -45,6 +45,12 @@ def matrix_spec() -> GameSpec:
                     x0=[1.0, -0.5])
 
 
+# a rank-1 control weight for ``matrix_spec``'s player 2: its smallest
+# eigenvalue computes as +1.1e-16, yet it has no Cholesky factor
+RANK_ONE_R2 = [[2.230336585515393, -1.8803276795182426],
+               [-1.8803276795182426, 1.5852460141326314]]
+
+
 # the step of every random spec: binary-exact, so the grid is exact
 RANDOM_DELTA = 0.125
 

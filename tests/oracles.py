@@ -445,9 +445,9 @@ def reference_paired_rollout(law, deviations, spec, grid, dw):
 
 
 def reference_paired_costs(stepper, spec, n_paths, seed):
-    """The all-slot loop that ``simulator.paired_costs`` restricts to the
-    costs it returns: both players' costs summed on every slot of the
-    stacked rollout on the (paths, seed) increments, then each deviating
+    """The all-slot loop that ``simulator.paired_deviation_costs`` restricts
+    to the costs it returns: both players' costs summed on every slot of
+    the stacked rollout on the (paths, seed) increments, then each deviating
     player's own cost picked out under the base pair and under its
     deviation, (D, P) each."""
     weights = ((spec.Q1, spec.R1, spec.H1), (spec.Q2, spec.R2, spec.H2))

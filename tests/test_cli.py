@@ -12,8 +12,8 @@ import pytest
 
 from delaygame import build_grid, save_problem
 from delaygame.cli import main
-from conftest import (golden_scalar_spec, matrix_spec, wide_delay_spec,
-                      zero_cost_spec)
+from conftest import (RANK_ONE_R2, golden_scalar_spec, matrix_spec,
+                      wide_delay_spec, zero_cost_spec)
 
 
 @pytest.fixture()
@@ -199,9 +199,12 @@ class TestSolve:
 
     @pytest.mark.parametrize("key,value,extra", [
         ("T", True, {}), ("h1", True, {"T": 2.0}), ("A", [[True]], {}),
-        ("x0", [True], {})], ids=["T", "h1", "A", "x0"])
+        ("x0", [True], {}), ("A", [["0.5"]], {}), ("T", "1.0", {}),
+        ("x0", ["1.0"], {})],
+        ids=["T", "h1", "A", "x0", "A_string", "T_string", "x0_string"])
     def test_boolean_entry_exit_2(self, tmp_path, capsys, key, value, extra):
-        # json's true is not a number: numpy would read it as 1.0
+        # json's true is not a number, nor is a string: numpy would read
+        # them as 1.0 and as the number the string spells
         path = tmp_path / "boolean.json"
         save_problem(golden_scalar_spec(), path)
         data = dict(json.loads(path.read_text()), **extra)
@@ -213,6 +216,20 @@ class TestSolve:
         assert code == 2 and out == ""
         assert err.startswith("cannot load problem: ")
         assert err.endswith(f"in keys: [{key!r}]\n")
+        assert len(err.splitlines()) == 1
+
+    def test_weight_without_cholesky_factor_exit_2(self, tmp_path, capsys):
+        # validation takes the sweep's Cholesky factor, so a rank-1 weight
+        # whose smallest eigenvalue computes positive is a validation error
+        # that names it, not a factorization failure (exit 1)
+        from dataclasses import replace
+        path = tmp_path / "rank_one_r2.json"
+        save_problem(replace(matrix_spec(), R2=RANK_ONE_R2), path)
+        code = main(["solve", "--problem", str(path),
+                     "--out", str(tmp_path / "o")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("validation: R2 symmetric pd: ")
         assert len(err.splitlines()) == 1
 
     def test_out_of_memory_exit_1(self, wide_problem, tmp_path, capsys,
@@ -697,6 +714,47 @@ def test_benchmark_hooks_resolve():
     missing = [f"{module}.{attr}" for module, attr in names
                if not resolves(module, attr)]
     assert not missing
+
+
+def test_benchmark_hooks_are_called(wide_problem, zero_problem, tmp_path,
+                                    monkeypatch):
+    # a name perfbench/spans.py wraps that no command calls any more gives
+    # a trace that books its work elsewhere: small solve, simulate, verify
+    # and convergence runs must call every spanned name and every export.
+    # The convergence run is increment-free: discrete_engine.backward_sweep
+    # is reached only through solve_ladder in its no-delay oracle
+    from dataclasses import replace
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    calls = dict.fromkeys(
+        [(module, attr) for module, attr, _ in spans.SPANNED]
+        + [("delaygame.exports", attr) for attr in spans.EXPORTS], 0)
+
+    def counting(name, original):
+        @functools.wraps(original)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module, attr in calls:
+        owner = importlib.import_module(module)
+        monkeypatch.setattr(owner, attr,
+                            counting((module, attr), getattr(owner, attr)))
+    increment_free = tmp_path / "increment_free.json"
+    save_problem(replace(wide_delay_spec(), Abar=0.0, B1bar=0.0, B2bar=0.0),
+                 increment_free)
+    for problem, *flags in (
+            (wide_problem, "solve"),
+            (wide_problem, "simulate", "--paths", "20"),
+            (zero_problem, "verify", "--paths", "200", "--halvings", "1"),
+            (increment_free, "convergence", "--halvings", "1")):
+        code = main([*flags, "--problem", str(problem), "--delta", "0.05",
+                     "--out", str(tmp_path / flags[0])])
+        assert code == 0, flags
+    assert [name for name, count in calls.items() if count < 1] == []
 
 
 def test_readme_library_sketch_runs(monkeypatch):

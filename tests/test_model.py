@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from delaygame import (GameSpec, IncommensurateDelays, SingularWeight,
                        SweepCoefficients, build_grid, load_problem,
                        save_problem, validate)
-from conftest import (RANDOM_SPECS, golden_scalar_spec, matrix_spec,
-                      wide_delay_spec)
+from conftest import (RANDOM_SPECS, RANK_ONE_R2, golden_scalar_spec,
+                      matrix_spec, wide_delay_spec)
 
 
 def scalar_spec(**overrides):
@@ -64,6 +64,14 @@ class TestValidate:
         bad = GameSpec(**{**_spec_dict(matrix_spec()),
                           "R2": [[1.0, 0.4], [0.0, 1.0]]})
         assert not validate(bad).passed
+
+    def test_weight_without_cholesky_factor_fails(self):
+        # the smallest eigenvalue computes positive, but the factor the
+        # sweep takes does not exist
+        bad = GameSpec(**{**_spec_dict(matrix_spec()), "R2": RANK_ONE_R2})
+        [line] = validate(bad).violations
+        assert line.startswith("R2 symmetric pd: R2 not positive definite")
+        assert line.endswith(", no Cholesky factor)")
 
     def test_dimension_mismatch_reported(self):
         bad = GameSpec(**{**_spec_dict(matrix_spec()), "x0": [1.0]})

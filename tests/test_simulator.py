@@ -8,9 +8,9 @@ from delaygame import (GameSpec, assemble_gains, build_grid,
                        simulate_path_ladder, solve_ladder)
 from delaygame.simulator import (GainStepper, LadderStepper, _apply,
                                  draw_increments, increment_rows,
-                                 initial_window, level_sums, paired_costs,
+                                 initial_window, level_sums,
                                  paired_deviation_costs, rollout)
-from delaygame.verify import DEVIATION_FAMILY, _deviation_laws
+from delaygame.verify import DEVIATION_FAMILY
 from conftest import (RANDOM_DELTA, random_spec, wide_delay_spec,
                       zero_cost_spec)
 from oracles import (mean_recursion, record_windows,
@@ -25,6 +25,12 @@ def wide_case():
     ladder = solve_ladder(spec, grid)
     law = assemble_gains(extract_fields(ladder), spec)
     return spec, grid, ladder, law
+
+
+def family_laws(law):
+    """The default deviation family as ``(player, dev_law)`` pairs."""
+    return [(player, perturb_control(law, player, kind, mag))
+            for player, kind, mag in DEVIATION_FAMILY]
 
 
 class TestDeterminism:
@@ -359,7 +365,7 @@ class TestPairedDeviation:
         same increments, with the stacked arrays in the reference's layout:
         (law, step, ..., P, n), the base law first, then the deviations in
         family order."""
-        devs = _deviation_laws(law, DEVIATION_FAMILY)
+        devs = family_laws(law)
         stepper = GainStepper(law, spec, devs)
         order = np.r_[0, stepper.dev_slots]
         rec = {"win": [], "u1": [], "u2": [], "diff": []}
@@ -370,8 +376,8 @@ class TestPairedDeviation:
                 rec[name].append(a[order].swapaxes(-1, -2))
         rec["win"].append(win_next[order].swapaxes(-1, -2))
         rec = {name: np.array(v).swapaxes(0, 1) for name, v in rec.items()}
-        rec["own_base"], rec["own_dev"] = paired_costs(stepper, spec,
-                                                       n_paths, seed)
+        rec["own_base"], rec["own_dev"] = paired_deviation_costs(
+            law, devs, spec, n_paths, seed)
         ref = reference_paired_rollout(law, devs, spec, grid,
                                        draw_increments(grid, n_paths, seed))
         return rec, ref
@@ -406,10 +412,10 @@ class TestPairedDeviation:
         # out the same bits, for the scalar and the n = 2 problem
         spec, grid, ladder = request.getfixturevalue(case)
         law = assemble_gains(extract_fields(ladder), spec)
-        stepper = GainStepper(law, spec,
-                              _deviation_laws(law, DEVIATION_FAMILY))
-        got = paired_costs(stepper, spec, 64, 4)
-        ref = reference_paired_costs(stepper, spec, 64, 4)
+        devs = family_laws(law)
+        got = paired_deviation_costs(law, devs, spec, 64, 4)
+        ref = reference_paired_costs(GainStepper(law, spec, devs), spec,
+                                     64, 4)
         for name, g, r in zip(("own_base", "own_dev"), got, ref):
             np.testing.assert_array_equal(g, r, err_msg=name)
 
@@ -429,16 +435,15 @@ class TestPairedDeviation:
         else:
             spec, grid, ladder = request.getfixturevalue(case)
         law = assemble_gains(extract_fields(ladder), spec)
-        stepper = GainStepper(law, spec,
-                              _deviation_laws(law, DEVIATION_FAMILY))
+        devs = family_laws(law)
         draws = []
         rows = simulator.increment_rows
         monkeypatch.setattr(simulator, "increment_rows",
                             lambda *a: draws.append(a) or rows(*a))
         monkeypatch.setattr(simulator, "BLOCK_BYTES", 2 ** 62)
-        whole = paired_costs(stepper, spec, 300, 4)
+        whole = paired_deviation_costs(law, devs, spec, 300, 4)
         monkeypatch.setattr(simulator, "BLOCK_BYTES", 1)
-        blocks = paired_costs(stepper, spec, 300, 4)
+        blocks = paired_deviation_costs(law, devs, spec, 300, 4)
         assert len(draws) == 1 + 5       # 300 paths: 4 blocks of 64, and 44
         for name, w, b in zip(("own_base", "own_dev"), whole, blocks):
             if spec.n == 1:
