@@ -148,7 +148,8 @@ def _load(args):
     """Parse + validate + solve; shared front half of every command."""
     try:
         spec = load_problem(args.problem)
-    except (OSError, ValueError, TypeError) as exc:
+    # a file nested too deep for json or the entry check: RecursionError
+    except (OSError, ValueError, TypeError, RecursionError) as exc:
         print(f"cannot load problem: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
     report = validate(spec)

@@ -105,8 +105,9 @@ def invertibility_rcond(fields: RiccatiFields, coeffs: SweepCoefficients):
     """Reciprocal condition numbers of the two closure matrices per sample."""
     eye = np.eye(fields.n)
     P1, P2 = fields.P
-    return {"joint": _rcond(eye - coeffs.Bbar21 @ P1 - coeffs.Bbar22 @ P2),
-            "second": _rcond(eye - coeffs.Bbar22 @ P2)}
+    Bbar21, Bbar22 = coeffs.maps2[:, 1]
+    return {"joint": _rcond(eye - Bbar21 @ P1 - Bbar22 @ P2),
+            "second": _rcond(eye - Bbar22 @ P2)}
 
 
 def continuous_residuals(fields: RiccatiFields,
@@ -121,7 +122,7 @@ def continuous_residuals(fields: RiccatiFields,
     grid = fields.grid
     d1, d2 = grid.d1, grid.d2
     delta = grid.delta
-    A, Abar = coeffs.A, coeffs.Abar
+    A, Abar = coeffs.a
     n_t = grid.N + 2
     P, phat = fields.P, fields.phat
 

@@ -64,32 +64,34 @@ def block_order(gap: int) -> list[tuple[int, str]]:
 
 @dataclass(frozen=True)
 class SweepCoefficients:
-    """Everything the sweep consumes: the state maps, the control-map data
-    that reads the implied controls back out, both players' running and
-    terminal cost weights stacked on a leading player axis (``Q`` and
-    ``H``, (2, n, n)) and the eight n-by-n reduced products
-    ``B11 = -B1 R1^{-1} B1'``, ``B21 = -B1 R1^{-1} B1bar'``,
-    ``Bbar11 = -B1bar R1^{-1} B1'``, ``Bbar21 = -B1bar R1^{-1} B1bar'``
-    and their player-2 counterparts (so ``B21' = Bbar11``)."""
+    """Everything the sweep consumes, formed once per problem. Each map and
+    each reduced product is an (increment-free, increment) pair on axis 0:
 
-    A: np.ndarray
-    Abar: np.ndarray
-    B1: np.ndarray
-    B1bar: np.ndarray
-    B2: np.ndarray
-    B2bar: np.ndarray
+    * ``a`` = [A; Abar], ``b1`` = [B1; B1bar], ``b2`` = [B2; B2bar], the
+      state and control maps of the dt and dw parts of the dynamics;
+    * ``R1inv``, ``R2inv``, the inverse control weights, which read the
+      implied controls back out;
+    * ``Q`` and ``H`` (2, n, n), both players' running and terminal cost
+      weights on a leading player axis;
+    * the reduced products, each map read through its player's weight:
+      ``maps11`` = [B11; Bbar11] with ``B11 = -B1 R1^{-1} B1'`` and
+      ``Bbar11 = -B1bar R1^{-1} B1'``; ``maps2`` (2, 2, n, n) =
+      [[B21; Bbar21], [B22; Bbar22]] with ``B21 = -B1 R1^{-1} B1bar'``
+      and ``Bbar21 = -B1bar R1^{-1} B1bar'`` (so ``B21' = Bbar11``);
+      ``maps12`` = [B12; Bbar12] and B22, Bbar22 are the player-2
+      counterparts.
+    """
+
+    a: np.ndarray
+    b1: np.ndarray
+    b2: np.ndarray
     R1inv: np.ndarray
     R2inv: np.ndarray
     Q: np.ndarray
     H: np.ndarray
-    B11: np.ndarray
-    B12: np.ndarray
-    B21: np.ndarray
-    B22: np.ndarray
-    Bbar11: np.ndarray
-    Bbar12: np.ndarray
-    Bbar21: np.ndarray
-    Bbar22: np.ndarray
+    maps11: np.ndarray
+    maps12: np.ndarray
+    maps2: np.ndarray
 
     @staticmethod
     def from_spec(spec: GameSpec) -> "SweepCoefficients":
@@ -98,27 +100,25 @@ class SweepCoefficients:
         Raises :class:`SingularWeight` if R1 or R2 has no Cholesky factor,
         which signals an invalid spec slipped past validation.
         """
-        def weight_solves(R, drift, noise):
-            # R^{-1} M' = Li' (Li M') with Li the inverse Cholesky factor
+        def reduced(R, b):
+            # -b R^{-1} M' with R^{-1} M' = Li' (Li M') and Li the inverse
+            # Cholesky factor, for M the drift and the noise map of b
             try:
                 Li = np.linalg.inv(np.linalg.cholesky(R))
             except np.linalg.LinAlgError as exc:
                 raise SingularWeight(
                     f"control weight factorization failed: {exc}") from exc
-            return Li.T @ (Li @ drift.T), Li.T @ (Li @ noise.T)
+            return [-b @ (Li.T @ (Li @ M.T)) for M in b]
 
-        r1_b1t, r1_b1bart = weight_solves(spec.R1, spec.B1, spec.B1bar)
-        r2_b2t, r2_b2bart = weight_solves(spec.R2, spec.B2, spec.B2bar)
+        b1 = np.stack([spec.B1, spec.B1bar])
+        b2 = np.stack([spec.B2, spec.B2bar])
+        maps11, maps21 = reduced(spec.R1, b1)
+        maps12, maps22 = reduced(spec.R2, b2)
         return SweepCoefficients(
-            A=spec.A, Abar=spec.Abar,
-            B1=spec.B1, B1bar=spec.B1bar, B2=spec.B2, B2bar=spec.B2bar,
+            a=np.stack([spec.A, spec.Abar]), b1=b1, b2=b2,
             R1inv=np.linalg.inv(spec.R1), R2inv=np.linalg.inv(spec.R2),
             Q=np.stack([spec.Q1, spec.Q2]), H=np.stack([spec.H1, spec.H2]),
-            B11=-spec.B1 @ r1_b1t, B12=-spec.B2 @ r2_b2t,
-            B21=-spec.B1 @ r1_b1bart, B22=-spec.B2 @ r2_b2bart,
-            Bbar11=-spec.B1bar @ r1_b1t, Bbar12=-spec.B2bar @ r2_b2t,
-            Bbar21=-spec.B1bar @ r1_b1bart, Bbar22=-spec.B2bar @ r2_b2bart,
-        )
+            maps11=maps11, maps12=maps12, maps2=np.stack([maps21, maps22]))
 
 
 class RiccatiLadder:
@@ -159,24 +159,20 @@ class RiccatiLadder:
     The constructor allocates every stack, writes the terminal layer
     k = N+1 (state coefficients ``coeffs.H``, lag entries zero, every
     aggregate equal to the state coefficient) and forms what every step
-    shares: ``delta_q`` = delta ``coeffs.Q``, the reduced control maps as
-    (increment-free, increment) pairs ``maps11``, ``maps2`` and
-    ``maps12``, and ``rhs`` (gap+1, 2n, 6n), every level's right-hand side:
-    one buffer [a_mat[0], delta B12; delta a_mat[1], delta Bbar12 | G | I_2n]
-    whose coarse-level coupling G ``assemble_blocks`` writes at each step.
+    shares, the constants that depend on the grid: ``delta_q`` = delta
+    ``coeffs.Q`` and ``rhs`` (gap+1, 2n, 6n), every level's right-hand
+    side: one buffer [a_mat[0], delta B12; delta a_mat[1], delta Bbar12 |
+    G | I_2n] whose coarse-level coupling G ``assemble_blocks`` writes at
+    each step.
     """
 
     def __init__(self, grid: Grid, coeffs: SweepCoefficients):
-        n, gap, delta = coeffs.A.shape[0], grid.d1 - grid.d2, grid.delta
+        n, gap, delta = coeffs.a.shape[-1], grid.d1 - grid.d2, grid.delta
         layers, steps = (grid.N + 2, 2), (grid.N + 1,)
         self.grid, self.coeffs, self.n, self.gap = grid, coeffs, n, gap
-        self.a_mat = np.stack([np.eye(n) + delta * coeffs.A, coeffs.Abar])
+        self.a_mat = np.stack([np.eye(n) + delta * coeffs.a[0], coeffs.a[1]])
         self.a_t = self.a_mat.swapaxes(1, 2)
         self.delta_q = delta * coeffs.Q
-        self.maps11 = np.stack([coeffs.B11, coeffs.Bbar11])
-        self.maps2 = np.stack([[coeffs.B21, coeffs.Bbar21],
-                               [coeffs.B22, coeffs.Bbar22]])
-        self.maps12 = np.stack([coeffs.B12, coeffs.Bbar12])
         # (delta, 1) scales and (1, delta) divides a pair's two halves
         self.scale = np.array([delta, 1.0])[:, None, None]
         self.divisor = self.scale[::-1]
@@ -188,9 +184,9 @@ class RiccatiLadder:
         rhs = np.zeros((2, n, 3, 2, n))
         self.g_pairs = rhs[:, :, 1]
         rhs = rhs.reshape(2 * n, 6 * n)
-        rhs[:, :2 * n] = np.block([[self.a_mat[0], delta * coeffs.B12],
+        rhs[:, :2 * n] = np.block([[self.a_mat[0], delta * coeffs.maps12[0]],
                                    [delta * self.a_mat[1],
-                                    delta * coeffs.Bbar12]])
+                                    delta * coeffs.maps12[1]]])
         rhs[:, 4 * n:] = self.eye2
         # numpy < 2 reads a 2-D b as a vector stack, so b is 3-D
         self.rhs = np.broadcast_to(rhs, (gap + 1,) + rhs.shape)
@@ -207,8 +203,8 @@ class RiccatiLadder:
         self.w_hat = np.empty(steps + (2 * n, n))
         self.w_check = np.empty(steps + (2 * n, (gap + 1) * n))
         self.coupling = np.empty(steps + (n, (gap + 1) * n))
-        self.u1_gain = np.empty(steps + (coeffs.B1.shape[1], n))
-        self.u2_gain = np.empty(steps + (gap + 1, coeffs.B2.shape[1], n))
+        self.u1_gain = np.empty(steps + (coeffs.b1.shape[-1], n))
+        self.u2_gain = np.empty(steps + (gap + 1, coeffs.b2.shape[-1], n))
         self.zfactors = np.empty(steps + (max(gap - 2, 0), 2 * n, 2 * n))
         self.rcond = np.empty(steps + (gap + 1,))
         self.phat[-1] = coeffs.H
@@ -236,11 +232,6 @@ def _rcond(M: np.ndarray):
         return np.where(np.isfinite(c) & (c != 0.0), 1.0 / c, 0.0)[()]
 
 
-def _norm1(M: np.ndarray) -> np.ndarray:
-    """The 1-norm of each matrix in a stack, as ``np.linalg.norm`` forms it."""
-    return np.maximum.reduce(np.add.reduce(np.abs(M), axis=-2), axis=-1)
-
-
 def assemble_blocks(ladder: RiccatiLadder, k: int) -> tuple[np.ndarray, tuple]:
     """The block families of step k, built from layer k+1's aggregates:
     ``levels`` (gap+1, 2n, 2n), the block of information level m at
@@ -250,15 +241,17 @@ def assemble_blocks(ladder: RiccatiLadder, k: int) -> tuple[np.ndarray, tuple]:
     ``S1 = shat[k+1, 0]``, the state coefficients ``P1, P2 = phat[k+1]``
     and player 2's aggregates ``S2 = agg[k+1, 1]``, ``b11`` = [B11;
     Bbar11] S1, ``b21`` = [B21; Bbar21] P1, ``b22`` = [B22; Bbar22] P2
-    and ``b12`` (gap, 2, n, n), [B12; Bbar12] S^m at index m-1. The
-    coarse-level coupling is written into ``ladder.rhs``.
+    and ``b12`` (gap, 2, n, n), [B12; Bbar12] S^m at index m-1, the pairs
+    read from ``ladder.coeffs``. The coarse-level coupling is written into
+    ``ladder.rhs``.
     The blocks are not checked here: ``solve_estimate_chain`` gates them
     on the condition numbers its one solve gives.
     """
     n, gap, delta = ladder.n, ladder.gap, ladder.grid.delta
-    b11 = ladder.maps11 @ ladder.shat[k + 1, 0]
-    b21, b22 = ladder.maps2 @ ladder.phat[k + 1, :, None]
-    b12 = ladder.maps12 @ ladder.agg[k + 1, 1, :, None]
+    coeffs = ladder.coeffs
+    b11 = coeffs.maps11 @ ladder.shat[k + 1, 0]
+    b21, b22 = coeffs.maps2 @ ladder.phat[k + 1, :, None]
+    b12 = coeffs.maps12 @ ladder.agg[k + 1, 1, :, None]
 
     # levels[m, i, :, j] is block (i, j) of level m: level 0 holds
     # gamma_hat, level m the block gamma_m{m}, level gap gamma_check; the
@@ -313,7 +306,9 @@ def solve_estimate_chain(ladder: RiccatiLadder, k: int) -> None:
         sol = np.linalg.solve(levels, ladder.rhs)
     except np.linalg.LinAlgError:     # an exactly zero pivot
         raise _singular(ladder, levels, k) from None
-    rc = ladder.rcond[k] = 1.0 / (_norm1(levels) * _norm1(sol[..., 4 * n:]))
+    rc = ladder.rcond[k] = 1.0 / (np.linalg.norm(levels, 1, axis=(-2, -1))
+                                  * np.linalg.norm(sol[..., 4 * n:], 1,
+                                                   axis=(-2, -1)))
     if not np.minimum.reduce(rc) >= RCOND_MIN:
         raise _singular(ladder, levels, k)
     C, Y, Z = sol[..., :n], sol[..., n:2 * n], sol[..., 2 * n:4 * n]
@@ -351,7 +346,7 @@ def solve_estimate_chain(ladder: RiccatiLadder, k: int) -> None:
     # state-update coefficients, affine in the increment, as (const,
     # noise) pairs for every source level l at once (column block l)
     scale, divisor = ladder.scale, ladder.divisor
-    pair = (scale * (ladder.maps12 @ R)
+    pair = (scale * (ladder.coeffs.maps12 @ R)
             + ((scale * b12[-1]) @ Wc[:n] + (b22 / divisor) @ Wc[n:]))
     pair[..., :n] += (scale * b11) @ W00[:n] + (b21 / divisor) @ W00[n:]
     ladder.coef[k] = pair.reshape(2, n, gap + 1, n).transpose(2, 0, 1, 3)
@@ -416,14 +411,15 @@ def implied_gains(ladder: RiccatiLadder) -> None:
     estimate pairs the chain stored and the layers one step ahead."""
     n, gap, delta = ladder.n, ladder.gap, ladder.grid.delta
     coeffs = ladder.coeffs
+    (B1, B1bar), (B2, B2bar) = coeffs.b1, coeffs.b2
     W00, Wc = ladder.w_hat, ladder.w_check
     P1, P2 = ladder.phat[1:, 0], ladder.phat[1:, 1]
     ladder.u1_gain[:] = -coeffs.R1inv @ (
-        coeffs.B1.T @ (ladder.shat[1:, 0] @ W00[:, :n])
-        + coeffs.B1bar.T @ (P1 @ W00[:, n:]) / delta)
+        B1.T @ (ladder.shat[1:, 0] @ W00[:, :n])
+        + B1bar.T @ (P1 @ W00[:, n:]) / delta)
     u2 = -coeffs.R2inv @ (
-        coeffs.B2.T @ (ladder.scheck[1:, 1] @ Wc[:, :n] + ladder.coupling)
-        + coeffs.B2bar.T @ (P2 @ Wc[:, n:] / delta))
+        B2.T @ (ladder.scheck[1:, 1] @ Wc[:, :n] + ladder.coupling)
+        + B2bar.T @ (P2 @ Wc[:, n:] / delta))
     ladder.u2_gain[:] = u2.reshape(len(u2), -1, gap + 1, n).swapaxes(1, 2)
 
 

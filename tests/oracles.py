@@ -25,10 +25,12 @@ batched, and the transport residuals are checks that no command runs, as
 are the reduction oracles after them (the one-delay single-player sweep,
 the deterministic mean recursion and the kernel integrals of the fields).
 ``record_windows`` is not an oracle: it reads the estimate windows off the
-production rollout for the tests that check them.
+production rollout for the tests that check them. Nor is ``by_name``: it
+unpacks the sweep's coefficient pairs under the paper's names.
 """
 
 import csv
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
@@ -57,6 +59,18 @@ def oracle_reduced(B1, B1bar, B2, B2bar, R1, R2):
         "Bb11": -B1bar @ R1i @ B1.T, "Bb12": -B2bar @ R2i @ B2.T,
         "Bb21": -B1bar @ R1i @ B1bar.T, "Bb22": -B2bar @ R2i @ B2bar.T,
     }
+
+
+def by_name(c):
+    """The sweep's coefficients ``c`` under the paper's names: every
+    (increment-free, increment) pair of ``SweepCoefficients`` unpacked."""
+    (B21, Bbar21), (B22, Bbar22) = c.maps2
+    return SimpleNamespace(
+        A=c.a[0], Abar=c.a[1], B1=c.b1[0], B1bar=c.b1[1],
+        B2=c.b2[0], B2bar=c.b2[1], R1inv=c.R1inv, R2inv=c.R2inv,
+        Q=c.Q, H=c.H, B11=c.maps11[0], Bbar11=c.maps11[1],
+        B12=c.maps12[0], Bbar12=c.maps12[1],
+        B21=B21, Bbar21=Bbar21, B22=B22, Bbar22=Bbar22)
 
 
 class OracleLayer:
@@ -722,6 +736,7 @@ def reference_identity_residuals(law, fields, spec):
 
 
 def reference_closure_rcond(fields, c):
+    c = by_name(c)
     eye = np.eye(fields.n)
     out = {"joint": np.zeros(len(fields.t)), "second": np.zeros(len(fields.t))}
     for k in range(len(fields.t)):
@@ -736,6 +751,7 @@ def reference_ode_semigroup_residuals(fields, c):
     offset and player at a time, with scipy's matrix exponential; each
     sample the worst over both players, the semigroup samples ordered by
     lag offset, then by time."""
+    c = by_name(c)
     grid = fields.grid
     d1, d2, delta = grid.d1, grid.d2, grid.delta
     A, Abar = c.A, c.Abar
@@ -764,6 +780,7 @@ def reference_boundary_residuals(fields, c):
     kernel), batched over the samples with the terminal one excluded, as
     the kernels jump to zero at the horizon; each sample the worst over
     both players."""
+    c = by_name(c)
     Abar = c.Abar
     eye = np.eye(fields.n)
     P, phat, shat = fields.P, fields.phat, fields.shat
@@ -789,6 +806,7 @@ def reference_transport_residuals(fields, c):
     """Worst transport residual per sample on the coupled (lag offsets
     below the gap) and free branches, one lag offset and player at a time
     over the stacked samples."""
+    c = by_name(c)
     grid = fields.grid
     d1, gap, delta = grid.d1, grid.d1 - grid.d2, grid.delta
     A, Abar = c.A, c.Abar

@@ -1,4 +1,5 @@
-"""The aggregation of scripts/bench.py, on canned perfbench/run.py output."""
+"""The aggregation of scripts/bench.py, on canned perfbench/run.py output,
+and the benchmark's own check of its workloads' artifacts."""
 
 import importlib.util
 import json
@@ -6,7 +7,11 @@ from pathlib import Path
 
 import pytest
 
-_path = Path(__file__).resolve().parents[1] / "scripts" / "bench.py"
+from delaygame import build_grid, load_problem
+from delaygame.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+_path = ROOT / "scripts" / "bench.py"
 _spec = importlib.util.spec_from_file_location("bench_script", _path)
 bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench)
@@ -132,3 +137,22 @@ def test_paired_single_pair_and_correctness():
     report["paired"] = {"against": "def456", "pairs": 1, "seeds": [101],
                         "workloads": {"verify-mc": one}}
     assert not bench.all_correct(report)
+
+
+@pytest.mark.parametrize("name", ["solve-fine", "verify-mc"])
+def test_workload_matches_benchmark_reference(name, tmp_path, monkeypatch):
+    # the benchmark's command at seed 0, checked as perfbench/worker.py
+    # checks each run: a value that drifts past the check's tolerance, or
+    # a renamed verify line, fails here as well as in the benchmark.
+    # workloads.py is imported from its folder; its dataclass needs a
+    # module that sys.modules knows
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import WORKLOADS, check
+    workload = WORKLOADS[name]
+    problem = workload.problem_path(ROOT, tmp_path)
+    out = tmp_path / "out"
+    code = main(workload.argv(problem, out, 0))
+    grid = build_grid(load_problem(problem), workload.delta)
+    reference = json.loads((ROOT / "perfbench" / "reference.json")
+                           .read_text(encoding="utf-8"))
+    assert check(workload, out, code, 0, grid.N, reference) == []

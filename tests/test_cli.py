@@ -218,6 +218,22 @@ class TestSolve:
         assert err.endswith(f"in keys: [{key!r}]\n")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("depth", [500, 100_000])
+    def test_deeply_nested_entry_exit_2(self, tmp_path, capsys, depth):
+        # a matrix nested past the recursion limit stops the entry check
+        # (500 levels, a 1,230-byte file) or json itself (100,000 levels)
+        path = tmp_path / "deep.json"
+        save_problem(golden_scalar_spec(), path)
+        data = dict(json.loads(path.read_text()), A="nested")
+        path.write_text(json.dumps(data).replace(
+            '"nested"', "[" * depth + "1.0" + "]" * depth))
+        code = main(["solve", "--problem", str(path),
+                     "--out", str(tmp_path / "o")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("cannot load problem: ")
+        assert len(err.splitlines()) == 1
+
     def test_weight_without_cholesky_factor_exit_2(self, tmp_path, capsys):
         # validation takes the sweep's Cholesky factor, so a rank-1 weight
         # whose smallest eigenvalue computes positive is a validation error

@@ -11,7 +11,7 @@ from delaygame import discrete_engine
 from delaygame.discrete_engine import (LAYER_FIELDS, RiccatiLadder, _rcond,
                                       riccati_step, solve_estimate_chain)
 from conftest import RANDOM_DELTA, RANDOM_SPECS, matrix_spec, wide_delay_spec
-from oracles import oracle_chain_sweep, oracle_sweep
+from oracles import by_name, oracle_chain_sweep, oracle_sweep
 
 
 class TestExpectationOfProduct:
@@ -79,8 +79,8 @@ class TestAssembleBlocks:
         # survive, in the right column of each block
         spec = wide_delay_spec()
         grid = Grid(N=9, delta=0.0, d1=2, d2=1)
-        coeffs = SweepCoefficients.from_spec(spec)
-        ladder = RiccatiLadder(grid, coeffs)
+        ladder = RiccatiLadder(grid, SweepCoefficients.from_spec(spec))
+        coeffs = by_name(ladder.coeffs)
         levels, _ = assemble_blocks(ladder, grid.N)
         P1, P2 = ladder.phat[grid.N + 1]
         np.testing.assert_allclose(
@@ -160,7 +160,7 @@ class TestAssembleBlocks:
         # over player 2's aggregates must equal the product with each one
         # (S^1 enters gamma_hat, S^gap the state update)
         spec, grid, ladder = request.getfixturevalue(case)
-        coeffs = SweepCoefficients.from_spec(spec)
+        coeffs = by_name(SweepCoefficients.from_spec(spec))
         n, delta, k = ladder.n, grid.delta, grid.N - grid.d1
         S1 = ladder.shat[k + 1, 0]
         P1, P2 = ladder.phat[k + 1]
@@ -491,7 +491,7 @@ class TestSweepInvariants:
         # every step at once: each step's gains must equal the per-step
         # formula on that step's estimate pairs, bit for bit
         spec, grid, ladder = request.getfixturevalue(case)
-        c = SweepCoefficients.from_spec(spec)
+        c = by_name(SweepCoefficients.from_spec(spec))
         n, delta = ladder.n, grid.delta
         for k in range(grid.N + 1):
             W00, Wc = ladder.w_hat[k], ladder.w_check[k]

@@ -10,7 +10,8 @@ from delaygame import (GameSpec, IncommensurateDelays, SingularWeight,
                        SweepCoefficients, build_grid, load_problem,
                        save_problem, validate)
 from conftest import (RANDOM_SPECS, RANK_ONE_R2, golden_scalar_spec,
-                      matrix_spec, wide_delay_spec)
+                      matrix_spec, random_spec, wide_delay_spec)
+from oracles import by_name, oracle_reduced
 
 
 def scalar_spec(**overrides):
@@ -110,26 +111,26 @@ class TestReduceCoefficients:
     """The reduced products that ``SweepCoefficients.from_spec`` forms."""
 
     def test_identity_case(self):
-        red = SweepCoefficients.from_spec(scalar_spec(B1=1.0, R1=1.0))
+        red = by_name(SweepCoefficients.from_spec(scalar_spec(B1=1.0, R1=1.0)))
         assert red.B11[0, 0] == pytest.approx(-1.0)
 
     def test_zero_diffusion_map_annihilates(self):
-        red = SweepCoefficients.from_spec(scalar_spec(B1bar=0.0))
+        red = by_name(SweepCoefficients.from_spec(scalar_spec(B1bar=0.0)))
         assert red.B21[0, 0] == 0.0
         assert red.Bbar11[0, 0] == 0.0
         assert red.Bbar21[0, 0] == 0.0
 
     def test_scalar_product(self):
-        red = SweepCoefficients.from_spec(scalar_spec(B1=2.0, R1=4.0))
+        red = by_name(SweepCoefficients.from_spec(scalar_spec(B1=2.0, R1=4.0)))
         assert red.B11[0, 0] == pytest.approx(-1.0)
 
     def test_transpose_pairing(self):
-        red = SweepCoefficients.from_spec(matrix_spec())
+        red = by_name(SweepCoefficients.from_spec(matrix_spec()))
         np.testing.assert_allclose(red.B21.T, red.Bbar11, atol=1e-14)
         np.testing.assert_allclose(red.B22.T, red.Bbar12, atol=1e-14)
 
     def test_definiteness_of_own_products(self):
-        red = SweepCoefficients.from_spec(matrix_spec())
+        red = by_name(SweepCoefficients.from_spec(matrix_spec()))
         for M in (red.B11, red.B12, red.Bbar21, red.Bbar22):
             sym = 0.5 * (M + M.T)
             assert np.max(np.abs(M - M.T)) < 1e-12
@@ -149,15 +150,43 @@ class TestReduceCoefficients:
     @settings(max_examples=25, deadline=None)
     @given(c=st.floats(min_value=1e-3, max_value=1e3))
     def test_homogeneous_in_r1(self, c):
-        base = SweepCoefficients.from_spec(matrix_spec())
+        base = by_name(SweepCoefficients.from_spec(matrix_spec()))
         spec = matrix_spec()
-        scaled = SweepCoefficients.from_spec(
-            GameSpec(**{**_spec_dict(spec), "R1": c * spec.R1}))
+        scaled = by_name(SweepCoefficients.from_spec(
+            GameSpec(**{**_spec_dict(spec), "R1": c * spec.R1})))
         np.testing.assert_allclose(scaled.B11, base.B11 / c, rtol=1e-12)
         np.testing.assert_allclose(scaled.B21, base.B21 / c, rtol=1e-12)
         np.testing.assert_allclose(scaled.Bbar11, base.Bbar11 / c, rtol=1e-12)
         np.testing.assert_allclose(scaled.Bbar21, base.Bbar21 / c, rtol=1e-12)
         np.testing.assert_allclose(scaled.B12, base.B12, rtol=1e-12)
+
+    @pytest.mark.parametrize("make_spec", [
+        golden_scalar_spec, matrix_spec,
+        lambda: random_spec(1, n=3, d1c=2, d2c=1, d2=1, gap=2, tail=3),
+        lambda: random_spec(2, n=2, d1c=1, d2c=2, d2=2, gap=1, tail=1),
+        lambda: random_spec(3, n=1, d1c=2, d2c=2, d2=1, gap=3, tail=6)],
+        ids=["golden", "matrix", "random-n3", "random-n2", "random-n1"])
+    def test_pair_layout(self, make_spec):
+        # every slot holds the named map or product: the state and control
+        # maps as the spec gives them, each reduced product as the oracle
+        # forms it with plain inverses; increment-free half first
+        spec = make_spec()
+        c = SweepCoefficients.from_spec(spec)
+        ref = oracle_reduced(spec.B1, spec.B1bar, spec.B2, spec.B2bar,
+                             spec.R1, spec.R2)
+        slots = {
+            "a": (c.a, (spec.A, spec.Abar)),
+            "b1": (c.b1, (spec.B1, spec.B1bar)),
+            "b2": (c.b2, (spec.B2, spec.B2bar)),
+            "maps11": (c.maps11, (ref["B11"], ref["Bb11"])),
+            "maps12": (c.maps12, (ref["B12"], ref["Bb12"])),
+            "maps2": (c.maps2, ((ref["B21"], ref["Bb21"]),
+                                (ref["B22"], ref["Bb22"])))}
+        for name, (got, want) in slots.items():
+            want = np.array(want)
+            assert got.shape == want.shape, name
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0,
+                                       err_msg=name)
 
 
 class TestBuildGrid:
